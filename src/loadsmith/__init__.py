@@ -24,7 +24,6 @@ from .compare import (
     ComparisonReport,
     compare_envelopes,
     comparison_to_markdown,
-    read_comparison_report,
     write_comparison_report,
 )
 from .errors import InputSyntaxError, LoadsmithError, SchemaError, UnknownUnitError
@@ -56,7 +55,6 @@ from .model import (
     LoadsDelivery,
     SI_UNITS,
     UnitSystem,
-    component_value,
     point_names,
 )
 from .transform import (
@@ -98,7 +96,6 @@ __all__ = [
     "check_equilibrium_all",
     "compare_envelopes",
     "comparison_to_markdown",
-    "component_value",
     "convert_units",
     "detect_format",
     "envelope_extremes",
@@ -109,7 +106,6 @@ __all__ = [
     "load_node_map",
     "parse_delivery",
     "point_names",
-    "read_comparison_report",
     "read_envelope_json",
     "rename_points",
     "scale_component",

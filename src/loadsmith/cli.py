@@ -60,16 +60,17 @@ def _print_json(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_tolerances(path: str | None) -> Tolerance:
+    """Default tolerances, or those of a ``{"tolerances": {"abs": x, "rel": y}}`` config file."""
     if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LoadsmithError(f"config file is not valid JSON: {exc.msg}", code="CONFIG_ERROR")
-    if not isinstance(config, dict):
-        raise LoadsmithError("config file must hold a JSON object", code="CONFIG_ERROR")
-    return config
+        return Tolerance()
+    config = ingest.read_json(Path(path).read_text(encoding="utf-8"), "config")
+    ingest._expect_keys(ingest._expect_mapping(config, "$"), ("tolerances",), (), "$")
+    tolerances = ingest._expect_mapping(config["tolerances"], "tolerances")
+    ingest._expect_keys(tolerances, ("abs", "rel"), (), "tolerances")
+    return Tolerance(
+        *(ingest._expect_number(tolerances[key], f"tolerances.{key}") for key in ("abs", "rel"))
+    )
 
 
 def _default_out_dir(explicit: str | None) -> Path:
@@ -170,26 +171,16 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    config = _load_config(args.config)
-    tol_defaults = config.get("tolerances", {})
+    defaults = _load_tolerances(args.config)
     tol = Tolerance(
-        abs=args.abs_tol if args.abs_tol is not None else tol_defaults.get("abs", 1e-9),
-        rel=args.rel_tol if args.rel_tol is not None else tol_defaults.get("rel", 1e-3),
+        abs=args.abs_tol if args.abs_tol is not None else defaults.abs,
+        rel=args.rel_tol if args.rel_tol is not None else defaults.rel,
     )
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
-        raw = json.loads(Path(args.coords).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise LoadsmithError("coords file must map point names to [x, y, z]", code="SCHEMA_ERROR")
-        coords = {}
-        for point, xyz in raw.items():
-            if not isinstance(xyz, list) or len(xyz) != 3:
-                raise LoadsmithError(
-                    f"coordinates for {point!r} must be [x, y, z]",
-                    code="SCHEMA_ERROR", location=point,
-                )
-            coords[point] = tuple(float(v) for v in xyz)
+        text = Path(args.coords).read_text(encoding="utf-8")
+        coords = ingest.read_coordinates(ingest.read_json(text, "coords"), "coords")
     survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
     _print_json(survey.to_dict())
     return EXIT_OK if survey.all_balanced else EXIT_PROCESSING
@@ -215,14 +206,8 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_export_ansys(args) -> int:
-    config = _load_config(args.config)
     delivery = ingest.load_delivery(args.input)
-    if args.node_map is not None:
-        nodes = export.load_node_map(args.node_map)
-    elif "node_map" in config:
-        nodes = {str(k): v for k, v in config["node_map"].items()}
-    else:
-        raise _UsageExit("--node-map is required (or provide node_map in --config)")
+    nodes = export.load_node_map(args.node_map)
     selected = []
     for token in args.select.split(","):
         token = token.strip()
@@ -236,8 +221,7 @@ def _cmd_export_ansys(args) -> int:
     )
     out_dir = _default_out_dir(args.out_dir)
     paths = export.export_all_inp(delivery, selected, nodes, exclude, out_dir)
-    inputs = [args.input] + ([args.node_map] if args.node_map else [])
-    write_cli_trace(out_dir / "trace.ndjson", sys.argv, inputs, paths)
+    write_cli_trace(out_dir / "trace.ndjson", sys.argv, [args.input, args.node_map], paths)
     _print_json({"written": [str(p) for p in paths]})
     return EXIT_OK
 
@@ -276,6 +260,11 @@ def _cmd_eval_run(args) -> int:
                 "pass_hat_k": report.pass_hat_k,
                 "lower_bound": report.lower_bound,
                 "infrastructure_failures": report.infrastructure_failures,
+                "failures": [
+                    {"run": run.trace.run_index, "reason": run.reason}
+                    for run in report.runs
+                    if not run.passed
+                ],
                 "report": str(out_dir / scenario.id / "report.json"),
             }
         )
@@ -291,7 +280,7 @@ def _cmd_eval_passk(args) -> int:
 
 
 def _cmd_docserve(args) -> int:
-    docserver.serve(args.catalog_dir, verify_checksums=args.verify_checksums)
+    docserver.serve(args.catalog_dir)
     return EXIT_OK
 
 
@@ -330,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coords", help="JSON file {point: [x, y, z]} in meters")
     p.add_argument("--abs-tol", type=float, dest="abs_tol")
     p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--config")
+    p.add_argument("--config", help='JSON file {"tolerances": {"abs": number, "rel": number}}')
     p.set_defaults(func=_cmd_equilibrium)
 
     p = sub.add_parser("envelope", help="downselect critical cases and write the envelope")
@@ -341,10 +330,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-ansys", help="write one nodal-force .inp deck per selected case")
     p.add_argument("input")
     p.add_argument("--select", required=True, metavar="ID,ID,...")
-    p.add_argument("--node-map", dest="node_map", help="JSON file {point: node id}")
+    p.add_argument("--node-map", dest="node_map", required=True, help="JSON file {point: node id}")
     p.add_argument("--exclude", metavar="POINT,POINT,...")
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_export_ansys)
 
     p = sub.add_parser("compare", help="exceedance comparison of new extremes vs old")
@@ -370,7 +358,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("docserve", help="serve a document catalog over stdio JSON-RPC")
     p.add_argument("catalog_dir")
-    p.add_argument("--verify-checksums", action="store_true", dest="verify_checksums")
     p.set_defaults(func=_cmd_docserve)
 
     return parser
@@ -398,9 +385,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _emit_error("IO_ERROR", str(exc))
         return EXIT_INFRASTRUCTURE
-    except json.JSONDecodeError as exc:
-        _emit_error("SYNTAX_ERROR", f"invalid JSON: {exc.msg}", f"line {exc.lineno}")
-        return EXIT_PROCESSING
     except ValueError as exc:
         _emit_error("VALUE_ERROR", str(exc))
         return EXIT_PROCESSING

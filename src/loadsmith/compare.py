@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import LoadsmithError, SchemaError
-from .export import read_envelope_json
+from .errors import LoadsmithError
+from .export import format_deck_value, read_envelope_json
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
 
 
@@ -135,41 +135,6 @@ def write_comparison_report(report: ComparisonReport) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
-def read_comparison_report(text: str) -> ComparisonReport:
-    """Inverse of write_comparison_report."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid comparison JSON: {exc.msg}") from exc
-    for key in ("new", "old", "units", "new_exceeds_old", "cells"):
-        if key not in data:
-            raise SchemaError(f"comparison JSON missing field {key!r}", location=key)
-    cells: dict[str, dict[Component, ComparisonCell]] = {}
-    for point, per_comp in data["cells"].items():
-        cells[point] = {}
-        for comp in COMPONENT_ORDER:
-            raw = per_comp[comp.name]
-            cells[point][comp] = ComparisonCell(
-                old_max=raw["old_max"],
-                new_max=raw["new_max"],
-                max_delta_pct=raw["max_delta_pct"],
-                max_exceeds=raw["max_exceeds"],
-                old_min=raw["old_min"],
-                new_min=raw["new_min"],
-                min_delta_pct=raw["min_delta_pct"],
-                min_exceeds=raw["min_exceeds"],
-            )
-    return ComparisonReport(
-        new_name=data["new"]["name"],
-        new_version=data["new"]["version"],
-        old_name=data["old"]["name"],
-        old_version=data["old"]["version"],
-        units=UnitSystem(data["units"]["force"], data["units"]["moment"]),
-        new_exceeds_old=data["new_exceeds_old"],
-        cells=cells,
-    )
-
-
 def compare_envelope_files(new_text: str, old_text: str, widen_tol: float = 0.0) -> ComparisonReport:
     """Convenience: read both extremes JSON payloads and compare."""
     return compare_envelopes(
@@ -183,10 +148,6 @@ def _fmt_delta(delta: float | None) -> str:
 
 def comparison_to_markdown(report: ComparisonReport) -> str:
     """Human-readable summary table per point, flags spelled out."""
-
-    def fmt(value: float) -> str:
-        return f"{value:.6E}"
-
     lines = [
         "# Envelope comparison",
         "",
@@ -207,9 +168,9 @@ def comparison_to_markdown(report: ComparisonReport) -> str:
         for comp in COMPONENT_ORDER:
             cell = report.cells[point][comp]
             lines.append(
-                f"| {comp.name} | {fmt(cell.old_max)} | {fmt(cell.new_max)}"
+                f"| {comp.name} | {format_deck_value(cell.old_max)} | {format_deck_value(cell.new_max)}"
                 f" | {_fmt_delta(cell.max_delta_pct)} | {'yes' if cell.max_exceeds else 'no'}"
-                f" | {fmt(cell.old_min)} | {fmt(cell.new_min)}"
+                f" | {format_deck_value(cell.old_min)} | {format_deck_value(cell.new_min)}"
                 f" | {_fmt_delta(cell.min_delta_pct)} | {'yes' if cell.min_exceeds else 'no'} |"
             )
     return "\n".join(lines) + "\n"

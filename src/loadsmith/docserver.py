@@ -37,7 +37,6 @@ VERSION_NOT_FOUND = -32002
 class DocumentVersion:
     content: str
     checksum: str
-    added_at: str | None = None
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,7 @@ class Catalog:
                         code="CATALOG_ERROR",
                     ) from exc
                 checksum = hashlib.sha256(content.encode("utf-8")).hexdigest()
-                added_at = (entry.get("added_at") or {}).get(str(version))
-                loaded[int(version)] = DocumentVersion(content, checksum, added_at)
+                loaded[int(version)] = DocumentVersion(content, checksum)
             records[doc_id] = DocumentRecord(doc_id, title, loaded)
         return cls(records)
 
@@ -140,9 +138,8 @@ class Catalog:
 class DocServer:
     """Line-delimited JSON-RPC front end over a loaded catalog."""
 
-    def __init__(self, catalog: Catalog, verify_checksums: bool = False):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.verify_checksums = verify_checksums
 
     def _error(self, request_id, code: int, message: str, data=None) -> str:
         error: dict = {"code": code, "message": message}
@@ -204,12 +201,6 @@ class DocServer:
                     f"document {document_id} has no version {version}",
                     data={"available_versions": exc.args[0]},
                 )
-            if self.verify_checksums:
-                actual = hashlib.sha256(doc.content.encode("utf-8")).hexdigest()
-                if actual != doc.checksum:
-                    return self._error(
-                        request_id, -32000, "stored content failed checksum verification"
-                    )
             return self._result(
                 request_id,
                 {
@@ -223,7 +214,7 @@ class DocServer:
         return self._error(request_id, METHOD_NOT_FOUND, f"method not found: {method!r}")
 
 
-def serve(catalog_dir: str | Path, stdin=None, stdout=None, verify_checksums: bool = False) -> None:
+def serve(catalog_dir: str | Path, stdin=None, stdout=None) -> None:
     """Run the request loop until stdin closes.
 
     Catalog load errors abort startup with a diagnostic (raised); per-request
@@ -231,7 +222,7 @@ def serve(catalog_dir: str | Path, stdin=None, stdout=None, verify_checksums: bo
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    server = DocServer(Catalog.load(catalog_dir), verify_checksums=verify_checksums)
+    server = DocServer(Catalog.load(catalog_dir))
     for line in stdin:
         response = server.handle_line(line)
         if response is not None:

@@ -11,8 +11,6 @@ from .fixtures import FixtureError, generate_fixture, random_delivery
 from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check, register_adapter
 from .passk import (
     DEFAULT_ALPHA,
-    DEPLOYMENT_MIN_K,
-    DEVELOPMENT_K,
     PassKPolicy,
     basis_policy,
     min_k_for,
@@ -25,8 +23,6 @@ __all__ = [
     "CheckResult",
     "CheckSpec",
     "DEFAULT_ALPHA",
-    "DEPLOYMENT_MIN_K",
-    "DEVELOPMENT_K",
     "Environment",
     "EvalReport",
     "FixtureError",

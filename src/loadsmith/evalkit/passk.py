@@ -18,9 +18,6 @@ DEFAULT_ALPHA = 0.05
 # population percentile demonstrated at 95% confidence.
 BASIS_TARGETS = {"S": 0.50, "B": 0.90, "A": 0.99}
 
-DEVELOPMENT_K = 3
-DEPLOYMENT_MIN_K = 10
-
 
 def _check_probability(name: str, value: float) -> float:
     value = float(value)

@@ -8,15 +8,18 @@ repetition and are flagged separately, never counted as the subject
 failing a check. A nonzero subject exit status, by contrast, is just a
 recorded fact for the checks to interpret.
 
-Each run directory keeps its own ``trace.ndjson`` (argv, checksums of
-staged inputs and produced artifacts, timestamps, stdout/stderr); the
-aggregated report lands beside the run directories as ``report.json``.
+Each run directory keeps its own ``trace.ndjson`` (argv, Python and
+loadsmith versions, checksums of staged inputs and produced artifacts,
+timestamps, stdout/stderr); the aggregated report lands beside the run
+directories as ``report.json``, with a one-line reason for each failed
+repetition.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -34,6 +37,7 @@ from .judge import ERROR as JUDGE_ERROR
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
+from .. import __version__
 from ..trace import TraceWriter, file_record, utc_now
 
 TRACE_FILENAME = "trace.ndjson"
@@ -72,11 +76,28 @@ class RunOutcome:
     passed: bool
     infrastructure_error: str | None = None
 
+    @property
+    def reason(self) -> str | None:
+        """Why the repetition failed, in one line; None when it passed."""
+        if self.passed:
+            return None
+        if self.infrastructure_error is not None:
+            return self.infrastructure_error
+        if self.trace.exit_status != 0:
+            last = (self.trace.stderr.strip().splitlines() or ["(no stderr)"])[-1]
+            return f"exit status {self.trace.exit_status}: {last}"
+        failed = next(v for v in self.verdicts if not v.passed)
+        detail = failed.diffs[0] if failed.diffs else failed.rationale
+        if not detail:
+            return f"{failed.kind} check failed"
+        return f"{failed.kind} check failed: {detail.splitlines()[0]}"
+
     def to_dict(self) -> dict:
         return {
             "trace": self.trace.to_dict(),
             "verdicts": [v.to_dict() for v in self.verdicts],
             "passed": self.passed,
+            "reason": self.reason,
             "infrastructure_error": self.infrastructure_error,
         }
 
@@ -182,8 +203,9 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         writer.emit("infrastructure_error", reason=f"staging failed: {exc}")
         return RunOutcome(trace, (), False, infrastructure_error=f"staging failed: {exc}")
 
-    if scenario.environment.record:
-        writer.emit("versions", **scenario.environment.record)
+    # the measured versions win over a record key of the same name
+    versions = {"python": platform.python_version(), "loadsmith": __version__}
+    writer.emit("versions", **{**scenario.environment.record, **versions})
 
     env = _subject_env()
     try:

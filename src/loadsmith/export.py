@@ -11,6 +11,15 @@ import json
 from pathlib import Path
 
 from .errors import LoadsmithError, SchemaError
+from .ingest import (
+    _expect_int,
+    _expect_keys,
+    _expect_mapping,
+    _expect_number,
+    _expect_text,
+    read_json,
+    read_units,
+)
 from .model import (
     COMPONENT_ORDER,
     Component,
@@ -18,7 +27,6 @@ from .model import (
     ExtremeCell,
     LoadCase,
     LoadsDelivery,
-    UnitSystem,
 )
 
 NodeMap = dict[str, int]
@@ -33,20 +41,13 @@ def format_deck_value(value: float) -> str:
 
 def parse_node_map(text: str) -> NodeMap:
     """Parse a {point: node id} JSON config; ids must be positive and unique."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid node map JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("node map must be a JSON object of {point: node id}")
-    nodes: NodeMap = {}
-    for point, node in data.items():
-        if isinstance(node, bool) or not isinstance(node, int) or node < 1:
+    nodes = _expect_mapping(read_json(text, "node map"), "$")
+    for point, node in nodes.items():
+        if _expect_int(node, point) < 1:
             raise SchemaError(
                 f"node id for {point!r} must be a positive integer, got {node!r}",
                 location=point,
             )
-        nodes[point] = node
     if len(set(nodes.values())) != len(nodes):
         raise SchemaError("node map assigns the same node id to two points")
     return nodes
@@ -177,33 +178,30 @@ def write_envelope_json(extremes: EnvelopeExtremes) -> str:
 
 
 def read_envelope_json(text: str) -> EnvelopeExtremes:
-    """Inverse of write_envelope_json."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid envelope JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("envelope JSON must be an object")
-    for key in ("name", "version", "units", "extremes"):
-        if key not in data:
-            raise SchemaError(f"envelope JSON missing field {key!r}", location=key)
-    units = UnitSystem(data["units"]["force"], data["units"]["moment"])
+    """Inverse of write_envelope_json; a missing, unknown or mistyped field is refused."""
+    root = _expect_mapping(read_json(text, "extremes"), "$")
+    _expect_keys(root, required=("name", "version", "units", "extremes"), optional=(), location="$")
     cells: dict[str, dict[Component, ExtremeCell]] = {}
-    for point, per_comp in data["extremes"].items():
+    for point, per_comp in _expect_mapping(root["extremes"], "extremes").items():
+        ploc = f"extremes.{point}"
+        _expect_keys(_expect_mapping(per_comp, ploc), tuple(c.name for c in COMPONENT_ORDER), (), ploc)
         cells[point] = {}
         for comp in COMPONENT_ORDER:
-            if comp.name not in per_comp:
-                raise SchemaError(
-                    f"envelope JSON missing component {comp.name} at point {point!r}",
-                    location=f"extremes.{point}.{comp.name}",
+            cloc = f"{ploc}.{comp.name}"
+            raw = _expect_mapping(per_comp[comp.name], cloc)
+            _expect_keys(raw, required=("max", "max_case", "min", "min_case"), optional=(), location=cloc)
+            try:
+                cells[point][comp] = ExtremeCell(
+                    max_value=_expect_number(raw["max"], f"{cloc}.max"),
+                    max_case=_expect_int(raw["max_case"], f"{cloc}.max_case"),
+                    min_value=_expect_number(raw["min"], f"{cloc}.min"),
+                    min_case=_expect_int(raw["min_case"], f"{cloc}.min_case"),
                 )
-            raw = per_comp[comp.name]
-            cells[point][comp] = ExtremeCell(
-                max_value=raw["max"],
-                max_case=raw["max_case"],
-                min_value=raw["min"],
-                min_case=raw["min_case"],
-            )
+            except ValueError as exc:
+                raise SchemaError(str(exc), location=cloc) from exc
     return EnvelopeExtremes(
-        name=data["name"], version=data["version"], units=units, cells=cells
+        name=_expect_text(root["name"], "name"),
+        version=_expect_int(root["version"], "version"),
+        units=read_units(root["units"], "units"),
+        cells=cells,
     )

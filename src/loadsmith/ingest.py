@@ -23,12 +23,19 @@ a delivery file can always be audited line by line). Missing components are
 schema errors, never implicit zeros, and unit tokens outside the closed
 alias table are refused: silent coercion is exactly the failure class this
 layer exists to surface.
+
+Every other pipeline input (node map, extremes, config, coordinates) is
+decoded by ``read_json`` and checked by the same field helpers. Both carriers
+refuse a key repeated within one mapping, and YAML numerals are decimal only:
+``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a field check
+then refuses.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,13 +106,65 @@ def detect_format(raw: str | bytes) -> DeliveryFormat:
     return DeliveryFormat.JSON if text[0] in "{[" else DeliveryFormat.YAML
 
 
-def _load_json(text: str):
+def _position(mark) -> str:
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def _refuse_duplicate(keys: list, what: str, where=lambda index: None) -> None:
+    """Raise on the first key seen twice; ``where(index)`` locates it."""
+    seen = set()
+    for index, key in enumerate(keys):
+        if key in seen:
+            raise InputSyntaxError(f"duplicate key {key!r} in {what}", location=where(index))
+        seen.add(key)
+
+
+def read_json(text: str, what: str):
+    """Decode the JSON input named ``what``; malformed JSON (with line and
+    column) and a name repeated within an object raise InputSyntaxError."""
+
+    def unique(pairs: list) -> dict:
+        mapping = dict(pairs)
+        if len(mapping) < len(pairs):
+            _refuse_duplicate([key for key, _ in pairs], f"{what} JSON")
+        return mapping
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(
-            f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
+            f"invalid {what} JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+
+
+# YAML 1.1 numerals that are not plain decimal (octal 010, hex, binary, 1_000,
+# sexagesimal 1:30) resolve to strings, so a field check refuses them.
+_DECIMAL_RESOLVERS = {
+    "tag:yaml.org,2002:int": re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$"),
+    "tag:yaml.org,2002:float": re.compile(
+        r"^(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
+        r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
+    ),
+}
+
+
+class _DeliveryLoader(yaml.SafeLoader):
+    """Safe loader that refuses duplicate keys and reads numerals as decimal only."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(node.value):
+            _refuse_duplicate(
+                [self.construct_object(key_node) for key_node, _ in node.value],
+                "delivery YAML",
+                lambda index: _position(node.value[index][0].start_mark),
+            )
+        return mapping
 
 
 def _load_yaml(text: str):
@@ -114,29 +173,21 @@ def _load_yaml(text: str):
     try:
         for event in yaml.parse(text):
             if isinstance(event, yaml.AliasEvent):
-                mark = event.start_mark
-                raise InputSyntaxError(
-                    "YAML aliases are not allowed in delivery files",
-                    location=f"line {mark.line + 1}, column {mark.column + 1}",
-                )
-            anchor = getattr(event, "anchor", None)
-            if anchor is not None:
-                mark = event.start_mark
-                raise InputSyntaxError(
-                    f"YAML anchor {anchor!r} is not allowed in delivery files",
-                    location=f"line {mark.line + 1}, column {mark.column + 1}",
-                )
-            tag = getattr(event, "tag", None)
-            if tag is not None:
-                mark = event.start_mark
-                raise InputSyntaxError(
-                    f"YAML tag {tag!r} is not allowed in delivery files",
-                    location=f"line {mark.line + 1}, column {mark.column + 1}",
-                )
-        return yaml.safe_load(text)
+                refused = "aliases are"
+            elif getattr(event, "anchor", None) is not None:
+                refused = f"anchor {event.anchor!r} is"
+            elif getattr(event, "tag", None) is not None:
+                refused = f"tag {event.tag!r} is"
+            else:
+                continue
+            raise InputSyntaxError(
+                f"YAML {refused} not allowed in delivery files",
+                location=_position(event.start_mark),
+            )
+        return yaml.load(text, Loader=_DeliveryLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
-        where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"
+        where = _position(mark) if mark else "unknown position"
         raise InputSyntaxError(f"invalid YAML: {exc.problem}", location=where) from exc
     except yaml.YAMLError as exc:
         raise InputSyntaxError(f"invalid YAML: {exc}", location="unknown position") from exc
@@ -175,6 +226,30 @@ def _expect_text(value, location: str) -> str:
     return value
 
 
+def read_units(node, loc: str) -> UnitSystem:
+    """A ``{"force": ..., "moment": ...}`` unit pair; unknown units are refused."""
+    units_node = _expect_mapping(node, loc)
+    _expect_keys(units_node, required=("force", "moment"), optional=(), location=loc)
+    return UnitSystem(
+        _expect_text(units_node["force"], f"{loc}.force"),
+        _expect_text(units_node["moment"], f"{loc}.moment"),
+    )
+
+
+def read_coordinates(node, loc: str) -> dict[str, tuple[float, float, float]]:
+    """A ``{point: [x, y, z]}`` mapping of numbers."""
+    coords_node = _expect_mapping(node, loc)
+    point_coordinates = {}
+    for name, xyz in coords_node.items():
+        ploc = f"{loc}.{name}"
+        if not isinstance(xyz, list) or len(xyz) != 3:
+            raise SchemaError(f"expected [x, y, z] at {ploc}", location=ploc)
+        point_coordinates[_expect_text(name, ploc)] = tuple(
+            _expect_number(v, f"{ploc}[{i}]") for i, v in enumerate(xyz)
+        )
+    return point_coordinates
+
+
 def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> LoadsDelivery:
     """Parse raw JSON/YAML text into a LoadsDelivery.
 
@@ -188,7 +263,7 @@ def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> Loads
     text = _decode(raw)
     if fmt is None:
         fmt = detect_format(text)
-    data = _load_json(text) if fmt is DeliveryFormat.JSON else _load_yaml(text)
+    data = read_json(text, "delivery") if fmt is DeliveryFormat.JSON else _load_yaml(text)
 
     root = _expect_mapping(data, "$")
     _expect_keys(
@@ -198,12 +273,7 @@ def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> Loads
         location="$",
     )
 
-    units_node = _expect_mapping(root["units"], "units")
-    _expect_keys(units_node, required=("force", "moment"), optional=(), location="units")
-    units = UnitSystem(
-        _expect_text(units_node["force"], "units.force"),
-        _expect_text(units_node["moment"], "units.moment"),
-    )
+    units = read_units(root["units"], "units")
 
     coordinate_system = None
     if "coordinate_system" in root:
@@ -211,15 +281,7 @@ def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> Loads
 
     point_coordinates = None
     if "point_coordinates" in root:
-        coords_node = _expect_mapping(root["point_coordinates"], "point_coordinates")
-        point_coordinates = {}
-        for name, xyz in coords_node.items():
-            loc = f"point_coordinates.{name}"
-            if not isinstance(xyz, list) or len(xyz) != 3:
-                raise SchemaError(f"expected [x, y, z] at {loc}", location=loc)
-            point_coordinates[_expect_text(name, loc)] = tuple(
-                _expect_number(v, f"{loc}[{i}]") for i, v in enumerate(xyz)
-            )
+        point_coordinates = read_coordinates(root["point_coordinates"], "point_coordinates")
 
     cases_node = root["load_cases"]
     if not isinstance(cases_node, list) or not cases_node:

@@ -60,8 +60,8 @@ def canonical_unit(token: str, kind: str) -> str:
 class Component(enum.Enum):
     """One of the six load components at an interface point.
 
-    The enum order FX < FY < FZ < MX < MY < MZ is the canonical output
-    ordering used by every exporter.
+    The declaration order FX, FY, FZ, MX, MY, MZ (``COMPONENT_ORDER``) is
+    the canonical output ordering used by every exporter.
     """
 
     FX = "fx"
@@ -78,11 +78,6 @@ class Component(enum.Enum):
     @property
     def is_moment(self) -> bool:
         return not self.is_force
-
-    def __lt__(self, other: "Component") -> bool:
-        if not isinstance(other, Component):
-            return NotImplemented
-        return COMPONENT_ORDER.index(self) < COMPONENT_ORDER.index(other)
 
 
 COMPONENT_ORDER = (
@@ -128,11 +123,6 @@ class ComponentSet:
         return ComponentSet(
             **{c.value: self.value(c) * factors.get(c, 1.0) for c in COMPONENT_ORDER}
         )
-
-
-def component_value(loads: ComponentSet, component: Component) -> float:
-    """Project the named component out of a component set."""
-    return loads.value(component)
 
 
 @dataclass(frozen=True)

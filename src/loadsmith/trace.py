@@ -36,10 +36,6 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def file_record(path: str | Path, relative_to: str | Path | None = None) -> dict:
     path = Path(path)
     shown = path

@@ -27,6 +27,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def single_error(err: str) -> dict:
+    """The one JSON error object a failing command writes to stderr."""
+    (line,) = err.strip().splitlines()
+    return json.loads(line)["error"]
+
+
 class TestConvert:
     def test_yaml_to_json_round_trip(self, tmp_path, capsys, delivery_file):
         path, d = delivery_file
@@ -155,6 +161,24 @@ class TestEquilibrium:
         code, out, _ = run_cli(capsys, "equilibrium", str(path), "--config", str(config))
         assert code == 0  # absurdly loose tolerance from config
 
+    @pytest.mark.parametrize(
+        "config,location",
+        [
+            ({"tolerances": {"abs": 1e9, "rel": 1.0}, "node_map": {"bearing": 7}}, "$.node_map"),
+            ({"tolerances": {"abs": 1e9, "rel": 1.0, "step": 2}}, "tolerances.step"),
+            ({"tolerances": {"abs": "x", "rel": 1.0}}, "tolerances.abs"),
+        ],
+        ids=["node-map-key", "unknown-key", "string-tolerance"],
+    )
+    def test_config_refused(self, tmp_path, capsys, delivery_file, config, location):
+        path, _ = delivery_file
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "equilibrium", str(path), "--config", str(config_path))
+        assert code == 2
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
+
     def test_coords_file(self, tmp_path, capsys):
         case = LoadCase(
             id=1, loads={"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0, mz=-10.0)}
@@ -167,6 +191,15 @@ class TestEquilibrium:
         code, out, _ = run_cli(capsys, "equilibrium", str(path), "--coords", str(coords))
         assert code == 0
         assert json.loads(out)["cases"][0]["moment_residual"] == [0.0, 0.0, 0.0]
+
+    def test_coords_non_number_refused(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        coords = tmp_path / "coords.json"
+        coords.write_text(json.dumps({p: [0.0, "x" if p == "nozzle" else 0.0, 0.0] for p in POINTS}))
+        code, _, err = run_cli(capsys, "equilibrium", str(path), "--coords", str(coords))
+        assert code == 2
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "coords.nozzle[1]")
 
 
 class TestEnvelope:
@@ -233,6 +266,18 @@ class TestExportAnsys:
         )
         assert code == 1
 
+    def test_config_node_map_refused(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"node_map": {p: 7 for p in POINTS}}))
+        code, _, err = run_cli(
+            capsys, "export-ansys", str(path), "--select", "1", "--config", str(config),
+            "--out-dir", str(tmp_path / "decks"),
+        )
+        assert code == 1
+        assert single_error(err)["code"] == "USAGE"
+        assert not (tmp_path / "decks").exists()
+
 
 class TestCompare:
     def make_extremes(self, tmp_path, capsys, delivery_file, scale=None):
@@ -262,6 +307,26 @@ class TestCompare:
         code, outtext, _ = run_cli(capsys, "compare", str(old), str(old), "--out", str(out))
         assert code == 0
         assert not json.loads(outtext)["new_exceeds_old"]
+
+    @pytest.mark.parametrize(
+        "edit,location",
+        [
+            (lambda cell: cell.pop("max_case"), "extremes.bearing.FX.max_case"),
+            (lambda cell: cell.update(max="1.0"), "extremes.bearing.FX.max"),
+            (lambda cell: cell.update(min=cell["max"] + 1.0), "extremes.bearing.FX"),
+        ],
+        ids=["missing-max-case", "string-max", "min-above-max"],
+    )
+    def test_malformed_extremes_exit_2(self, tmp_path, capsys, delivery_file, edit, location):
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        data = json.loads(old.read_text())
+        edit(data["extremes"]["bearing"]["FX"])
+        old.write_text(json.dumps(data))
+        new = self.make_extremes(tmp_path, capsys, delivery_file, scale=1.2)
+        code, _, err = run_cli(capsys, "compare", str(new), str(old), "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
 
     def test_widen_tol_suppresses_exceedance(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)
@@ -328,6 +393,28 @@ class TestEval:
         spath.write_text(json.dumps(scenario))
         code, _, _ = run_cli(capsys, "eval", "run", str(spath), "--out-dir", str(tmp_path / "runs"))
         assert code == 2
+
+    def test_run_summary_names_failure_reason(self, tmp_path, capsys):
+        scenario_dir = tmp_path / "s"
+        scenario_dir.mkdir()
+        (scenario_dir / "ref.txt").write_text("expected\n")
+        scenario = {
+            "id": "cli-boom",
+            "k": 2,
+            "environment": {
+                "stage": [],
+                "subject_command": ["{python}", "-c", "import sys; sys.exit('boom')"],
+            },
+            "checks": [{"kind": "text_golden", "actual": "o.txt", "reference": "ref.txt"}],
+        }
+        spath = scenario_dir / "scenario.json"
+        spath.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(capsys, "eval", "run", str(spath), "--out-dir", str(tmp_path / "runs"))
+        assert code == 2
+        assert json.loads(out)[0]["failures"] == [
+            {"run": 1, "reason": "exit status 1: boom"},
+            {"run": 2, "reason": "exit status 1: boom"},
+        ]
 
 
 class TestUsageAndErrors:

@@ -166,15 +166,6 @@ class TestDocServer:
         line = rpc("get_document_content", {"document_id": 1001, "version": 2})
         assert server.handle_line(line) == server.handle_line(line)
 
-    def test_checksum_verification_mode(self, catalog):
-        server = DocServer(catalog, verify_checksums=True)
-        response = json.loads(
-            server.handle_line(
-                rpc("get_document_content", {"document_id": 1001, "version": 1})
-            )
-        )
-        assert "result" in response
-
 
 class TestServeSubprocess:
     def test_stdio_session_against_shipped_catalog(self):
@@ -187,7 +178,7 @@ class TestServeSubprocess:
             ]
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "loadsmith", "docserve", str(CATALOG_DIR), "--verify-checksums"],
+            [sys.executable, "-m", "loadsmith", "docserve", str(CATALOG_DIR)],
             input=session + "\n",
             capture_output=True,
             text=True,

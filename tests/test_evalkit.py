@@ -1,11 +1,13 @@
 import json
 import os
+import platform
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
+import loadsmith
 from loadsmith.evalkit import (
     ReferenceError,
     file_set_check,
@@ -423,6 +425,54 @@ class TestRunScenario:
         assert exec_event["pythonpath"] == os.pathsep.join(
             [os.path.join(cwd, "lib"), cwd, absolute]
         )
+
+    def test_failed_run_names_reason(self, tmp_path):
+        scenario_dir = tmp_path / "scenario"
+        scenario_dir.mkdir()
+        (scenario_dir / "ref.txt").write_text("x\n", encoding="utf-8")
+        scenario = {
+            "id": "boom",
+            "k": 1,
+            "environment": {
+                "stage": [],
+                "subject_command": [
+                    "{python}", "-c", "import sys; sys.stderr.write('starting\\nboom\\n'); sys.exit(1)",
+                ],
+                "record": {"toolkit": "loadsmith"},
+            },
+            "checks": [
+                {"kind": "text_golden", "actual": "out.txt", "reference": "ref.txt"}
+            ],
+        }
+        path = scenario_dir / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        out = tmp_path / "runs"
+        report = run_scenario(load_scenario(path), out)
+        assert report.runs[0].reason == "exit status 1: boom"
+        on_disk = json.loads((out / "report.json").read_text())
+        assert on_disk["runs"][0]["reason"] == "exit status 1: boom"
+        events = [
+            json.loads(line)
+            for line in (out / "run_1" / "trace.ndjson").read_text().splitlines()
+        ]
+        (versions,) = [e for e in events if e["event"] == "versions"]
+        assert versions["toolkit"] == "loadsmith"
+        assert versions["python"] == platform.python_version()
+        assert versions["loadsmith"] == loadsmith.__version__
+
+    def test_passing_run_has_no_reason(self, tmp_path):
+        report = run_scenario(load_scenario(make_copy_scenario(tmp_path, k=1)), tmp_path / "runs")
+        assert report.runs[0].reason is None
+        events = (tmp_path / "runs" / "run_1" / "trace.ndjson").read_text().splitlines()
+        assert any(json.loads(line)["event"] == "versions" for line in events)
+
+    def test_wrong_factor_reason_names_first_diff(self, tmp_path):
+        scenario = load_scenario(REPO_ROOT / "scenarios" / "case_replay_wrong_factor.json")
+        run = run_scenario(scenario, tmp_path / "runs", k=1).runs[0]
+        first = run.verdicts[0]
+        assert first.kind == "numeric_file_compare" and not first.passed
+        assert run.reason == f"numeric_file_compare check failed: {first.diffs[0]}"
+        assert run.reason.startswith("numeric_file_compare check failed: $.extremes.bearing.FX.max: ")
 
     def test_report_persisted(self, tmp_path):
         scenario = load_scenario(make_copy_scenario(tmp_path, k=1))

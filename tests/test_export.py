@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from loadsmith.analysis import envelope_extremes, envelope_select
-from loadsmith.errors import LoadsmithError, SchemaError
+from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError
 from loadsmith.evalkit import generate_fixture
 from loadsmith.export import (
     envelope_to_markdown,
@@ -216,6 +216,23 @@ class TestEnvelopeJson:
                 ' "extremes": {"p": {"FX": {"max": 1, "max_case": 1, "min": 0, "min_case": 1}}}}'
             )
 
+    @pytest.mark.parametrize(
+        "edit,location",
+        [
+            (lambda cell: cell.pop("max_case"), "extremes.bearing.FX.max_case"),
+            (lambda cell: cell.update(max="10.0"), "extremes.bearing.FX.max"),
+            (lambda cell: cell.update(min=11.0), "extremes.bearing.FX"),
+            (lambda cell: cell.update(extra=1), "extremes.bearing.FX.extra"),
+        ],
+        ids=["missing-max-case", "string-max", "min-above-max", "unknown-field"],
+    )
+    def test_reader_rejects_bad_cell(self, two_point_delivery, edit, location):
+        data = json.loads(write_envelope_json(envelope_extremes(two_point_delivery)))
+        edit(data["extremes"]["bearing"]["FX"])
+        with pytest.raises(SchemaError) as err:
+            read_envelope_json(json.dumps(data))
+        assert err.value.location == location
+
 
 class TestNodeMap:
     def test_parse_valid(self):
@@ -232,3 +249,7 @@ class TestNodeMap:
     def test_rejects_non_object(self):
         with pytest.raises(SchemaError):
             parse_node_map("[1, 2]")
+
+    def test_rejects_duplicate_point(self):
+        with pytest.raises(InputSyntaxError):
+            parse_node_map('{"a": 1, "a": 2}')

@@ -128,6 +128,59 @@ class TestParseDelivery:
         assert "point_loads.a" in err.value.location
 
 
+
+MINIMAL_YAML = """\
+name: mini
+version: 1
+units: {{force: N, moment: N·m}}
+load_cases:
+  - id: {id}
+    point_loads:
+      a: {{fx: {fx}, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}}
+"""
+
+
+class TestStrictReading:
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"fx": 0,', '"fx": 0, "fx": 5,'),
+            ('"point_loads": {"a": {', '"point_loads": {"a": {}, "a": {'),
+        ],
+        ids=["component", "point"],
+    )
+    def test_json_duplicate_key_rejected(self, old, new):
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(MINIMAL_JSON.replace(old, new, 1), DeliveryFormat.JSON)
+        assert "duplicate key" in str(err.value)
+
+    def test_yaml_duplicate_key_rejected_with_position(self):
+        text = MINIMAL_YAML.format(id=1, fx=0).replace("{fx: 0,", "{fx: 0, fx: 5,")
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(text, DeliveryFormat.YAML)
+        assert "duplicate key 'fx'" in str(err.value)
+        assert err.value.location == "line 7, column 18"
+
+    @pytest.mark.parametrize(
+        "field,token,location",
+        [
+            ("id", "010", "load_cases[0].id"),
+            ("id", "0x1F", "load_cases[0].id"),
+            ("id", "1_000", "load_cases[0].id"),
+            ("fx", "1:30.5", "load_cases[0].point_loads.a.fx"),
+        ],
+    )
+    def test_yaml_non_decimal_numeral_rejected(self, field, token, location):
+        values = {"id": 1, "fx": 0, field: token}
+        with pytest.raises(SchemaError) as err:
+            parse_delivery(MINIMAL_YAML.format(**values), DeliveryFormat.YAML)
+        assert err.value.location == location
+
+    def test_yaml_decimal_numerals_read(self):
+        d = parse_delivery(MINIMAL_YAML.format(id=10, fx="-1.5e+3"), DeliveryFormat.YAML)
+        assert d.cases[0].id == 10
+        assert d.cases[0].loads["a"].fx == -1500.0
+
 class TestValidateDelivery:
     def test_valid_si_delivery_clean(self):
         report = validate_delivery(parse_delivery(MINIMAL_JSON))
