@@ -9,10 +9,10 @@ failing a check. A nonzero subject exit status, by contrast, is just a
 recorded fact for the checks to interpret.
 
 Each run directory keeps its own ``trace.ndjson`` (argv, Python and
-loadsmith versions, checksums of staged inputs and produced artifacts,
-timestamps, stdout/stderr); the aggregated report lands beside the run
-directories as ``report.json``, with a one-line reason for each failed
-repetition.
+loadsmith versions, the YAML backend, checksums of staged inputs and
+produced artifacts, timestamps, stdout/stderr); the aggregated report
+lands beside the run directories as ``report.json``, with a one-line
+reason for each failed repetition.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
 from .. import __version__
+from ..ingest import yaml_backend
 from ..trace import TraceWriter, file_record, utc_now
 
 TRACE_FILENAME = "trace.ndjson"
@@ -204,7 +205,11 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         return RunOutcome(trace, (), False, infrastructure_error=f"staging failed: {exc}")
 
     # the measured versions win over a record key of the same name
-    versions = {"python": platform.python_version(), "loadsmith": __version__}
+    versions = {
+        "python": platform.python_version(),
+        "loadsmith": __version__,
+        "yaml_backend": yaml_backend(),
+    }
     writer.emit("versions", **{**scenario.environment.record, **versions})
 
     env = _subject_env()

@@ -181,8 +181,11 @@ def read_envelope_json(text: str) -> EnvelopeExtremes:
     """Inverse of write_envelope_json; a missing, unknown or mistyped field is refused."""
     root = _expect_mapping(read_json(text, "extremes"), "$")
     _expect_keys(root, required=("name", "version", "units", "extremes"), optional=(), location="$")
+    extremes_node = _expect_mapping(root["extremes"], "extremes")
+    if not extremes_node:
+        raise SchemaError("empty extremes: no point to compare", location="extremes")
     cells: dict[str, dict[Component, ExtremeCell]] = {}
-    for point, per_comp in _expect_mapping(root["extremes"], "extremes").items():
+    for point, per_comp in extremes_node.items():
         ploc = f"extremes.{point}"
         _expect_keys(_expect_mapping(per_comp, ploc), tuple(c.name for c in COMPONENT_ORDER), (), ploc)
         cells[point] = {}

@@ -28,13 +28,22 @@ Every other pipeline input (node map, extremes, config, coordinates) is
 decoded by ``read_json`` and checked by the same field helpers. Both carriers
 refuse a key repeated within one mapping, and YAML numerals are decimal only:
 ``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a field check
-then refuses.
+then refuses. Numbers must be finite: ``NaN`` and ``Infinity`` are refused
+at their field.
+
+YAML is parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built with
+it, else by the pure-Python ``yaml.SafeLoader``; ``yaml_backend()`` names the
+one in use. The refusals above are the same on both, but the wording of a
+YAML syntax error, and at times its position, comes from the parser: for
+``name: [unclosed`` libyaml reports line 2, column 1 and the pure-Python
+parser line 1, column 16.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,30 +157,48 @@ _DECIMAL_RESOLVERS = {
 }
 
 
-class _DeliveryLoader(yaml.SafeLoader):
-    """Safe loader that refuses duplicate keys and reads numerals as decimal only."""
+def _delivery_loader(base: type) -> type:
+    """A ``base`` loader that refuses duplicate keys and reads numerals as decimal only.
 
-    yaml_implicit_resolvers = {
-        first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
-        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-    }
+    The overrides are Python-level, so they hold on the libyaml parser
+    (``yaml.CSafeLoader``) and on the pure-Python one (``yaml.SafeLoader``) alike.
+    """
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep=deep)
-        if len(mapping) < len(node.value):
-            _refuse_duplicate(
-                [self.construct_object(key_node) for key_node, _ in node.value],
-                "delivery YAML",
-                lambda index: _position(node.value[index][0].start_mark),
-            )
-        return mapping
+    class DeliveryLoader(base):
+        backend = "python" if issubclass(base, yaml.parser.Parser) else "libyaml"
+
+        yaml_implicit_resolvers = {
+            first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
+            for first, resolvers in base.yaml_implicit_resolvers.items()
+        }
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep=deep)
+            if len(mapping) < len(node.value):
+                _refuse_duplicate(
+                    [self.construct_object(key_node) for key_node, _ in node.value],
+                    "delivery YAML",
+                    lambda index: _position(node.value[index][0].start_mark),
+                )
+            return mapping
+
+    return DeliveryLoader
+
+
+# libyaml when PyYAML was built with it, else the pure-Python parser.
+_DeliveryLoader = _delivery_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def yaml_backend() -> str:
+    """The parser that reads YAML deliveries: ``"libyaml"`` or ``"python"``."""
+    return _DeliveryLoader.backend
 
 
 def _load_yaml(text: str):
     # Pre-scan parser events so anchors/aliases and explicit tags are
     # rejected up front instead of silently expanding.
     try:
-        for event in yaml.parse(text):
+        for event in yaml.parse(text, Loader=_DeliveryLoader):
             if isinstance(event, yaml.AliasEvent):
                 refused = "aliases are"
             elif getattr(event, "anchor", None) is not None:
@@ -209,9 +236,19 @@ def _expect_keys(node: dict, required: tuple[str, ...], optional: tuple[str, ...
 
 
 def _expect_number(value, location: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # Exact types: the decoders make only int and float, and bool (an int) is refused.
+    if type(value) is float:
+        number = value
+    elif type(value) is int:
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    else:
         raise SchemaError(f"expected a number at {location}", location=location)
-    return float(value)
+    if not math.isfinite(number):
+        raise SchemaError(f"expected a finite number at {location}", location=location)
+    return number
 
 
 def _expect_int(value, location: str) -> int:

@@ -100,6 +100,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_case_id(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComponentSet:
     """The six load components at one point: three forces, three moments."""
@@ -157,8 +162,7 @@ class LoadCase:
     label: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 1:
-            raise ValueError(f"case id must be a positive integer, got {self.id!r}")
+        _require_case_id("case id", self.id)
         if not self.loads:
             raise ValueError(f"case {self.id} has no point loads")
         object.__setattr__(self, "loads", dict(self.loads))
@@ -228,6 +232,8 @@ class ExtremeCell:
     def __post_init__(self):
         _require_finite("max_value", self.max_value)
         _require_finite("min_value", self.min_value)
+        _require_case_id("max_case", self.max_case)
+        _require_case_id("min_case", self.min_case)
         if self.min_value > self.max_value:
             raise ValueError(
                 f"min_value {self.min_value} exceeds max_value {self.max_value}"

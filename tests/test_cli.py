@@ -201,6 +201,20 @@ class TestEquilibrium:
         error = single_error(err)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "coords.nozzle[1]")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_coords_non_finite_refused(self, tmp_path, capsys, value):
+        case = LoadCase(id=1, loads={"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0)})
+        path = tmp_path / "d.json"
+        path.write_text(write_delivery_json(
+            LoadsDelivery(name="m", version=1, units=SI_UNITS, cases=(case,))
+        ), encoding="utf-8")
+        coords = tmp_path / "coords.json"
+        coords.write_text(json.dumps({"a": [value, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}))
+        code, _, err = run_cli(capsys, "equilibrium", str(path), "--coords", str(coords))
+        assert code == 2
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "coords.a[0]")
+
 
 class TestEnvelope:
     def test_writes_outputs_and_prints_ids(self, tmp_path, capsys, delivery_file):
@@ -327,6 +341,16 @@ class TestCompare:
         assert code == 2
         error = single_error(err)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
+
+    def test_empty_extremes_exit_2(self, tmp_path, capsys, delivery_file):
+        data = json.loads(self.make_extremes(tmp_path, capsys, delivery_file).read_text())
+        data["extremes"] = {}
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "compare", str(empty), str(empty), "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "extremes")
 
     def test_widen_tol_suppresses_exceedance(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+import yaml
 
 import loadsmith
 from loadsmith.evalkit import (
@@ -459,6 +460,7 @@ class TestRunScenario:
         assert versions["toolkit"] == "loadsmith"
         assert versions["python"] == platform.python_version()
         assert versions["loadsmith"] == loadsmith.__version__
+        assert versions["yaml_backend"] == ("libyaml" if yaml.__with_libyaml__ else "python")
 
     def test_passing_run_has_no_reason(self, tmp_path):
         report = run_scenario(load_scenario(make_copy_scenario(tmp_path, k=1)), tmp_path / "runs")

@@ -223,8 +223,13 @@ class TestEnvelopeJson:
             (lambda cell: cell.update(max="10.0"), "extremes.bearing.FX.max"),
             (lambda cell: cell.update(min=11.0), "extremes.bearing.FX"),
             (lambda cell: cell.update(extra=1), "extremes.bearing.FX.extra"),
+            (lambda cell: cell.update(max_case=0), "extremes.bearing.FX"),
+            (lambda cell: cell.update(min_case=-3), "extremes.bearing.FX"),
         ],
-        ids=["missing-max-case", "string-max", "min-above-max", "unknown-field"],
+        ids=[
+            "missing-max-case", "string-max", "min-above-max", "unknown-field",
+            "zero-max-case", "negative-min-case",
+        ],
     )
     def test_reader_rejects_bad_cell(self, two_point_delivery, edit, location):
         data = json.loads(write_envelope_json(envelope_extremes(two_point_delivery)))
@@ -232,6 +237,13 @@ class TestEnvelopeJson:
         with pytest.raises(SchemaError) as err:
             read_envelope_json(json.dumps(data))
         assert err.value.location == location
+
+    def test_reader_rejects_empty_extremes(self, two_point_delivery):
+        data = json.loads(write_envelope_json(envelope_extremes(two_point_delivery)))
+        data["extremes"] = {}
+        with pytest.raises(SchemaError) as err:
+            read_envelope_json(json.dumps(data))
+        assert err.value.location == "extremes"
 
 
 class TestNodeMap:

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import yaml
 from hypothesis import given
 
+from loadsmith import ingest
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError, UnknownUnitError
 from loadsmith.ingest import (
     DeliveryFormat,
@@ -121,12 +123,21 @@ class TestParseDelivery:
             parse_delivery("[1, 2, 3]", DeliveryFormat.JSON)
 
     def test_nan_value_rejected_with_location(self):
-        # JSON spec-breaking NaN literal parses in Python; the model rejects it
+        # JSON spec-breaking NaN literal parses in Python; the field check refuses it
         text = MINIMAL_JSON.replace('"fx": 0', '"fx": NaN')
         with pytest.raises(SchemaError) as err:
             parse_delivery(text, DeliveryFormat.JSON)
         assert "point_loads.a" in err.value.location
 
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "int-beyond-float"],
+    )
+    def test_non_finite_number_rejected_at_field(self, token):
+        text = MINIMAL_JSON.replace('"fx": 0', f'"fx": {token}')
+        with pytest.raises(SchemaError) as err:
+            parse_delivery(text, DeliveryFormat.JSON)
+        assert err.value.location == "load_cases[0].point_loads.a.fx"
 
 
 MINIMAL_YAML = """\
@@ -141,6 +152,8 @@ load_cases:
 
 
 class TestStrictReading:
+    backend = "libyaml" if yaml.__with_libyaml__ else "python"
+
     @pytest.mark.parametrize(
         "old,new",
         [
@@ -180,6 +193,28 @@ class TestStrictReading:
         d = parse_delivery(MINIMAL_YAML.format(id=10, fx="-1.5e+3"), DeliveryFormat.YAML)
         assert d.cases[0].id == 10
         assert d.cases[0].loads["a"].fx == -1500.0
+
+    def test_backend(self):
+        assert ingest.yaml_backend() == self.backend
+
+
+@pytest.fixture
+def python_yaml(monkeypatch):
+    """Swap the delivery loader for its pure-Python twin, the fallback without libyaml."""
+    monkeypatch.setattr(ingest, "_DeliveryLoader", ingest._delivery_loader(yaml.SafeLoader))
+
+
+@pytest.mark.usefixtures("python_yaml")
+class TestStrictReadingPythonBackend(TestStrictReading):
+    """The strict-reading cases again, on the pure-Python parser."""
+
+    backend = "python"
+    test_yaml_aliases_rejected = TestParseDelivery.test_yaml_aliases_rejected
+    test_yaml_tags_rejected = TestParseDelivery.test_yaml_tags_rejected
+    test_yaml_syntax_error_reports_position = (
+        TestParseDelivery.test_yaml_syntax_error_reports_position
+    )
+
 
 class TestValidateDelivery:
     def test_valid_si_delivery_clean(self):
@@ -293,6 +328,16 @@ class TestShippedFixture:
         assert len(d.cases[0].loads) == 7
         assert d.units == UnitSystem("klbf", "klbf·in")  # klbs/klbs.in in the file
         assert validate_delivery(d).ok
+
+    def test_v2_yaml_equal_on_both_backends(self, request):
+        from conftest import SCENARIOS_DIR
+
+        raw = (SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml").read_bytes()
+        default = parse_delivery(raw)
+        request.getfixturevalue("python_yaml")
+        pure = parse_delivery(raw)
+        assert pure == default
+        assert write_delivery_json(pure) == write_delivery_json(default)
 
 
 class TestSchemaFile:

@@ -152,6 +152,13 @@ class TestExtremeCell:
         with pytest.raises(ValueError):
             ExtremeCell(max_value=1.0, max_case=1, min_value=2.0, min_case=1)
 
+    @pytest.mark.parametrize("field", ["max_case", "min_case"])
+    @pytest.mark.parametrize("case_id", [0, -1, True])
+    def test_case_must_be_positive_integer(self, field, case_id):
+        cell = {"max_value": 1.0, "max_case": 1, "min_value": 0.0, "min_case": 1, field: case_id}
+        with pytest.raises(ValueError):
+            ExtremeCell(**cell)
+
     def test_equal_bounds_allowed(self):
         cell = ExtremeCell(max_value=1.5, max_case=1, min_value=1.5, min_case=1)
         assert cell.max_value == cell.min_value
