@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from .errors import LoadsmithError
 from .model import (
     COMPONENT_ORDER,
-    FORCE_COMPONENTS,
-    MOMENT_COMPONENTS,
     Component,
     EnvelopeExtremes,
     ExtremeCell,
@@ -120,38 +118,30 @@ def check_equilibrium(
             )
 
     points = sorted(case.loads)
+    rows = [case.loads[point] for point in points]
     force_sum = [0.0, 0.0, 0.0]
-    for point in points:
-        cs = case.loads[point]
-        force_sum[0] += cs.fx
-        force_sum[1] += cs.fy
-        force_sum[2] += cs.fz
+    for row in rows:
+        force_sum[0] += row[0]
+        force_sum[1] += row[1]
+        force_sum[2] += row[2]
     force_residual = tuple(force_sum)
     force_magnitude = math.sqrt(sum(v * v for v in force_residual))
 
-    force_ref = max(
-        (abs(case.loads[p].value(c)) for p in points for c in FORCE_COMPONENTS),
-        default=0.0,
-    )
+    force_ref = max((abs(v) for row in rows for v in row[:3]), default=0.0)
     balanced = force_magnitude <= tol.threshold(force_ref)
 
     moment_residual = None
     moment_magnitude = None
     if coords is not None:
         moment_sum = [0.0, 0.0, 0.0]
-        for point in points:
-            cs = case.loads[point]
-            mx, my, mz = cs.mx, cs.my, cs.mz
-            rx_f = _cross(coords[point], (cs.fx, cs.fy, cs.fz))
+        for point, (fx, fy, fz, mx, my, mz) in zip(points, rows):
+            rx_f = _cross(coords[point], (fx, fy, fz))
             moment_sum[0] += mx + rx_f[0]
             moment_sum[1] += my + rx_f[1]
             moment_sum[2] += mz + rx_f[2]
         moment_residual = tuple(moment_sum)
         moment_magnitude = math.sqrt(sum(v * v for v in moment_residual))
-        moment_ref = max(
-            (abs(case.loads[p].value(c)) for p in points for c in MOMENT_COMPONENTS),
-            default=0.0,
-        )
+        moment_ref = max((abs(v) for row in rows for v in row[3:]), default=0.0)
         balanced = balanced and moment_magnitude <= tol.threshold(moment_ref)
 
     return EquilibriumResult(
@@ -209,19 +199,20 @@ def envelope_extremes(delivery: LoadsDelivery) -> EnvelopeExtremes:
         point_set.update(case.loads)
 
     for point in sorted(point_set):
+        holding = [case for case in delivery.cases if point in case.loads]
+        case_ids = [case.id for case in holding]
+        rows = [case.loads[point] for case in holding]
         per_comp: dict[Component, ExtremeCell] = {}
-        for comp in COMPONENT_ORDER:
-            max_value = max_case = min_value = min_case = None
-            for case in delivery.cases:
-                if point not in case.loads:
-                    continue
-                value = case.loads[point].value(comp)
-                if max_value is None or value > max_value:
-                    max_value, max_case = value, case.id
-                if min_value is None or value < min_value:
-                    min_value, min_case = value, case.id
+        for index, comp in enumerate(COMPONENT_ORDER):
+            values = [row[index] for row in rows]
+            # max() and min() keep the first of equal values: the earliest case.
+            at_max = max(range(len(values)), key=values.__getitem__)
+            at_min = min(range(len(values)), key=values.__getitem__)
             per_comp[comp] = ExtremeCell(
-                max_value=max_value, max_case=max_case, min_value=min_value, min_case=min_case
+                max_value=values[at_max],
+                max_case=case_ids[at_max],
+                min_value=values[at_min],
+                min_case=case_ids[at_min],
             )
         cells[point] = per_comp
 

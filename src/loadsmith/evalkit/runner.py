@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -37,9 +36,7 @@ from .judge import ERROR as JUDGE_ERROR
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
-from .. import __version__
-from ..ingest import yaml_backend
-from ..trace import TraceWriter, file_record, utc_now
+from ..trace import TraceWriter, environment, file_record, utc_now
 
 TRACE_FILENAME = "trace.ndjson"
 
@@ -205,12 +202,7 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         return RunOutcome(trace, (), False, infrastructure_error=f"staging failed: {exc}")
 
     # the measured versions win over a record key of the same name
-    versions = {
-        "python": platform.python_version(),
-        "loadsmith": __version__,
-        "yaml_backend": yaml_backend(),
-    }
-    writer.emit("versions", **{**scenario.environment.record, **versions})
+    writer.emit("versions", **{**scenario.environment.record, **environment()})
 
     env = _subject_env()
     try:

@@ -89,11 +89,8 @@ def write_ansys_inp(
         title += f" {case.label}"
     lines.append(title)
     for point in points:
-        loads = case.loads[point]
-        for comp in COMPONENT_ORDER:
-            lines.append(
-                f"F,{nodes[point]},{comp.name},{format_deck_value(loads.value(comp))}"
-            )
+        for comp, value in zip(COMPONENT_ORDER, case.loads[point]):
+            lines.append(f"F,{nodes[point]},{comp.name},{format_deck_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -111,8 +108,8 @@ def export_all_inp(
     """
     if not selected:
         raise LoadsmithError("no cases selected for export", code="EMPTY_SELECTION")
-    known = set(delivery.case_ids())
-    unknown = sorted(set(selected) - known)
+    by_id = {case.id: case for case in delivery.cases}
+    unknown = sorted(set(selected) - by_id.keys())
     if unknown:
         raise LoadsmithError(
             f"selected case ids not in delivery: {unknown}", code="UNKNOWN_CASE_ID"
@@ -122,7 +119,7 @@ def export_all_inp(
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for case_id in sorted(set(selected)):
-        deck = write_ansys_inp(delivery.case_by_id(case_id), nodes, exclude)
+        deck = write_ansys_inp(by_id[case_id], nodes, exclude)
         path = out / f"limit_load_{case_id}.inp"
         path.write_text(deck, encoding="utf-8", newline="\n")
         paths.append(path)

@@ -99,7 +99,12 @@ class ValidationReport:
 
 def _decode(raw: str | bytes) -> str:
     if isinstance(raw, bytes):
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputSyntaxError(
+                f"delivery is not UTF-8 text: {exc.reason}", location=f"offset {exc.start}"
+            ) from exc
     return raw
 
 
@@ -287,6 +292,9 @@ def read_coordinates(node, loc: str) -> dict[str, tuple[float, float, float]]:
     return point_coordinates
 
 
+_COMPONENT_KEYS = tuple(c.value for c in COMPONENT_ORDER)
+
+
 def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> LoadsDelivery:
     """Parse raw JSON/YAML text into a LoadsDelivery.
 
@@ -338,20 +346,10 @@ def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> Loads
         for point, comp_node in points_node.items():
             ploc = f"{loc}.point_loads.{point}"
             comp_map = _expect_mapping(comp_node, ploc)
-            _expect_keys(
-                comp_map,
-                required=tuple(c.value for c in COMPONENT_ORDER),
-                optional=(),
-                location=ploc,
+            _expect_keys(comp_map, required=_COMPONENT_KEYS, optional=(), location=ploc)
+            loads[_expect_text(point, ploc)] = ComponentSet.of(
+                [_expect_number(comp_map[key], f"{ploc}.{key}") for key in _COMPONENT_KEYS]
             )
-            values = {
-                c.value: _expect_number(comp_map[c.value], f"{ploc}.{c.value}")
-                for c in COMPONENT_ORDER
-            }
-            try:
-                loads[_expect_text(point, ploc)] = ComponentSet(**values)
-            except ValueError as exc:
-                raise SchemaError(str(exc), location=ploc) from exc
         try:
             cases.append(LoadCase(id=case_id, label=label, loads=loads))
         except ValueError as exc:
@@ -467,9 +465,55 @@ def _delivery_to_plain(delivery: LoadsDelivery) -> dict:
     return out
 
 
+# One point's row and one point's coordinates, as json.dumps(indent=2) lays them out.
+_POINT_LOADS_JSON = (
+    "        %s: {\n"
+    + ",\n".join(f'          "{key}": %s' for key in _COMPONENT_KEYS)
+    + "\n        }"
+)
+_POINT_COORDINATES_JSON = "    %s: [\n      %s,\n      %s,\n      %s\n    ]"
+
+
 def write_delivery_json(delivery: LoadsDelivery) -> str:
-    """Canonical JSON rendering: fixed key order, sorted points, LF, trailing newline."""
-    return json.dumps(_delivery_to_plain(delivery), indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON rendering: fixed key order, sorted points, LF, trailing newline.
+
+    The text is exactly ``json.dumps(_delivery_to_plain(delivery), indent=2,
+    ensure_ascii=False) + "\\n"``, rendered directly: with ``indent`` the json
+    module falls back to its pure-Python encoder, which took most of the time.
+    Strings are escaped by the json module's own ``encode_basestring`` and
+    numbers written with ``int.__repr__`` and ``float.__repr__``, as it does.
+    """
+    text, number = json.encoder.encode_basestring, float.__repr__
+    units = delivery.units
+    parts = [
+        f'{{\n  "name": {text(delivery.name)},\n'
+        f'  "version": {int.__repr__(delivery.version)},\n'
+        f'  "units": {{\n    "force": {text(units.force_unit)},\n'
+        f'    "moment": {text(units.moment_unit)}\n  }},\n'
+    ]
+    if delivery.coordinate_system is not None:
+        parts.append(f'  "coordinate_system": {text(delivery.coordinate_system)},\n')
+    coords = delivery.point_coordinates
+    if coords is not None:
+        rows = ",\n".join(
+            _POINT_COORDINATES_JSON % (text(point), *map(number, coords[point]))
+            for point in sorted(coords)
+        )
+        rows = f"{{\n{rows}\n  }}" if rows else "{}"
+        parts.append(f'  "point_coordinates": {rows},\n')
+    cases = []
+    for case in delivery.cases:
+        label = "" if case.label is None else f'      "label": {text(case.label)},\n'
+        rows = ",\n".join(
+            _POINT_LOADS_JSON % (text(point), *map(number, case.loads[point]))
+            for point in sorted(case.loads)
+        )
+        cases.append(
+            f'    {{\n      "id": {int.__repr__(case.id)},\n{label}'
+            f'      "point_loads": {{\n{rows}\n      }}\n    }}'
+        )
+    parts.append('  "load_cases": [\n' + ",\n".join(cases) + "\n  ]\n}\n")
+    return "".join(parts)
 
 
 def write_delivery_yaml(delivery: LoadsDelivery) -> str:

@@ -1,6 +1,8 @@
 """Core domain model: load components, cases, deliveries and envelope extremes.
 
-Everything here is an immutable value object. Constructors reject locally
+Everything here is an immutable value object. A point's loads are one
+``ComponentSet``: a tuple of six finite floats in ``COMPONENT_ORDER``, built
+and checked once per row by ``ComponentSet.of``. Constructors reject locally
 invalid data (non-finite numbers, bad ids, unrecognized units); consistency
 rules that span several cases of one delivery (unique ids, identical point
 sets) are checked by :func:`loadsmith.ingest.validate_delivery` so that a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import UnknownUnitError
@@ -105,29 +108,48 @@ def _require_case_id(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ComponentSet:
-    """The six load components at one point: three forces, three moments."""
+class ComponentSet(tuple):
+    """The six load components at one point: a tuple of six finite floats,
+    three forces then three moments, in ``COMPONENT_ORDER``.
 
-    fx: float = 0.0
-    fy: float = 0.0
-    fz: float = 0.0
-    mx: float = 0.0
-    my: float = 0.0
-    mz: float = 0.0
+    ``ComponentSet(fx=..., ...)`` and ``ComponentSet(fx, fy, fz, mx, my, mz)``
+    default missing components to 0.0; both go through ``of``.
+    """
 
-    def __post_init__(self):
-        for comp in COMPONENT_ORDER:
-            object.__setattr__(self, comp.value, _require_finite(comp.value, getattr(self, comp.value)))
+    __slots__ = ()
+
+    def __new__(cls, fx=0.0, fy=0.0, fz=0.0, mx=0.0, my=0.0, mz=0.0):
+        return cls.of((fx, fy, fz, mx, my, mz))
+
+    @classmethod
+    def of(cls, values) -> "ComponentSet":
+        """The row of six ``values`` as floats; a non-finite one is refused by field name."""
+        row = tuple.__new__(cls, map(float, values))
+        if len(row) != 6:
+            raise ValueError(f"a component set has 6 values, got {len(row)}")
+        # A NaN or an infinity anywhere makes the sum non-finite; a sum that
+        # overflows from finite values is told apart by the per-field check.
+        if not math.isfinite(sum(row)):
+            for comp, value in zip(COMPONENT_ORDER, row):
+                _require_finite(comp.value, value)
+        return row
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{c.value}={v!r}" for c, v in zip(COMPONENT_ORDER, self))
+        return f"ComponentSet({fields})"
+
+    fx = property(operator.itemgetter(0))
+    fy = property(operator.itemgetter(1))
+    fz = property(operator.itemgetter(2))
+    mx = property(operator.itemgetter(3))
+    my = property(operator.itemgetter(4))
+    mz = property(operator.itemgetter(5))
 
     def value(self, component: Component) -> float:
-        return getattr(self, component.value)
-
-    def scaled(self, factors: dict[Component, float]) -> "ComponentSet":
-        """Return a copy with each component multiplied by its factor (default 1)."""
-        return ComponentSet(
-            **{c.value: self.value(c) * factors.get(c, 1.0) for c in COMPONENT_ORDER}
-        )
+        return self[COMPONENT_ORDER.index(component)]
 
 
 @dataclass(frozen=True)

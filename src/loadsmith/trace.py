@@ -1,9 +1,9 @@
 """Run provenance: checksums and newline-delimited JSON trace files.
 
 Content files stay byte-reproducible, so anything time- or host-dependent
-(argv, checksums, timestamps, exit codes) is written to a sidecar
-``*.ndjson`` trace instead. One JSON object per line; consumers may tail or
-forward the stream to an observability platform.
+(argv, software versions, checksums, timestamps, exit codes) is written to a
+sidecar ``*.ndjson`` trace instead. One JSON object per line; consumers may
+tail or forward the stream to an observability platform.
 """
 
 from __future__ import annotations
@@ -11,7 +11,11 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import platform
 from pathlib import Path
+
+from . import __version__
+from .ingest import yaml_backend
 
 # Optional telemetry forwarding: when set, every trace record is also passed
 # to this callable (e.g. an OpenTelemetry exporter). Failures in the hook
@@ -47,6 +51,16 @@ def file_record(path: str | Path, relative_to: str | Path | None = None) -> dict
     return {"path": str(shown), "bytes": path.stat().st_size, "sha256": sha256_file(path)}
 
 
+def environment() -> dict:
+    """What a trace records of the software that ran: Python and loadsmith
+    versions and the parser that reads YAML deliveries."""
+    return {
+        "python": platform.python_version(),
+        "loadsmith": __version__,
+        "yaml_backend": yaml_backend(),
+    }
+
+
 class TraceWriter:
     """Append-only NDJSON writer for one run or CLI invocation."""
 
@@ -73,9 +87,11 @@ def write_cli_trace(
     inputs: list[str | Path],
     outputs: list[str | Path],
 ) -> None:
-    """Standard sidecar for a CLI subcommand that wrote files."""
+    """Standard sidecar for a CLI subcommand that wrote files: its argv, the
+    ``environment()``, then a checksum record per input and per output."""
     writer = TraceWriter(trace_path)
     writer.emit("invocation", argv=list(argv))
+    writer.emit("environment", **environment())
     for path in inputs:
         writer.emit("input", **file_record(path))
     for path in outputs:

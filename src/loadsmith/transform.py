@@ -9,12 +9,14 @@ math.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import LoadsmithError, UnknownUnitError
 from .model import (
     COMPONENT_ORDER,
     Component,
+    ComponentSet,
     LoadCase,
     LoadsDelivery,
     UnitSystem,
@@ -106,12 +108,16 @@ def rename_points(
     return renamed, len(mapping) * len(delivery.cases)
 
 
-def _scale_cases(delivery: LoadsDelivery, factors: dict[Component, float]) -> LoadsDelivery:
+def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDelivery:
+    """Multiply every row by ``factors`` (one per component, canonical order)."""
     new_cases = tuple(
         LoadCase(
             id=case.id,
             label=case.label,
-            loads={point: loads.scaled(factors) for point, loads in case.loads.items()},
+            loads={
+                point: ComponentSet.of(map(operator.mul, row, factors))
+                for point, row in case.loads.items()
+            },
         )
         for case in delivery.cases
     )
@@ -123,13 +129,15 @@ def scale_component(
 ) -> LoadsDelivery:
     """Multiply one component by ``factor`` at every point in every case."""
     factor = _check_factor(factor)
-    return _scale_cases(delivery, {component: factor})
+    return _scale_cases(
+        delivery, tuple(factor if c is component else 1.0 for c in COMPONENT_ORDER)
+    )
 
 
 def apply_ultimate_factor(delivery: LoadsDelivery, factor: float = 1.5) -> LoadsDelivery:
     """Scale all six components everywhere, limit loads -> ultimate loads."""
     factor = _check_factor(factor)
-    return _scale_cases(delivery, {c: factor for c in COMPONENT_ORDER})
+    return _scale_cases(delivery, (factor,) * len(COMPONENT_ORDER))
 
 
 def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:
@@ -147,7 +155,7 @@ def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:
     except KeyError as exc:  # unreachable for UnitSystem values; guards raw dict use
         raise UnknownUnitError(f"unknown unit {exc.args[0]!r}") from exc
 
-    factors = {c: (force_ratio if c.is_force else moment_ratio) for c in COMPONENT_ORDER}
+    factors = tuple(force_ratio if c.is_force else moment_ratio for c in COMPONENT_ORDER)
     converted = _scale_cases(delivery, factors)
     return replace(converted, units=target)
 

@@ -1,11 +1,15 @@
 import json
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import loadsmith
 from loadsmith.cli import main
-from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml
+from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
 from loadsmith.evalkit import generate_fixture
 from loadsmith.model import Component, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
@@ -58,6 +62,22 @@ class TestConvert:
         trace = tmp_path / "c.json.trace.ndjson"
         events = [json.loads(line) for line in trace.read_text().splitlines()]
         assert {e["event"] for e in events} >= {"invocation", "input", "output"}
+        assert [e["event"] for e in events[:2]] == ["invocation", "environment"]
+        environment = events[1]
+        assert environment["python"] == platform.python_version()
+        assert environment["loadsmith"] == loadsmith.__version__
+        assert environment["yaml_backend"] == yaml_backend() in ("libyaml", "python")
+
+    def test_undecodable_bytes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(b"\xff\xfename: x\n")
+        code, _, err = run_cli(
+            capsys, "convert", str(path), "--to", "json", "--out", str(tmp_path / "x.json")
+        )
+        assert code == 2
+        error = single_error(err)
+        assert error["code"] == "SYNTAX_ERROR"
+        assert error["location"] == "offset 0"
 
     def test_missing_input_is_infrastructure(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -129,6 +149,21 @@ class TestTransform:
         )
         assert code == 1
         assert json.loads(err)["error"]["code"] == "USAGE"
+
+    def test_scaled_value_overflow_exit_2(self, tmp_path, capsys):
+        case = LoadCase(id=1, loads={"a": ComponentSet(fx=1e300)})
+        path = tmp_path / "big.json"
+        path.write_text(
+            write_delivery_json(LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(case,))),
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(
+            capsys, "transform", str(path), "--scale", "FX=1e10", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "fx must be finite" in single_error(err)["message"]
+        assert not out_path.exists()
 
     def test_unknown_component_usage_error(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
@@ -457,6 +492,16 @@ class TestUsageAndErrors:
         assert (tmp_path / "one" / "envelope_extremes.json").read_bytes() == (
             tmp_path / "two" / "envelope_extremes.json"
         ).read_bytes()
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, loadsmith.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(

@@ -2,7 +2,8 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from loadsmith import ingest
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError, UnknownUnitError
@@ -18,6 +19,38 @@ from loadsmith.ingest import (
 from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 
 from strategies import deliveries
+
+# Text with JSON escapes (quote, backslash, control characters), non-ASCII
+# letters and U+2028, which json.dumps leaves unescaped.
+_tricky_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€ü'), st.characters()),
+    max_size=8,
+)
+_any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0))
+
+
+@st.composite
+def oracle_deliveries(draw):
+    """Deliveries using every optional field, for the canonical JSON writer's oracle."""
+    points = draw(st.lists(_tricky_text, min_size=1, max_size=4, unique=True))
+    cases = tuple(
+        LoadCase(
+            id=draw(st.integers(min_value=1, max_value=10**20)),
+            label=draw(st.none() | _tricky_text),
+            loads={p: ComponentSet.of(draw(st.lists(_any_float, min_size=6, max_size=6))) for p in points},
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    )
+    coords = st.dictionaries(_tricky_text, st.tuples(_any_float, _any_float, _any_float), max_size=4)
+    return LoadsDelivery(
+        name=draw(_tricky_text),
+        version=draw(st.integers(min_value=1, max_value=10**20)),
+        units=draw(st.sampled_from([SI_UNITS, UnitSystem("klbf", "klbf·in")])),
+        cases=cases,
+        coordinate_system=draw(st.none() | _tricky_text),
+        point_coordinates=draw(st.none() | coords),
+    )
+
 
 MINIMAL_JSON = """\
 {
@@ -314,6 +347,24 @@ class TestCanonicalSerialization:
     def test_canonical_fixed_point_property(self, delivery):
         once = write_delivery_json(delivery)
         assert write_delivery_json(parse_delivery(once)) == once
+
+    @given(oracle_deliveries())
+    @example(
+        LoadsDelivery(
+            name='q"uote\\back\x00\x1f\n\t\u2028 é€',
+            version=1,
+            units=SI_UNITS,
+            coordinate_system="\x7f\"cs\"",
+            point_coordinates={},
+            cases=(
+                LoadCase(id=1, label=None, loads={"ü\\\"\x01": ComponentSet(-0.0, 0.0, 1e-320)}),
+                LoadCase(id=2, label="", loads={"ü\\\"\x01": ComponentSet(fx=-1.7976931348623157e308)}),
+            ),
+        )
+    )
+    def test_writer_matches_json_dumps_oracle(self, delivery):
+        oracle = json.dumps(ingest._delivery_to_plain(delivery), indent=2, ensure_ascii=False)
+        assert write_delivery_json(delivery) == oracle + "\n"
 
 
 class TestShippedFixture:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -46,12 +47,59 @@ class TestComponentValue:
         assert [cs.value(c) for c in COMPONENT_ORDER] == [1, 2, 3, 4, 5, 6]
 
 
+class TestComponentSetRow:
+    def test_positional_keyword_and_of_agree(self):
+        by_position = ComponentSet(1, 2, 3, 4, 5, 6)
+        by_keyword = ComponentSet(mz=6, my=5, mx=4, fz=3, fy=2, fx=1)
+        assert by_position == by_keyword == ComponentSet.of(range(1, 7))
+        assert tuple(by_position) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert all(type(v) is float for v in by_position)
+        assert (by_position.fx, by_position.fy, by_position.fz) == (1.0, 2.0, 3.0)
+        assert (by_position.mx, by_position.my, by_position.mz) == (4.0, 5.0, 6.0)
+
+    def test_missing_components_default_to_zero(self):
+        assert ComponentSet(fy=2.0) == (0.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_immutable(self):
+        cs = ComponentSet(fx=1.0)
+        with pytest.raises(AttributeError):
+            cs.fx = 2.0
+        with pytest.raises(TypeError):
+            cs[0] = 2.0
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_unchanged(self, protocol):
+        cs = ComponentSet(1.5, -0.0, 3.0, 4.0, 5.0, -6.25)
+        back = pickle.loads(pickle.dumps(cs, protocol=protocol))
+        assert type(back) is ComponentSet
+        assert back == cs and repr(back) == repr(cs)
+        assert math.copysign(1.0, back.fy) == -1.0
+
+    def test_repr_names_fields(self):
+        assert repr(ComponentSet(fx=1.0)) == (
+            "ComponentSet(fx=1.0, fy=0.0, fz=0.0, mx=0.0, my=0.0, mz=0.0)"
+        )
+
+
 class TestComponentSetValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", [c.value for c in COMPONENT_ORDER])
     def test_rejects_non_finite(self, field, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ComponentSet(**{field: bad})
+        row = [0.0] * 6
+        row[[c.value for c in COMPONENT_ORDER].index(field)] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ComponentSet.of(row)
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        cs = ComponentSet.of([1.7e308, 1.7e308, 0.0, 0.0, 0.0, -1.7e308])
+        assert cs.fx == cs.fy == 1.7e308 and cs.mz == -1.7e308
+
+    @pytest.mark.parametrize("values", [[1.0] * 5, [1.0] * 7])
+    def test_of_requires_six_values(self, values):
+        with pytest.raises(ValueError, match="6 values"):
+            ComponentSet.of(values)
 
     @given(component_sets())
     def test_accepts_finite(self, cs):

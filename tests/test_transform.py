@@ -119,6 +119,14 @@ class TestScaleComponent:
     def test_identity_factor(self, two_point_delivery):
         assert scale_component(two_point_delivery, Component.FX, 1.0) == two_point_delivery
 
+    def test_product_overflow_refused(self):
+        case = LoadCase(id=1, loads={"a": ComponentSet(fx=1e300)})
+        d = LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(case,))
+        with pytest.raises(ValueError, match="^fx must be finite"):
+            scale_component(d, Component.FX, 1e10)
+        with pytest.raises(ValueError, match="^fx must be finite"):
+            apply_ultimate_factor(d, 1e10)
+
     @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
     def test_bad_factors_rejected(self, two_point_delivery, bad):
         with pytest.raises(LoadsmithError):
