@@ -23,12 +23,15 @@ import sys
 from pathlib import Path
 
 from . import compare as compare_mod
-from . import docserver, export, ingest, transform
+from . import export, ingest, transform
 from .analysis import Tolerance, check_equilibrium_all, envelope_select
 from .errors import LoadsmithError
-from .evalkit import load_scenario, min_k_for, run_scenario
 from .model import Component, UnitSystem
 from .trace import write_cli_trace
+
+# The eval harness and the doc server are imported inside the subcommands
+# that use them, so a pipeline step, run as a fresh process, does not pay for
+# importing them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -243,6 +246,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eval_run(args) -> int:
+    from .evalkit import load_scenario, run_scenario
+
     out_dir = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUT_DIR_ENV, "eval_runs"))
     all_pass = True
     any_infra = False
@@ -275,11 +280,15 @@ def _cmd_eval_run(args) -> int:
 
 
 def _cmd_eval_passk(args) -> int:
+    from .evalkit import min_k_for
+
     sys.stdout.write(f"{min_k_for(args.p, args.alpha)}\n")
     return EXIT_OK
 
 
 def _cmd_docserve(args) -> int:
+    from . import docserver
+
     docserver.serve(args.catalog_dir)
     return EXIT_OK
 

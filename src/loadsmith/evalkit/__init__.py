@@ -8,7 +8,7 @@ from .checks import (
     text_golden_check,
 )
 from .fixtures import FixtureError, generate_fixture, random_delivery
-from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check, register_adapter
+from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check
 from .passk import (
     DEFAULT_ALPHA,
     PassKPolicy,
@@ -45,7 +45,6 @@ __all__ = [
     "parse_scenario",
     "pass_lower_bound",
     "random_delivery",
-    "register_adapter",
     "run_scenario",
     "text_golden_check",
 ]

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,6 +105,11 @@ class HttpJudge:
                 "artifacts": [{"path": name, "content": text} for name, text in contents],
             }
         ).encode("utf-8")
+        # Imported here: the HTTP stack is most of the harness's import time,
+        # and only this adapter uses it.
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.endpoint, data=payload, headers={"Content-Type": "application/json"}
         )
@@ -126,25 +129,15 @@ class HttpJudge:
         return JudgeVerdict(verdict, rationale)
 
 
-_ADAPTERS: dict[str, object] = {}
-
-
-def register_adapter(name: str, adapter) -> None:
-    _ADAPTERS[name] = adapter
-
-
-register_adapter("stub", StubJudge())
-
-
 def get_adapter(name: str, endpoint: str | None = None):
-    """Resolve an adapter id; 'http' requires an endpoint."""
+    """Resolve an adapter id: 'stub', or 'http', which requires an endpoint."""
+    if name == "stub":
+        return StubJudge()
     if name == "http":
         if not endpoint:
             raise KeyError("http judge adapter requires an endpoint")
         return HttpJudge(endpoint)
-    if name not in _ADAPTERS:
-        raise KeyError(f"no judge adapter registered under {name!r}")
-    return _ADAPTERS[name]
+    raise KeyError(f"no judge adapter registered under {name!r}")
 
 
 def judge_check(

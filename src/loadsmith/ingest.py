@@ -18,11 +18,11 @@ The delivery file schema is this toolkit's contract (documented in
     }
 
 JSON is the canonical form; YAML is accepted on input restricted to plain
-scalars, mappings and sequences (anchors, aliases and tags are rejected so
-a delivery file can always be audited line by line). Missing components are
-schema errors, never implicit zeros, and unit tokens outside the closed
-alias table are refused: silent coercion is exactly the failure class this
-layer exists to surface.
+scalars, mappings and sequences (anchors, aliases, tags and the merge key
+``<<`` are rejected so a delivery file can always be audited line by line).
+Missing components are schema errors, never implicit zeros, and unit tokens
+outside the closed alias table are refused: silent coercion is exactly the
+failure class this layer exists to surface.
 
 Every other pipeline input (node map, extremes, config, coordinates) is
 decoded by ``read_json`` and checked by the same field helpers. Both carriers
@@ -163,7 +163,8 @@ _DECIMAL_RESOLVERS = {
 
 
 def _delivery_loader(base: type) -> type:
-    """A ``base`` loader that refuses duplicate keys and reads numerals as decimal only.
+    """A ``base`` loader that refuses duplicate keys and the merge key, and reads
+    numerals as decimal only.
 
     The overrides are Python-level, so they hold on the libyaml parser
     (``yaml.CSafeLoader``) and on the pure-Python one (``yaml.SafeLoader``) alike.
@@ -186,6 +187,17 @@ def _delivery_loader(base: type) -> type:
                     lambda index: _position(node.value[index][0].start_mark),
                 )
             return mapping
+
+        def flatten_mapping(self, node):
+            # A plain ``<<`` key would merge another mapping's values in
+            # without an alias; a quoted '<<' is an ordinary string key.
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    raise InputSyntaxError(
+                        "YAML merge key '<<' is not allowed in delivery files",
+                        location=_position(key_node.start_mark),
+                    )
+            super().flatten_mapping(node)
 
     return DeliveryLoader
 

@@ -17,17 +17,6 @@ from pathlib import Path
 from . import __version__
 from .ingest import yaml_backend
 
-# Optional telemetry forwarding: when set, every trace record is also passed
-# to this callable (e.g. an OpenTelemetry exporter). Failures in the hook
-# must not break the run that is being traced.
-_forward_hook = None
-
-
-def set_forward_hook(hook) -> None:
-    global _forward_hook
-    _forward_hook = hook
-
-
 def utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
 
@@ -74,11 +63,6 @@ class TraceWriter:
         record = {"ts": utc_now(), "event": event, **fields}
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        if _forward_hook is not None:
-            try:
-                _forward_hook(record)
-            except Exception:
-                pass
 
 
 def write_cli_trace(

@@ -109,19 +109,41 @@ def rename_points(
 
 
 def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDelivery:
-    """Multiply every row by ``factors`` (one per component, canonical order)."""
-    new_cases = tuple(
-        LoadCase(
-            id=case.id,
-            label=case.label,
-            loads={
-                point: ComponentSet.of(map(operator.mul, row, factors))
-                for point, row in case.loads.items()
-            },
+    """Multiply every row by ``factors`` (one per component, canonical order).
+
+    A product that overflows to infinity is refused with the location of the
+    value it came from.
+    """
+    try:
+        new_cases = tuple(
+            LoadCase(
+                id=case.id,
+                label=case.label,
+                loads={
+                    point: ComponentSet.of(map(operator.mul, row, factors))
+                    for point, row in case.loads.items()
+                },
+            )
+            for case in delivery.cases
         )
-        for case in delivery.cases
-    )
+    except ValueError:
+        _locate_overflow(delivery, factors)
+        raise
     return replace(delivery, cases=new_cases)
+
+
+def _locate_overflow(delivery: LoadsDelivery, factors: tuple[float, ...]) -> None:
+    """Raise for the first value whose product with its factor is not finite."""
+    for index, case in enumerate(delivery.cases):
+        for point, row in case.loads.items():
+            for comp, value, factor in zip(COMPONENT_ORDER, row, factors):
+                product = value * factor
+                if not math.isfinite(product):
+                    raise LoadsmithError(
+                        f"{comp.value} must be finite, got {product!r}",
+                        code="VALUE_ERROR",
+                        location=f"load_cases[{index}].point_loads.{point}.{comp.value}",
+                    )
 
 
 def scale_component(

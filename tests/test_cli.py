@@ -79,6 +79,21 @@ class TestConvert:
         assert error["code"] == "SYNTAX_ERROR"
         assert error["location"] == "offset 0"
 
+    def test_yaml_merge_key_exit_2(self, tmp_path, capsys, delivery_file):
+        _, d = delivery_file
+        path = tmp_path / "merge.yaml"
+        text = write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1)
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "convert", str(path), "--to", "json", "--out", str(tmp_path / "x.json")
+        )
+        assert code == 2
+        error = single_error(err)
+        assert error["code"] == "SYNTAX_ERROR"
+        assert "merge key" in error["message"]
+        line = text.splitlines().index("      <<: {fx: 5.0}") + 1
+        assert error["location"] == f"line {line}, column 7"
+
     def test_missing_input_is_infrastructure(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "convert", str(tmp_path / "gone.json"), "--to", "json",
@@ -162,7 +177,10 @@ class TestTransform:
             capsys, "transform", str(path), "--scale", "FX=1e10", "--out", str(out_path)
         )
         assert code == 2
-        assert "fx must be finite" in single_error(err)["message"]
+        error = single_error(err)
+        assert error["code"] == "VALUE_ERROR"
+        assert error["message"].startswith("fx must be finite")
+        assert error["location"] == "load_cases[0].point_loads.a.fx"
         assert not out_path.exists()
 
     def test_unknown_component_usage_error(self, tmp_path, capsys, delivery_file):
@@ -502,6 +520,29 @@ class TestUsageAndErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_harness_and_http_out(self):
+        # Pipeline steps skip the harness and the doc server; the layer
+        # modules stay imported, where a traced benchmark step looks them up.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        script = (
+            "import json, sys, loadsmith.cli\n"
+            "print(json.dumps(sorted(name for name in ("
+            "'loadsmith.evalkit', 'loadsmith.docserver', 'urllib.request', 'http.client', "
+            "'loadsmith.ingest', 'loadsmith.transform', 'loadsmith.analysis', "
+            "'loadsmith.export', 'loadsmith.compare', 'loadsmith.trace') "
+            "if name in sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            "loadsmith.analysis", "loadsmith.compare", "loadsmith.export",
+            "loadsmith.ingest", "loadsmith.trace", "loadsmith.transform",
+        ]
 
     def test_console_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(

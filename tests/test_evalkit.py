@@ -483,29 +483,3 @@ class TestRunScenario:
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk["scenario_id"] == report.scenario_id
         assert on_disk["pass_hat_k"] is True
-
-    def test_forward_hook_receives_records(self, tmp_path):
-        from loadsmith import trace
-
-        seen = []
-        trace.set_forward_hook(seen.append)
-        try:
-            run_scenario(load_scenario(make_copy_scenario(tmp_path, k=1)), tmp_path / "runs")
-        finally:
-            trace.set_forward_hook(None)
-        assert any(record["event"] == "exec" for record in seen)
-
-    def test_forward_hook_failure_does_not_break_run(self, tmp_path):
-        from loadsmith import trace
-
-        def boom(record):
-            raise RuntimeError("exporter down")
-
-        trace.set_forward_hook(boom)
-        try:
-            report = run_scenario(
-                load_scenario(make_copy_scenario(tmp_path, k=1)), tmp_path / "runs"
-            )
-        finally:
-            trace.set_forward_hook(None)
-        assert report.pass_hat_k

@@ -227,6 +227,29 @@ class TestStrictReading:
         assert d.cases[0].id == 10
         assert d.cases[0].loads["a"].fx == -1500.0
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "{<<: {fx: 5.0, fy: 0}, fz: 0, mx: 0, my: 0, mz: 0}",
+            "{<<: {fx: 5}, fx: 1, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}",
+        ],
+        ids=["supplies", "overridden"],
+    )
+    def test_yaml_merge_key_rejected(self, point):
+        text = MINIMAL_YAML.format(id=1, fx=0).replace(
+            "{fx: 0, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}", point
+        )
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(text, DeliveryFormat.YAML)
+        assert "merge key" in str(err.value)
+        assert err.value.location == "line 7, column 11"
+
+    def test_yaml_quoted_merge_key_is_a_string(self):
+        text = MINIMAL_YAML.format(id=1, fx=0).replace("{fx: 0,", "{'<<': 1, fx: 0,")
+        with pytest.raises(SchemaError) as err:
+            parse_delivery(text, DeliveryFormat.YAML)
+        assert "'<<'" in str(err.value)
+
     def test_backend(self):
         assert ingest.yaml_backend() == self.backend
 

@@ -120,12 +120,20 @@ class TestScaleComponent:
         assert scale_component(two_point_delivery, Component.FX, 1.0) == two_point_delivery
 
     def test_product_overflow_refused(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet(fx=1e300)})
-        d = LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(case,))
-        with pytest.raises(ValueError, match="^fx must be finite"):
-            scale_component(d, Component.FX, 1e10)
-        with pytest.raises(ValueError, match="^fx must be finite"):
-            apply_ultimate_factor(d, 1e10)
+        cases = (
+            LoadCase(id=1, loads={"a": ComponentSet(fx=1.0)}),
+            LoadCase(id=2, loads={"a": ComponentSet(), "b": ComponentSet(fx=1e300)}),
+        )
+        d = LoadsDelivery(name="x", version=1, units=UnitSystem("klbf", "klbf·in"), cases=cases)
+        for overflow in (
+            lambda: scale_component(d, Component.FX, 1e10),
+            lambda: apply_ultimate_factor(d, 1e10),
+            lambda: convert_units(scale_component(d, Component.FX, 1e8), SI_UNITS),
+        ):
+            with pytest.raises(LoadsmithError, match="^fx must be finite") as err:
+                overflow()
+            assert err.value.code == "VALUE_ERROR"
+            assert err.value.location == "load_cases[1].point_loads.b.fx"
 
     @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
     def test_bad_factors_rejected(self, two_point_delivery, bad):
