@@ -20,7 +20,11 @@ q3, and the number of pairs the change won (ties count for neither side). A
 gain holds when the change wins at least nine pairs in ten and its median
 beats the base's by more than the base's q3 - q1. ``worse_by`` is the
 change's median relative to the base's, positive when worse, next to the
-benchmark's bound for end-to-end metrics.
+benchmark's bound for end-to-end metrics. ``machine`` holds each side's
+machine record (Python, CPUs, PyYAML and the YAML backend the run observed);
+when any run saw another value of one of those fields, ``machine_mismatch``
+names the field with the values each side saw, and the run prints it, so a
+change that switched the YAML backend is not scored as a gain unnoticed.
 """
 
 from __future__ import annotations
@@ -105,6 +109,22 @@ def summarize(base_runs: list[float], change_runs: list[float], better: str, bou
     return entry
 
 
+def machine_mismatch(results: dict[str, dict[str, list[dict]]]) -> dict:
+    """Each ``MACHINE_KEYS`` field whose value was not the same in every run,
+    with the values each side saw; empty when both sides ran on one setup."""
+    seen: dict[str, dict[str, list]] = {key: {"base": [], "change": []} for key in MACHINE_KEYS}
+    for sides in results.values():
+        for side, runs in sides.items():
+            for run in runs:
+                for key in MACHINE_KEYS:
+                    if run["machine"][key] not in seen[key][side]:
+                        seen[key][side].append(run["machine"][key])
+    return {
+        key: values for key, values in seen.items()
+        if values["base"] != values["change"] or len(values["base"]) > 1
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workload_names = [w["name"] for w in bench["workloads"]]
@@ -148,9 +168,12 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "run_seconds": args.seconds,
         "trace": args.trace,
-        "machine": results[workloads[0]]["base"][0]["machine"],
+        "machine": {side: results[workloads[0]][side][0]["machine"] for side in revs},
         "workloads": {},
     }
+    mismatch = machine_mismatch(results)
+    if mismatch:
+        report["machine_mismatch"] = mismatch
     for workload, sides in results.items():
         entry = {
             side: {
@@ -181,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload:13} {name:24} base {m['base']['median']:.4g}  "
                   f"change {m['change']['median']:.4g}  wins {m['wins']}/{m['pairs']}"
                   + ("  GAIN" if m["gain"] else ""))
+    for key, values in mismatch.items():
+        print(f"machine_mismatch: {key} base {values['base']} change {values['change']}")
     print(f"wrote {out.relative_to(REPO)}")
     return 0
 

@@ -63,11 +63,16 @@ def _print_json(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
+def _read_text(path: str, what: str) -> str:
+    """A side input's text; bytes that are not UTF-8 are refused like a delivery's."""
+    return ingest._decode(Path(path).read_bytes(), what)
+
+
 def _load_tolerances(path: str | None) -> Tolerance:
     """Default tolerances, or those of a ``{"tolerances": {"abs": x, "rel": y}}`` config file."""
     if path is None:
         return Tolerance()
-    config = ingest.read_json(Path(path).read_text(encoding="utf-8"), "config")
+    config = ingest.read_json(_read_text(path, "config"), "config")
     ingest._expect_keys(ingest._expect_mapping(config, "$"), ("tolerances",), (), "$")
     tolerances = ingest._expect_mapping(config["tolerances"], "tolerances")
     ingest._expect_keys(tolerances, ("abs", "rel"), (), "tolerances")
@@ -182,7 +187,7 @@ def _cmd_equilibrium(args) -> int:
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
-        text = Path(args.coords).read_text(encoding="utf-8")
+        text = _read_text(args.coords, "coords")
         coords = ingest.read_coordinates(ingest.read_json(text, "coords"), "coords")
     survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
     _print_json(survey.to_dict())
@@ -230,8 +235,8 @@ def _cmd_export_ansys(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    new_text = Path(args.new).read_text(encoding="utf-8")
-    old_text = Path(args.old).read_text(encoding="utf-8")
+    new_text = _read_text(args.new, "new extremes")
+    old_text = _read_text(args.old, "old extremes")
     report = compare_mod.compare_envelope_files(new_text, old_text, widen_tol=args.widen_tol)
     if args.out is not None:
         out = Path(args.out)

@@ -9,13 +9,7 @@ from .checks import (
 )
 from .fixtures import FixtureError, generate_fixture, random_delivery
 from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check
-from .passk import (
-    DEFAULT_ALPHA,
-    PassKPolicy,
-    basis_policy,
-    min_k_for,
-    pass_lower_bound,
-)
+from .passk import DEFAULT_ALPHA, min_k_for, pass_lower_bound
 from .runner import EvalReport, RunOutcome, RunTrace, run_scenario
 from .scenario import CheckSpec, Environment, Scenario, StageItem, load_scenario, parse_scenario
 
@@ -28,14 +22,12 @@ __all__ = [
     "FixtureError",
     "HttpJudge",
     "JudgeVerdict",
-    "PassKPolicy",
     "ReferenceError",
     "RunOutcome",
     "RunTrace",
     "Scenario",
     "StageItem",
     "StubJudge",
-    "basis_policy",
     "file_set_check",
     "generate_fixture",
     "judge_check",

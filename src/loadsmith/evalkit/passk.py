@@ -10,13 +10,8 @@ scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 DEFAULT_ALPHA = 0.05
-
-# Reliability tiers borrowed from material-allowable practice: the p-th
-# population percentile demonstrated at 95% confidence.
-BASIS_TARGETS = {"S": 0.50, "B": 0.90, "A": 0.99}
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -50,26 +45,3 @@ def min_k_for(p: float, alpha: float = DEFAULT_ALPHA) -> int:
         k -= 1
     return k
 
-
-@dataclass(frozen=True)
-class PassKPolicy:
-    """A named repetition policy: target probability, significance, and k."""
-
-    p: float
-    alpha: float
-    k: int
-    basis: str = "custom"
-
-    def __post_init__(self):
-        _check_probability("p", self.p)
-        _check_probability("alpha", self.alpha)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-def basis_policy(basis: str, alpha: float = DEFAULT_ALPHA) -> PassKPolicy:
-    """Policy for an S/B/A reliability tier at the given significance."""
-    if basis not in BASIS_TARGETS:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {sorted(BASIS_TARGETS)}")
-    p = BASIS_TARGETS[basis]
-    return PassKPolicy(p=p, alpha=alpha, k=min_k_for(p, alpha), basis=basis)

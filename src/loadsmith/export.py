@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import LoadsmithError, SchemaError
 from .ingest import (
+    _decode,
     _expect_int,
     _expect_keys,
     _expect_mapping,
@@ -54,7 +55,7 @@ def parse_node_map(text: str) -> NodeMap:
 
 
 def load_node_map(path: str | Path) -> NodeMap:
-    return parse_node_map(Path(path).read_text(encoding="utf-8"))
+    return parse_node_map(_decode(Path(path).read_bytes(), "node map"))
 
 
 def write_ansys_inp(

@@ -33,10 +33,13 @@ at their field.
 
 YAML is parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built with
 it, else by the pure-Python ``yaml.SafeLoader``; ``yaml_backend()`` names the
-one in use. The refusals above are the same on both, but the wording of a
-YAML syntax error, and at times its position, comes from the parser: for
-``name: [unclosed`` libyaml reports line 2, column 1 and the pure-Python
-parser line 1, column 16.
+one in use. One pass over the parser's events builds the data and refuses
+each fault at its event. A plain scalar is typed as SafeLoader types it (YAML
+1.1) but for the decimal-only numerals, so ``yes``, ``~`` and ``2024-01-01``
+reach the field checks as a bool, None and a date. The refusals are the same
+on both parsers, but the wording of a YAML syntax error, and at times its
+position, comes from the parser: for ``name: [unclosed`` libyaml reports
+line 2, column 1 and the pure-Python parser line 1, column 16.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import yaml
 
@@ -97,13 +101,15 @@ class ValidationReport:
         }
 
 
-def _decode(raw: str | bytes) -> str:
+def _decode(raw: str | bytes, what: str = "delivery") -> str:
+    """The text of the input named ``what``; bytes that are not UTF-8 raise
+    InputSyntaxError at their offset."""
     if isinstance(raw, bytes):
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputSyntaxError(
-                f"delivery is not UTF-8 text: {exc.reason}", location=f"offset {exc.start}"
+                f"{what} is not UTF-8 text: {exc.reason}", location=f"offset {exc.start}"
             ) from exc
     return raw
 
@@ -124,23 +130,18 @@ def _position(mark) -> str:
     return f"line {mark.line + 1}, column {mark.column + 1}"
 
 
-def _refuse_duplicate(keys: list, what: str, where=lambda index: None) -> None:
-    """Raise on the first key seen twice; ``where(index)`` locates it."""
-    seen = set()
-    for index, key in enumerate(keys):
-        if key in seen:
-            raise InputSyntaxError(f"duplicate key {key!r} in {what}", location=where(index))
-        seen.add(key)
-
-
 def read_json(text: str, what: str):
     """Decode the JSON input named ``what``; malformed JSON (with line and
     column) and a name repeated within an object raise InputSyntaxError."""
 
     def unique(pairs: list) -> dict:
         mapping = dict(pairs)
-        if len(mapping) < len(pairs):
-            _refuse_duplicate([key for key, _ in pairs], f"{what} JSON")
+        if len(mapping) < len(pairs):  # name the first repeated key
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InputSyntaxError(f"duplicate key {key!r} in {what} JSON")
+                seen.add(key)
         return mapping
 
     try:
@@ -163,12 +164,7 @@ _DECIMAL_RESOLVERS = {
 
 
 def _delivery_loader(base: type) -> type:
-    """A ``base`` loader that refuses duplicate keys and the merge key, and reads
-    numerals as decimal only.
-
-    The overrides are Python-level, so they hold on the libyaml parser
-    (``yaml.CSafeLoader``) and on the pure-Python one (``yaml.SafeLoader``) alike.
-    """
+    """A ``base`` loader whose resolver table reads numerals as decimal only."""
 
     class DeliveryLoader(base):
         backend = "python" if issubclass(base, yaml.parser.Parser) else "libyaml"
@@ -177,27 +173,6 @@ def _delivery_loader(base: type) -> type:
             first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
             for first, resolvers in base.yaml_implicit_resolvers.items()
         }
-
-        def construct_mapping(self, node, deep=False):
-            mapping = super().construct_mapping(node, deep=deep)
-            if len(mapping) < len(node.value):
-                _refuse_duplicate(
-                    [self.construct_object(key_node) for key_node, _ in node.value],
-                    "delivery YAML",
-                    lambda index: _position(node.value[index][0].start_mark),
-                )
-            return mapping
-
-        def flatten_mapping(self, node):
-            # A plain ``<<`` key would merge another mapping's values in
-            # without an alias; a quoted '<<' is an ordinary string key.
-            for key_node, _ in node.value:
-                if key_node.tag == "tag:yaml.org,2002:merge":
-                    raise InputSyntaxError(
-                        "YAML merge key '<<' is not allowed in delivery files",
-                        location=_position(key_node.start_mark),
-                    )
-            super().flatten_mapping(node)
 
     return DeliveryLoader
 
@@ -211,24 +186,92 @@ def yaml_backend() -> str:
     return _DeliveryLoader.backend
 
 
-def _load_yaml(text: str):
-    # Pre-scan parser events so anchors/aliases and explicit tags are
-    # rejected up front instead of silently expanding.
-    try:
-        for event in yaml.parse(text, Loader=_DeliveryLoader):
-            if isinstance(event, yaml.AliasEvent):
-                refused = "aliases are"
-            elif getattr(event, "anchor", None) is not None:
-                refused = f"anchor {event.anchor!r} is"
-            elif getattr(event, "tag", None) is not None:
-                refused = f"tag {event.tag!r} is"
+_STR, _INT, _FLOAT, _MERGE, _VALUE = (
+    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "merge", "value")
+)
+_KEY = object()  # an open mapping's pending key while its next node is a key
+_NODE_EVENTS = (yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent)
+
+
+def _refuse(problem: str, event) -> NoReturn:
+    raise InputSyntaxError(problem, location=_position(event.start_mark))
+
+
+def _build_yaml(loader):
+    """The one document's data, built from the loader's parser events in one pass.
+
+    A plain scalar is typed by the loader's resolver table; a decimal int or
+    float is built here, any other typed scalar by the loader's SafeConstructor.
+    """
+    resolvers = loader.yaml_implicit_resolvers  # by first character; "" for an empty scalar
+    open_nodes = []  # [container, pending key] per open mapping or sequence
+    data = None
+    document = False
+    while True:
+        event = loader.get_event()
+        kind = type(event)
+        if kind in _NODE_EVENTS:
+            if event.anchor is not None:
+                _refuse(f"YAML anchor {event.anchor!r} is not allowed in delivery files", event)
+            if event.tag is not None:
+                _refuse(f"YAML tag {event.tag!r} is not allowed in delivery files", event)
+            parent = open_nodes[-1] if open_nodes else None
+            is_key = parent is not None and parent[1] is _KEY
+            if kind is yaml.ScalarEvent:
+                value = event.value
+                if event.implicit[0]:
+                    for tag, regexp in resolvers.get(value[:1], ()):
+                        if regexp.match(value):
+                            break
+                    else:
+                        tag = _STR
+                    if tag == _INT:
+                        value = int(value)
+                    elif tag == _FLOAT and value[-1] not in "fFnN":  # not .inf or .nan
+                        value = float(value)
+                    elif is_key and tag == _MERGE:
+                        # A plain ``<<`` would merge another mapping's values in
+                        # without an alias; a quoted '<<' is an ordinary string key.
+                        _refuse("YAML merge key '<<' is not allowed in delivery files", event)
+                    elif tag != _STR and not (is_key and tag == _VALUE):  # a '=' key is a string
+                        node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
+                        value = loader.construct_object(node)
+            elif is_key:
+                _refuse("invalid YAML: found unhashable key", event)
             else:
-                continue
-            raise InputSyntaxError(
-                f"YAML {refused} not allowed in delivery files",
-                location=_position(event.start_mark),
-            )
-        return yaml.load(text, Loader=_DeliveryLoader)
+                value = {} if kind is yaml.MappingStartEvent else []
+            if parent is None:
+                data = value
+            elif is_key:
+                if value in parent[0]:
+                    _refuse(f"duplicate key {value!r} in delivery YAML", event)
+                parent[1] = value
+            elif type(parent[0]) is list:
+                parent[0].append(value)
+            else:
+                parent[0][parent[1]] = value
+                parent[1] = _KEY
+            if kind is not yaml.ScalarEvent:
+                open_nodes.append([value, _KEY if kind is yaml.MappingStartEvent else None])
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            open_nodes.pop()
+        elif kind is yaml.AliasEvent:
+            _refuse("YAML aliases are not allowed in delivery files", event)
+        elif kind is yaml.DocumentStartEvent:
+            if document:
+                _refuse("invalid YAML: but found another document", event)
+            document = True
+        elif kind is yaml.StreamEndEvent:
+            return data
+
+
+def _load_yaml(text: str):
+    try:
+        loader = _DeliveryLoader(text)
+        try:
+            return _build_yaml(loader)
+        finally:
+            loader.dispose()
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = _position(mark) if mark else "unknown position"

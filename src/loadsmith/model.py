@@ -227,12 +227,6 @@ class LoadsDelivery:
     def case_ids(self) -> list[int]:
         return [c.id for c in self.cases]
 
-    def case_by_id(self, case_id: int) -> LoadCase:
-        for case in self.cases:
-            if case.id == case_id:
-                return case
-        raise KeyError(f"no case with id {case_id}")
-
 
 def point_names(delivery: LoadsDelivery) -> list[str]:
     """Lexicographically sorted union of point names over all cases."""

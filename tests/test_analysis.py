@@ -305,10 +305,11 @@ class TestEnvelopeSelect:
         conv = check_equilibrium_all(
             convert_units(delivery, UnitSystem("klbf", "klbf·in")), tol=tol
         ).results
+        cases = {case.id: case for case in delivery.cases}
         for r0, r1, r2 in zip(base, ult, conv):
             residual = r0.force_residual_magnitude
             threshold = tol.threshold(
-                max(abs(v) for cs in delivery.case_by_id(r0.case_id).loads.values()
+                max(abs(v) for cs in cases[r0.case_id].loads.values()
                     for v in (cs.fx, cs.fy, cs.fz))
             )
             if abs(residual - threshold) <= 1e-9 * max(residual, threshold):

@@ -37,6 +37,20 @@ def single_error(err: str) -> dict:
     return json.loads(line)["error"]
 
 
+def undecodable(tmp_path) -> Path:
+    """A file whose first byte is not UTF-8."""
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
+def assert_refused_as_not_utf8(err: str, what: str) -> None:
+    error = single_error(err)
+    assert error["code"] == "SYNTAX_ERROR"
+    assert error["message"].startswith(f"{what} is not UTF-8 text: ")
+    assert error["location"] == "offset 0"
+
+
 class TestConvert:
     def test_yaml_to_json_round_trip(self, tmp_path, capsys, delivery_file):
         path, d = delivery_file
@@ -207,6 +221,22 @@ class TestEquilibrium:
         assert code == 2
         assert not json.loads(out)["all_balanced"]
 
+    def test_undecodable_config_exit_2(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        code, _, err = run_cli(
+            capsys, "equilibrium", str(path), "--config", str(undecodable(tmp_path))
+        )
+        assert code == 2
+        assert_refused_as_not_utf8(err, "config")
+
+    def test_undecodable_coords_exit_2(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        code, _, err = run_cli(
+            capsys, "equilibrium", str(path), "--coords", str(undecodable(tmp_path))
+        )
+        assert code == 2
+        assert_refused_as_not_utf8(err, "coords")
+
     def test_config_supplies_tolerances(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
         config = tmp_path / "config.json"
@@ -325,6 +355,16 @@ class TestExportAnsys:
         deck = (out_dir / f"limit_load_{d.cases[0].id}.inp").read_text()
         assert ",1000," not in deck
 
+    def test_undecodable_node_map_exit_2(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        code, _, err = run_cli(
+            capsys, "export-ansys", str(path), "--select", "1",
+            "--node-map", str(undecodable(tmp_path)), "--out-dir", str(tmp_path / "decks"),
+        )
+        assert code == 2
+        assert_refused_as_not_utf8(err, "node map")
+        assert not (tmp_path / "decks").exists()
+
     def test_node_map_required(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
         code, _, _ = run_cli(
@@ -404,6 +444,19 @@ class TestCompare:
         assert code == 2
         error = single_error(err)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "extremes")
+
+    @pytest.mark.parametrize("side", ["new", "old"])
+    def test_undecodable_extremes_exit_2(self, tmp_path, capsys, delivery_file, side):
+        files = {"new": self.make_extremes(tmp_path, capsys, delivery_file)}
+        files["old"] = files["new"]
+        files[side] = undecodable(tmp_path)
+        out = tmp_path / "c.json"
+        code, _, err = run_cli(
+            capsys, "compare", str(files["new"]), str(files["old"]), "--out", str(out)
+        )
+        assert code == 2
+        assert_refused_as_not_utf8(err, f"{side} extremes")
+        assert not out.exists()
 
     def test_widen_tol_suppresses_exceedance(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)

@@ -272,6 +272,175 @@ class TestStrictReadingPythonBackend(TestStrictReading):
     )
 
 
+def _two_pass_loader(base: type) -> type:
+    """The delivery loader as it was before the one-pass reader, for the oracle."""
+
+    class TwoPassLoader(base):
+        yaml_implicit_resolvers = ingest._delivery_loader(base).yaml_implicit_resolvers
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep=deep)
+            if len(mapping) < len(node.value):
+                seen = set()
+                for key_node, _ in node.value:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise InputSyntaxError(
+                            f"duplicate key {key!r} in delivery YAML",
+                            location=ingest._position(key_node.start_mark),
+                        )
+                    seen.add(key)
+            return mapping
+
+        def flatten_mapping(self, node):
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    raise InputSyntaxError(
+                        "YAML merge key '<<' is not allowed in delivery files",
+                        location=ingest._position(key_node.start_mark),
+                    )
+            super().flatten_mapping(node)
+
+    return TwoPassLoader
+
+
+def _two_pass_load(text: str, loader: type):
+    """The oracle: a prescan of parser events for aliases, anchors and tags,
+    then ``yaml.load``."""
+    try:
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.AliasEvent):
+                refused = "aliases are"
+            elif getattr(event, "anchor", None) is not None:
+                refused = f"anchor {event.anchor!r} is"
+            elif getattr(event, "tag", None) is not None:
+                refused = f"tag {event.tag!r} is"
+            else:
+                continue
+            raise InputSyntaxError(
+                f"YAML {refused} not allowed in delivery files",
+                location=ingest._position(event.start_mark),
+            )
+        return yaml.load(text, Loader=loader)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        where = ingest._position(mark) if mark else "unknown position"
+        raise InputSyntaxError(f"invalid YAML: {exc.problem}", location=where) from exc
+    except yaml.YAMLError as exc:
+        raise InputSyntaxError(f"invalid YAML: {exc}", location="unknown position") from exc
+
+
+def _outcome(read, text: str):
+    """What a reader makes of ``text``: its data with every type showing, or its refusal."""
+    try:
+        return repr(read(text))
+    except (InputSyntaxError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "location", None)
+
+
+_BASES = {"python": yaml.SafeLoader}
+if yaml.__with_libyaml__:
+    _BASES["libyaml"] = yaml.CSafeLoader
+
+
+def _outcomes(text: str, base: type) -> tuple:
+    """The one-pass reader's outcome and the oracle's, both on the parser ``base``."""
+    oracle = _outcome(lambda t: _two_pass_load(t, _two_pass_loader(base)), text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_DeliveryLoader", ingest._delivery_loader(base))
+        new = _outcome(ingest._load_yaml, text)
+    return new, oracle
+
+
+# Scalars that YAML 1.1 types, or nearly types, as something other than a string.
+_ADVERSARIAL_SCALARS = [
+    "010", "0x1F", "0o17", "0b101", "1_000", "1:30", "1:30.5", "-0", "+5", "0",
+    "12345678901234567890", pytest.param("1" + "0" * 400, id="1e400"), "-0.0", "1.", ".5",
+    "+.5", "1.5e+3", "1.5E-3", "1e5", "1.5e3", "1_0.5", ".inf", "-.Inf", "+.INF", ".nan",
+    ".NaN", "yes", "No", "on",
+    "OFF", "y", "n", "true", "False", "~", "null", "NULL", "", "2024-01-01",
+    "2024-13-45", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "=", "<<",
+    "'<<'", '"010"', "'yes'", "-", ".", "|\n  010", ">\n  yes",
+]
+
+_ADVERSARIAL_DOCUMENTS = [
+    "a: 1\n---\nb: 2\n",
+    "---\na: 1\n...\n---\nb: 2\n",
+    "%YAML 1.1\n---\na: 1\n",
+    "%YAML 1.1\n%TAG !e! tag:example.com,2000:\n---\na: 1\n",
+    "a: 1\n...\n",
+    "---\n...\n",
+    "# a comment only\n",
+    "? [a]\n: 1\n",
+    "? {a: 1}\n: 1\n",
+    "{[a]: 1}\n",
+    "1.0: a\n1: b\n",
+    "1: a\n1.0: b\n",
+    "yes: a\ntrue: b\n",
+    "~: a\nnull: b\n",
+    ".nan: a\n.nan: b\n",
+    "a: 1\na: 2\n",
+    "a: {b: 1, b: 2}\n",
+    "a: &x 1\n",
+    "a: &x 1\nb: *x\n",
+    "a: &x [1]\n",
+    "a: !!str 1\n",
+    "a: ! 1\n",
+    "a: !!binary aGk=\n",
+    "!!map {a: 1}\n",
+    "<<: {b: 1}\nc: 2\n",
+    "'<<': 1\n",
+    '"<<": 1\n"<<": 2\n',
+    "=: 1\n",
+    "=: 1\n=: 2\n",
+    "a: [<<, =]\n",
+    "- a\n- [b, {c: d}]\n",
+    "a: [unclosed\n",
+    'a: "unterminated\n',
+    "a:\n\tb: 1\n",
+    "a: \x01\n",
+    "plain text\n",
+    pytest.param("a: " + "9" * 5000 + "\n", id="int-of-5000-digits"),
+]
+
+# Two faults each. The one-pass reader stops at the first one it reads; the
+# oracle's prescan, or its refusal of the merge key before duplicates, finds
+# the other first.
+_TWO_FAULT_DOCUMENTS = [
+    "a: 1\n--- [\n",
+    "a: 1\na: 2\nb: &x 3\n",
+    "a: 1\na: 2\n<<: {}\n",
+    pytest.param("9" * 5000 + ": a\n", id="int-of-5000-digits-as-too-long-a-key"),
+]
+
+
+@pytest.mark.parametrize("backend", sorted(_BASES))
+class TestOnePassReaderOracle:
+    """The one-pass reader against the two-pass reader it replaced, on both
+    parsers: the same data with the same types, or the same refusal."""
+
+    @pytest.mark.parametrize("token", _ADVERSARIAL_SCALARS)
+    def test_scalar(self, backend, token):
+        for text in (f"a: {token}\n", f"{token}: a\n", f"[{token}]\n"):
+            new, oracle = _outcomes(text, _BASES[backend])
+            assert new == oracle, text
+
+    @pytest.mark.parametrize("text", _ADVERSARIAL_DOCUMENTS)
+    def test_document(self, backend, text):
+        new, oracle = _outcomes(text, _BASES[backend])
+        assert new == oracle
+
+    @pytest.mark.parametrize("text", _TWO_FAULT_DOCUMENTS)
+    def test_two_faults_both_refused(self, backend, text):
+        new, oracle = _outcomes(text, _BASES[backend])
+        assert isinstance(new, tuple) and isinstance(oracle, tuple)
+
+    @given(delivery=st.one_of(deliveries(), oracle_deliveries()))
+    def test_rendered_delivery(self, backend, delivery):
+        new, oracle = _outcomes(write_delivery_yaml(delivery), _BASES[backend])
+        assert new == oracle
+
+
 class TestValidateDelivery:
     def test_valid_si_delivery_clean(self):
         report = validate_delivery(parse_delivery(MINIMAL_JSON))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loadsmith.evalkit import PassKPolicy, basis_policy, min_k_for, pass_lower_bound
+from loadsmith.evalkit import min_k_for, pass_lower_bound
 
 
 class TestMinKFor:
@@ -63,16 +63,7 @@ class TestPassLowerBound:
 
 class TestPolicies:
     def test_basis_policies(self):
-        assert basis_policy("S").k == 5
-        assert basis_policy("B").k == 29
-        assert basis_policy("A").k == 299
-
-    def test_unknown_basis(self):
-        with pytest.raises(ValueError):
-            basis_policy("C")
-
-    def test_custom_policy_validation(self):
-        with pytest.raises(ValueError):
-            PassKPolicy(p=1.2, alpha=0.05, k=3)
-        with pytest.raises(ValueError):
-            PassKPolicy(p=0.9, alpha=0.05, k=0)
+        # the S/B/A tiers the README quotes for `eval passk`
+        assert min_k_for(0.5) == 5
+        assert min_k_for(0.9) == 29
+        assert min_k_for(0.99) == 299
