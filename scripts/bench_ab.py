@@ -11,7 +11,8 @@ the root of the repository:
 
 CHANGE may be any tree-ish; to measure uncommitted work, stage it and pass
 ``--change "$(git write-tree)"``. Exports go under ``$TMPDIR`` and are
-removed at the end. Defaults: ten pairs, ``run_seconds`` from
+removed at the end, also when the run is stopped by SIGTERM or Ctrl-C, which
+kills the running benchmark first. Defaults: ten pairs, ``run_seconds`` from
 ``BENCHMARK.json``, untraced runs. ``--trace 1`` compares the per-layer
 metrics instead and writes ``BENCH_<pr>_trace.json``.
 
@@ -33,6 +34,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -126,6 +128,9 @@ def machine_mismatch(results: dict[str, dict[str, list[dict]]]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # SIGTERM unwinds like Ctrl-C: subprocess.run kills the running benchmark
+    # and TemporaryDirectory removes the exports on the way out.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workload_names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -14,7 +14,6 @@ from .analysis import (
     EquilibriumResult,
     EquilibriumSurvey,
     Tolerance,
-    check_equilibrium,
     check_equilibrium_all,
     envelope_extremes,
     envelope_select,
@@ -36,10 +35,8 @@ from .export import (
     write_envelope_json,
 )
 from .ingest import (
-    DeliveryFormat,
     Finding,
     ValidationReport,
-    detect_format,
     load_delivery,
     parse_delivery,
     validate_delivery,
@@ -74,7 +71,6 @@ __all__ = [
     "ComparisonCell",
     "ComparisonReport",
     "CoordinateSystemCheck",
-    "DeliveryFormat",
     "EnvelopeExtremes",
     "EnvelopeSelection",
     "EquilibriumResult",
@@ -92,12 +88,10 @@ __all__ = [
     "UnknownUnitError",
     "ValidationReport",
     "apply_ultimate_factor",
-    "check_equilibrium",
     "check_equilibrium_all",
     "compare_envelopes",
     "comparison_to_markdown",
     "convert_units",
-    "detect_format",
     "envelope_extremes",
     "envelope_select",
     "envelope_to_markdown",

@@ -19,7 +19,7 @@ from .model import (
     ExtremeCell,
     LoadCase,
     LoadsDelivery,
-    UnitSystem,
+    point_names,
 )
 
 Coordinates = dict[str, tuple[float, float, float]]
@@ -83,40 +83,8 @@ def _cross(r: tuple[float, float, float], f: tuple[float, float, float]) -> tupl
     )
 
 
-def check_equilibrium(
-    case: LoadCase,
-    coords: Coordinates | None = None,
-    tol: Tolerance = Tolerance(),
-    units: UnitSystem | None = None,
-) -> EquilibriumResult:
-    """Sum forces (and, with coordinates, moments about the origin) for one case.
-
-    The force residual is the componentwise sum over points. When ``coords``
-    are given the moment residual is sum(M_i + r_i x F_i); that mixes meters
-    with the load units, so it is refused unless ``units`` says the delivery
-    is SI. Balanced means every computed residual magnitude is within
-    max(abs_tol, rel_tol * L_ref) where L_ref is the largest single
-    component magnitude of that kind in the case.
-
-    Args:
-        case: Load case to check.
-        coords: Optional point -> (x, y, z) map in meters covering the case.
-        tol: Absolute/relative tolerances.
-        units: Delivery units, required non-None to enable the coords path.
-    """
-    if coords is not None:
-        missing = sorted(set(case.loads) - set(coords))
-        if missing:
-            raise LoadsmithError(
-                f"coordinates missing for points {missing}", code="COORDINATE_COVERAGE"
-            )
-        if units is not None and not units.is_si:
-            raise LoadsmithError(
-                "moment equilibrium with coordinates requires SI units "
-                f"(got {units.force_unit}/{units.moment_unit}); convert first",
-                code="NON_SI_EQUILIBRIUM",
-            )
-
+def _case_equilibrium(case: LoadCase, coords: Coordinates | None, tol: Tolerance) -> EquilibriumResult:
+    """Force (and, with ``coords``, moment) residuals of one case; see check_equilibrium_all."""
     points = sorted(case.loads)
     rows = [case.loads[point] for point in points]
     force_sum = [0.0, 0.0, 0.0]
@@ -160,18 +128,33 @@ def check_equilibrium_all(
     tol: Tolerance = Tolerance(),
     coords: Coordinates | None = None,
 ) -> EquilibriumSurvey:
-    """Check every case in delivery order.
+    """Sum forces (and, with coordinates, moments about the origin) for every
+    case in delivery order.
 
-    Uses the delivery's own point coordinates when none are passed; the
-    moment path is only taken when coordinates exist.
+    The force residual is the componentwise sum over points. With
+    coordinates (``coords``, else the delivery's own ``point_coordinates``)
+    the moment residual is sum(M_i + r_i x F_i); that mixes meters with the
+    load units, so it is refused unless the delivery is SI, and the
+    coordinates must cover every point. Balanced means every computed
+    residual magnitude is within max(abs_tol, rel_tol * L_ref) where L_ref is
+    the largest single component magnitude of that kind in the case.
     """
     if coords is None:
         coords = delivery.point_coordinates
-    results = tuple(
-        check_equilibrium(case, coords=coords, tol=tol, units=delivery.units)
-        for case in delivery.cases
-    )
-    return EquilibriumSurvey(results)
+    if coords is not None:
+        missing = sorted(set(point_names(delivery)) - set(coords))
+        if missing:
+            raise LoadsmithError(
+                f"coordinates missing for points {missing}", code="COORDINATE_COVERAGE"
+            )
+        units = delivery.units
+        if not units.is_si:
+            raise LoadsmithError(
+                "moment equilibrium with coordinates requires SI units "
+                f"(got {units.force_unit}/{units.moment_unit}); convert first",
+                code="NON_SI_EQUILIBRIUM",
+            )
+    return EquilibriumSurvey(tuple(_case_equilibrium(case, coords, tol) for case in delivery.cases))
 
 
 @dataclass(frozen=True)

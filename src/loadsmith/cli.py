@@ -119,7 +119,7 @@ def _cmd_convert(args) -> int:
         _write_text(out, ingest.write_delivery_json(delivery))
     else:
         _write_text(out, ingest.write_delivery_yaml(delivery))
-    write_cli_trace(str(out) + ".trace.ndjson", sys.argv, [args.input], [out])
+    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.input], [out])
     _print_json({"written": str(out), "format": args.to})
     return EXIT_OK
 
@@ -172,7 +172,7 @@ def _cmd_transform(args) -> int:
         _write_text(out, ingest.write_delivery_yaml(delivery))
     else:
         _write_text(out, ingest.write_delivery_json(delivery))
-    write_cli_trace(str(out) + ".trace.ndjson", sys.argv, [args.input], [out])
+    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.input], [out])
     summary["written"] = str(out)
     _print_json(summary)
     return EXIT_OK
@@ -203,7 +203,7 @@ def _cmd_envelope(args) -> int:
     json_path = out_dir / "envelope_extremes.json"
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
-    write_cli_trace(out_dir / "trace.ndjson", sys.argv, [args.input], [md_path, json_path])
+    write_cli_trace(out_dir / "trace.ndjson", args.invocation, [args.input], [md_path, json_path])
     _print_json(
         {
             "selected_case_ids": list(selection.selected_case_ids),
@@ -229,7 +229,7 @@ def _cmd_export_ansys(args) -> int:
     )
     out_dir = _default_out_dir(args.out_dir)
     paths = export.export_all_inp(delivery, selected, nodes, exclude, out_dir)
-    write_cli_trace(out_dir / "trace.ndjson", sys.argv, [args.input, args.node_map], paths)
+    write_cli_trace(out_dir / "trace.ndjson", args.invocation, [args.input, args.node_map], paths)
     _print_json({"written": [str(p) for p in paths]})
     return EXIT_OK
 
@@ -237,7 +237,9 @@ def _cmd_export_ansys(args) -> int:
 def _cmd_compare(args) -> int:
     new_text = _read_text(args.new, "new extremes")
     old_text = _read_text(args.old, "old extremes")
-    report = compare_mod.compare_envelope_files(new_text, old_text, widen_tol=args.widen_tol)
+    report = compare_mod.compare_envelopes(
+        export.read_envelope_json(new_text), export.read_envelope_json(old_text), args.widen_tol
+    )
     if args.out is not None:
         out = Path(args.out)
     else:
@@ -245,7 +247,7 @@ def _cmd_compare(args) -> int:
     _write_text(out, compare_mod.write_comparison_report(report))
     md_path = out.with_suffix(".md")
     _write_text(md_path, compare_mod.comparison_to_markdown(report))
-    write_cli_trace(str(out) + ".trace.ndjson", sys.argv, [args.new, args.old], [out, md_path])
+    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.new, args.old], [out, md_path])
     _print_json({"new_exceeds_old": report.new_exceeds_old, "written": [str(out), str(md_path)]})
     return EXIT_EXCEEDANCE if report.new_exceeds_old else EXIT_OK
 
@@ -379,11 +381,14 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except _UsageExit as exc:
         _emit_error("USAGE", str(exc))
         return EXIT_USAGE
+    args.invocation = ["loadsmith", *argv]  # what trace sidecars record as argv
 
     try:
         return args.func(args)

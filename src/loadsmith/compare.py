@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import LoadsmithError
-from .export import format_deck_value, read_envelope_json
+from .export import format_deck_value
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
 
 
@@ -133,13 +133,6 @@ def write_comparison_report(report: ComparisonReport) -> str:
         },
     }
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
-
-
-def compare_envelope_files(new_text: str, old_text: str, widen_tol: float = 0.0) -> ComparisonReport:
-    """Convenience: read both extremes JSON payloads and compare."""
-    return compare_envelopes(
-        read_envelope_json(new_text), read_envelope_json(old_text), widen_tol
-    )
 
 
 def _fmt_delta(delta: float | None) -> str:

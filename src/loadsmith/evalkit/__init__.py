@@ -7,7 +7,7 @@ from .checks import (
     numeric_file_compare,
     text_golden_check,
 )
-from .fixtures import FixtureError, generate_fixture, random_delivery
+from .fixtures import FixtureError, generate_fixture
 from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check
 from .passk import DEFAULT_ALPHA, min_k_for, pass_lower_bound
 from .runner import EvalReport, RunOutcome, RunTrace, run_scenario
@@ -36,7 +36,6 @@ __all__ = [
     "numeric_file_compare",
     "parse_scenario",
     "pass_lower_bound",
-    "random_delivery",
     "run_scenario",
     "text_golden_check",
 ]

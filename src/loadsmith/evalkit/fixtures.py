@@ -301,32 +301,3 @@ def _set_triangle(case_values, comp, triangle, a, b):
     case_values[b_pt][comp] = b
     case_values[c_pt][comp] = _neg(a + b)
 
-
-def random_delivery(
-    seed: int,
-    max_cases: int = 20,
-    max_points: int = 5,
-    lo: float = -100.0,
-    hi: float = 100.0,
-    units: UnitSystem = SI_UNITS,
-    name: str = "random delivery",
-    version: int = 1,
-) -> LoadsDelivery:
-    """Unstructured random delivery for property tests and oracles."""
-    rng = random.Random(seed)
-    n_cases = rng.randint(1, max_cases)
-    n_points = rng.randint(1, max_points)
-    points = [f"pt_{chr(ord('a') + i)}" for i in range(n_points)]
-    cases = tuple(
-        LoadCase(
-            id=cid,
-            loads={
-                p: ComponentSet(
-                    **{c.value: rng.uniform(lo, hi) for c in COMPONENT_ORDER}
-                )
-                for p in points
-            },
-        )
-        for cid in range(1, n_cases + 1)
-    )
-    return LoadsDelivery(name=name, version=version, units=units, cases=cases)

@@ -151,11 +151,11 @@ def _run_check(spec: CheckSpec, workdir: Path, base_dir: Path) -> CheckResult:
         return numeric_file_compare(
             workdir / params["actual"],
             base_dir / params["reference"],
-            abs_tol=float(params.get("abs_tol", 0.0)),
-            rel_tol=float(params.get("rel_tol", 0.0)),
+            abs_tol=params.get("abs_tol", 0.0),
+            rel_tol=params.get("rel_tol", 0.0),
         )
     if spec.kind == "file_set":
-        return file_set_check(workdir / params["dir"], list(params["expected"]))
+        return file_set_check(workdir / params["dir"], params["expected"])
     if spec.kind == "text_golden":
         return text_golden_check(workdir / params["actual"], base_dir / params["reference"])
     if spec.kind == "judge":

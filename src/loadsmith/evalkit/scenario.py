@@ -32,6 +32,11 @@ Format (see ``scenarios/`` for live examples):
       ]
     }
 
+The file is read by the strict reader every pipeline input goes through:
+a repeated key, an unknown field, a value of the wrong type (a string
+``abs_tol``, ``"k": true`` or ``2.7``, ``checks`` given as an object) or an
+``alpha`` outside (0, 1) is refused with its location, never coerced.
+
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
 entry made absolute against the harness's working directory, so it
@@ -41,13 +46,29 @@ run directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import SchemaError
+from ..ingest import (
+    _decode,
+    _expect_int,
+    _expect_keys,
+    _expect_mapping,
+    _expect_number,
+    _expect_text,
+    read_json,
+)
 
-CHECK_KINDS = ("numeric_file_compare", "file_set", "text_golden", "judge")
+# Per check kind: (required fields, optional fields) beside "kind".
+_CHECK_FIELDS = {
+    "numeric_file_compare": (("actual", "reference"), ("abs_tol", "rel_tol")),
+    "file_set": (("dir", "expected"), ()),
+    "text_golden": (("actual", "reference"), ()),
+    "judge": (("adapter", "artifacts", "rubric"), ("endpoint",)),
+}
+_TOLERANCE_FIELDS = ("abs_tol", "rel_tol")
+_LIST_FIELDS = ("expected", "artifacts")
 
 
 @dataclass(frozen=True)
@@ -81,76 +102,96 @@ class Scenario:
 
     def __post_init__(self):
         if self.k < 1:
-            raise SchemaError(f"scenario {self.id!r}: k must be >= 1")
+            raise SchemaError(f"scenario {self.id!r}: k must be >= 1", location="k")
         if not self.checks:
-            raise SchemaError(f"scenario {self.id!r}: at least one check is required")
-
-
-def _require(data: dict, key: str, location: str):
-    if key not in data:
-        raise SchemaError(f"scenario missing field {key!r}", location=f"{location}.{key}")
-    return data[key]
-
-
-def _parse_check(raw: dict, idx: int) -> CheckSpec:
-    loc = f"checks[{idx}]"
-    kind = _require(raw, "kind", loc)
-    if kind not in CHECK_KINDS:
-        raise SchemaError(f"unknown check kind {kind!r}", location=f"{loc}.kind")
-    params = {k: v for k, v in raw.items() if k != "kind"}
-    required = {
-        "numeric_file_compare": ("actual", "reference"),
-        "file_set": ("dir", "expected"),
-        "text_golden": ("actual", "reference"),
-        "judge": ("adapter", "artifacts", "rubric"),
-    }[kind]
-    for name in required:
-        if name not in params:
             raise SchemaError(
-                f"{kind} check missing field {name!r}", location=f"{loc}.{name}"
+                f"scenario {self.id!r}: at least one check is required", location="checks"
             )
-    for tol in ("abs_tol", "rel_tol"):
-        if tol in params and params[tol] < 0:
-            raise SchemaError(f"{tol} must be >= 0", location=f"{loc}.{tol}")
+        if not 0.0 < self.alpha < 1.0:
+            raise SchemaError(
+                f"scenario {self.id!r}: alpha must be strictly between 0 and 1", location="alpha"
+            )
+
+
+def _expect_list(node, location: str) -> list:
+    if not isinstance(node, list):
+        raise SchemaError(f"expected a list at {location}", location=location)
+    return node
+
+
+def _expect_texts(node, location: str) -> tuple[str, ...]:
+    return tuple(
+        _expect_text(item, f"{location}[{i}]") for i, item in enumerate(_expect_list(node, location))
+    )
+
+
+def _parse_check(node, loc: str) -> CheckSpec:
+    check = _expect_mapping(node, loc)
+    if "kind" not in check:
+        raise SchemaError(f"missing field 'kind' at {loc}", location=f"{loc}.kind")
+    kind = _expect_text(check["kind"], f"{loc}.kind")
+    if kind not in _CHECK_FIELDS:
+        raise SchemaError(f"unknown check kind {kind!r}", location=f"{loc}.kind")
+    required, optional = _CHECK_FIELDS[kind]
+    _expect_keys(check, ("kind", *required), optional, loc)
+    params = {}
+    for name, value in check.items():
+        if name == "kind":
+            continue
+        where = f"{loc}.{name}"
+        if name in _TOLERANCE_FIELDS:
+            value = _expect_number(value, where)
+            if value < 0:
+                raise SchemaError(f"{name} must be >= 0", location=where)
+        elif name in _LIST_FIELDS:
+            value = _expect_texts(value, where)
+        else:
+            value = _expect_text(value, where)
+        params[name] = value
     return CheckSpec(kind=kind, params=params)
 
 
-def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid scenario JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("scenario must be a JSON object")
-
-    env_raw = _require(data, "environment", "$")
-    stage = tuple(
-        StageItem(source=_require(item, "source", f"environment.stage[{i}]"),
-                  dest=_require(item, "dest", f"environment.stage[{i}]"))
-        for i, item in enumerate(env_raw.get("stage", []))
+def _parse_stage_item(node, loc: str) -> StageItem:
+    item = _expect_mapping(node, loc)
+    _expect_keys(item, ("source", "dest"), (), loc)
+    return StageItem(
+        source=_expect_text(item["source"], f"{loc}.source"),
+        dest=_expect_text(item["dest"], f"{loc}.dest"),
     )
-    command = tuple(_require(env_raw, "subject_command", "environment"))
+
+
+def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
+    """The scenario in JSON ``text``; a malformed one raises a LoadsmithError with its location."""
+    data = _expect_mapping(read_json(text, "scenario"), "$")
+    _expect_keys(data, ("id", "k", "environment", "checks"), ("description", "alpha"), "$")
+
+    env = _expect_mapping(data["environment"], "environment")
+    _expect_keys(env, ("subject_command",), ("stage", "record"), "environment")
+    stage = tuple(
+        _parse_stage_item(item, f"environment.stage[{i}]")
+        for i, item in enumerate(_expect_list(env.get("stage", []), "environment.stage"))
+    )
+    command = _expect_texts(env["subject_command"], "environment.subject_command")
     if not command:
         raise SchemaError("subject_command must not be empty", location="environment.subject_command")
-    environment = Environment(
-        stage=stage, subject_command=command, record=dict(env_raw.get("record", {}))
-    )
+    record = dict(_expect_mapping(env.get("record", {}), "environment.record"))
 
     checks = tuple(
-        _parse_check(raw, i) for i, raw in enumerate(_require(data, "checks", "$"))
+        _parse_check(node, f"checks[{i}]")
+        for i, node in enumerate(_expect_list(data["checks"], "checks"))
     )
 
     return Scenario(
-        id=_require(data, "id", "$"),
-        description=data.get("description", ""),
-        environment=environment,
+        id=_expect_text(data["id"], "id"),
+        description=_expect_text(data.get("description", ""), "description"),
+        environment=Environment(stage=stage, subject_command=command, record=record),
         checks=checks,
-        k=int(_require(data, "k", "$")),
-        alpha=float(data.get("alpha", 0.05)),
+        k=_expect_int(data["k"], "k"),
+        alpha=_expect_number(data.get("alpha", 0.05), "alpha"),
         base_dir=Path(base_dir),
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_scenario(_decode(path.read_bytes(), "scenario"), base_dir=path.parent)

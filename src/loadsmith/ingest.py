@@ -1,4 +1,4 @@
-"""Delivery ingestion: detect, parse, validate and canonically serialize.
+"""Delivery ingestion: parse, validate and canonically serialize.
 
 The delivery file schema is this toolkit's contract (documented in
 ``schema/delivery.schema.json``):
@@ -29,7 +29,8 @@ decoded by ``read_json`` and checked by the same field helpers. Both carriers
 refuse a key repeated within one mapping, and YAML numerals are decimal only:
 ``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a field check
 then refuses. Numbers must be finite: ``NaN`` and ``Infinity`` are refused
-at their field.
+at their field. An integer numeral beyond Python's digit limit is refused by
+the reader, as a syntax error.
 
 YAML is parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built with
 it, else by the pure-Python ``yaml.SafeLoader``; ``yaml_backend()`` names the
@@ -44,10 +45,10 @@ line 2, column 1 and the pure-Python parser line 1, column 16.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -63,11 +64,6 @@ from .model import (
     UnitSystem,
     point_names,
 )
-
-
-class DeliveryFormat(enum.Enum):
-    JSON = "json"
-    YAML = "yaml"
 
 
 @dataclass(frozen=True)
@@ -114,25 +110,14 @@ def _decode(raw: str | bytes, what: str = "delivery") -> str:
     return raw
 
 
-def detect_format(raw: str | bytes) -> DeliveryFormat:
-    """Classify raw delivery text: leading '{' or '[' means JSON, else YAML.
-
-    Raises:
-        InputSyntaxError: On empty (or all-whitespace) input.
-    """
-    text = _decode(raw).lstrip()
-    if not text:
-        raise InputSyntaxError("empty delivery input", location="offset 0")
-    return DeliveryFormat.JSON if text[0] in "{[" else DeliveryFormat.YAML
-
-
 def _position(mark) -> str:
     return f"line {mark.line + 1}, column {mark.column + 1}"
 
 
 def read_json(text: str, what: str):
     """Decode the JSON input named ``what``; malformed JSON (with line and
-    column) and a name repeated within an object raise InputSyntaxError."""
+    column), a name repeated within an object and an integer beyond Python's
+    digit limit raise InputSyntaxError."""
 
     def unique(pairs: list) -> dict:
         mapping = dict(pairs)
@@ -150,6 +135,12 @@ def read_json(text: str, what: str):
         raise InputSyntaxError(
             f"invalid {what} JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # the decoder's one other ValueError: int()'s digit limit
+        raise InputSyntaxError(f"{_too_long_int()} in {what} JSON") from exc
+
+
+def _too_long_int() -> str:
+    return f"integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 # YAML 1.1 numerals that are not plain decimal (octal 010, hex, binary, 1_000,
@@ -226,7 +217,10 @@ def _build_yaml(loader):
                     else:
                         tag = _STR
                     if tag == _INT:
-                        value = int(value)
+                        try:
+                            value = int(value)
+                        except ValueError:  # beyond int()'s digit limit
+                            _refuse(f"{_too_long_int()} in delivery YAML", event)
                     elif tag == _FLOAT and value[-1] not in "fFnN":  # not .inf or .nan
                         value = float(value)
                     elif is_key and tag == _MERGE:
@@ -350,20 +344,22 @@ def read_coordinates(node, loc: str) -> dict[str, tuple[float, float, float]]:
 _COMPONENT_KEYS = tuple(c.value for c in COMPONENT_ORDER)
 
 
-def parse_delivery(raw: str | bytes, fmt: DeliveryFormat | None = None) -> LoadsDelivery:
+def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     """Parse raw JSON/YAML text into a LoadsDelivery.
 
-    The parsed value is independent of the carrier format; unit aliases are
-    normalized. Errors name the offending field or file position.
+    The carrier comes from the text: JSON when its first non-blank character
+    is ``{`` or ``[``, YAML otherwise; blank input is refused. The parsed
+    value is independent of the carrier; unit aliases are normalized. Errors
+    name the offending field or file position.
 
     Args:
         raw: Delivery file content (UTF-8 text or bytes).
-        fmt: Carrier format; auto-detected when omitted.
     """
     text = _decode(raw)
-    if fmt is None:
-        fmt = detect_format(text)
-    data = read_json(text, "delivery") if fmt is DeliveryFormat.JSON else _load_yaml(text)
+    start = text.lstrip()[:1]
+    if not start:
+        raise InputSyntaxError("empty delivery input", location="offset 0")
+    data = read_json(text, "delivery") if start in "{[" else _load_yaml(text)
 
     root = _expect_mapping(data, "$")
     _expect_keys(

@@ -22,8 +22,25 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownUnitError
 
-FORCE_UNITS = ("N", "kN", "lbf", "klbf")
-MOMENT_UNITS = ("N·m", "kN·m", "lbf·in", "klbf·in")
+# The recognized units and their factors to SI base units, built from the
+# exact definitions 1 lbf = 0.45359237 kg x 9.80665 m/s^2 and 1 in = 0.0254 m.
+# Compile-time constants, never read from configuration.
+LBF_TO_N = 0.45359237 * 9.80665  # 4.4482216152605 exactly
+IN_TO_M = 0.0254
+
+FORCE_TO_N = {
+    "N": 1.0,
+    "kN": 1000.0,
+    "lbf": LBF_TO_N,
+    "klbf": LBF_TO_N * 1000.0,
+}
+
+MOMENT_TO_NM = {
+    "N·m": 1.0,
+    "kN·m": 1000.0,
+    "lbf·in": LBF_TO_N * IN_TO_M,
+    "klbf·in": LBF_TO_N * 1000.0 * IN_TO_M,
+}
 
 # Closed alias table. "klbs"/"klbs.in" are spellings seen in OEM deliveries;
 # the ASCII-dot and bare forms exist so the tokens can be typed on any shell.
@@ -51,7 +68,7 @@ def canonical_unit(token: str, kind: str) -> str:
         UnknownUnitError: If the token is not a recognized unit or alias.
     """
     resolved = UNIT_ALIASES.get(token, token)
-    allowed = FORCE_UNITS if kind == "force" else MOMENT_UNITS
+    allowed = FORCE_TO_N if kind == "force" else MOMENT_TO_NM
     if resolved not in allowed:
         raise UnknownUnitError(
             f"unknown {kind} unit {token!r}; recognized: {', '.join(allowed)}",

@@ -12,9 +12,11 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import LoadsmithError, UnknownUnitError
+from .errors import LoadsmithError
 from .model import (
     COMPONENT_ORDER,
+    FORCE_TO_N,
+    MOMENT_TO_NM,
     Component,
     ComponentSet,
     LoadCase,
@@ -22,26 +24,6 @@ from .model import (
     UnitSystem,
     point_names,
 )
-
-# Conversion factors to SI base units, built from the exact definitions
-# 1 lbf = 0.45359237 kg x 9.80665 m/s^2 and 1 in = 0.0254 m. Compile-time
-# constants, never read from configuration.
-LBF_TO_N = 0.45359237 * 9.80665  # 4.4482216152605 exactly
-IN_TO_M = 0.0254
-
-FORCE_TO_N = {
-    "N": 1.0,
-    "kN": 1000.0,
-    "lbf": LBF_TO_N,
-    "klbf": LBF_TO_N * 1000.0,
-}
-
-MOMENT_TO_NM = {
-    "N·m": 1.0,
-    "kN·m": 1000.0,
-    "lbf·in": LBF_TO_N * IN_TO_M,
-    "klbf·in": LBF_TO_N * 1000.0 * IN_TO_M,
-}
 
 
 def _check_factor(factor: float) -> float:
@@ -169,13 +151,8 @@ def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:
     constants table, so repeated conversions never accumulate chained
     rounding beyond one multiply per value.
     """
-    try:
-        force_ratio = FORCE_TO_N[delivery.units.force_unit] / FORCE_TO_N[target.force_unit]
-        moment_ratio = (
-            MOMENT_TO_NM[delivery.units.moment_unit] / MOMENT_TO_NM[target.moment_unit]
-        )
-    except KeyError as exc:  # unreachable for UnitSystem values; guards raw dict use
-        raise UnknownUnitError(f"unknown unit {exc.args[0]!r}") from exc
+    force_ratio = FORCE_TO_N[delivery.units.force_unit] / FORCE_TO_N[target.force_unit]
+    moment_ratio = MOMENT_TO_NM[delivery.units.moment_unit] / MOMENT_TO_NM[target.moment_unit]
 
     factors = tuple(force_ratio if c.is_force else moment_ratio for c in COMPONENT_ORDER)
     converted = _scale_cases(delivery, factors)

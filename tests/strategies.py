@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for building random domain values."""
+"""Shared hypothesis strategies and seeded generators for building random domain values."""
 
 from __future__ import annotations
 
+import random
 import string
 
 from hypothesis import strategies as st
@@ -97,3 +98,33 @@ def envelopes(draw, max_points=4, positive_max=False):
     return EnvelopeExtremes(
         name="random envelope", version=1, units=SI_UNITS, cells=cells
     )
+
+
+def random_delivery(
+    seed: int,
+    max_cases: int = 20,
+    max_points: int = 5,
+    lo: float = -100.0,
+    hi: float = 100.0,
+    units: UnitSystem = SI_UNITS,
+    name: str = "random delivery",
+    version: int = 1,
+) -> LoadsDelivery:
+    """Unstructured random delivery for property tests and oracles."""
+    rng = random.Random(seed)
+    n_cases = rng.randint(1, max_cases)
+    n_points = rng.randint(1, max_points)
+    points = [f"pt_{chr(ord('a') + i)}" for i in range(n_points)]
+    cases = tuple(
+        LoadCase(
+            id=cid,
+            loads={
+                p: ComponentSet(
+                    **{c.value: rng.uniform(lo, hi) for c in COMPONENT_ORDER}
+                )
+                for p in points
+            },
+        )
+        for cid in range(1, n_cases + 1)
+    )
+    return LoadsDelivery(name=name, version=version, units=units, cases=cases)

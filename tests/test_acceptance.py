@@ -24,7 +24,6 @@ from loadsmith.evalkit import (
     load_scenario,
     min_k_for,
     pass_lower_bound,
-    random_delivery,
     run_scenario,
 )
 from loadsmith.export import envelope_to_markdown, write_ansys_inp, write_envelope_json
@@ -44,6 +43,7 @@ from loadsmith.transform import apply_ultimate_factor, convert_units, rename_poi
 
 from conftest import CATALOG_DIR, GOLDENS_DIR, REPO_ROOT, SCENARIOS_DIR
 import micro_cases
+from strategies import random_delivery
 
 REPLAY_POINTS = ["bearing", "lpt", "lug_fairlead", "lug_left", "lug_right", "nozzle", "plug"]
 REPLAY_IDS = [2, 20, 34, 61, 92, 99]

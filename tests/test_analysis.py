@@ -4,13 +4,12 @@ from hypothesis import strategies as st
 
 from loadsmith.analysis import (
     Tolerance,
-    check_equilibrium,
     check_equilibrium_all,
     envelope_extremes,
     envelope_select,
 )
 from loadsmith.errors import LoadsmithError
-from loadsmith.evalkit import generate_fixture, random_delivery
+from loadsmith.evalkit import generate_fixture
 from loadsmith.model import (
     COMPONENT_ORDER,
     Component,
@@ -70,19 +69,22 @@ def delivery_from_fx(fx_by_case_id, units=SI_UNITS):
     return LoadsDelivery(name="x", version=1, units=units, cases=cases)
 
 
+def equilibrium_of(loads_by_point, coords=None, units=SI_UNITS, tol=Tolerance()):
+    """check_equilibrium_all's result for a one-case delivery of ``loads_by_point``."""
+    (result,) = check_equilibrium_all(single_case(loads_by_point, units=units), tol, coords).results
+    return result
+
+
 class TestCheckEquilibrium:
     def test_opposite_forces_balance(self):
-        case = LoadCase(
-            id=1,
-            loads={"a": ComponentSet(fx=5.0, fy=-2.0), "b": ComponentSet(fx=-5.0, fy=2.0)},
+        result = equilibrium_of(
+            {"a": ComponentSet(fx=5.0, fy=-2.0), "b": ComponentSet(fx=-5.0, fy=2.0)}
         )
-        result = check_equilibrium(case)
         assert result.balanced
         assert result.force_residual == (0.0, 0.0, 0.0)
 
     def test_single_unit_force_unbalanced(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet(fx=1.0)})
-        result = check_equilibrium(case)
+        result = equilibrium_of({"a": ComponentSet(fx=1.0)})
         assert not result.balanced
         assert result.force_residual_magnitude == 1.0
 
@@ -90,44 +92,40 @@ class TestCheckEquilibrium:
         # Point A at (1,0,0) carries fy=+10; point B at the origin carries
         # the closing force (0,-10,0) and mz=-10. Moments about the origin:
         # r_A x F_A = (0,0,+10), so -10 + 10 = 0.
-        case = LoadCase(
-            id=1,
-            loads={
-                "a": ComponentSet(fy=10.0),
-                "b": ComponentSet(fy=-10.0, mz=-10.0),
-            },
-        )
+        loads = {"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0, mz=-10.0)}
         coords = {"a": (1.0, 0.0, 0.0), "b": (0.0, 0.0, 0.0)}
-        result = check_equilibrium(case, coords=coords, units=SI_UNITS)
+        result = equilibrium_of(loads, coords=coords)
         assert result.balanced
         assert result.moment_residual == (0.0, 0.0, 0.0)
 
     def test_zero_tolerance_on_exact_zero_sum(self):
-        case = LoadCase(
-            id=1, loads={"a": ComponentSet(fz=3.0), "b": ComponentSet(fz=-3.0)}
+        result = equilibrium_of(
+            {"a": ComponentSet(fz=3.0), "b": ComponentSet(fz=-3.0)}, tol=Tolerance(abs=0.0, rel=0.0)
         )
-        result = check_equilibrium(case, tol=Tolerance(abs=0.0, rel=0.0))
         assert result.balanced
 
     def test_coords_must_cover_points(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet(), "b": ComponentSet()})
         with pytest.raises(LoadsmithError) as err:
-            check_equilibrium(case, coords={"a": (0.0, 0.0, 0.0)}, units=SI_UNITS)
+            equilibrium_of({"a": ComponentSet(), "b": ComponentSet()}, coords={"a": (0.0, 0.0, 0.0)})
         assert err.value.code == "COORDINATE_COVERAGE"
 
     def test_coords_with_non_si_units_refused(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet()})
         with pytest.raises(LoadsmithError) as err:
-            check_equilibrium(
-                case,
-                coords={"a": (0.0, 0.0, 0.0)},
-                units=UnitSystem("klbf", "klbf·in"),
+            equilibrium_of(
+                {"a": ComponentSet()}, coords={"a": (0.0, 0.0, 0.0)}, units=UnitSystem("klbf", "klbf·in")
             )
         assert err.value.code == "NON_SI_EQUILIBRIUM"
 
+    def test_own_coords_with_non_si_units_refused(self):
+        d = single_case(
+            {"a": ComponentSet()}, units=UnitSystem("klbf", "klbf·in"), coords={"a": (0.0, 0.0, 0.0)}
+        )
+        with pytest.raises(LoadsmithError) as err:
+            check_equilibrium_all(d)
+        assert err.value.code == "NON_SI_EQUILIBRIUM"
+
     def test_no_coords_skips_moment_residual(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet(mz=99.0)})
-        result = check_equilibrium(case)
+        result = equilibrium_of({"a": ComponentSet(mz=99.0)})
         assert result.moment_residual is None
         assert result.balanced  # forces sum to zero; moments not assessed
 

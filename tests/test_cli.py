@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import platform
@@ -139,6 +140,25 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", str(path))
         assert code == 2
         assert not json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("carrier", ["yaml", "json"])
+    def test_version_of_5000_digits_exit_2(self, tmp_path, capsys, delivery_file, carrier):
+        _, d = delivery_file
+        if carrier == "yaml":
+            text = write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n")
+        else:
+            text = write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ",")
+        path = tmp_path / f"long.{carrier}"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        error = single_error(err)
+        assert error["code"] == "SYNTAX_ERROR"
+        limit = sys.get_int_max_str_digits()
+        assert error["message"] == f"integer of more than {limit} digits in delivery {carrier.upper()}"
+        if carrier == "yaml":
+            assert error["location"] == "line 2, column 10"
 
     def test_schema_error_exit_2_with_json_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -469,7 +489,57 @@ class TestCompare:
         assert not json.loads(outtext)["new_exceeds_old"]
 
 
+_SCENARIO = {
+    "id": "cli-malformed",
+    "k": 1,
+    "environment": {
+        "stage": [{"source": "payload.txt", "dest": "payload.txt"}],
+        "subject_command": ["{python}", "-c", "pass"],
+    },
+    "checks": [{"kind": "numeric_file_compare", "actual": "o.json", "reference": "ref.json", "abs_tol": 0}],
+}
+
+
+def _scenario_with(path: tuple, value) -> str:
+    """The scenario's JSON with the field at ``path`` (keys and indexes) set to ``value``."""
+    data = copy.deepcopy(_SCENARIO)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+# (scenario text, error code, location); JSON duplicate keys have no position.
+MALFORMED_SCENARIOS = [
+    pytest.param(_scenario_with(("checks", 0, "abs_tol"), "0"), "SCHEMA_ERROR", "checks[0].abs_tol",
+                 id="string-abs_tol"),
+    pytest.param(_scenario_with(("checks",), _SCENARIO["checks"][0]), "SCHEMA_ERROR", "checks",
+                 id="checks-as-object"),
+    pytest.param(_scenario_with(("environment", "stage", 0), "payload.txt"), "SCHEMA_ERROR",
+                 "environment.stage[0]", id="stage-entry-string"),
+    pytest.param(_scenario_with(("k",), True), "SCHEMA_ERROR", "k", id="k-true"),
+    pytest.param(_scenario_with(("k",), 2.7), "SCHEMA_ERROR", "k", id="k-float"),
+    pytest.param(_scenario_with(("alpha",), 5), "SCHEMA_ERROR", "alpha", id="alpha-out-of-range"),
+    pytest.param(json.dumps(_SCENARIO).replace('"k": 1', '"k": 1, "k": 2'), "SYNTAX_ERROR", None,
+                 id="duplicate-key"),
+]
+
+
 class TestEval:
+    @pytest.mark.parametrize("text,code,location", MALFORMED_SCENARIOS)
+    def test_run_malformed_scenario_exit_2(self, tmp_path, capsys, text, code, location):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(text, encoding="utf-8")
+        exit_code, out, err = run_cli(capsys, "eval", "run", str(spath), "--out-dir", str(tmp_path / "runs"))
+        assert exit_code == 2
+        assert out == ""
+        error = single_error(err)
+        assert error["code"] == code
+        assert error.get("location") == location
+        assert not (tmp_path / "runs").exists()
+
+
     def test_passk_prints_29(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "passk", "--p", "0.9", "--alpha", "0.05")
         assert code == 0
@@ -563,6 +633,32 @@ class TestUsageAndErrors:
         assert (tmp_path / "one" / "envelope_extremes.json").read_bytes() == (
             tmp_path / "two" / "envelope_extremes.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("command", ["convert", "transform", "envelope", "export-ansys", "compare"])
+    def test_sidecar_records_parsed_arguments(self, tmp_path, capsys, monkeypatch, delivery_file, command):
+        path, d = delivery_file
+        nodes = tmp_path / "nodes.json"
+        nodes.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
+        run_cli(capsys, "envelope", str(path), "--out-dir", str(tmp_path / "env"))
+        extremes = str(tmp_path / "env" / "envelope_extremes.json")
+        out = tmp_path / "out"
+        args, sidecar = {
+            "convert": (["convert", str(path), "--to", "json", "--out", f"{out}.json"], f"{out}.json.trace.ndjson"),
+            "transform": (["transform", str(path), "--scale", "FX=2", "--out", f"{out}.json"], f"{out}.json.trace.ndjson"),
+            "envelope": (["envelope", str(path), "--out-dir", str(out)], out / "trace.ndjson"),
+            "export-ansys": (
+                ["export-ansys", str(path), "--select", str(d.cases[0].id), "--node-map", str(nodes),
+                 "--out-dir", str(out)],
+                out / "trace.ndjson",
+            ),
+            "compare": (["compare", extremes, extremes, "--out", f"{out}.json"], f"{out}.json.trace.ndjson"),
+        }[command]
+        monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+        first = json.loads(Path(sidecar).read_text().splitlines()[0])
+        assert first["event"] == "invocation"
+        assert first["argv"] == ["loadsmith", *args]
 
     def test_cli_import_leaves_numpy_out(self):
         src = Path(loadsmith.__file__).resolve().parents[1]

@@ -256,6 +256,16 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError):
             parse_scenario(json.dumps(dict(self.GOOD, checks=[])))
 
+    def test_shipped_scenarios_parse(self):
+        paths = sorted((REPO_ROOT / "scenarios").glob("*.json"))
+        assert [load_scenario(path).checks[0].kind for path in paths] == ["numeric_file_compare"] * 2
+
+    def test_unknown_field_rejected(self):
+        bad = dict(self.GOOD, checks=[dict(self.GOOD["checks"][0], abs_tol=0)])
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(json.dumps(bad))
+        assert err.value.location == "checks[0].abs_tol"
+
     def test_negative_tolerance_rejected(self):
         bad = dict(
             self.GOOD,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 import yaml
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from loadsmith import ingest
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError, UnknownUnitError
 from loadsmith.ingest import (
-    DeliveryFormat,
-    detect_format,
     load_delivery,
     parse_delivery,
     validate_delivery,
@@ -65,24 +64,29 @@ MINIMAL_JSON = """\
 
 
 class TestDetectFormat:
+    """parse_delivery reads JSON when the first non-blank character is '{' or '[', else YAML."""
+
     def test_leading_brace_is_json(self):
-        assert detect_format('{"name": "x"}') is DeliveryFormat.JSON
-        assert detect_format("  \n\t [1, 2]") is DeliveryFormat.JSON
+        for text in ('{"name": }', "  \n\t [1, }"):
+            with pytest.raises(InputSyntaxError, match="^invalid delivery JSON: "):
+                parse_delivery(text)
 
     def test_yaml_otherwise(self):
-        assert detect_format("name: Engine Mount Balanced Loads v2") is DeliveryFormat.YAML
+        with pytest.raises(InputSyntaxError, match="^invalid YAML: "):
+            parse_delivery("name: [unclosed")
 
     def test_empty_input_rejected(self):
-        with pytest.raises(InputSyntaxError):
-            detect_format("   \n  \t ")
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery("   \n  \t ")
+        assert err.value.location == "offset 0"
 
     def test_bytes_accepted(self):
-        assert detect_format(b'  {"a": 1}') is DeliveryFormat.JSON
+        assert parse_delivery(b"  " + MINIMAL_JSON.encode()).name == "mini"
 
 
 class TestParseDelivery:
     def test_minimal_json(self):
-        d = parse_delivery(MINIMAL_JSON, DeliveryFormat.JSON)
+        d = parse_delivery(MINIMAL_JSON)
         assert d.name == "mini"
         assert d.cases[0].loads["a"] == ComponentSet()
 
@@ -91,9 +95,7 @@ class TestParseDelivery:
         import yaml
 
         as_yaml = yaml.safe_dump(data, allow_unicode=True)
-        assert parse_delivery(as_yaml, DeliveryFormat.YAML) == parse_delivery(
-            MINIMAL_JSON, DeliveryFormat.JSON
-        )
+        assert parse_delivery(as_yaml) == parse_delivery(MINIMAL_JSON)
 
     def test_autodetects_format(self):
         assert parse_delivery(MINIMAL_JSON).name == "mini"
@@ -134,32 +136,32 @@ class TestParseDelivery:
 
     def test_json_syntax_error_reports_position(self):
         with pytest.raises(InputSyntaxError) as err:
-            parse_delivery('{"name": }', DeliveryFormat.JSON)
+            parse_delivery('{"name": }')
         assert "line" in err.value.location
 
     def test_yaml_syntax_error_reports_position(self):
         with pytest.raises(InputSyntaxError) as err:
-            parse_delivery("name: [unclosed", DeliveryFormat.YAML)
+            parse_delivery("name: [unclosed")
         assert "line" in err.value.location
 
     def test_yaml_aliases_rejected(self):
         text = "base: &anchor {force: N, moment: N·m}\nunits: *anchor\n"
         with pytest.raises(InputSyntaxError):
-            parse_delivery(text, DeliveryFormat.YAML)
+            parse_delivery(text)
 
     def test_yaml_tags_rejected(self):
         with pytest.raises(InputSyntaxError):
-            parse_delivery("name: !!python/none", DeliveryFormat.YAML)
+            parse_delivery("name: !!python/none")
 
     def test_non_mapping_root_rejected(self):
         with pytest.raises(SchemaError):
-            parse_delivery("[1, 2, 3]", DeliveryFormat.JSON)
+            parse_delivery("[1, 2, 3]")
 
     def test_nan_value_rejected_with_location(self):
         # JSON spec-breaking NaN literal parses in Python; the field check refuses it
         text = MINIMAL_JSON.replace('"fx": 0', '"fx": NaN')
         with pytest.raises(SchemaError) as err:
-            parse_delivery(text, DeliveryFormat.JSON)
+            parse_delivery(text)
         assert "point_loads.a" in err.value.location
 
     @pytest.mark.parametrize(
@@ -169,8 +171,14 @@ class TestParseDelivery:
     def test_non_finite_number_rejected_at_field(self, token):
         text = MINIMAL_JSON.replace('"fx": 0', f'"fx": {token}')
         with pytest.raises(SchemaError) as err:
-            parse_delivery(text, DeliveryFormat.JSON)
+            parse_delivery(text)
         assert err.value.location == "load_cases[0].point_loads.a.fx"
+
+    def test_json_int_of_5000_digits_refused(self):
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(MINIMAL_JSON.replace('"version": 1', '"version": ' + "9" * 5000))
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"integer of more than {limit} digits in delivery JSON"
 
 
 MINIMAL_YAML = """\
@@ -197,13 +205,13 @@ class TestStrictReading:
     )
     def test_json_duplicate_key_rejected(self, old, new):
         with pytest.raises(InputSyntaxError) as err:
-            parse_delivery(MINIMAL_JSON.replace(old, new, 1), DeliveryFormat.JSON)
+            parse_delivery(MINIMAL_JSON.replace(old, new, 1))
         assert "duplicate key" in str(err.value)
 
     def test_yaml_duplicate_key_rejected_with_position(self):
         text = MINIMAL_YAML.format(id=1, fx=0).replace("{fx: 0,", "{fx: 0, fx: 5,")
         with pytest.raises(InputSyntaxError) as err:
-            parse_delivery(text, DeliveryFormat.YAML)
+            parse_delivery(text)
         assert "duplicate key 'fx'" in str(err.value)
         assert err.value.location == "line 7, column 18"
 
@@ -219,11 +227,11 @@ class TestStrictReading:
     def test_yaml_non_decimal_numeral_rejected(self, field, token, location):
         values = {"id": 1, "fx": 0, field: token}
         with pytest.raises(SchemaError) as err:
-            parse_delivery(MINIMAL_YAML.format(**values), DeliveryFormat.YAML)
+            parse_delivery(MINIMAL_YAML.format(**values))
         assert err.value.location == location
 
     def test_yaml_decimal_numerals_read(self):
-        d = parse_delivery(MINIMAL_YAML.format(id=10, fx="-1.5e+3"), DeliveryFormat.YAML)
+        d = parse_delivery(MINIMAL_YAML.format(id=10, fx="-1.5e+3"))
         assert d.cases[0].id == 10
         assert d.cases[0].loads["a"].fx == -1500.0
 
@@ -240,15 +248,23 @@ class TestStrictReading:
             "{fx: 0, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}", point
         )
         with pytest.raises(InputSyntaxError) as err:
-            parse_delivery(text, DeliveryFormat.YAML)
+            parse_delivery(text)
         assert "merge key" in str(err.value)
         assert err.value.location == "line 7, column 11"
 
     def test_yaml_quoted_merge_key_is_a_string(self):
         text = MINIMAL_YAML.format(id=1, fx=0).replace("{fx: 0,", "{'<<': 1, fx: 0,")
         with pytest.raises(SchemaError) as err:
-            parse_delivery(text, DeliveryFormat.YAML)
+            parse_delivery(text)
         assert "'<<'" in str(err.value)
+
+    def test_yaml_int_of_5000_digits_refused(self):
+        # Before, int()'s digit limit escaped as a bare ValueError, with no position.
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery("a: " + "9" * 5000 + "\n")
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"integer of more than {limit} digits in delivery YAML"
+        assert err.value.location == "line 1, column 4"
 
     def test_backend(self):
         assert ingest.yaml_backend() == self.backend
@@ -400,7 +416,6 @@ _ADVERSARIAL_DOCUMENTS = [
     "a:\n\tb: 1\n",
     "a: \x01\n",
     "plain text\n",
-    pytest.param("a: " + "9" * 5000 + "\n", id="int-of-5000-digits"),
 ]
 
 # Two faults each. The one-pass reader stops at the first one it reads; the
@@ -496,7 +511,7 @@ class TestValidateDelivery:
 class TestCanonicalSerialization:
     def test_round_trip_value_equal(self, two_point_delivery):
         text = write_delivery_json(two_point_delivery)
-        assert parse_delivery(text, DeliveryFormat.JSON) == two_point_delivery
+        assert parse_delivery(text) == two_point_delivery
 
     def test_map_order_does_not_change_bytes(self, two_point_delivery):
         reordered_cases = tuple(
@@ -517,7 +532,7 @@ class TestCanonicalSerialization:
 
     def test_serialization_is_fixed_point(self, two_point_delivery):
         once = write_delivery_json(two_point_delivery)
-        again = write_delivery_json(parse_delivery(once, DeliveryFormat.JSON))
+        again = write_delivery_json(parse_delivery(once))
         assert once == again
 
     def test_trailing_newline_and_lf(self, two_point_delivery):
@@ -527,12 +542,12 @@ class TestCanonicalSerialization:
 
     def test_yaml_rendering_parses_back(self, two_point_delivery):
         text = write_delivery_yaml(two_point_delivery)
-        assert parse_delivery(text, DeliveryFormat.YAML) == two_point_delivery
+        assert parse_delivery(text) == two_point_delivery
 
     @given(deliveries())
     def test_format_agnosticism(self, delivery):
-        via_json = parse_delivery(write_delivery_json(delivery), DeliveryFormat.JSON)
-        via_yaml = parse_delivery(write_delivery_yaml(delivery), DeliveryFormat.YAML)
+        via_json = parse_delivery(write_delivery_json(delivery))
+        via_yaml = parse_delivery(write_delivery_yaml(delivery))
         assert via_json == via_yaml == delivery
 
     @given(deliveries())
@@ -564,7 +579,6 @@ class TestShippedFixture:
         from conftest import SCENARIOS_DIR
 
         raw = (SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml").read_bytes()
-        assert detect_format(raw) is DeliveryFormat.YAML
         d = parse_delivery(raw)
         assert d.name == "Engine Mount Balanced Loads v2"
         assert len(d.cases) == 100

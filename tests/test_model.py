@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from loadsmith.errors import UnknownUnitError
 from loadsmith.model import (
     COMPONENT_ORDER,
+    FORCE_TO_N,
+    MOMENT_TO_NM,
     Component,
     ComponentSet,
     ExtremeCell,
@@ -116,6 +118,15 @@ class TestUnitSystem:
         with pytest.raises(UnknownUnitError):
             UnitSystem("pounds", "N·m")
         with pytest.raises(UnknownUnitError):
+            UnitSystem("N", "ft·lb")
+
+    def test_recognized_units_are_the_factor_tables(self):
+        for force in FORCE_TO_N:
+            for moment in MOMENT_TO_NM:
+                assert UnitSystem(force, moment).force_unit == force
+        with pytest.raises(UnknownUnitError, match="recognized: N, kN, lbf, klbf$"):
+            UnitSystem("pounds", "N·m")
+        with pytest.raises(UnknownUnitError, match="recognized: N·m, kN·m, lbf·in, klbf·in$"):
             UnitSystem("N", "ft·lb")
 
     def test_si_flag(self):

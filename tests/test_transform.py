@@ -9,6 +9,8 @@ from loadsmith.errors import LoadsmithError
 from loadsmith.evalkit import generate_fixture
 from loadsmith.model import (
     COMPONENT_ORDER,
+    FORCE_TO_N,
+    MOMENT_TO_NM,
     Component,
     ComponentSet,
     LoadCase,
@@ -17,8 +19,6 @@ from loadsmith.model import (
     UnitSystem,
 )
 from loadsmith.transform import (
-    FORCE_TO_N,
-    MOMENT_TO_NM,
     apply_ultimate_factor,
     convert_units,
     rename_points,
