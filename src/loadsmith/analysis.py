@@ -25,12 +25,26 @@ from .model import (
 Coordinates = dict[str, tuple[float, float, float]]
 
 
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` if it is a finite number >= 0; otherwise BAD_TOLERANCE, since
+    a NaN or infinite tolerance would switch its check off."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise LoadsmithError(
+            f"{name} must be finite and >= 0, got {value!r}", code="BAD_TOLERANCE"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair for residual checks."""
 
     abs: float = 1e-9
     rel: float = 1e-3
+
+    def __post_init__(self):
+        check_tolerance("abs tolerance", self.abs)
+        check_tolerance("rel tolerance", self.rel)
 
     def threshold(self, reference: float) -> float:
         return max(self.abs, self.rel * reference)

@@ -273,7 +273,7 @@ def _cmd_eval_run(args) -> int:
                 "lower_bound": report.lower_bound,
                 "infrastructure_failures": report.infrastructure_failures,
                 "failures": [
-                    {"run": run.trace.run_index, "reason": run.reason}
+                    {"run": run.run_index, "reason": run.reason}
                     for run in report.runs
                     if not run.passed
                 ],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .analysis import check_tolerance
 from .errors import LoadsmithError
 from .export import format_deck_value
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
@@ -55,8 +56,10 @@ def compare_envelopes(
     Both envelopes must cover identical (point, component) cells in the
     same units. A cell flags max_exceeds when new_max > old_max + widen_tol
     and min_exceeds when new_min < old_min - widen_tol; the report's
-    new_exceeds_old is true when any cell flags.
+    new_exceeds_old is true when any cell flags. A widen_tol that is not
+    finite or is negative raises BAD_TOLERANCE.
     """
+    check_tolerance("widen_tol", widen_tol)
     if new.units != old.units:
         raise LoadsmithError(
             f"envelope units differ: {new.units.force_unit}/{new.units.moment_unit}"

@@ -6,6 +6,7 @@ Catalog layout on disk (version-controlled, diff-friendly):
 
     catalog/
       catalog.json          # [{"document_id": 1001, "title": "...", "versions": [1]}]
+                            # (an entry may also carry "added_at", which is not read)
       docs/1001/v1.md       # content of document 1001, version 1
 
 The server answers two read-only methods, ``browse_catalog`` and
@@ -22,7 +23,16 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import LoadsmithError
+from .errors import LoadsmithError, SchemaError
+from .ingest import (
+    _decode,
+    _expect_int,
+    _expect_keys,
+    _expect_list,
+    _expect_mapping,
+    _expect_text,
+    read_json,
+)
 
 # JSON-RPC 2.0 error codes (plus two application codes in the server range)
 PARSE_ERROR = -32700
@@ -70,48 +80,50 @@ class Catalog:
 
     @classmethod
     def load(cls, catalog_dir: str | Path) -> "Catalog":
+        """The catalog in ``catalog_dir``. Its index is read by the strict
+        reader: a repeated key, a non-object entry, an id or version that is
+        not an integer, and a repeated version are refused with their
+        location; a missing index or content file is CATALOG_ERROR."""
         catalog_dir = Path(catalog_dir)
         index_path = catalog_dir / "catalog.json"
         try:
-            index = json.loads(index_path.read_text(encoding="utf-8"))
+            raw = index_path.read_bytes()
         except FileNotFoundError as exc:
             raise LoadsmithError(
                 f"catalog index not found: {index_path}", code="CATALOG_ERROR"
             ) from exc
-        except json.JSONDecodeError as exc:
-            raise LoadsmithError(
-                f"catalog index is not valid JSON: {exc.msg}", code="CATALOG_ERROR"
-            ) from exc
-        if not isinstance(index, list):
-            raise LoadsmithError(
-                "catalog.json must be a list of document entries", code="CATALOG_ERROR"
-            )
-
+        index = read_json(_decode(raw, "catalog index"), "catalog index")
         records: dict[int, DocumentRecord] = {}
-        for entry in index:
-            doc_id = entry.get("document_id")
-            title = entry.get("title")
-            versions = entry.get("versions")
-            if not isinstance(doc_id, int) or not isinstance(title, str) or not versions:
-                raise LoadsmithError(
-                    f"malformed catalog entry: {entry!r}", code="CATALOG_ERROR"
-                )
+        for i, node in enumerate(_expect_list(index, "$")):
+            loc = f"[{i}]"
+            entry = _expect_mapping(node, loc)
+            _expect_keys(entry, ("document_id", "title", "versions"), ("added_at",), loc)
+            doc_id = _expect_int(entry["document_id"], f"{loc}.document_id")
+            title = _expect_text(entry["title"], f"{loc}.title")
             if doc_id in records:
                 raise LoadsmithError(
-                    f"duplicate document_id {doc_id} in catalog", code="CATALOG_ERROR"
+                    f"duplicate document_id {doc_id} in catalog",
+                    code="CATALOG_ERROR",
+                    location=f"{loc}.document_id",
                 )
             loaded: dict[int, DocumentVersion] = {}
-            for version in versions:
+            for j, node in enumerate(_expect_list(entry["versions"], f"{loc}.versions")):
+                version = _expect_int(node, f"{loc}.versions[{j}]")
+                if version in loaded:
+                    raise SchemaError(
+                        f"version {version} of document {doc_id} is listed twice",
+                        location=f"{loc}.versions[{j}]",
+                    )
                 content_path = catalog_dir / "docs" / str(doc_id) / f"v{version}.md"
                 try:
-                    content = content_path.read_text(encoding="utf-8")
+                    content = _decode(content_path.read_bytes(), f"content file {content_path}")
                 except FileNotFoundError as exc:
                     raise LoadsmithError(
                         f"content file missing for document {doc_id} v{version}: {content_path}",
                         code="CATALOG_ERROR",
                     ) from exc
                 checksum = hashlib.sha256(content.encode("utf-8")).hexdigest()
-                loaded[int(version)] = DocumentVersion(content, checksum)
+                loaded[version] = DocumentVersion(content, checksum)
             records[doc_id] = DocumentRecord(doc_id, title, loaded)
         return cls(records)
 

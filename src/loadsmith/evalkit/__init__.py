@@ -1,5 +1,8 @@
 """Evaluation harness: scenarios, deterministic checks, judges, pass^k."""
 
+# ReferenceError is what every check raises when it cannot give a verdict.
+# It is importable by name but kept out of __all__, so a star import does
+# not shadow the built-in of that name.
 from .checks import (
     CheckResult,
     ReferenceError,
@@ -8,26 +11,20 @@ from .checks import (
     text_golden_check,
 )
 from .fixtures import FixtureError, generate_fixture
-from .judge import HttpJudge, JudgeVerdict, StubJudge, judge_check
-from .passk import DEFAULT_ALPHA, min_k_for, pass_lower_bound
-from .runner import EvalReport, RunOutcome, RunTrace, run_scenario
+from .judge import judge_check
+from .passk import min_k_for, pass_lower_bound
+from .runner import EvalReport, RunOutcome, run_scenario
 from .scenario import CheckSpec, Environment, Scenario, StageItem, load_scenario, parse_scenario
 
 __all__ = [
     "CheckResult",
     "CheckSpec",
-    "DEFAULT_ALPHA",
     "Environment",
     "EvalReport",
     "FixtureError",
-    "HttpJudge",
-    "JudgeVerdict",
-    "ReferenceError",
     "RunOutcome",
-    "RunTrace",
     "Scenario",
     "StageItem",
-    "StubJudge",
     "file_set_check",
     "generate_fixture",
     "judge_check",

@@ -8,11 +8,12 @@ failing the subject.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import LoadsmithError
+from ..ingest import _decode, read_json
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,38 @@ class ReferenceError(LoadsmithError):
         super().__init__(message, code="REFERENCE_ERROR")
 
 
-def _load_reference_json(path: Path):
+def _read_json_file(path: Path, what: str):
+    """The JSON in ``path`` read by the strict reader: bytes that are not
+    UTF-8, malformed JSON and a repeated key raise LoadsmithError."""
+    return read_json(_decode(path.read_bytes(), what), what)
+
+
+def _describe(exc: LoadsmithError) -> str:
+    return str(exc) if exc.location is None else f"{exc} at {exc.location}"
+
+
+def _finite(value) -> bool:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ReferenceError(f"reference file missing: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReferenceError(f"reference file {path} is not valid JSON: {exc.msg}") from exc
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _first_non_finite(node, path: str) -> str | None:
+    """The path of the first number in ``node`` that is not finite, else None."""
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}", value) for key, value in node.items())
+    elif isinstance(node, list):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    elif isinstance(node, (int, float)) and not _finite(node):
+        return path
+    else:
+        return None
+    for child_path, child in children:
+        found = _first_non_finite(child, child_path)
+        if found is not None:
+            return found
+    return None
 
 
 def _walk_numeric_diffs(actual, reference, abs_tol, rel_tol, path, diffs):
@@ -79,9 +105,10 @@ def _walk_numeric_diffs(actual, reference, abs_tol, rel_tol, path, diffs):
         if actual != reference:
             diffs.append(f"{path}: {actual!r} != expected {reference!r}")
     elif isinstance(reference, (int, float)):
+        tol = max(abs_tol, rel_tol * abs(reference))
         if isinstance(actual, bool) or not isinstance(actual, (int, float)):
             diffs.append(f"{path}: expected number, got {actual!r}")
-        elif abs(actual - reference) > max(abs_tol, rel_tol * abs(reference)):
+        elif not _finite(actual) or abs(actual - reference) > tol:
             diffs.append(f"{path}: {actual!r} != expected {reference!r}")
     else:
         diffs.append(f"{path}: unsupported reference value {reference!r}")
@@ -95,24 +122,33 @@ def numeric_file_compare(
 ) -> CheckResult:
     """Structurally compare two JSON files with numeric tolerances.
 
-    Keys must match exactly; every numeric leaf must satisfy
-    |actual - ref| <= max(abs_tol, rel_tol * |ref|). A missing or
-    unparseable actual file is a failing verdict (that is the subject's
-    output); a broken reference raises :class:`ReferenceError`.
+    Keys must match exactly; every numeric leaf must be finite and satisfy
+    |actual - ref| <= max(abs_tol, rel_tol * |ref|). Both files are read by
+    the strict reader. An actual file that is missing, not UTF-8, not JSON
+    or repeats a key is a failing verdict (that is the subject's output); a
+    reference that is any of those or holds a non-finite number raises
+    :class:`ReferenceError`.
     """
-    if abs_tol < 0 or rel_tol < 0:
-        raise ValueError("tolerances must be >= 0")
+    if not (0 <= abs_tol < math.inf and 0 <= rel_tol < math.inf):
+        raise ValueError("tolerances must be finite and >= 0")
     reference = Path(reference)
     actual = Path(actual)
-    ref_data = _load_reference_json(reference)
+    what = f"reference file {reference}"
     try:
-        actual_data = json.loads(actual.read_text(encoding="utf-8"))
+        ref_data = _read_json_file(reference, what)
+    except FileNotFoundError as exc:
+        raise ReferenceError(f"reference file missing: {reference}") from exc
+    except LoadsmithError as exc:
+        raise ReferenceError(_describe(exc)) from exc
+    non_finite = _first_non_finite(ref_data, "$")
+    if non_finite is not None:
+        raise ReferenceError(f"{what} holds a non-finite number at {non_finite}")
+    try:
+        actual_data = _read_json_file(actual, "actual file")
     except FileNotFoundError:
         return CheckResult("numeric_file_compare", "fail", (f"actual file missing: {actual}",))
-    except json.JSONDecodeError as exc:
-        return CheckResult(
-            "numeric_file_compare", "fail", (f"actual file is not valid JSON: {exc.msg}",)
-        )
+    except LoadsmithError as exc:
+        return CheckResult("numeric_file_compare", "fail", (_describe(exc),))
 
     diffs: list[str] = []
     _walk_numeric_diffs(actual_data, ref_data, abs_tol, rel_tol, "$", diffs)

@@ -2,17 +2,17 @@
 
 Every repetition gets a fresh working directory with the declared inputs
 staged in, runs the subject command there, and is then graded by the
-scenario's checks. Staging problems, unreadable references and judge
-transport errors are infrastructure failures: they invalidate the
+scenario's checks. Staging problems, unreadable references and judges that
+cannot give a verdict are infrastructure failures: they invalidate the
 repetition and are flagged separately, never counted as the subject
 failing a check. A nonzero subject exit status, by contrast, is just a
 recorded fact for the checks to interpret.
 
-Each run directory keeps its own ``trace.ndjson`` (argv, Python and
-loadsmith versions, the YAML backend, checksums of staged inputs and
-produced artifacts, timestamps, stdout/stderr); the aggregated report
-lands beside the run directories as ``report.json``, with a one-line
-reason for each failed repetition.
+Each run directory keeps its own ``trace.ndjson``, the run's one record
+(argv, Python and loadsmith versions, the YAML backend, checksums of staged
+inputs and produced artifacts, timestamps, stdout/stderr, each verdict);
+the aggregated report lands beside the run directories as ``report.json``,
+naming each run's trace, with a one-line reason for each failed repetition.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import (
@@ -32,7 +32,6 @@ from .checks import (
     numeric_file_compare,
     text_golden_check,
 )
-from .judge import ERROR as JUDGE_ERROR
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
@@ -42,57 +41,20 @@ TRACE_FILENAME = "trace.ndjson"
 
 
 @dataclass(frozen=True)
-class RunTrace:
+class RunOutcome:
     run_index: int
-    argv: tuple[str, ...]
-    started_at: str
-    finished_at: str
+    trace: str  # the run's trace.ndjson, relative to the report's directory
     exit_status: int | None
-    stdout: str
-    stderr: str
-    staged_inputs: tuple[dict, ...] = field(default_factory=tuple)
-    artifacts: tuple[dict, ...] = field(default_factory=tuple)
+    verdicts: tuple[CheckResult, ...]
+    passed: bool
+    reason: str | None = None  # why the repetition failed, in one line
+    infrastructure_error: str | None = None
 
     def to_dict(self) -> dict:
         return {
             "run_index": self.run_index,
-            "argv": list(self.argv),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
+            "trace": self.trace,
             "exit_status": self.exit_status,
-            "stdout": self.stdout,
-            "stderr": self.stderr,
-            "staged_inputs": list(self.staged_inputs),
-            "artifacts": list(self.artifacts),
-        }
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    trace: RunTrace
-    verdicts: tuple[CheckResult, ...]
-    passed: bool
-    infrastructure_error: str | None = None
-
-    @property
-    def reason(self) -> str | None:
-        """Why the repetition failed, in one line; None when it passed."""
-        if self.passed:
-            return None
-        if self.infrastructure_error is not None:
-            return self.infrastructure_error
-        if self.trace.exit_status != 0:
-            last = (self.trace.stderr.strip().splitlines() or ["(no stderr)"])[-1]
-            return f"exit status {self.trace.exit_status}: {last}"
-        failed = next(v for v in self.verdicts if not v.passed)
-        detail = failed.diffs[0] if failed.diffs else failed.rationale
-        if not detail:
-            return f"{failed.kind} check failed"
-        return f"{failed.kind} check failed: {detail.splitlines()[0]}"
-
-    def to_dict(self) -> dict:
-        return {
-            "trace": self.trace.to_dict(),
             "verdicts": [v.to_dict() for v in self.verdicts],
             "passed": self.passed,
             "reason": self.reason,
@@ -159,20 +121,26 @@ def _run_check(spec: CheckSpec, workdir: Path, base_dir: Path) -> CheckResult:
     if spec.kind == "text_golden":
         return text_golden_check(workdir / params["actual"], base_dir / params["reference"])
     if spec.kind == "judge":
-        verdict = judge_check(
+        return judge_check(
             [workdir / a for a in params["artifacts"]],
             params["rubric"],
             params["adapter"],
             endpoint=params.get("endpoint"),
         )
-        if verdict.verdict == JUDGE_ERROR:
-            raise ReferenceError(f"judge error: {verdict.rationale}")
-        return CheckResult(
-            "judge",
-            "pass" if verdict.verdict == "PASS" else "fail",
-            rationale=verdict.rationale,
-        )
     raise ValueError(f"unhandled check kind {spec.kind!r}")
+
+
+def _failure_reason(exit_status: int | None, stderr: str, verdicts: list[CheckResult]) -> str:
+    """Why a repetition that ran failed: its exit status with the last
+    stderr line, else the first failing check with its first diff."""
+    if exit_status != 0:
+        last = (stderr.strip().splitlines() or ["(no stderr)"])[-1]
+        return f"exit status {exit_status}: {last}"
+    failed = next(v for v in verdicts if not v.passed)
+    detail = failed.diffs[0] if failed.diffs else failed.rationale
+    if not detail:
+        return f"{failed.kind} check failed"
+    return f"{failed.kind} check failed: {detail.splitlines()[0]}"
 
 
 def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome:
@@ -180,10 +148,16 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True)
     writer = TraceWriter(run_dir / TRACE_FILENAME)
+    trace = f"{run_dir.name}/{TRACE_FILENAME}"
+
+    def infrastructure_failure(reason: str, exit_status=None, verdicts=()) -> RunOutcome:
+        writer.emit("infrastructure_error", reason=reason)
+        return RunOutcome(run_index, trace, exit_status, tuple(verdicts), False, reason, reason)
+
     argv = _expand_command(scenario.environment.subject_command)
     started = utc_now()
 
-    staged: list[dict] = []
+    staged_names = set()
     try:
         for item in scenario.environment.stage:
             source = scenario.base_dir / item.source
@@ -191,15 +165,10 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
             dest.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(source, dest)
             record = file_record(dest, relative_to=run_dir)
-            staged.append(record)
+            staged_names.add(record["path"])
             writer.emit("stage", **record)
     except OSError as exc:
-        trace = RunTrace(
-            run_index, tuple(argv), started, utc_now(), None, "", "",
-            staged_inputs=tuple(staged),
-        )
-        writer.emit("infrastructure_error", reason=f"staging failed: {exc}")
-        return RunOutcome(trace, (), False, infrastructure_error=f"staging failed: {exc}")
+        return infrastructure_failure(f"staging failed: {exc}")
 
     # the measured versions win over a record key of the same name
     writer.emit("versions", **{**scenario.environment.record, **environment()})
@@ -216,53 +185,33 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
     except (OSError, subprocess.TimeoutExpired) as exc:
         exit_status, stdout, stderr = None, "", ""
         launch_error = f"subject failed to run: {exc}"
-    finished = utc_now()
     writer.emit("exec", argv=argv, exit_status=exit_status,
-                started_at=started, finished_at=finished,
+                started_at=started, finished_at=utc_now(),
                 stdout=stdout, stderr=stderr, pythonpath=env.get("PYTHONPATH"))
 
-    staged_names = {record["path"] for record in staged}
-    artifacts = []
     for path in sorted(run_dir.rglob("*")):
         if not path.is_file() or path.name == TRACE_FILENAME:
             continue
         record = file_record(path, relative_to=run_dir)
-        if record["path"] in staged_names:
-            continue
-        artifacts.append(record)
-        writer.emit("artifact", **record)
-
-    trace = RunTrace(
-        run_index=run_index,
-        argv=tuple(argv),
-        started_at=started,
-        finished_at=finished,
-        exit_status=exit_status,
-        stdout=stdout,
-        stderr=stderr,
-        staged_inputs=tuple(staged),
-        artifacts=tuple(artifacts),
-    )
+        if record["path"] not in staged_names:
+            writer.emit("artifact", **record)
 
     if launch_error is not None:
-        writer.emit("infrastructure_error", reason=launch_error)
-        return RunOutcome(trace, (), False, infrastructure_error=launch_error)
+        return infrastructure_failure(launch_error)
 
     verdicts: list[CheckResult] = []
     for spec in scenario.checks:
         try:
             result = _run_check(spec, run_dir, scenario.base_dir)
         except ReferenceError as exc:
-            writer.emit("infrastructure_error", reason=str(exc))
-            return RunOutcome(
-                trace, tuple(verdicts), False, infrastructure_error=str(exc)
-            )
+            return infrastructure_failure(str(exc), exit_status, verdicts)
         verdicts.append(result)
         writer.emit("check", **result.to_dict())
 
     passed = all(v.passed for v in verdicts)
     writer.emit("result", passed=passed)
-    return RunOutcome(trace, tuple(verdicts), passed)
+    reason = None if passed else _failure_reason(exit_status, stderr, verdicts)
+    return RunOutcome(run_index, trace, exit_status, tuple(verdicts), passed, reason)
 
 
 def run_scenario(

@@ -35,7 +35,9 @@ Format (see ``scenarios/`` for live examples):
 The file is read by the strict reader every pipeline input goes through:
 a repeated key, an unknown field, a value of the wrong type (a string
 ``abs_tol``, ``"k": true`` or ``2.7``, ``checks`` given as an object) or an
-``alpha`` outside (0, 1) is refused with its location, never coerced.
+``alpha`` outside (0, 1) is refused with its location, never coerced. So
+is a judge whose ``adapter`` is not one of ``judge.ADAPTERS``, an ``http``
+judge without an ``endpoint`` and a ``stub`` judge with one.
 
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
@@ -54,11 +56,13 @@ from ..ingest import (
     _decode,
     _expect_int,
     _expect_keys,
+    _expect_list,
     _expect_mapping,
     _expect_number,
     _expect_text,
     read_json,
 )
+from .judge import ADAPTERS
 
 # Per check kind: (required fields, optional fields) beside "kind".
 _CHECK_FIELDS = {
@@ -113,12 +117,6 @@ class Scenario:
             )
 
 
-def _expect_list(node, location: str) -> list:
-    if not isinstance(node, list):
-        raise SchemaError(f"expected a list at {location}", location=location)
-    return node
-
-
 def _expect_texts(node, location: str) -> tuple[str, ...]:
     return tuple(
         _expect_text(item, f"{location}[{i}]") for i, item in enumerate(_expect_list(node, location))
@@ -148,6 +146,16 @@ def _parse_check(node, loc: str) -> CheckSpec:
         else:
             value = _expect_text(value, where)
         params[name] = value
+    if kind == "judge":
+        adapter = params["adapter"]
+        if adapter not in ADAPTERS:
+            raise SchemaError(
+                f"unknown judge adapter {adapter!r}; expected one of {', '.join(ADAPTERS)}",
+                location=f"{loc}.adapter",
+            )
+        if (adapter == "http") != ("endpoint" in params):
+            need = "needs an endpoint" if adapter == "http" else "takes no endpoint"
+            raise SchemaError(f"a {adapter} judge {need}", location=f"{loc}.endpoint")
     return CheckSpec(kind=kind, params=params)
 
 

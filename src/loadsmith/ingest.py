@@ -280,6 +280,12 @@ def _expect_mapping(node, location: str) -> dict:
     return node
 
 
+def _expect_list(node, location: str) -> list:
+    if not isinstance(node, list):
+        raise SchemaError(f"expected a list at {location}", location=location)
+    return node
+
+
 def _expect_keys(node: dict, required: tuple[str, ...], optional: tuple[str, ...], location: str):
     for key in required:
         if key not in node:

@@ -413,9 +413,7 @@ def test_criterion_11_harness_end_to_end(tmp_path):
             load_scenario(SCENARIOS_DIR / "case_replay.json"), tmp_path / "good"
         )
         assert good.passes == 3, "; ".join(
-            f"run {run.trace.run_index}: exit {run.trace.exit_status}, last stderr line "
-            f"{(run.trace.stderr.strip().splitlines() or [''])[-1]!r}"
-            for run in good.runs
+            f"run {run.run_index}: {run.reason}" for run in good.runs if not run.passed
         )
         assert good.pass_hat_k
         assert good.infrastructure_failures == 0

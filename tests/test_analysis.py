@@ -130,6 +130,24 @@ class TestCheckEquilibrium:
         assert result.balanced  # forces sum to zero; moments not assessed
 
 
+@pytest.mark.parametrize(
+    "tol",
+    [
+        {"abs": float("nan")},
+        {"rel": float("nan")},
+        {"abs": float("inf")},
+        {"rel": float("inf")},
+        {"abs": -1e-9},
+        {"rel": -1e-3},
+    ],
+    ids=["abs-nan", "rel-nan", "abs-inf", "rel-inf", "abs-negative", "rel-negative"],
+)
+def test_tolerance_refuses_non_finite_or_negative(tol):
+    with pytest.raises(LoadsmithError) as err:
+        Tolerance(**tol)
+    assert err.value.code == "BAD_TOLERANCE"
+
+
 class TestCheckEquilibriumAll:
     POINTS = ["bearing", "lpt", "lug_left", "lug_right", "nozzle", "plug"]
 

@@ -282,6 +282,28 @@ class TestEquilibrium:
         error = single_error(err)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
 
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (["--rel-tol=nan"], None),
+            (["--abs-tol=inf"], None),
+            (["--abs-tol=-1"], None),
+            ([], {"tolerances": {"abs": 1e-9, "rel": -1}}),
+        ],
+        ids=["rel-nan", "abs-inf", "abs-negative", "config-rel-negative"],
+    )
+    def test_non_finite_or_negative_tolerance_exit_2(
+        self, tmp_path, capsys, delivery_file, flags, config
+    ):
+        path, _ = delivery_file
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(config_path)]
+        code, out, err = run_cli(capsys, "equilibrium", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert single_error(err)["code"] == "BAD_TOLERANCE"
+
     def test_coords_file(self, tmp_path, capsys):
         case = LoadCase(
             id=1, loads={"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0, mz=-10.0)}
@@ -478,6 +500,18 @@ class TestCompare:
         assert_refused_as_not_utf8(err, f"{side} extremes")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_widen_tol_exit_2(self, tmp_path, capsys, delivery_file, value):
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        new = self.make_extremes(tmp_path, capsys, delivery_file, scale=1.2)
+        out = tmp_path / "cmp.json"
+        code, outtext, err = run_cli(
+            capsys, "compare", str(new), str(old), "--out", str(out), f"--widen-tol={value}"
+        )
+        assert (code, outtext) == (2, "")
+        assert single_error(err)["code"] == "BAD_TOLERANCE"
+        assert not out.exists()
+
     def test_widen_tol_suppresses_exceedance(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)
         new = self.make_extremes(tmp_path, capsys, delivery_file, scale=1.2)
@@ -510,6 +544,8 @@ def _scenario_with(path: tuple, value) -> str:
     return json.dumps(data)
 
 
+_JUDGE = {"kind": "judge", "adapter": "stub", "artifacts": ["o.json"], "rubric": "require: x"}
+
 # (scenario text, error code, location); JSON duplicate keys have no position.
 MALFORMED_SCENARIOS = [
     pytest.param(_scenario_with(("checks", 0, "abs_tol"), "0"), "SCHEMA_ERROR", "checks[0].abs_tol",
@@ -523,6 +559,12 @@ MALFORMED_SCENARIOS = [
     pytest.param(_scenario_with(("alpha",), 5), "SCHEMA_ERROR", "alpha", id="alpha-out-of-range"),
     pytest.param(json.dumps(_SCENARIO).replace('"k": 1', '"k": 1, "k": 2'), "SYNTAX_ERROR", None,
                  id="duplicate-key"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, adapter="stb")), "SCHEMA_ERROR",
+                 "checks[0].adapter", id="misspelled-judge-adapter"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, adapter="http")), "SCHEMA_ERROR",
+                 "checks[0].endpoint", id="http-judge-without-endpoint"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, endpoint="http://127.0.0.1:9/judge")),
+                 "SCHEMA_ERROR", "checks[0].endpoint", id="stub-judge-with-endpoint"),
 ]
 
 

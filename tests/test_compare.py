@@ -99,6 +99,14 @@ class TestCompareEnvelopes:
         assert compare_envelopes(new, old).new_exceeds_old
         assert not compare_envelopes(new, old, widen_tol=1.0).new_exceeds_old
 
+    @pytest.mark.parametrize("widen_tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_non_finite_or_negative_widen_tol_refused(self, widen_tol):
+        old = envelope_of(100.0, -100.0)
+        new = envelope_of(120.0, -100.0)
+        with pytest.raises(LoadsmithError) as err:
+            compare_envelopes(new, old, widen_tol=widen_tol)
+        assert err.value.code == "BAD_TOLERANCE"
+
     def test_unit_mismatch_rejected(self):
         a = envelope_of(1.0, 0.0, units=SI_UNITS)
         b = envelope_of(1.0, 0.0, units=UnitSystem("klbf", "klbf·in"))

@@ -13,6 +13,7 @@ from loadsmith.docserver import (
     PARSE_ERROR,
     VERSION_NOT_FOUND,
 )
+from loadsmith.cli import main
 from loadsmith.errors import LoadsmithError
 
 from conftest import CATALOG_DIR
@@ -97,6 +98,38 @@ class TestCatalog:
         (path / "catalog.json").write_text(json.dumps(entries * 2), encoding="utf-8")
         with pytest.raises(LoadsmithError):
             Catalog.load(path)
+
+    @pytest.mark.parametrize(
+        "index,code,location",
+        [
+            ("[1]", "SCHEMA_ERROR", "[0]"),
+            ('{"document_id": 1}', "SCHEMA_ERROR", "$"),
+            ('[{"document_id": 1, "title": "t", "versions": ["1"]}]', "SCHEMA_ERROR", "[0].versions[0]"),
+            ('[{"document_id": 1, "title": "t", "versions": [1.0]}]', "SCHEMA_ERROR", "[0].versions[0]"),
+            ('[{"document_id": 1, "title": "t", "versions": [1, 1]}]', "SCHEMA_ERROR", "[0].versions[1]"),
+            ('[{"document_id": true, "title": "t", "versions": [1]}]', "SCHEMA_ERROR", "[0].document_id"),
+            ('[{"document_id": "1", "title": "t", "versions": [1]}]', "SCHEMA_ERROR", "[0].document_id"),
+            ('[{"document_id": 1, "title": "t", "versions": 1}]', "SCHEMA_ERROR", "[0].versions"),
+            ('[{"document_id": 1, "title": "t", "title": "u", "versions": [1]}]', "SYNTAX_ERROR", None),
+            ('[{"document_id": 1, "title": "t", "versions": [1], "notes": ""}]', "SCHEMA_ERROR", "[0].notes"),
+        ],
+        ids=[
+            "entry-not-object", "index-not-list", "string-version", "float-version",
+            "repeated-version", "bool-id", "string-id", "versions-not-list", "repeated-key",
+            "unknown-field",
+        ],
+    )
+    def test_malformed_index_refused(self, tmp_path, capsys, index, code, location):
+        make_catalog(tmp_path, {1: ("t", {1: "x\n"})})
+        (tmp_path / "catalog.json").write_text(index, encoding="utf-8")
+        with pytest.raises(LoadsmithError) as err:
+            Catalog.load(tmp_path)
+        assert (err.value.code, err.value.location) == (code, location)
+        assert main(["docserve", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"]["code"] == code
 
     def test_shipped_catalog_loads(self):
         catalog = Catalog.load(CATALOG_DIR)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import loadsmith
+from loadsmith.cli import main
 from loadsmith.evalkit import (
     ReferenceError,
     file_set_check,
@@ -85,6 +86,56 @@ class TestNumericFileCompare:
         result = numeric_file_compare(a, b)
         assert not result.passed
 
+    @pytest.mark.parametrize(
+        "text,diff",
+        [
+            ('{"v": NaN}', "$.v: nan != expected 5.0"),
+            ('{"v": Infinity}', "$.v: inf != expected 5.0"),
+            ('{"v": 1e400}', "$.v: inf != expected 5.0"),
+            ('{"v": 1%s}' % ("0" * 400), "$.v: 1000"),
+            ('{"v": 5.0, "v": 5.0}', "duplicate key 'v' in actual file JSON"),
+            ('{"v": ', "invalid actual file JSON: Expecting value at line 1, column 7"),
+        ],
+        ids=["nan", "infinity", "overflowing-float", "overflowing-int", "repeated-key", "truncated"],
+    )
+    def test_non_finite_or_repeated_actual_fails(self, tmp_path, text, diff):
+        a = tmp_path / "a.json"
+        a.write_text(text, encoding="utf-8")
+        b = self.write(tmp_path, "b.json", {"v": 5.0})
+        result = numeric_file_compare(a, b, rel_tol=1e-12)
+        assert result.status == "fail"
+        assert result.diffs[0].startswith(diff)
+
+    def test_undecodable_actual_fails(self, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_bytes(b'{"v": "\xff"}')
+        b = self.write(tmp_path, "b.json", {"v": 5.0})
+        result = numeric_file_compare(a, b)
+        assert result.diffs == ("actual file is not UTF-8 text: invalid start byte at offset 7",)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"v": 5.0, "v": 7.0}', "duplicate key 'v' in reference file"),
+            ('{"v": [1.0, NaN]}', "holds a non-finite number at $.v[1]"),
+            ('{"w": {"v": -Infinity}}', "holds a non-finite number at $.w.v"),
+        ],
+        ids=["repeated-key", "nan", "infinity"],
+    )
+    def test_repeated_key_or_non_finite_reference_raises(self, tmp_path, text, message):
+        a = self.write(tmp_path, "a.json", {"v": 7.0})
+        b = tmp_path / "b.json"
+        b.write_text(text, encoding="utf-8")
+        with pytest.raises(ReferenceError) as err:
+            numeric_file_compare(a, b)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("tol", [{"abs_tol": float("nan")}, {"rel_tol": float("inf")}])
+    def test_non_finite_tolerance_refused(self, tmp_path, tol):
+        a = self.write(tmp_path, "a.json", {"v": 1.0})
+        with pytest.raises(ValueError):
+            numeric_file_compare(a, a, **tol)
+
 
 class TestFileSetCheck:
     def test_exact_match(self, tmp_path):
@@ -126,57 +177,84 @@ class TestStubJudge:
     def test_require_satisfied(self, tmp_path):
         script = tmp_path / "pipeline.py"
         script.write_text("loads = scale_component(loads, Component.FX, 1.04)\n")
-        verdict = judge_check([script], "require: scale_component.*1\\.04", "stub")
-        assert verdict.verdict == "PASS"
+        result = judge_check([script], "require: scale_component.*1\\.04", "stub")
+        assert result.passed
+        assert result.to_dict() == {
+            "kind": "judge", "status": "pass", "rationale": "all 1 rubric rules satisfied",
+        }
 
     def test_missing_step_fails_with_named_rule(self, tmp_path):
         script = tmp_path / "pipeline.py"
         script.write_text("# no rename here\n")
         rubric = "require: rename_points\nrequire: 1\\.04"
-        verdict = judge_check([script], rubric, "stub")
-        assert verdict.verdict == "FAIL"
-        assert "rename_points" in verdict.rationale
+        result = judge_check([script], rubric, "stub")
+        assert result.status == "fail"
+        assert "rename_points" in result.rationale
 
     def test_forbid_rule(self, tmp_path):
         script = tmp_path / "pipeline.py"
         script.write_text("import os; os.system('rm')\n")
-        verdict = judge_check([script], "forbid: os\\.system", "stub")
-        assert verdict.verdict == "FAIL"
+        result = judge_check([script], "forbid: os\\.system", "stub")
+        assert result.status == "fail"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("value = 1.04\n")
         rubric = "# factor applied\n\nrequire: 1\\.04\n"
-        assert judge_check([script], rubric, "stub").verdict == "PASS"
+        assert judge_check([script], rubric, "stub").passed
 
     def test_bad_rubric_line_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        verdict = judge_check([script], "script applies factor", "stub")
-        assert verdict.verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="^judge error: rubric line 1 "):
+            judge_check([script], "script applies factor", "stub")
 
     def test_empty_rubric_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        assert judge_check([script], "# only a comment", "stub").verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="^judge error: rubric contains no rules$"):
+            judge_check([script], "# only a comment", "stub")
 
     def test_missing_artifact_is_error(self, tmp_path):
-        verdict = judge_check([tmp_path / "gone.py"], "require: x", "stub")
-        assert verdict.verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="^judge error: an artifact file could not be read$"):
+            judge_check([tmp_path / "gone.py"], "require: x", "stub")
+
+    def test_undecodable_artifact_is_error(self, tmp_path):
+        script = tmp_path / "s.py"
+        script.write_bytes(b"\xff")
+        with pytest.raises(ReferenceError, match="^judge error: an artifact file could not be read$"):
+            judge_check([script], "require: x", "stub")
 
     def test_unknown_adapter_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        assert judge_check([script], "require: x", "no_such_adapter").verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="no judge adapter registered under 'no_such_adapter'"):
+            judge_check([script], "require: x", "no_such_adapter")
+
+
+# Response bodies the local judge server sends back, by request path.
+_JUDGE_RESPONSES = {
+    "/list": b"[]",
+    "/bare-string": b'"PASS"',
+    "/no-verdict": b'{"rationale": "looked fine"}',
+    "/number-verdict": b'{"verdict": 1}',
+    "/number-rationale": b'{"verdict": "PASS", "rationale": 7}',
+    "/repeated-key": b'{"verdict": "FAIL", "verdict": "PASS"}',
+    "/not-json": b"PASS",
+    "/not-utf8": b'{"verdict": "PASS", "rationale": "\xff"}',
+    "/extra-key": b'{"verdict": "PASS", "score": 1}',
+}
 
 
 class _JudgeHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        passed = "1.04" in body["artifacts"][0]["content"]
-        payload = json.dumps(
-            {"verdict": "PASS" if passed else "FAIL", "rationale": "checked factor"}
-        ).encode()
+        payload = _JUDGE_RESPONSES.get(self.path)
+        if payload is None:
+            passed = "1.04" in body["artifacts"][0]["content"]
+            payload = json.dumps(
+                {"verdict": "PASS" if passed else "FAIL", "rationale": "checked factor"}
+            ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -191,7 +269,7 @@ def judge_server():
     server = HTTPServer(("127.0.0.1", 0), _JudgeHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/judge"
+    yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
 
@@ -201,21 +279,56 @@ class TestHttpJudge:
         good.write_text("factor = 1.04\n")
         bad = tmp_path / "bad.py"
         bad.write_text("factor = 1.0\n")
-        assert judge_check([good], "apply the factor", "http", endpoint=judge_server).verdict == "PASS"
-        assert judge_check([bad], "apply the factor", "http", endpoint=judge_server).verdict == "FAIL"
+        endpoint = f"{judge_server}/judge"
+        passed = judge_check([good], "apply the factor", "http", endpoint=endpoint)
+        assert passed.passed and passed.rationale == "checked factor"
+        assert judge_check([bad], "apply the factor", "http", endpoint=endpoint).status == "fail"
 
     def test_unreachable_endpoint_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        verdict = judge_check(
-            [script], "rubric", "http", endpoint="http://127.0.0.1:9/judge"
-        )
-        assert verdict.verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
+            judge_check([script], "rubric", "http", endpoint="http://127.0.0.1:9/judge")
 
     def test_missing_endpoint_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        assert judge_check([script], "rubric", "http").verdict == "ERROR"
+        with pytest.raises(ReferenceError, match="^judge error: http judge adapter requires an endpoint$"):
+            judge_check([script], "rubric", "http")
+
+    @pytest.mark.parametrize("path", sorted(_JUDGE_RESPONSES))
+    def test_malformed_response_is_error(self, tmp_path, judge_server, path):
+        script = tmp_path / "s.py"
+        script.write_text("factor = 1.04\n")
+        with pytest.raises(ReferenceError, match="^judge error: unparseable judge response: "):
+            judge_check([script], "rubric", "http", endpoint=judge_server + path)
+
+    def test_malformed_response_fails_run_as_infrastructure(self, tmp_path, judge_server, capsys):
+        scenario_dir = tmp_path / "scenario"
+        scenario_dir.mkdir()
+        scenario = {
+            "id": "http-judge-list",
+            "k": 2,
+            "environment": {
+                "stage": [],
+                "subject_command": ["{python}", "-c", "open('s.py', 'w').write('1.04')"],
+            },
+            "checks": [{
+                "kind": "judge", "adapter": "http", "endpoint": judge_server + "/list",
+                "artifacts": ["s.py"], "rubric": "apply the factor",
+            }],
+        }
+        path = scenario_dir / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["eval", "run", str(path), "--out-dir", str(out)])
+        assert code == 4
+        summary = json.loads(capsys.readouterr().out)[0]
+        assert summary["infrastructure_failures"] == 2
+        reason = "judge error: unparseable judge response: expected a mapping at $"
+        assert summary["failures"] == [{"run": 1, "reason": reason}, {"run": 2, "reason": reason}]
+        on_disk = json.loads((out / "http-judge-list" / "report.json").read_text())
+        assert [run["infrastructure_error"] for run in on_disk["runs"]] == [reason, reason]
 
 
 class TestScenarioParsing:
@@ -346,15 +459,22 @@ class TestRunScenario:
             assert all("sha256" in e for e in artifact_events)
             (exec_event,) = [e for e in events if e["event"] == "exec"]
             assert {"stdout", "stderr", "pythonpath"} <= exec_event.keys()
-            run_trace = report.runs[i - 1].trace
-            assert exec_event["stdout"] == run_trace.stdout
-            assert exec_event["stderr"] == run_trace.stderr
+            assert exec_event["exit_status"] == report.runs[i - 1].exit_status == 0
+        # report.json names each run's trace instead of copying it
+        on_disk = json.loads((out / "report.json").read_text())
+        for i, entry in enumerate(on_disk["runs"], start=1):
+            assert list(entry) == [
+                "run_index", "trace", "exit_status", "verdicts", "passed", "reason",
+                "infrastructure_error",
+            ]
+            assert (entry["run_index"], entry["trace"]) == (i, f"run_{i}/trace.ndjson")
+            assert (out / entry["trace"]).is_file()
 
     def test_runs_are_isolated(self, tmp_path):
         scenario = load_scenario(make_copy_scenario(tmp_path, k=3))
         out = tmp_path / "runs"
         report = run_scenario(scenario, out)
-        dirs = {r.trace.run_index: out / f"run_{r.trace.run_index}" for r in report.runs}
+        dirs = {r.run_index: out / f"run_{r.run_index}" for r in report.runs}
         assert len(dirs) == 3
         # deleting one run's directory does not invalidate the others' records
         import shutil
@@ -385,7 +505,7 @@ class TestRunScenario:
         path.write_text(json.dumps(scenario), encoding="utf-8")
         report = run_scenario(load_scenario(path), tmp_path / "runs")
         assert report.infrastructure_failures == 0
-        assert report.runs[0].trace.exit_status == 9
+        assert report.runs[0].exit_status == 9
         assert report.passes == 1  # the artifact was still correct
 
     def test_relative_pythonpath_reaches_subject(self, tmp_path, monkeypatch):
@@ -415,9 +535,14 @@ class TestRunScenario:
         path.write_text(json.dumps(scenario), encoding="utf-8")
         report = run_scenario(load_scenario(path), tmp_path / "runs")
         run = report.runs[0]
-        assert run.trace.exit_status == 0, run.trace.stderr
+        assert run.exit_status == 0, run.reason
         assert run.passed
-        imported = Path(run.trace.stdout.strip()).resolve()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "runs" / run.trace).read_text().splitlines()
+        ]
+        (exec_event,) = [e for e in events if e["event"] == "exec"]
+        imported = Path(exec_event["stdout"].strip()).resolve()
         assert imported.is_relative_to((REPO_ROOT / "src").resolve())
 
     def test_pythonpath_entries_made_absolute(self, tmp_path, monkeypatch):
