@@ -141,6 +141,8 @@ def _cmd_transform(args) -> int:
         if "=" not in spec:
             raise _UsageExit(f"--rename expects old=new, got {spec!r}")
         old, new = spec.split("=", 1)
+        if old in renames:
+            raise _UsageExit(f"--rename names point {old!r} twice")
         renames[old] = new
     if renames:
         delivery, count = transform.rename_points(delivery, renames)

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import LoadsmithError, SchemaError
+from .errors import InputSyntaxError, LoadsmithError, SchemaError
 from .ingest import (
     _decode,
     _expect_int,
@@ -172,9 +172,12 @@ class DocServer:
         if not line:
             return None
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError:
-            return self._error(None, PARSE_ERROR, "parse error: request is not valid JSON")
+            request = read_json(line, "request")
+        except InputSyntaxError as exc:
+            if isinstance(exc.__cause__, json.JSONDecodeError):
+                return self._error(None, PARSE_ERROR, "parse error: request is not valid JSON")
+            # valid JSON that cannot be read as one request, such as a repeated key
+            return self._error(None, INVALID_REQUEST, f"invalid request: {exc}")
         if not isinstance(request, dict) or request.get("jsonrpc") != "2.0":
             return self._error(
                 request.get("id") if isinstance(request, dict) else None,
@@ -194,7 +197,7 @@ class DocServer:
                 return self._error(request_id, INVALID_PARAMS, "params must be an object")
             document_id = params.get("document_id")
             version = params.get("version")
-            if not isinstance(document_id, int) or not isinstance(version, int):
+            if type(document_id) is not int or type(version) is not int:  # bool is refused
                 return self._error(
                     request_id,
                     INVALID_PARAMS,

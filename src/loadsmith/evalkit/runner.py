@@ -35,6 +35,7 @@ from .checks import (
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
+from ..ingest import yaml_backend
 from ..trace import TraceWriter, environment, file_record, utc_now
 
 TRACE_FILENAME = "trace.ndjson"
@@ -170,8 +171,12 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
     except OSError as exc:
         return infrastructure_failure(f"staging failed: {exc}")
 
-    # the measured versions win over a record key of the same name
-    writer.emit("versions", **{**scenario.environment.record, **environment()})
+    # the measured versions win over a record key of the same name; the subject
+    # runs in this environment, so the YAML backend is the installed parser
+    writer.emit(
+        "versions",
+        **{**scenario.environment.record, **environment(), "yaml_backend": yaml_backend()},
+    )
 
     env = _subject_env()
     try:

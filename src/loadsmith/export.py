@@ -68,9 +68,17 @@ def write_ansys_inp(
     The caller must have converted the delivery to the FEM unit system.
 
     Raises:
-        LoadsmithError: For a non-excluded point with no node mapping, or
-            when the exclusion leaves nothing to write.
+        LoadsmithError: For an excluded name that is not a point of the case,
+            a non-excluded point with no node mapping, a label that spans
+            lines, or when the exclusion leaves nothing to write.
     """
+    unknown = sorted(exclude - case.loads.keys())
+    if unknown:
+        raise LoadsmithError(
+            f"case {case.id}: cannot exclude unknown point {unknown[0]!r}",
+            code="UNKNOWN_POINT",
+            location=unknown[0],
+        )
     points = [p for p in sorted(case.loads) if p not in exclude]
     if not points:
         raise LoadsmithError(
@@ -87,6 +95,12 @@ def write_ansys_inp(
     lines = [DECK_HEADER]
     title = f"/COM, case {case.id}"
     if case.label is not None:
+        # a line break in the label would start a deck line of its own
+        if "".join(case.label.splitlines()) != case.label:
+            raise LoadsmithError(
+                f"case {case.id}: label {case.label!r} spans lines; a deck title is one line",
+                code="BAD_LABEL",
+            )
         title += f" {case.label}"
     lines.append(title)
     for point in points:

@@ -34,13 +34,15 @@ the reader, as a syntax error.
 
 YAML is parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built with
 it, else by the pure-Python ``yaml.SafeLoader``; ``yaml_backend()`` names the
-one in use. One pass over the parser's events builds the data and refuses
-each fault at its event. A plain scalar is typed as SafeLoader types it (YAML
-1.1) but for the decimal-only numerals, so ``yes``, ``~`` and ``2024-01-01``
-reach the field checks as a bool, None and a date. The refusals are the same
-on both parsers, but the wording of a YAML syntax error, and at times its
-position, comes from the parser: for ``name: [unclosed`` libyaml reports
-line 2, column 1 and the pure-Python parser line 1, column 16.
+one in use. PyYAML is imported on the first YAML read or write, so reading,
+validating and writing JSON never load it. One pass over the parser's events
+builds the data and refuses each fault at its event. A plain scalar is typed
+as SafeLoader types it (YAML 1.1) but for the decimal-only numerals, so
+``yes``, ``~`` and ``2024-01-01`` reach the field checks as a bool, None and
+a date. The refusals are the same on both parsers, but the wording of a YAML
+syntax error, and at times its position, comes from the parser: for
+``name: [unclosed`` libyaml reports line 2, column 1 and the pure-Python
+parser line 1, column 16.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
-
-import yaml
 
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
 from .model import (
@@ -156,6 +156,7 @@ _DECIMAL_RESOLVERS = {
 
 def _delivery_loader(base: type) -> type:
     """A ``base`` loader whose resolver table reads numerals as decimal only."""
+    import yaml
 
     class DeliveryLoader(base):
         backend = "python" if issubclass(base, yaml.parser.Parser) else "libyaml"
@@ -168,20 +169,39 @@ def _delivery_loader(base: type) -> type:
     return DeliveryLoader
 
 
-# libyaml when PyYAML was built with it, else the pure-Python parser.
-_DeliveryLoader = _delivery_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+# Built on the first YAML read (or yaml_backend() call), so a process that
+# reads and writes only JSON never imports PyYAML. Tests patch it to pin a parser.
+_DeliveryLoader = None
+
+
+def _yaml_loader() -> type:
+    """The delivery loader: libyaml when PyYAML was built with it, else the
+    pure-Python parser."""
+    global _DeliveryLoader
+    if _DeliveryLoader is None:
+        import yaml
+
+        _DeliveryLoader = _delivery_loader(
+            yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        )
+    return _DeliveryLoader
 
 
 def yaml_backend() -> str:
     """The parser that reads YAML deliveries: ``"libyaml"`` or ``"python"``."""
-    return _DeliveryLoader.backend
+    return _yaml_loader().backend
+
+
+def yaml_backend_used() -> str | None:
+    """The parser that has read YAML in this process, or None when none has;
+    unlike ``yaml_backend()``, never imports PyYAML."""
+    return None if _DeliveryLoader is None else _DeliveryLoader.backend
 
 
 _STR, _INT, _FLOAT, _MERGE, _VALUE = (
     f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "merge", "value")
 )
 _KEY = object()  # an open mapping's pending key while its next node is a key
-_NODE_EVENTS = (yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent)
 
 
 def _refuse(problem: str, event) -> NoReturn:
@@ -194,6 +214,9 @@ def _build_yaml(loader):
     A plain scalar is typed by the loader's resolver table; a decimal int or
     float is built here, any other typed scalar by the loader's SafeConstructor.
     """
+    import yaml
+
+    node_events = (yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent)
     resolvers = loader.yaml_implicit_resolvers  # by first character; "" for an empty scalar
     open_nodes = []  # [container, pending key] per open mapping or sequence
     data = None
@@ -201,7 +224,7 @@ def _build_yaml(loader):
     while True:
         event = loader.get_event()
         kind = type(event)
-        if kind in _NODE_EVENTS:
+        if kind in node_events:
             if event.anchor is not None:
                 _refuse(f"YAML anchor {event.anchor!r} is not allowed in delivery files", event)
             if event.tag is not None:
@@ -260,8 +283,10 @@ def _build_yaml(loader):
 
 
 def _load_yaml(text: str):
+    import yaml
+
     try:
-        loader = _DeliveryLoader(text)
+        loader = _yaml_loader()(text)
         try:
             return _build_yaml(loader)
         finally:
@@ -575,6 +600,8 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
 
 def write_delivery_yaml(delivery: LoadsDelivery) -> str:
     """Deterministic YAML rendering of the same canonical structure."""
+    import yaml
+
     return yaml.safe_dump(
         _delivery_to_plain(delivery),
         sort_keys=False,

@@ -15,7 +15,7 @@ import platform
 from pathlib import Path
 
 from . import __version__
-from .ingest import yaml_backend
+from .ingest import yaml_backend_used
 
 def utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
@@ -42,11 +42,12 @@ def file_record(path: str | Path, relative_to: str | Path | None = None) -> dict
 
 def environment() -> dict:
     """What a trace records of the software that ran: Python and loadsmith
-    versions and the parser that reads YAML deliveries."""
+    versions and the parser that read YAML in this process (None when none
+    did)."""
     return {
         "python": platform.python_version(),
         "loadsmith": __version__,
-        "yaml_backend": yaml_backend(),
+        "yaml_backend": yaml_backend_used(),
     }
 
 

@@ -15,6 +15,8 @@ from loadsmith.evalkit import generate_fixture
 from loadsmith.model import Component, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
 
+from conftest import SCENARIOS_DIR
+
 POINTS = ["bearing", "lug_left", "lug_right", "nozzle"]
 
 
@@ -71,7 +73,11 @@ class TestConvert:
         assert parse_delivery(out_path.read_text()) == d
 
     def test_trace_sidecar_written(self, tmp_path, capsys, delivery_file):
-        path, _ = delivery_file
+        # A YAML input, so the recorded backend is the one that read it in
+        # this process, whichever tests ran before.
+        _, d = delivery_file
+        path = tmp_path / "delivery.yaml"
+        path.write_text(write_delivery_yaml(d), encoding="utf-8")
         out_path = tmp_path / "c.json"
         run_cli(capsys, "convert", str(path), "--to", "json", "--out", str(out_path))
         trace = tmp_path / "c.json.trace.ndjson"
@@ -215,6 +221,20 @@ class TestTransform:
         assert error["code"] == "VALUE_ERROR"
         assert error["message"].startswith("fx must be finite")
         assert error["location"] == "load_cases[0].point_loads.a.fx"
+        assert not out_path.exists()
+
+    def test_repeated_rename_source_is_usage_error(self, tmp_path, capsys, delivery_file):
+        path, _ = delivery_file
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(
+            capsys, "transform", str(path),
+            "--rename", "lug_left=lug_port", "--rename", "lug_left=lug_x",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        error = single_error(err)
+        assert error["code"] == "USAGE"
+        assert "'lug_left'" in error["message"]
         assert not out_path.exists()
 
     def test_unknown_component_usage_error(self, tmp_path, capsys, delivery_file):
@@ -396,6 +416,43 @@ class TestExportAnsys:
         assert code == 0
         deck = (out_dir / f"limit_load_{d.cases[0].id}.inp").read_text()
         assert ",1000," not in deck
+
+    def test_unknown_excluded_point_exit_2(self, tmp_path, capsys, delivery_file):
+        path, d = delivery_file
+        node_map = tmp_path / "nodes.json"
+        node_map.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
+        out_dir = tmp_path / "decks"
+        code, _, err = run_cli(
+            capsys, "export-ansys", str(path), "--select", str(d.cases[0].id),
+            "--node-map", str(node_map), "--exclude", "baering",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        error = single_error(err)
+        assert error["code"] == "UNKNOWN_POINT"
+        assert error["location"] == "baering"
+        assert not list(out_dir.glob("*.inp"))
+
+    def test_multiline_label_exit_2(self, tmp_path, capsys):
+        # Before, the label's second line was written as a deck line of its own.
+        case = LoadCase(id=3, label="cruise\nF,7,FX,9.9E+09", loads={"a": ComponentSet(fx=1.0)})
+        path = tmp_path / "labelled.json"
+        path.write_text(
+            write_delivery_json(LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(case,))),
+            encoding="utf-8",
+        )
+        node_map = tmp_path / "nodes.json"
+        node_map.write_text(json.dumps({"a": 7}))
+        out_dir = tmp_path / "decks"
+        code, _, err = run_cli(
+            capsys, "export-ansys", str(path), "--select", "3",
+            "--node-map", str(node_map), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        error = single_error(err)
+        assert error["code"] == "BAD_LABEL"
+        assert error["message"].startswith("case 3: ")
+        assert not list(out_dir.glob("*.inp"))
 
     def test_undecodable_node_map_exit_2(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
@@ -713,13 +770,13 @@ class TestUsageAndErrors:
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_harness_and_http_out(self):
-        # Pipeline steps skip the harness and the doc server; the layer
+        # Pipeline steps skip the harness, the doc server and PyYAML; the layer
         # modules stay imported, where a traced benchmark step looks them up.
         src = Path(loadsmith.__file__).resolve().parents[1]
         script = (
             "import json, sys, loadsmith.cli\n"
             "print(json.dumps(sorted(name for name in ("
-            "'loadsmith.evalkit', 'loadsmith.docserver', 'urllib.request', 'http.client', "
+            "'loadsmith.evalkit', 'loadsmith.docserver', 'urllib.request', 'http.client', 'yaml', "
             "'loadsmith.ingest', 'loadsmith.transform', 'loadsmith.analysis', "
             "'loadsmith.export', 'loadsmith.compare', 'loadsmith.trace') "
             "if name in sys.modules)))\n"
@@ -734,6 +791,37 @@ class TestUsageAndErrors:
             "loadsmith.analysis", "loadsmith.compare", "loadsmith.export",
             "loadsmith.ingest", "loadsmith.trace", "loadsmith.transform",
         ]
+
+    def test_json_only_steps_leave_yaml_out(self, tmp_path):
+        # The replay's transform and equilibrium steps on the shipped delivery,
+        # each in a fresh process: reading and writing JSON never loads PyYAML.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        shipped = SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"
+        delivery = tmp_path / "delivery.json"
+        delivery.write_text(write_delivery_json(parse_delivery(shipped.read_bytes())), encoding="utf-8")
+        processed = tmp_path / "processed.json"
+        script = (
+            "import json, sys\n"
+            "from loadsmith.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stderr.write(json.dumps({'exit': code, 'yaml': 'yaml' in sys.modules}))\n"
+        )
+        steps = [
+            ["transform", str(delivery), "--rename", "lug_left=lug_port",
+             "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
+             "--scale", "FX=1.04", "--units", "N,N·m", "--out", str(processed)],
+            ["equilibrium", str(processed)],
+        ]
+        for argv in steps:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert json.loads(proc.stderr) == {"exit": 0, "yaml": False}, argv[0]
+        sidecar = [json.loads(line) for line in Path(f"{processed}.trace.ndjson").read_text().splitlines()]
+        (environment,) = [e for e in sidecar if e["event"] == "environment"]
+        assert environment["yaml_backend"] is None
 
     def test_console_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(

@@ -192,6 +192,25 @@ class TestDocServer:
         )
         assert response["error"]["code"] == -32602
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"document_id": 1001, "version": True}, {"document_id": True, "version": 1}],
+        ids=["version", "document_id"],
+    )
+    def test_bool_params_refused(self, server, params):
+        # Before, True was read as the integer 1.
+        response = json.loads(server.handle_line(rpc("get_document_content", params)))
+        assert response["error"]["code"] == -32602
+        assert response["id"] == 1
+
+    def test_repeated_key_refused(self, server):
+        # Before, the last "id" won silently.
+        line = '{"jsonrpc": "2.0", "id": 2, "id": 3, "method": "browse_catalog"}'
+        response = json.loads(server.handle_line(line))
+        assert response["error"]["code"] == -32600
+        assert response["id"] is None
+        assert "duplicate key 'id'" in response["error"]["message"]
+
     def test_empty_line_ignored(self, server):
         assert server.handle_line("   \n") is None
 

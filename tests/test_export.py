@@ -56,6 +56,14 @@ class TestWriteAnsysInp:
         deck = write_ansys_inp(case, {"a": 5})
         assert "/COM, case 2 gust\n" in deck
 
+    @pytest.mark.parametrize("label", ["cruise\nF,7,FX,9.9E+09", "gust\r", "a\u2028b"])
+    def test_label_spanning_lines_refused(self, label):
+        case = LoadCase(id=4, label=label, loads={"a": ComponentSet()})
+        with pytest.raises(LoadsmithError) as err:
+            write_ansys_inp(case, {"a": 7})
+        assert err.value.code == "BAD_LABEL"
+        assert str(err.value).startswith("case 4: ")
+
     def test_negative_value_sign(self):
         case = LoadCase(id=1, loads={"a": ComponentSet(fx=-5.0)})
         deck = write_ansys_inp(case, {"a": 3})
@@ -69,6 +77,13 @@ class TestWriteAnsysInp:
         deck = write_ansys_inp(case, {"bearing": 11, "lug": 22}, exclude={"bearing"})
         assert ",11," not in deck
         assert "F,22,FX,2.000000E+00" in deck
+
+    def test_unknown_excluded_point_refused(self):
+        case = LoadCase(id=1, loads={"bearing": ComponentSet(), "lug": ComponentSet()})
+        with pytest.raises(LoadsmithError) as err:
+            write_ansys_inp(case, {"bearing": 11, "lug": 22}, exclude={"baering"})
+        assert err.value.code == "UNKNOWN_POINT"
+        assert err.value.location == "baering"
 
     def test_line_count_invariant(self):
         points = {f"p{i}": ComponentSet(fx=float(i)) for i in range(5)}
