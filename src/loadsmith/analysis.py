@@ -9,7 +9,8 @@ that repeated runs select identical ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import LoadsmithError
 from .model import (
@@ -35,23 +36,21 @@ def check_tolerance(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "abs rel")):
     """Absolute/relative tolerance pair for residual checks."""
 
-    abs: float = 1e-9
-    rel: float = 1e-3
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_tolerance("abs tolerance", self.abs)
-        check_tolerance("rel tolerance", self.rel)
+    def __new__(cls, abs=1e-9, rel=1e-3):
+        check_tolerance("abs tolerance", abs)
+        check_tolerance("rel tolerance", rel)
+        return super().__new__(cls, abs, rel)
 
     def threshold(self, reference: float) -> float:
         return max(self.abs, self.rel * reference)
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     case_id: int
     force_residual: tuple[float, float, float]
     force_residual_magnitude: float
@@ -74,8 +73,7 @@ class EquilibriumResult:
         return out
 
 
-@dataclass(frozen=True)
-class EquilibriumSurvey:
+class EquilibriumSurvey(NamedTuple):
     results: tuple[EquilibriumResult, ...]
 
     @property
@@ -171,18 +169,19 @@ def check_equilibrium_all(
     return EquilibriumSurvey(tuple(_case_equilibrium(case, coords, tol) for case in delivery.cases))
 
 
-@dataclass(frozen=True)
-class SelectionReason:
+class SelectionReason(NamedTuple):
     point: str
     component: Component
     kind: str  # "max" | "min"
 
 
-@dataclass(frozen=True)
-class EnvelopeSelection:
-    selected_case_ids: tuple[int, ...]
-    extremes: EnvelopeExtremes
-    reasons: dict[int, tuple[SelectionReason, ...]] = field(default_factory=dict)
+class EnvelopeSelection(namedtuple("EnvelopeSelection", "selected_case_ids extremes reasons")):
+    __slots__ = ()
+
+    def __new__(cls, selected_case_ids, extremes, reasons=None):
+        # A fresh dict per record when reasons is omitted, never one shared default.
+        reasons = {} if reasons is None else reasons
+        return super().__new__(cls, selected_case_ids, extremes, reasons)
 
 
 def envelope_extremes(delivery: LoadsDelivery) -> EnvelopeExtremes:

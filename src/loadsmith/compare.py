@@ -10,7 +10,8 @@ which keeps the sign convention unambiguous for negative bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 from .analysis import check_tolerance
 from .errors import LoadsmithError
@@ -18,8 +19,7 @@ from .export import format_deck_value
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
 
 
-@dataclass(frozen=True)
-class ComparisonCell:
+class ComparisonCell(NamedTuple):
     old_max: float
     new_max: float
     max_delta_pct: float | None
@@ -30,15 +30,20 @@ class ComparisonCell:
     min_exceeds: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    new_name: str
-    new_version: int
-    old_name: str
-    old_version: int
-    units: UnitSystem
-    new_exceeds_old: bool
-    cells: dict[str, dict[Component, ComparisonCell]] = field(default_factory=dict)
+_REPORT_FIELDS = "new_name new_version old_name old_version units new_exceeds_old cells"
+
+
+class ComparisonReport(namedtuple("ComparisonReport", _REPORT_FIELDS)):
+    __slots__ = ()
+
+    def __new__(
+        cls, new_name, new_version, old_name, old_version, units, new_exceeds_old, cells=None
+    ):
+        # A fresh dict per record when cells is omitted, never one shared default.
+        cells = {} if cells is None else cells
+        return super().__new__(
+            cls, new_name, new_version, old_name, old_version, units, new_exceeds_old, cells
+        )
 
 
 def _magnitude_delta_pct(old: float, new: float) -> float | None:

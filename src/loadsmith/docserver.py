@@ -42,6 +42,10 @@ INVALID_PARAMS = -32602
 DOCUMENT_NOT_FOUND = -32001
 VERSION_NOT_FOUND = -32002
 
+# The names each method's params object holds, exactly; params may be omitted
+# only where there are none.
+_METHOD_PARAMS = {"browse_catalog": (), "get_document_content": ("document_id", "version")}
+
 
 @dataclass(frozen=True)
 class DocumentVersion:
@@ -178,55 +182,58 @@ class DocServer:
                 return self._error(None, PARSE_ERROR, "parse error: request is not valid JSON")
             # valid JSON that cannot be read as one request, such as a repeated key
             return self._error(None, INVALID_REQUEST, f"invalid request: {exc}")
+        request_id = request.get("id") if isinstance(request, dict) else None
+        if not (request_id is None or type(request_id) in (str, int)):  # bool is refused
+            return self._error(
+                None, INVALID_REQUEST, "invalid request: id must be a string, an integer or null"
+            )
         if not isinstance(request, dict) or request.get("jsonrpc") != "2.0":
             return self._error(
-                request.get("id") if isinstance(request, dict) else None,
-                INVALID_REQUEST,
-                "invalid request: expected a JSON-RPC 2.0 object",
+                request_id, INVALID_REQUEST, "invalid request: expected a JSON-RPC 2.0 object"
             )
-
-        request_id = request.get("id")
         method = request.get("method")
-        params = request.get("params") or {}
+        try:
+            _expect_keys(request, ("jsonrpc", "method"), ("id", "params"), "request")
+            _expect_text(method, "request.method")
+        except SchemaError as exc:
+            return self._error(request_id, INVALID_REQUEST, f"invalid request: {exc}")
+        if method not in _METHOD_PARAMS:
+            return self._error(request_id, METHOD_NOT_FOUND, f"method not found: {method!r}")
+        params = request.get("params", {})
+        try:
+            _expect_keys(_expect_mapping(params, "params"), _METHOD_PARAMS[method], (), "params")
+        except SchemaError as exc:
+            return self._error(request_id, INVALID_PARAMS, f"invalid params: {exc}")
 
         if method == "browse_catalog":
             return self._result(request_id, self.catalog.browse_catalog())
-
-        if method == "get_document_content":
-            if not isinstance(params, dict):
-                return self._error(request_id, INVALID_PARAMS, "params must be an object")
-            document_id = params.get("document_id")
-            version = params.get("version")
-            if type(document_id) is not int or type(version) is not int:  # bool is refused
-                return self._error(
-                    request_id,
-                    INVALID_PARAMS,
-                    "document_id and version must be integers",
-                )
-            try:
-                doc = self.catalog.get_document_content(document_id, version)
-            except KeyError:
-                return self._error(
-                    request_id, DOCUMENT_NOT_FOUND, f"no document with id {document_id}"
-                )
-            except LookupError as exc:
-                return self._error(
-                    request_id,
-                    VERSION_NOT_FOUND,
-                    f"document {document_id} has no version {version}",
-                    data={"available_versions": exc.args[0]},
-                )
-            return self._result(
-                request_id,
-                {
-                    "document_id": document_id,
-                    "version": version,
-                    "content": doc.content,
-                    "checksum": doc.checksum,
-                },
+        document_id, version = params["document_id"], params["version"]
+        if type(document_id) is not int or type(version) is not int:  # bool is refused
+            return self._error(
+                request_id, INVALID_PARAMS, "document_id and version must be integers"
             )
-
-        return self._error(request_id, METHOD_NOT_FOUND, f"method not found: {method!r}")
+        try:
+            doc = self.catalog.get_document_content(document_id, version)
+        except KeyError:
+            return self._error(
+                request_id, DOCUMENT_NOT_FOUND, f"no document with id {document_id}"
+            )
+        except LookupError as exc:
+            return self._error(
+                request_id,
+                VERSION_NOT_FOUND,
+                f"document {document_id} has no version {version}",
+                data={"available_versions": exc.args[0]},
+            )
+        return self._result(
+            request_id,
+            {
+                "document_id": document_id,
+                "version": version,
+                "content": doc.content,
+                "checksum": doc.checksum,
+            },
+        )
 
 
 def serve(catalog_dir: str | Path, stdin=None, stdout=None) -> None:

@@ -119,7 +119,8 @@ def export_all_inp(
     """Write ``limit_load_<id>.inp`` per selected case, ascending id order.
 
     Returns the paths written. Repeat runs on equal inputs are
-    byte-identical.
+    byte-identical. Every deck is rendered before any is written, so a
+    refused case leaves no deck behind.
     """
     if not selected:
         raise LoadsmithError("no cases selected for export", code="EMPTY_SELECTION")
@@ -130,11 +131,11 @@ def export_all_inp(
             f"selected case ids not in delivery: {unknown}", code="UNKNOWN_CASE_ID"
         )
 
+    decks = {cid: write_ansys_inp(by_id[cid], nodes, exclude) for cid in sorted(set(selected))}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for case_id in sorted(set(selected)):
-        deck = write_ansys_inp(by_id[case_id], nodes, exclude)
+    for case_id, deck in decks.items():
         path = out / f"limit_load_{case_id}.inp"
         path.write_text(deck, encoding="utf-8", newline="\n")
         paths.append(path)

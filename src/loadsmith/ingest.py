@@ -51,9 +51,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
 from .model import (
@@ -66,17 +65,15 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     message: str
     location: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+class ValidationReport(NamedTuple):
+    findings: tuple[Finding, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,6 @@
 """Core domain model: load components, cases, deliveries and envelope extremes.
 
-Everything here is an immutable value object. A point's loads are one
+Every record here is an immutable tuple of its fields. A point's loads are one
 ``ComponentSet``: a tuple of six finite floats in ``COMPONENT_ORDER``, built
 and checked once per row by ``ComponentSet.of``. Constructors reject locally
 invalid data (non-finite numbers, bad ids, unrecognized units); consistency
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import UnknownUnitError
 
@@ -169,16 +169,14 @@ class ComponentSet(tuple):
         return self[COMPONENT_ORDER.index(component)]
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(namedtuple("UnitSystem", "force_unit moment_unit")):
     """Force/moment unit pair of a delivery."""
 
-    force_unit: str = "N"
-    moment_unit: str = "N·m"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "force_unit", canonical_unit(self.force_unit, "force"))
-        object.__setattr__(self, "moment_unit", canonical_unit(self.moment_unit, "moment"))
+    def __new__(cls, force_unit="N", moment_unit="N·m"):
+        force, moment = canonical_unit(force_unit, "force"), canonical_unit(moment_unit, "moment")
+        return super().__new__(cls, force, moment)
 
     @property
     def is_si(self) -> bool:
@@ -188,58 +186,52 @@ class UnitSystem:
 SI_UNITS = UnitSystem("N", "N·m")
 
 
-@dataclass(frozen=True)
-class LoadCase:
+class LoadCase(namedtuple("LoadCase", "id loads label")):
     """One load condition: a component set per interface point.
 
     Ids must be positive; uniqueness across a delivery is a delivery-level
     rule checked by validate_delivery.
     """
 
-    id: int
-    loads: dict[str, ComponentSet]
-    label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_case_id("case id", self.id)
-        if not self.loads:
-            raise ValueError(f"case {self.id} has no point loads")
-        object.__setattr__(self, "loads", dict(self.loads))
+    def __new__(cls, id, loads, label=None):
+        _require_case_id("case id", id)
+        if not loads:
+            raise ValueError(f"case {id} has no point loads")
+        return super().__new__(cls, id, dict(loads), label)
 
     def point_names(self) -> list[str]:
         return sorted(self.loads)
 
 
-@dataclass(frozen=True)
-class LoadsDelivery:
+class LoadsDelivery(
+    namedtuple("LoadsDelivery", "name version units cases coordinate_system point_coordinates")
+):
     """An OEM load delivery: ordered cases over a fixed set of points.
 
     ``point_coordinates``, when present, are (x, y, z) in meters and must
     cover exactly the case point set (checked by validate_delivery).
     """
 
-    name: str
-    version: int
-    units: UnitSystem
-    cases: tuple[LoadCase, ...]
-    coordinate_system: str | None = None
-    point_coordinates: dict[str, tuple[float, float, float]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.version, int) or isinstance(self.version, bool) or self.version < 1:
-            raise ValueError(f"delivery version must be a positive integer, got {self.version!r}")
-        object.__setattr__(self, "cases", tuple(self.cases))
-        if not self.cases:
+    def __new__(cls, name, version, units, cases, coordinate_system=None, point_coordinates=None):
+        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+            raise ValueError(f"delivery version must be a positive integer, got {version!r}")
+        cases = tuple(cases)
+        if not cases:
             raise ValueError("delivery must contain at least one load case")
-        if self.point_coordinates is not None:
-            coords = {
-                name: tuple(_require_finite(f"{name}[{i}]", v) for i, v in enumerate(xyz))
-                for name, xyz in self.point_coordinates.items()
+        if point_coordinates is not None:
+            point_coordinates = {
+                point: tuple(_require_finite(f"{point}[{i}]", v) for i, v in enumerate(xyz))
+                for point, xyz in point_coordinates.items()
             }
-            for name, xyz in coords.items():
+            for point, xyz in point_coordinates.items():
                 if len(xyz) != 3:
-                    raise ValueError(f"coordinates for {name!r} must have 3 entries")
-            object.__setattr__(self, "point_coordinates", coords)
+                    raise ValueError(f"coordinates for {point!r} must have 3 entries")
+        fields = (name, version, units, cases, coordinate_system, point_coordinates)
+        return super().__new__(cls, *fields)
 
     def case_ids(self) -> list[int]:
         return [c.id for c in self.cases]
@@ -253,39 +245,29 @@ def point_names(delivery: LoadsDelivery) -> list[str]:
     return sorted(names)
 
 
-@dataclass(frozen=True)
-class ExtremeCell:
+class ExtremeCell(namedtuple("ExtremeCell", "max_value max_case min_value min_case")):
     """Max/min values of one (point, component) pair with originating cases."""
 
-    max_value: float
-    max_case: int
-    min_value: float
-    min_case: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("max_value", self.max_value)
-        _require_finite("min_value", self.min_value)
-        _require_case_id("max_case", self.max_case)
-        _require_case_id("min_case", self.min_case)
-        if self.min_value > self.max_value:
-            raise ValueError(
-                f"min_value {self.min_value} exceeds max_value {self.max_value}"
-            )
+    def __new__(cls, max_value, max_case, min_value, min_case):
+        _require_finite("max_value", max_value)
+        _require_finite("min_value", min_value)
+        _require_case_id("max_case", max_case)
+        _require_case_id("min_case", min_case)
+        if min_value > max_value:
+            raise ValueError(f"min_value {min_value} exceeds max_value {max_value}")
+        return super().__new__(cls, max_value, max_case, min_value, min_case)
 
 
-@dataclass(frozen=True)
-class EnvelopeExtremes:
+class EnvelopeExtremes(namedtuple("EnvelopeExtremes", "name version units cells")):
     """Per-(point, component) extremes table with delivery provenance."""
 
-    name: str
-    version: int
-    units: UnitSystem
-    cells: dict[str, dict[Component, ExtremeCell]] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cells", {p: dict(per_comp) for p, per_comp in self.cells.items()}
-        )
+    def __new__(cls, name, version, units, cells=None):
+        cells = {p: dict(per_comp) for p, per_comp in (cells or {}).items()}
+        return super().__new__(cls, name, version, units, cells)
 
     def points(self) -> list[str]:
         return sorted(self.cells)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import platform
+import sys
 from pathlib import Path
 
 from . import __version__
@@ -45,7 +45,7 @@ def environment() -> dict:
     versions and the parser that read YAML in this process (None when none
     did)."""
     return {
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],  # platform.python_version() on CPython
         "loadsmith": __version__,
         "yaml_backend": yaml_backend_used(),
     }

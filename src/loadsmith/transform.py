@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import LoadsmithError
 from .model import (
@@ -24,6 +24,11 @@ from .model import (
     UnitSystem,
     point_names,
 )
+
+
+def _rebuilt(delivery: LoadsDelivery, **changes) -> LoadsDelivery:
+    """``delivery`` with ``changes``, built by the constructor so that every check runs."""
+    return LoadsDelivery(**{**delivery._asdict(), **changes})
 
 
 def _check_factor(factor: float) -> float:
@@ -86,7 +91,7 @@ def rename_points(
     if delivery.point_coordinates is not None:
         new_coords = {rename(p): xyz for p, xyz in delivery.point_coordinates.items()}
 
-    renamed = replace(delivery, cases=new_cases, point_coordinates=new_coords)
+    renamed = _rebuilt(delivery, cases=new_cases, point_coordinates=new_coords)
     return renamed, len(mapping) * len(delivery.cases)
 
 
@@ -111,7 +116,7 @@ def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDe
     except ValueError:
         _locate_overflow(delivery, factors)
         raise
-    return replace(delivery, cases=new_cases)
+    return _rebuilt(delivery, cases=new_cases)
 
 
 def _locate_overflow(delivery: LoadsDelivery, factors: tuple[float, ...]) -> None:
@@ -156,11 +161,10 @@ def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:
 
     factors = tuple(force_ratio if c.is_force else moment_ratio for c in COMPONENT_ORDER)
     converted = _scale_cases(delivery, factors)
-    return replace(converted, units=target)
+    return _rebuilt(converted, units=target)
 
 
-@dataclass(frozen=True)
-class CoordinateSystemCheck:
+class CoordinateSystemCheck(NamedTuple):
     """Outcome of comparing a delivery's coordinate-system label to the expected one."""
 
     status: str  # "match" | "mismatch" | "unlabeled"

@@ -128,3 +128,64 @@ def random_delivery(
         for cid in range(1, n_cases + 1)
     )
     return LoadsDelivery(name=name, version=version, units=units, cases=cases)
+
+
+# Text with JSON escapes (quote, backslash, control characters), non-ASCII
+# letters and U+2028, which json.dumps leaves unescaped.
+_tricky_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€ü'), st.characters()),
+    max_size=8,
+)
+_any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0))
+
+
+@st.composite
+def oracle_deliveries(draw):
+    """Deliveries using every optional field, for the canonical JSON writer's oracle."""
+    points = draw(st.lists(_tricky_text, min_size=1, max_size=4, unique=True))
+    cases = tuple(
+        LoadCase(
+            id=draw(st.integers(min_value=1, max_value=10**20)),
+            label=draw(st.none() | _tricky_text),
+            loads={p: ComponentSet.of(draw(st.lists(_any_float, min_size=6, max_size=6))) for p in points},
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    )
+    xyz = st.tuples(_any_float, _any_float, _any_float)
+    # Coordinates for the case points, as validate_delivery wants, or for any names.
+    coords = st.fixed_dictionaries({p: xyz for p in points}) | st.dictionaries(_tricky_text, xyz, max_size=4)
+    return LoadsDelivery(
+        name=draw(_tricky_text),
+        version=draw(st.integers(min_value=1, max_value=10**20)),
+        units=draw(st.sampled_from([SI_UNITS, UnitSystem("klbf", "klbf·in")])),
+        cases=cases,
+        coordinate_system=draw(st.none() | _tricky_text),
+        point_coordinates=draw(st.none() | coords),
+    )
+
+
+@st.composite
+def plain_deliveries(draw):
+    """A delivery with point coordinates as the plain dicts of its canonical
+    JSON: keys in schema order, points sorted, every number a float."""
+    points = sorted(draw(st.lists(_tricky_text, min_size=1, max_size=4, unique=True)))
+    xyz = st.lists(_any_float, min_size=3, max_size=3)
+    units = draw(st.sampled_from([SI_UNITS, UnitSystem("klbf", "klbf·in")]))
+    plain = {
+        "name": draw(_tricky_text),
+        "version": draw(st.integers(min_value=1, max_value=10**20)),
+        "units": {"force": units.force_unit, "moment": units.moment_unit},
+    }
+    if draw(st.booleans()):
+        plain["coordinate_system"] = draw(_tricky_text)
+    plain["point_coordinates"] = {p: draw(xyz) for p in points}
+    plain["load_cases"] = []
+    for case_id in draw(st.lists(st.integers(min_value=1, max_value=10**20), min_size=1, max_size=4, unique=True)):
+        case = {"id": case_id}
+        if draw(st.booleans()):
+            case["label"] = draw(_tricky_text)
+        case["point_loads"] = {
+            p: {c.value: draw(_any_float) for c in COMPONENT_ORDER} for p in points
+        }
+        plain["load_cases"].append(case)
+    return plain

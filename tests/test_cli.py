@@ -454,6 +454,28 @@ class TestExportAnsys:
         assert error["message"].startswith("case 3: ")
         assert not list(out_dir.glob("*.inp"))
 
+    def test_refused_later_case_leaves_no_deck(self, tmp_path, capsys):
+        # Before, case 1's deck was written before case 2's label was refused.
+        cases = (
+            LoadCase(id=1, label="cruise", loads={"a": ComponentSet(fx=1.0)}),
+            LoadCase(id=2, label="climb\nF,7,FX,9.9E+09", loads={"a": ComponentSet(fx=2.0)}),
+        )
+        path = tmp_path / "labelled.json"
+        path.write_text(
+            write_delivery_json(LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=cases)),
+            encoding="utf-8",
+        )
+        node_map = tmp_path / "nodes.json"
+        node_map.write_text(json.dumps({"a": 7}))
+        out_dir = tmp_path / "decks"
+        code, _, err = run_cli(
+            capsys, "export-ansys", str(path), "--select", "1,2",
+            "--node-map", str(node_map), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert single_error(err)["code"] == "BAD_LABEL"
+        assert not list(out_dir.glob("*.inp"))
+
     def test_undecodable_node_map_exit_2(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
         code, _, err = run_cli(
@@ -770,13 +792,15 @@ class TestUsageAndErrors:
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_harness_and_http_out(self):
-        # Pipeline steps skip the harness, the doc server and PyYAML; the layer
-        # modules stay imported, where a traced benchmark step looks them up.
+        # Pipeline steps skip the harness, the doc server, PyYAML, dataclasses,
+        # inspect and platform; the layer modules stay imported, where a traced
+        # benchmark step looks them up.
         src = Path(loadsmith.__file__).resolve().parents[1]
         script = (
             "import json, sys, loadsmith.cli\n"
             "print(json.dumps(sorted(name for name in ("
             "'loadsmith.evalkit', 'loadsmith.docserver', 'urllib.request', 'http.client', 'yaml', "
+            "'dataclasses', 'inspect', 'platform', "
             "'loadsmith.ingest', 'loadsmith.transform', 'loadsmith.analysis', "
             "'loadsmith.export', 'loadsmith.compare', 'loadsmith.trace') "
             "if name in sys.modules)))\n"

@@ -211,6 +211,46 @@ class TestDocServer:
         assert response["id"] is None
         assert "duplicate key 'id'" in response["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "request_, request_id",
+        [
+            ({"jsonrpc": "2.0", "id": [1], "method": "browse_catalog", "params": "junk", "extra": 1}, None),
+            ({"jsonrpc": "2.0", "id": True, "method": "browse_catalog"}, None),
+            ({"jsonrpc": "2.0", "id": 1.5, "method": "browse_catalog"}, None),
+            ({"jsonrpc": "2.0", "id": 7, "method": "browse_catalog", "extra": 1}, 7),
+            ({"jsonrpc": "2.0", "id": 7, "method": ["browse_catalog"]}, 7),
+            ({"jsonrpc": "2.0", "id": 7}, 7),
+        ],
+        ids=["list-id", "bool-id", "float-id", "extra-member", "list-method", "no-method"],
+    )
+    def test_bad_request_shape_refused(self, server, request_, request_id):
+        # Before, each was answered; a bad id was echoed back.
+        response = json.loads(server.handle_line(json.dumps(request_)))
+        assert response["error"]["code"] == -32600
+        assert response["id"] == request_id
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("browse_catalog", "junk"),
+            ("browse_catalog", {"document_id": 1001}),
+            ("get_document_content", {"document_id": 1001, "version": 1, "verison": 2}),
+            ("get_document_content", {"document_id": 1001}),
+            ("get_document_content", None),
+        ],
+        ids=["string", "unexpected-name", "misspelled-name", "missing-name", "omitted"],
+    )
+    def test_bad_params_refused(self, server, method, params):
+        # Before, string params and unknown names were ignored.
+        response = json.loads(server.handle_line(rpc(method, params, request_id="r1")))
+        assert response["error"]["code"] == -32602
+        assert response["id"] == "r1"
+
+    def test_string_id_and_empty_params_answered(self, server):
+        response = json.loads(server.handle_line(rpc("browse_catalog", {}, request_id="r1")))
+        assert response["id"] == "r1"
+        assert [d["document_id"] for d in response["result"]] == [1001, 1002]
+
     def test_empty_line_ignored(self, server):
         assert server.handle_line("   \n") is None
 

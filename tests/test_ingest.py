@@ -17,39 +17,7 @@ from loadsmith.ingest import (
 )
 from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 
-from strategies import deliveries
-
-# Text with JSON escapes (quote, backslash, control characters), non-ASCII
-# letters and U+2028, which json.dumps leaves unescaped.
-_tricky_text = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€ü'), st.characters()),
-    max_size=8,
-)
-_any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0))
-
-
-@st.composite
-def oracle_deliveries(draw):
-    """Deliveries using every optional field, for the canonical JSON writer's oracle."""
-    points = draw(st.lists(_tricky_text, min_size=1, max_size=4, unique=True))
-    cases = tuple(
-        LoadCase(
-            id=draw(st.integers(min_value=1, max_value=10**20)),
-            label=draw(st.none() | _tricky_text),
-            loads={p: ComponentSet.of(draw(st.lists(_any_float, min_size=6, max_size=6))) for p in points},
-        )
-        for _ in range(draw(st.integers(min_value=1, max_value=4)))
-    )
-    coords = st.dictionaries(_tricky_text, st.tuples(_any_float, _any_float, _any_float), max_size=4)
-    return LoadsDelivery(
-        name=draw(_tricky_text),
-        version=draw(st.integers(min_value=1, max_value=10**20)),
-        units=draw(st.sampled_from([SI_UNITS, UnitSystem("klbf", "klbf·in")])),
-        cases=cases,
-        coordinate_system=draw(st.none() | _tricky_text),
-        point_coordinates=draw(st.none() | coords),
-    )
-
+from strategies import deliveries, oracle_deliveries, plain_deliveries
 
 MINIMAL_JSON = """\
 {
@@ -572,6 +540,28 @@ class TestCanonicalSerialization:
     def test_writer_matches_json_dumps_oracle(self, delivery):
         oracle = json.dumps(ingest._delivery_to_plain(delivery), indent=2, ensure_ascii=False)
         assert write_delivery_json(delivery) == oracle + "\n"
+
+    @given(plain_deliveries())
+    def test_delivery_with_coordinates_renders_its_plain_source(self, plain):
+        # Built by the constructors from a source that is not the delivery
+        # itself, so a field the constructor overwrites shows in the text.
+        delivery = LoadsDelivery(
+            name=plain["name"],
+            version=plain["version"],
+            units=UnitSystem(plain["units"]["force"], plain["units"]["moment"]),
+            cases=[
+                LoadCase(id=case["id"], label=case.get("label"), loads={
+                    point: ComponentSet(**row) for point, row in case["point_loads"].items()
+                })
+                for case in plain["load_cases"]
+            ],
+            coordinate_system=plain.get("coordinate_system"),
+            point_coordinates=plain["point_coordinates"],
+        )
+        text = write_delivery_json(delivery)
+        assert text == json.dumps(plain, indent=2, ensure_ascii=False) + "\n"
+        assert json.loads(text) == plain
+        assert parse_delivery(text) == delivery
 
 
 class TestShippedFixture:

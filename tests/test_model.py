@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loadsmith.analysis import (
+    EnvelopeSelection,
+    EquilibriumResult,
+    EquilibriumSurvey,
+    SelectionReason,
+    Tolerance,
+)
+from loadsmith.compare import ComparisonCell, ComparisonReport
 from loadsmith.errors import UnknownUnitError
+from loadsmith.ingest import Finding, ValidationReport
 from loadsmith.model import (
     COMPONENT_ORDER,
     FORCE_TO_N,
     MOMENT_TO_NM,
     Component,
     ComponentSet,
+    EnvelopeExtremes,
     ExtremeCell,
     LoadCase,
     LoadsDelivery,
@@ -19,6 +29,7 @@ from loadsmith.model import (
     UnitSystem,
     point_names,
 )
+from loadsmith.transform import CoordinateSystemCheck
 
 from strategies import component_sets, deliveries
 
@@ -221,3 +232,93 @@ class TestExtremeCell:
     def test_equal_bounds_allowed(self):
         cell = ExtremeCell(max_value=1.5, max_case=1, min_value=1.5, min_case=1)
         assert cell.max_value == cell.min_value
+
+
+def _every_field_given() -> list:
+    """(record type, every field by keyword) for each pipeline record; the
+    values are canonical already, so the constructor keeps them as given."""
+    units = UnitSystem(force_unit="klbf", moment_unit="klbf·in")
+    case = LoadCase(id=4, loads={"bearing": ComponentSet(fx=1.0)}, label="cruise")
+    cell = ExtremeCell(max_value=2.0, max_case=4, min_value=-1.0, min_case=5)
+    extremes = EnvelopeExtremes(name="v2", version=2, units=units, cells={"bearing": {Component.FX: cell}})
+    result_fields = {
+        "case_id": 4, "force_residual": (1.0, 0.0, 0.0), "force_residual_magnitude": 1.0,
+        "balanced": False, "tolerance_used": Tolerance(abs=0.5, rel=0.25),
+        "moment_residual": (0.0, 2.0, 0.0), "moment_residual_magnitude": 2.0,
+    }
+    result = EquilibriumResult(**result_fields)
+    reason = SelectionReason(point="bearing", component=Component.MZ, kind="min")
+    finding = Finding(severity="warning", code="NON_SI_UNITS", message="m", location="units")
+    comparison_fields = {
+        "old_max": 1.0, "new_max": 2.0, "max_delta_pct": 100.0, "max_exceeds": True,
+        "old_min": 0.0, "new_min": 0.0, "min_delta_pct": None, "min_exceeds": False,
+    }
+    comparison = ComparisonCell(**comparison_fields)
+    return [
+        (UnitSystem, {"force_unit": "klbf", "moment_unit": "klbf·in"}),
+        (LoadCase, {"id": 4, "loads": {"bearing": ComponentSet(fx=1.0)}, "label": "cruise"}),
+        (LoadsDelivery, {
+            "name": "Engine mount v2", "version": 2, "units": units, "cases": (case,),
+            "coordinate_system": "engine_cs",
+            "point_coordinates": {"bearing": (0.0, 0.5, 1.0), "lug": (1.0, 0.0, -0.5)},
+        }),
+        (ExtremeCell, {"max_value": 2.0, "max_case": 4, "min_value": -1.0, "min_case": 5}),
+        (EnvelopeExtremes, {"name": "v2", "version": 2, "units": units, "cells": {"bearing": {Component.FX: cell}}}),
+        (Tolerance, {"abs": 0.5, "rel": 0.25}),
+        (EquilibriumResult, result_fields),
+        (EquilibriumSurvey, {"results": (result,)}),
+        (SelectionReason, {"point": "bearing", "component": Component.MZ, "kind": "min"}),
+        (EnvelopeSelection, {"selected_case_ids": (4, 5), "extremes": extremes, "reasons": {5: (reason,)}}),
+        (Finding, {"severity": "warning", "code": "NON_SI_UNITS", "message": "m", "location": "units"}),
+        (ValidationReport, {"findings": (finding,)}),
+        (ComparisonCell, comparison_fields),
+        (ComparisonReport, {
+            "new_name": "v2", "new_version": 2, "old_name": "v1", "old_version": 1, "units": units,
+            "new_exceeds_old": True, "cells": {"bearing": {Component.FX: comparison}},
+        }),
+        (CoordinateSystemCheck, {"status": "mismatch", "found": "fan_cs"}),
+    ]
+
+
+_RECORDS = _every_field_given()
+
+
+@pytest.mark.parametrize("record_type, fields", _RECORDS, ids=[t.__name__ for t, _ in _RECORDS])
+class TestPipelineRecords:
+    """The pipeline's records are immutable tuples of their fields, in order."""
+
+    def test_every_field_reads_back_unchanged(self, record_type, fields):
+        record = record_type(**fields)
+        for name, value in fields.items():
+            assert getattr(record, name) == value, name
+        assert record == record_type(*fields.values())
+
+    def test_is_a_tuple_of_its_fields(self, record_type, fields):
+        record = record_type(**fields)
+        assert record == tuple(fields.values())
+        assert list(record) == list(fields.values())
+        assert record[0] == next(iter(fields.values()))
+
+    def test_repr_names_each_field(self, record_type, fields):
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record_type(**fields)) == f"{record_type.__name__}({shown})"
+
+    def test_attributes_cannot_be_set(self, record_type, fields):
+        record = record_type(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_omitted_dict_fields_are_fresh_per_record():
+    pairs = [
+        [EnvelopeExtremes("v2", 2, SI_UNITS).cells for _ in range(2)],
+        [EnvelopeSelection((1,), EnvelopeExtremes("v2", 2, SI_UNITS)).reasons for _ in range(2)],
+        [ComparisonReport("v2", 2, "v1", 1, SI_UNITS, False).cells for _ in range(2)],
+    ]
+    for first, second in pairs:
+        assert first == second == {}
+        first[1] = 1
+        assert second == {}
