@@ -20,14 +20,17 @@ REPO = Path(__file__).resolve().parent.parent
 INPUTS = REPO / "scenarios" / "inputs"
 
 
-def cli(*args: str) -> tuple[int, dict | list | None]:
+def cli(*args: str, ok: tuple[int, ...] = (0,)) -> tuple[int, dict | list]:
+    """Run one step; stop the replay unless it exits with a status in ``ok``."""
     proc = subprocess.run(
         [sys.executable, "-m", "loadsmith", *args], capture_output=True, text=True
     )
     if proc.stderr.strip():
         print(proc.stderr.strip(), file=sys.stderr)
-    payload = json.loads(proc.stdout) if proc.stdout.strip() else None
-    return proc.returncode, payload
+    if proc.returncode not in ok:
+        expected = " or ".join(map(str, ok))
+        raise SystemExit(f"{args[0]} failed: exit {proc.returncode}, expected {expected}")
+    return proc.returncode, json.loads(proc.stdout)
 
 
 def main() -> int:
@@ -35,14 +38,13 @@ def main() -> int:
     work.mkdir(parents=True, exist_ok=True)
     print(f"working directory: {work}")
 
-    code, out = cli(
+    _, out = cli(
         "convert", str(INPUTS / "OEM_loads_v2.yaml"), "--to", "json",
         "--out", str(work / "OEM_loads_v2.json"),
     )
-    assert code == 0, "convert failed"
     print(f"converted delivery -> {out['written']}")
 
-    code, out = cli(
+    _, out = cli(
         "transform", str(work / "OEM_loads_v2.json"),
         "--rename", "lug_left=lug_port",
         "--rename", "lug_right=lug_starboard",
@@ -51,25 +53,22 @@ def main() -> int:
         "--units", "N,N·m",
         "--out", str(work / "processed.json"),
     )
-    assert code == 0, "transform failed"
     print(f"renames: {out['rename_count']}, fx correction 1.04, units -> N/N·m")
 
-    code, out = cli("equilibrium", str(work / "processed.json"))
+    code, out = cli("equilibrium", str(work / "processed.json"), ok=(0, 2))
     print(f"equilibrium: all balanced = {out['all_balanced']} (exit {code})")
 
-    code, out = cli("envelope", str(work / "processed.json"), "--out-dir", str(work))
-    assert code == 0, "envelope failed"
+    _, out = cli("envelope", str(work / "processed.json"), "--out-dir", str(work))
     selected = out["selected_case_ids"]
     print(f"envelope selection: {len(selected)} cases: {', '.join(map(str, selected))}")
 
-    code, out = cli(
+    _, out = cli(
         "export-ansys", str(work / "processed.json"),
         "--select", ",".join(map(str, selected)),
         "--node-map", str(INPUTS / "node_map.json"),
         "--exclude", "bearing",
         "--out-dir", str(work / "limit_loads"),
     )
-    assert code == 0, "export failed"
     print(f"decks written: {len(out['written'])} in {work / 'limit_loads'}")
 
     code, out = cli(
@@ -77,6 +76,7 @@ def main() -> int:
         str(work / "envelope_extremes.json"),
         str(INPUTS / "previous_run_envelope_extremes.json"),
         "--out", str(work / "comparison_report" / "v1_vs_v2.json"),
+        ok=(0, 3),
     )
     print(f"new exceeds old: {out['new_exceeds_old']} (exit {code})")
     return code

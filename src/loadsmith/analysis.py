@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .errors import LoadsmithError
 from .model import (
     COMPONENT_ORDER,
+    CheckedRecord,
     Component,
     EnvelopeExtremes,
     ExtremeCell,
@@ -36,7 +37,7 @@ def check_tolerance(name: str, value: float) -> float:
     return value
 
 
-class Tolerance(namedtuple("Tolerance", "abs rel")):
+class Tolerance(CheckedRecord, namedtuple("Tolerance", "abs rel")):
     """Absolute/relative tolerance pair for residual checks."""
 
     __slots__ = ()

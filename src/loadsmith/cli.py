@@ -8,10 +8,10 @@ Exit codes form a contract orchestrators can branch on:
 * 3 - processing succeeded but the new loads exceed the previous envelope
 * 4 - infrastructure failure (missing files, I/O trouble)
 
-Errors are emitted as one JSON object on stderr. Every subcommand that
-writes content files also writes an NDJSON trace sidecar (argv, input and
-output checksums, timestamps) so runs stay auditable without contaminating
-the reproducible content.
+Each subcommand writes its content files and returns its exit code, its
+summary and the files written. ``main()`` writes the rest: an NDJSON trace
+sidecar for those files (argv, checksums, timestamps, kept out of the
+content), the summary as JSON on stdout, or one JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ EXIT_INFRASTRUCTURE = 4
 OUT_DIR_ENV = "LOADSMITH_OUT_DIR"
 
 
-class _UsageExit(Exception):
+class _UsageExit(LoadsmithError):
     def __init__(self, message: str):
-        super().__init__(message)
+        super().__init__(message, code="USAGE")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,15 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # failures, so route usage problems through our own handler.
     def error(self, message):
         raise _UsageExit(message)
-
-
-def _emit_error(code: str, message: str, location: str | None = None) -> None:
-    error = LoadsmithError(message, code=code, location=location)
-    sys.stderr.write(json.dumps({"error": error.to_dict()}, ensure_ascii=False) + "\n")
-
-
-def _print_json(data) -> None:
-    sys.stdout.write(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -110,29 +101,25 @@ def _write_text(path: Path, text: str) -> None:
 
 
 # --- subcommand implementations -----------------------------------------
+# Each returns (exit code, stdout summary or None, files written).
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args):
     delivery = ingest.load_delivery(args.input)
     out = Path(args.out)
-    if args.to == "json":
-        _write_text(out, ingest.write_delivery_json(delivery))
-    else:
-        _write_text(out, ingest.write_delivery_yaml(delivery))
-    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.input], [out])
-    _print_json({"written": str(out), "format": args.to})
-    return EXIT_OK
+    write = ingest.write_delivery_json if args.to == "json" else ingest.write_delivery_yaml
+    _write_text(out, write(delivery))
+    return EXIT_OK, {"written": str(out), "format": args.to}, [out]
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     raw = Path(args.input).read_bytes()
     delivery = ingest.parse_delivery(raw)
     report = ingest.validate_delivery(delivery)
-    _print_json(report.to_dict())
-    return EXIT_OK if report.ok else EXIT_PROCESSING
+    return (EXIT_OK if report.ok else EXIT_PROCESSING), report.to_dict(), []
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args):
     delivery = ingest.load_delivery(args.input)
     summary: dict = {}
 
@@ -170,17 +157,14 @@ def _cmd_transform(args) -> int:
         summary["ultimate_factor"] = args.ultimate_factor
 
     out = Path(args.out)
-    if args.to == "yaml" or (args.to is None and out.suffix in (".yaml", ".yml")):
-        _write_text(out, ingest.write_delivery_yaml(delivery))
-    else:
-        _write_text(out, ingest.write_delivery_json(delivery))
-    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.input], [out])
+    as_yaml = args.to == "yaml" or (args.to is None and out.suffix in (".yaml", ".yml"))
+    write = ingest.write_delivery_yaml if as_yaml else ingest.write_delivery_json
+    _write_text(out, write(delivery))
     summary["written"] = str(out)
-    _print_json(summary)
-    return EXIT_OK
+    return EXIT_OK, summary, [out]
 
 
-def _cmd_equilibrium(args) -> int:
+def _cmd_equilibrium(args):
     defaults = _load_tolerances(args.config)
     tol = Tolerance(
         abs=args.abs_tol if args.abs_tol is not None else defaults.abs,
@@ -192,30 +176,23 @@ def _cmd_equilibrium(args) -> int:
         text = _read_text(args.coords, "coords")
         coords = ingest.read_coordinates(ingest.read_json(text, "coords"), "coords")
     survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
-    _print_json(survey.to_dict())
-    return EXIT_OK if survey.all_balanced else EXIT_PROCESSING
+    return (EXIT_OK if survey.all_balanced else EXIT_PROCESSING), survey.to_dict(), []
 
 
-def _cmd_envelope(args) -> int:
+def _cmd_envelope(args):
     delivery = ingest.load_delivery(args.input)
     selection = envelope_select(delivery)
     out_dir = _default_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     md_path = out_dir / "envelope.md"
     json_path = out_dir / "envelope_extremes.json"
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
-    write_cli_trace(out_dir / "trace.ndjson", args.invocation, [args.input], [md_path, json_path])
-    _print_json(
-        {
-            "selected_case_ids": list(selection.selected_case_ids),
-            "written": [str(md_path), str(json_path)],
-        }
-    )
-    return EXIT_OK
+    summary = {"selected_case_ids": list(selection.selected_case_ids)}
+    summary["written"] = [str(md_path), str(json_path)]
+    return EXIT_OK, summary, [md_path, json_path]
 
 
-def _cmd_export_ansys(args) -> int:
+def _cmd_export_ansys(args):
     delivery = ingest.load_delivery(args.input)
     nodes = export.load_node_map(args.node_map)
     selected = []
@@ -231,12 +208,10 @@ def _cmd_export_ansys(args) -> int:
     )
     out_dir = _default_out_dir(args.out_dir)
     paths = export.export_all_inp(delivery, selected, nodes, exclude, out_dir)
-    write_cli_trace(out_dir / "trace.ndjson", args.invocation, [args.input, args.node_map], paths)
-    _print_json({"written": [str(p) for p in paths]})
-    return EXIT_OK
+    return EXIT_OK, {"written": [str(p) for p in paths]}, paths
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     new_text = _read_text(args.new, "new extremes")
     old_text = _read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
@@ -249,12 +224,11 @@ def _cmd_compare(args) -> int:
     _write_text(out, compare_mod.write_comparison_report(report))
     md_path = out.with_suffix(".md")
     _write_text(md_path, compare_mod.comparison_to_markdown(report))
-    write_cli_trace(str(out) + ".trace.ndjson", args.invocation, [args.new, args.old], [out, md_path])
-    _print_json({"new_exceeds_old": report.new_exceeds_old, "written": [str(out), str(md_path)]})
-    return EXIT_EXCEEDANCE if report.new_exceeds_old else EXIT_OK
+    summary = {"new_exceeds_old": report.new_exceeds_old, "written": [str(out), str(md_path)]}
+    return (EXIT_EXCEEDANCE if report.new_exceeds_old else EXIT_OK), summary, [out, md_path]
 
 
-def _cmd_eval_run(args) -> int:
+def _cmd_eval_run(args):
     from .evalkit import load_scenario, run_scenario
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUT_DIR_ENV, "eval_runs"))
@@ -282,24 +256,21 @@ def _cmd_eval_run(args) -> int:
                 "report": str(out_dir / scenario.id / "report.json"),
             }
         )
-    _print_json(summaries)
-    if all_pass:
-        return EXIT_OK
-    return EXIT_INFRASTRUCTURE if any_infra else EXIT_PROCESSING
+    status = EXIT_OK if all_pass else EXIT_INFRASTRUCTURE if any_infra else EXIT_PROCESSING
+    return status, summaries, []
 
 
-def _cmd_eval_passk(args) -> int:
+def _cmd_eval_passk(args):
     from .evalkit import min_k_for
 
-    sys.stdout.write(f"{min_k_for(args.p, args.alpha)}\n")
-    return EXIT_OK
+    return EXIT_OK, min_k_for(args.p, args.alpha), []
 
 
-def _cmd_docserve(args) -> int:
+def _cmd_docserve(args):
     from . import docserver
 
     docserver.serve(args.catalog_dir)
-    return EXIT_OK
+    return EXIT_OK, None, []
 
 
 # --- parser wiring --------------------------------------------------------
@@ -382,33 +353,32 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; write its sidecar and stdout summary, or its stderr error."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except _UsageExit as exc:
-        _emit_error("USAGE", str(exc))
-        return EXIT_USAGE
-    args.invocation = ["loadsmith", *argv]  # what trace sidecars record as argv
-
-    try:
-        return args.func(args)
-    except _UsageExit as exc:
-        _emit_error("USAGE", str(exc))
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        status, summary, written = args.func(args)
+        if written:
+            named = [vars(args)[n] for n in ("input", "node_map", "new", "old") if n in vars(args)]
+            if "out_dir" in vars(args):
+                sidecar = _default_out_dir(args.out_dir) / "trace.ndjson"
+            else:
+                sidecar = f"{written[0]}.trace.ndjson"
+            write_cli_trace(sidecar, ["loadsmith", *argv], named, written)
+        if summary is not None:
+            sys.stdout.write(json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
+        return status
     except LoadsmithError as exc:
-        sys.stderr.write(json.dumps({"error": exc.to_dict()}, ensure_ascii=False) + "\n")
-        return EXIT_PROCESSING
+        error, status = exc, (EXIT_USAGE if isinstance(exc, _UsageExit) else EXIT_PROCESSING)
     except FileNotFoundError as exc:
-        _emit_error("FILE_NOT_FOUND", str(exc))
-        return EXIT_INFRASTRUCTURE
+        error, status = LoadsmithError(str(exc), code="FILE_NOT_FOUND"), EXIT_INFRASTRUCTURE
     except OSError as exc:
-        _emit_error("IO_ERROR", str(exc))
-        return EXIT_INFRASTRUCTURE
+        error, status = LoadsmithError(str(exc), code="IO_ERROR"), EXIT_INFRASTRUCTURE
     except ValueError as exc:
-        _emit_error("VALUE_ERROR", str(exc))
-        return EXIT_PROCESSING
+        error, status = LoadsmithError(str(exc), code="VALUE_ERROR"), EXIT_PROCESSING
+    sys.stderr.write(json.dumps({"error": error.to_dict()}, ensure_ascii=False) + "\n")
+    return status
 
 
 if __name__ == "__main__":

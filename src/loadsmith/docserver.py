@@ -171,7 +171,9 @@ class DocServer:
         )
 
     def handle_line(self, line: str) -> str | None:
-        """Answer one JSON-RPC request line; None for empty input lines."""
+        """Answer one JSON-RPC request line; None for an empty line and for a
+        well-formed notification (a request without ``id``), which JSON-RPC 2.0
+        leaves unanswered."""
         line = line.strip()
         if not line:
             return None
@@ -197,6 +199,8 @@ class DocServer:
             _expect_text(method, "request.method")
         except SchemaError as exc:
             return self._error(request_id, INVALID_REQUEST, f"invalid request: {exc}")
+        if "id" not in request:
+            return None
         if method not in _METHOD_PARAMS:
             return self._error(request_id, METHOD_NOT_FOUND, f"method not found: {method!r}")
         params = request.get("params", {})

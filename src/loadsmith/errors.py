@@ -23,6 +23,10 @@ class LoadsmithError(Exception):
         return out
 
 
+class OutOfRangeError(LoadsmithError, ValueError):
+    """A number outside its domain, under a code naming which; still a ValueError."""
+
+
 class InputSyntaxError(LoadsmithError):
     """Raw text is not well-formed JSON/YAML."""
 

@@ -11,20 +11,24 @@ from __future__ import annotations
 
 import math
 
+from ..errors import OutOfRangeError
+
 DEFAULT_ALPHA = 0.05
 
 
 def _check_probability(name: str, value: float) -> float:
     value = float(value)
     if not (0.0 < value < 1.0):
-        raise ValueError(f"{name} must be strictly between 0 and 1, got {value!r}")
+        raise OutOfRangeError(
+            f"{name} must be strictly between 0 and 1, got {value!r}", code="BAD_PROBABILITY"
+        )
     return value
 
 
 def pass_lower_bound(k: int, alpha: float = DEFAULT_ALPHA) -> float:
     """Lower confidence bound on the pass probability after k passes in k runs."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise OutOfRangeError(f"k must be a positive integer, got {k!r}", code="BAD_REPETITIONS")
     alpha = _check_probability("alpha", alpha)
     return alpha ** (1.0 / k)
 

@@ -35,6 +35,7 @@ from .checks import (
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
+from ..errors import OutOfRangeError
 from ..ingest import yaml_backend
 from ..trace import TraceWriter, environment, file_record, utc_now
 
@@ -232,7 +233,7 @@ def run_scenario(
     """
     reps = scenario.k if k is None else k
     if reps < 1:
-        raise ValueError("k must be >= 1")
+        raise OutOfRangeError(f"k must be >= 1, got {reps}", code="BAD_REPETITIONS")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 

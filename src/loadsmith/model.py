@@ -169,7 +169,21 @@ class ComponentSet(tuple):
         return self[COMPONENT_ORDER.index(component)]
 
 
-class UnitSystem(namedtuple("UnitSystem", "force_unit moment_unit")):
+class CheckedRecord:
+    """Base of the records whose constructor checks its fields: ``_make`` and
+    ``_replace`` build through the constructor, where namedtuple's skip it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class UnitSystem(CheckedRecord, namedtuple("UnitSystem", "force_unit moment_unit")):
     """Force/moment unit pair of a delivery."""
 
     __slots__ = ()
@@ -186,7 +200,7 @@ class UnitSystem(namedtuple("UnitSystem", "force_unit moment_unit")):
 SI_UNITS = UnitSystem("N", "N·m")
 
 
-class LoadCase(namedtuple("LoadCase", "id loads label")):
+class LoadCase(CheckedRecord, namedtuple("LoadCase", "id loads label")):
     """One load condition: a component set per interface point.
 
     Ids must be positive; uniqueness across a delivery is a delivery-level
@@ -206,6 +220,7 @@ class LoadCase(namedtuple("LoadCase", "id loads label")):
 
 
 class LoadsDelivery(
+    CheckedRecord,
     namedtuple("LoadsDelivery", "name version units cases coordinate_system point_coordinates")
 ):
     """An OEM load delivery: ordered cases over a fixed set of points.
@@ -245,7 +260,7 @@ def point_names(delivery: LoadsDelivery) -> list[str]:
     return sorted(names)
 
 
-class ExtremeCell(namedtuple("ExtremeCell", "max_value max_case min_value min_case")):
+class ExtremeCell(CheckedRecord, namedtuple("ExtremeCell", "max_value max_case min_value min_case")):
     """Max/min values of one (point, component) pair with originating cases."""
 
     __slots__ = ()
@@ -260,7 +275,7 @@ class ExtremeCell(namedtuple("ExtremeCell", "max_value max_case min_value min_ca
         return super().__new__(cls, max_value, max_case, min_value, min_case)
 
 
-class EnvelopeExtremes(namedtuple("EnvelopeExtremes", "name version units cells")):
+class EnvelopeExtremes(CheckedRecord, namedtuple("EnvelopeExtremes", "name version units cells")):
     """Per-(point, component) extremes table with delivery provenance."""
 
     __slots__ = ()

@@ -26,11 +26,6 @@ from .model import (
 )
 
 
-def _rebuilt(delivery: LoadsDelivery, **changes) -> LoadsDelivery:
-    """``delivery`` with ``changes``, built by the constructor so that every check runs."""
-    return LoadsDelivery(**{**delivery._asdict(), **changes})
-
-
 def _check_factor(factor: float) -> float:
     factor = float(factor)
     if not math.isfinite(factor) or factor <= 0.0:
@@ -91,7 +86,7 @@ def rename_points(
     if delivery.point_coordinates is not None:
         new_coords = {rename(p): xyz for p, xyz in delivery.point_coordinates.items()}
 
-    renamed = _rebuilt(delivery, cases=new_cases, point_coordinates=new_coords)
+    renamed = delivery._replace(cases=new_cases, point_coordinates=new_coords)
     return renamed, len(mapping) * len(delivery.cases)
 
 
@@ -116,7 +111,7 @@ def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDe
     except ValueError:
         _locate_overflow(delivery, factors)
         raise
-    return _rebuilt(delivery, cases=new_cases)
+    return delivery._replace(cases=new_cases)
 
 
 def _locate_overflow(delivery: LoadsDelivery, factors: tuple[float, ...]) -> None:
@@ -161,7 +156,7 @@ def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:
 
     factors = tuple(force_ratio if c.is_force else moment_ratio for c in COMPONENT_ORDER)
     converted = _scale_cases(delivery, factors)
-    return _rebuilt(converted, units=target)
+    return converted._replace(units=target)
 
 
 class CoordinateSystemCheck(NamedTuple):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import platform
@@ -529,6 +530,29 @@ class TestCompare:
         assert out.exists()
         assert out.with_suffix(".md").exists()
 
+    def test_default_report_path_under_working_directory(self, tmp_path, capsys, monkeypatch, delivery_file):
+        _, d = delivery_file
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        newer = tmp_path / "newer.json"
+        newer.write_text(write_delivery_json(apply_ultimate_factor(d, 1.2)._replace(version=d.version + 1)))
+        run_cli(capsys, "envelope", str(newer), "--out-dir", str(tmp_path / "env_new"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        new = tmp_path / "env_new" / "envelope_extremes.json"
+        code, out, err = run_cli(capsys, "compare", str(new), str(old))
+        assert (code, err) == (3, "")
+        report = f"comparison_report/v{d.version}_vs_v{d.version + 1}"
+        assert json.loads(out)["written"] == [f"{report}.json", f"{report}.md"]
+        assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == [
+            "comparison_report", f"{report}.json", f"{report}.json.trace.ndjson", f"{report}.md"
+        ]
+        events = [json.loads(line) for line in (work / f"{report}.json.trace.ndjson").read_text().splitlines()]
+        assert [e["path"] for e in events if e["event"] in ("input", "output")] == [
+            str(new), str(old), f"{report}.json", f"{report}.md"
+        ]
+        assert events[-1]["event"] == "done"
+
     def test_identity_exit_0(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)
         out = tmp_path / "cmp.json"
@@ -661,6 +685,26 @@ class TestEval:
         assert not (tmp_path / "runs").exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "passk", "--p", "2"], "BAD_PROBABILITY"),
+            (["eval", "passk", "--p", "0.9", "--alpha", "nan"], "BAD_PROBABILITY"),
+            (["eval", "run", "SCENARIO", "-k", "0", "--out-dir", "RUNS"], "BAD_REPETITIONS"),
+        ],
+        ids=["p-above-one", "alpha-nan", "k-zero"],
+    )
+    def test_out_of_range_number_exit_2(self, tmp_path, capsys, argv, code):
+        # Before, each was a VALUE_ERROR, the code of any ValueError.
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(_SCENARIO), encoding="utf-8")
+        named = {"SCENARIO": str(spath), "RUNS": str(tmp_path / "runs")}
+        exit_code, out, err = run_cli(capsys, *(named.get(arg, arg) for arg in argv))
+        assert exit_code == 2
+        assert out == ""
+        assert single_error(err)["code"] == code
+        assert not (tmp_path / "runs").exists()
+
     def test_passk_prints_29(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "passk", "--p", "0.9", "--alpha", "0.05")
         assert code == 0
@@ -775,11 +819,23 @@ class TestUsageAndErrors:
             "compare": (["compare", extremes, extremes, "--out", f"{out}.json"], f"{out}.json.trace.ndjson"),
         }[command]
         monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
-        code, _, _ = run_cli(capsys, *args)
+        code, out, _ = run_cli(capsys, *args)
         assert code == 0
         first = json.loads(Path(sidecar).read_text().splitlines()[0])
         assert first["event"] == "invocation"
         assert first["argv"] == ["loadsmith", *args]
+        # The whole sequence: one record per named input, then per written file.
+        inputs = {"export-ansys": [str(path), str(nodes)], "compare": [extremes, extremes]}.get(command, [str(path)])
+        written = json.loads(out)["written"]
+        written = [written] if isinstance(written, str) else written
+        events = [json.loads(line) for line in Path(sidecar).read_text().splitlines()]
+        assert [e["event"] for e in events] == [
+            "invocation", "environment", *["input"] * len(inputs), *["output"] * len(written), "done"
+        ]
+        assert [e["path"] for e in events[2:-1]] == [*inputs, *written]
+        for event in events[2:-1]:
+            data = Path(event["path"]).read_bytes()
+            assert (event["bytes"], event["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
 
     def test_cli_import_leaves_numpy_out(self):
         src = Path(loadsmith.__file__).resolve().parents[1]

@@ -251,6 +251,30 @@ class TestDocServer:
         assert response["id"] == "r1"
         assert [d["document_id"] for d in response["result"]] == [1001, 1002]
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"jsonrpc": "2.0", "method": "browse_catalog"},
+            {"jsonrpc": "2.0", "method": "get_document_content", "params": {"document_id": 1001, "version": 1}},
+            {"jsonrpc": "2.0", "method": "delete_document"},
+            {"jsonrpc": "2.0", "method": "get_document_content", "params": {"document_id": 1001}},
+        ],
+        ids=["browse", "get", "unknown-method", "bad-params"],
+    )
+    def test_notification_gets_no_reply(self, server, request_):
+        # Before, each was answered with "id": null.
+        assert server.handle_line(json.dumps(request_)) is None
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"jsonrpc": "2.0", "method"', '{"method": "browse_catalog"}', '{"jsonrpc": "2.0", "method": 1}'],
+        ids=["not-json", "no-jsonrpc", "method-not-text"],
+    )
+    def test_malformed_request_without_id_answered(self, server, line):
+        response = json.loads(server.handle_line(line))
+        assert response["error"]["code"] in (PARSE_ERROR, -32600)
+        assert response["id"] is None
+
     def test_empty_line_ignored(self, server):
         assert server.handle_line("   \n") is None
 

@@ -322,3 +322,29 @@ def test_omitted_dict_fields_are_fresh_per_record():
         assert first == second == {}
         first[1] = 1
         assert second == {}
+
+
+# One bad field per checked record, as its constructor refuses it.
+_BAD_FIELD = {
+    UnitSystem: {"force_unit": "furlong"},
+    LoadCase: {"id": 0},
+    LoadsDelivery: {"version": 0},
+    ExtremeCell: {"min_value": 3.0},
+    EnvelopeExtremes: {"cells": {"bearing": 5}},
+    Tolerance: {"abs": math.nan},
+}
+
+
+@pytest.mark.parametrize("record_type", list(_BAD_FIELD), ids=lambda t: t.__name__)
+def test_replace_and_make_run_the_constructor_checks(record_type):
+    fields = dict(_RECORDS)[record_type]
+    record = record_type(**fields)
+    assert record._replace() == record_type._make(fields.values()) == record
+    assert type(record._replace()) is type(record_type._make(fields.values())) is record_type
+    bad = {**fields, **_BAD_FIELD[record_type]}
+    with pytest.raises(Exception) as built:
+        record_type(**bad)
+    for copy in (lambda: record._replace(**_BAD_FIELD[record_type]), lambda: record_type._make(bad.values())):
+        with pytest.raises(type(built.value)) as copied:
+            copy()
+        assert str(copied.value) == str(built.value)
