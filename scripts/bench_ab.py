@@ -17,7 +17,9 @@ kills the running benchmark first. Defaults: ten pairs, ``run_seconds`` from
 metrics instead and writes ``BENCH_<pr>_trace.json``.
 
 For each workload and metric the file holds each side's runs, median, q1 and
-q3, and the number of pairs the change won (ties count for neither side). A
+q3, its median over the pairs in which it ran first and over those in which
+it ran second (None when there are none), and the number of pairs the change
+won (ties count for neither side). A
 gain holds when the change wins at least nine pairs in ten and its median
 beats the base's by more than the base's q3 - q1. ``worse_by`` is the
 change's median relative to the base's, positive when worse, next to the
@@ -94,7 +96,13 @@ def summarize(base_runs: list[float], change_runs: list[float], better: str, bou
     sides = {}
     for side, runs in (("base", base_runs), ("change", change_runs)):
         q1, median, q3 = quartiles(runs)
-        sides[side] = {"runs": runs, "median": median, "q1": q1, "q3": q3}
+        # base runs first in even pairs, the change in odd ones
+        first, second = (runs[0::2], runs[1::2]) if side == "base" else (runs[1::2], runs[0::2])
+        sides[side] = {
+            "runs": runs, "median": median, "q1": q1, "q3": q3,
+            "median_ran_first": statistics.median(first) if first else None,
+            "median_ran_second": statistics.median(second) if second else None,
+        }
     base_median, change_median = sides["base"]["median"], sides["change"]["median"]
     margin = sign * (base_median - change_median)
     entry = {

@@ -149,75 +149,75 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
     if run_dir.exists():
         shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True)
-    writer = TraceWriter(run_dir / TRACE_FILENAME)
-    trace = f"{run_dir.name}/{TRACE_FILENAME}"
+    with TraceWriter(run_dir / TRACE_FILENAME) as writer:
+        trace = f"{run_dir.name}/{TRACE_FILENAME}"
 
-    def infrastructure_failure(reason: str, exit_status=None, verdicts=()) -> RunOutcome:
-        writer.emit("infrastructure_error", reason=reason)
-        return RunOutcome(run_index, trace, exit_status, tuple(verdicts), False, reason, reason)
+        def infrastructure_failure(reason: str, exit_status=None, verdicts=()) -> RunOutcome:
+            writer.emit("infrastructure_error", reason=reason)
+            return RunOutcome(run_index, trace, exit_status, tuple(verdicts), False, reason, reason)
 
-    argv = _expand_command(scenario.environment.subject_command)
-    started = utc_now()
+        argv = _expand_command(scenario.environment.subject_command)
+        started = utc_now()
 
-    staged_names = set()
-    try:
-        for item in scenario.environment.stage:
-            source = scenario.base_dir / item.source
-            dest = run_dir / item.dest
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(source, dest)
-            record = file_record(dest, relative_to=run_dir)
-            staged_names.add(record["path"])
-            writer.emit("stage", **record)
-    except OSError as exc:
-        return infrastructure_failure(f"staging failed: {exc}")
-
-    # the measured versions win over a record key of the same name; the subject
-    # runs in this environment, so the YAML backend is the installed parser
-    writer.emit(
-        "versions",
-        **{**scenario.environment.record, **environment(), "yaml_backend": yaml_backend()},
-    )
-
-    env = _subject_env()
-    try:
-        proc = subprocess.run(
-            argv, cwd=run_dir, env=env, capture_output=True, text=True,
-            errors="replace", timeout=600,
-        )
-        exit_status: int | None = proc.returncode
-        stdout, stderr = proc.stdout, proc.stderr
-        launch_error = None
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        exit_status, stdout, stderr = None, "", ""
-        launch_error = f"subject failed to run: {exc}"
-    writer.emit("exec", argv=argv, exit_status=exit_status,
-                started_at=started, finished_at=utc_now(),
-                stdout=stdout, stderr=stderr, pythonpath=env.get("PYTHONPATH"))
-
-    for path in sorted(run_dir.rglob("*")):
-        if not path.is_file() or path.name == TRACE_FILENAME:
-            continue
-        record = file_record(path, relative_to=run_dir)
-        if record["path"] not in staged_names:
-            writer.emit("artifact", **record)
-
-    if launch_error is not None:
-        return infrastructure_failure(launch_error)
-
-    verdicts: list[CheckResult] = []
-    for spec in scenario.checks:
+        staged_names = set()
         try:
-            result = _run_check(spec, run_dir, scenario.base_dir)
-        except ReferenceError as exc:
-            return infrastructure_failure(str(exc), exit_status, verdicts)
-        verdicts.append(result)
-        writer.emit("check", **result.to_dict())
+            for item in scenario.environment.stage:
+                source = scenario.base_dir / item.source
+                dest = run_dir / item.dest
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(source, dest)
+                record = file_record(dest, relative_to=run_dir)
+                staged_names.add(record["path"])
+                writer.emit("stage", **record)
+        except OSError as exc:
+            return infrastructure_failure(f"staging failed: {exc}")
 
-    passed = all(v.passed for v in verdicts)
-    writer.emit("result", passed=passed)
-    reason = None if passed else _failure_reason(exit_status, stderr, verdicts)
-    return RunOutcome(run_index, trace, exit_status, tuple(verdicts), passed, reason)
+        # the measured versions win over a record key of the same name; the subject
+        # runs in this environment, so the YAML backend is the installed parser
+        writer.emit(
+            "versions",
+            **{**scenario.environment.record, **environment(), "yaml_backend": yaml_backend()},
+        )
+
+        env = _subject_env()
+        try:
+            proc = subprocess.run(
+                argv, cwd=run_dir, env=env, capture_output=True, text=True,
+                errors="replace", timeout=600,
+            )
+            exit_status: int | None = proc.returncode
+            stdout, stderr = proc.stdout, proc.stderr
+            launch_error = None
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            exit_status, stdout, stderr = None, "", ""
+            launch_error = f"subject failed to run: {exc}"
+        writer.emit("exec", argv=argv, exit_status=exit_status,
+                    started_at=started, finished_at=utc_now(),
+                    stdout=stdout, stderr=stderr, pythonpath=env.get("PYTHONPATH"))
+
+        for path in sorted(run_dir.rglob("*")):
+            if not path.is_file() or path.name == TRACE_FILENAME:
+                continue
+            record = file_record(path, relative_to=run_dir)
+            if record["path"] not in staged_names:
+                writer.emit("artifact", **record)
+
+        if launch_error is not None:
+            return infrastructure_failure(launch_error)
+
+        verdicts: list[CheckResult] = []
+        for spec in scenario.checks:
+            try:
+                result = _run_check(spec, run_dir, scenario.base_dir)
+            except ReferenceError as exc:
+                return infrastructure_failure(str(exc), exit_status, verdicts)
+            verdicts.append(result)
+            writer.emit("check", **result.to_dict())
+
+        passed = all(v.passed for v in verdicts)
+        writer.emit("result", passed=passed)
+        reason = None if passed else _failure_reason(exit_status, stderr, verdicts)
+        return RunOutcome(run_index, trace, exit_status, tuple(verdicts), passed, reason)
 
 
 def run_scenario(

@@ -8,6 +8,7 @@ sidecar trace, never inside content files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .errors import LoadsmithError, SchemaError
@@ -33,11 +34,19 @@ from .model import (
 NodeMap = dict[str, int]
 
 DECK_HEADER = "/COM, DUCTILE loadsmith"
+_DECK_VALUE = "%.6E"
 
 
 def format_deck_value(value: float) -> str:
     """Upper-case scientific notation with six fractional digits."""
-    return f"{value:.6E}"
+    return _DECK_VALUE % value
+
+
+# One point's F lines: its node id, filled in first, then one escaped
+# format_deck_value slot per component.
+_DECK_POINT_LINES = "\n".join(
+    f"F,%(node)s,{comp.name},{_DECK_VALUE.replace('%', '%%')}" for comp in COMPONENT_ORDER
+)
 
 
 def parse_node_map(text: str) -> NodeMap:
@@ -64,7 +73,8 @@ def write_ansys_inp(
     """Render one load case as a nodal-force deck.
 
     Two comment lines, then one ``F,<node>,<LABEL>,<value>`` line per
-    non-excluded point (lexicographic) and component (canonical order).
+    non-excluded point (lexicographic) and component (canonical order),
+    rendered with one ``%`` of a template built for the deck.
     The caller must have converted the delivery to the FEM unit system.
 
     Raises:
@@ -103,9 +113,10 @@ def write_ansys_inp(
             )
         title += f" {case.label}"
     lines.append(title)
-    for point in points:
-        for comp, value in zip(COMPONENT_ORDER, case.loads[point]):
-            lines.append(f"F,{nodes[point]},{comp.name},{format_deck_value(value)}")
+    template = "\n".join(
+        _DECK_POINT_LINES % {"node": str(nodes[point]).replace("%", "%%")} for point in points
+    )
+    lines.append(template % tuple(chain.from_iterable(map(case.loads.__getitem__, points))))
     return "\n".join(lines) + "\n"
 
 

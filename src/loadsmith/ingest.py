@@ -49,8 +49,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -370,6 +372,37 @@ def read_coordinates(node, loc: str) -> dict[str, tuple[float, float, float]]:
 
 
 _COMPONENT_KEYS = tuple(c.value for c in COMPONENT_ORDER)
+_component_values = operator.itemgetter(*_COMPONENT_KEYS)
+
+
+def _row_at_once(point, comp_node) -> ComponentSet | None:
+    """The row of a component map that passes every field check at once: a
+    ``dict`` of exactly the six components whose values are all ``float``
+    with a finite sum, under a ``str`` point name. None for any other map,
+    which ``_row_by_field`` then reads or refuses."""
+    if type(comp_node) is not dict or len(comp_node) != 6 or type(point) is not str:
+        return None
+    try:
+        row = _component_values(comp_node)
+    except KeyError:
+        return None
+    fx, fy, fz, mx, my, mz = row
+    # An int (or bool) goes field by field, which converts or refuses it; a
+    # NaN or an infinity makes the sum non-finite, as an overflowing sum does.
+    if type(fx) is type(fy) is type(fz) is type(mx) is type(my) is type(mz) is float:
+        if math.isfinite(fx + fy + fz + mx + my + mz):
+            return ComponentSet._checked(row)
+    return None
+
+
+def _row_by_field(point, comp_node, ploc: str) -> ComponentSet:
+    """The row of one point's component map at ``ploc``, each field checked
+    on its own; the first bad field is refused at its location."""
+    comp_map = _expect_mapping(comp_node, ploc)
+    _expect_keys(comp_map, required=_COMPONENT_KEYS, optional=(), location=ploc)
+    row = ComponentSet.of([_expect_number(comp_map[key], f"{ploc}.{key}") for key in _COMPONENT_KEYS])
+    _expect_text(point, ploc)
+    return row
 
 
 def parse_delivery(raw: str | bytes) -> LoadsDelivery:
@@ -378,7 +411,9 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     The carrier comes from the text: JSON when its first non-blank character
     is ``{`` or ``[``, YAML otherwise; blank input is refused. The parsed
     value is independent of the carrier; unit aliases are normalized. Errors
-    name the offending field or file position.
+    name the offending field or file position. A point's component map that
+    passes every check at once becomes its row in one step; any other is read
+    field by field, so a refusal does not depend on which path saw it.
 
     Args:
         raw: Delivery file content (UTF-8 text or bytes).
@@ -423,12 +458,10 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
             raise SchemaError(f"empty point_loads at {loc}", location=f"{loc}.point_loads")
         loads = {}
         for point, comp_node in points_node.items():
-            ploc = f"{loc}.point_loads.{point}"
-            comp_map = _expect_mapping(comp_node, ploc)
-            _expect_keys(comp_map, required=_COMPONENT_KEYS, optional=(), location=ploc)
-            loads[_expect_text(point, ploc)] = ComponentSet.of(
-                [_expect_number(comp_map[key], f"{ploc}.{key}") for key in _COMPONENT_KEYS]
-            )
+            row = _row_at_once(point, comp_node)
+            if row is None:
+                row = _row_by_field(point, comp_node, f"{loc}.point_loads.{point}")
+            loads[point] = row
         try:
             cases.append(LoadCase(id=case_id, label=label, loads=loads))
         except ValueError as exc:
@@ -544,13 +577,21 @@ def _delivery_to_plain(delivery: LoadsDelivery) -> dict:
     return out
 
 
-# One point's row and one point's coordinates, as json.dumps(indent=2) lays them out.
+# One point's row and one point's coordinates, as json.dumps(indent=2) lays them
+# out. The row's name slot is filled first, so its value slots are escaped.
 _POINT_LOADS_JSON = (
     "        %s: {\n"
-    + ",\n".join(f'          "{key}": %s' for key in _COMPONENT_KEYS)
+    + ",\n".join(f'          "{key}": %%r' for key in _COMPONENT_KEYS)
     + "\n        }"
 )
 _POINT_COORDINATES_JSON = "    %s: [\n      %s,\n      %s,\n      %s\n    ]"
+
+
+def _point_loads_template(points: tuple[str, ...]) -> str:
+    """The rows of ``points`` in a case's ``point_loads``, with a ``%r`` slot
+    per value; a ``%`` in a point name is escaped."""
+    text = json.encoder.encode_basestring
+    return ",\n".join(_POINT_LOADS_JSON % text(point).replace("%", "%%") for point in points)
 
 
 def write_delivery_json(delivery: LoadsDelivery) -> str:
@@ -561,6 +602,8 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
     module falls back to its pure-Python encoder, which took most of the time.
     Strings are escaped by the json module's own ``encode_basestring`` and
     numbers written with ``int.__repr__`` and ``float.__repr__``, as it does.
+    A case's point loads are one ``%`` of a template built once per point set,
+    whose ``%r`` is ``float.__repr__`` on the rows' floats.
     """
     text, number = json.encoder.encode_basestring, float.__repr__
     units = delivery.units
@@ -581,12 +624,15 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
         rows = f"{{\n{rows}\n  }}" if rows else "{}"
         parts.append(f'  "point_coordinates": {rows},\n')
     cases = []
+    templates = {}  # by sorted point set, which the cases of a delivery share
     for case in delivery.cases:
         label = "" if case.label is None else f'      "label": {text(case.label)},\n'
-        rows = ",\n".join(
-            _POINT_LOADS_JSON % (text(point), *map(number, case.loads[point]))
-            for point in sorted(case.loads)
-        )
+        loads = case.loads
+        points = tuple(sorted(loads))
+        template = templates.get(points)
+        if template is None:
+            template = templates[points] = _point_loads_template(points)
+        rows = template % tuple(chain.from_iterable(map(loads.__getitem__, points)))
         cases.append(
             f'    {{\n      "id": {int.__repr__(case.id)},\n{label}'
             f'      "point_loads": {{\n{rows}\n      }}\n    }}'

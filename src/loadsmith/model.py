@@ -2,7 +2,8 @@
 
 Every record here is an immutable tuple of its fields. A point's loads are one
 ``ComponentSet``: a tuple of six finite floats in ``COMPONENT_ORDER``, built
-and checked once per row by ``ComponentSet.of``. Constructors reject locally
+and checked once per row by ``ComponentSet.of``, or by a reader or transform
+that checked the row itself and builds it with ``ComponentSet._checked``. Constructors reject locally
 invalid data (non-finite numbers, bad ids, unrecognized units); consistency
 rules that span several cases of one delivery (unique ids, identical point
 sets) are checked by :func:`loadsmith.ingest.validate_delivery` so that a
@@ -150,6 +151,12 @@ class ComponentSet(tuple):
             for comp, value in zip(COMPONENT_ORDER, row):
                 _require_finite(comp.value, value)
         return row
+
+    @classmethod
+    def _checked(cls, values) -> "ComponentSet":
+        """The row of six ``values`` that the caller has already checked to be
+        finite floats; nothing is converted or checked again."""
+        return tuple.__new__(cls, values)
 
     def __reduce__(self):
         return (type(self), tuple(self))

@@ -52,18 +52,32 @@ def environment() -> dict:
 
 
 class TraceWriter:
-    """Append-only NDJSON writer for one run or CLI invocation."""
+    """Append-only NDJSON writer for one run or CLI invocation.
+
+    It holds one handle on its file until ``close()``, or the end of its
+    ``with`` block, and flushes each event, so a run that dies part-way
+    still leaves the events it emitted.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # fresh file per run; a trace never spans invocations
-        self.path.write_text("", encoding="utf-8")
+        self._handle = open(self.path, "w", encoding="utf-8")
 
     def emit(self, event: str, **fields) -> None:
         record = {"ts": utc_now(), "event": event, **fields}
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def write_cli_trace(
@@ -74,11 +88,11 @@ def write_cli_trace(
 ) -> None:
     """Standard sidecar for a CLI subcommand that wrote files: its argv, the
     ``environment()``, then a checksum record per input and per output."""
-    writer = TraceWriter(trace_path)
-    writer.emit("invocation", argv=list(argv))
-    writer.emit("environment", **environment())
-    for path in inputs:
-        writer.emit("input", **file_record(path))
-    for path in outputs:
-        writer.emit("output", **file_record(path))
-    writer.emit("done")
+    with TraceWriter(trace_path) as writer:
+        writer.emit("invocation", argv=list(argv))
+        writer.emit("environment", **environment())
+        for path in inputs:
+            writer.emit("input", **file_record(path))
+        for path in outputs:
+            writer.emit("output", **file_record(path))
+        writer.emit("done")

@@ -96,26 +96,28 @@ def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDe
     A product that overflows to infinity is refused with the location of the
     value it came from.
     """
-    try:
-        new_cases = tuple(
-            LoadCase(
-                id=case.id,
-                label=case.label,
-                loads={
-                    point: ComponentSet.of(map(operator.mul, row, factors))
-                    for point, row in case.loads.items()
-                },
-            )
-            for case in delivery.cases
+    scaled = ComponentSet._checked  # floats times floats; finiteness is checked below
+    new_cases = tuple(
+        LoadCase(
+            id=case.id,
+            label=case.label,
+            loads={
+                point: scaled(map(operator.mul, row, factors))
+                for point, row in case.loads.items()
+            },
         )
-    except ValueError:
+        for case in delivery.cases
+    )
+    # An infinite product makes the total infinite; so can a sum of finite
+    # products, for which _locate_overflow finds nothing to refuse.
+    if not math.isfinite(sum(sum(map(sum, case.loads.values())) for case in new_cases)):
         _locate_overflow(delivery, factors)
-        raise
     return delivery._replace(cases=new_cases)
 
 
 def _locate_overflow(delivery: LoadsDelivery, factors: tuple[float, ...]) -> None:
-    """Raise for the first value whose product with its factor is not finite."""
+    """Raise for the first value whose product with its factor is not finite;
+    return when every product is finite."""
     for index, case in enumerate(delivery.cases):
         for point, row in case.loads.items():
             for comp, value, factor in zip(COMPONENT_ORDER, row, factors):
@@ -123,7 +125,7 @@ def _locate_overflow(delivery: LoadsDelivery, factors: tuple[float, ...]) -> Non
                 if not math.isfinite(product):
                     raise LoadsmithError(
                         f"{comp.value} must be finite, got {product!r}",
-                        code="VALUE_ERROR",
+                        code="SCALE_OVERFLOW",
                         location=f"load_cases[{index}].point_loads.{point}.{comp.value}",
                     )
 

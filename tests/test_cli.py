@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import loadsmith
+from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import main
+from loadsmith.export import write_envelope_json
 from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
 from loadsmith.evalkit import generate_fixture
 from loadsmith.model import Component, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
@@ -219,7 +221,7 @@ class TestTransform:
         )
         assert code == 2
         error = single_error(err)
-        assert error["code"] == "VALUE_ERROR"
+        assert error["code"] == "SCALE_OVERFLOW"
         assert error["message"].startswith("fx must be finite")
         assert error["location"] == "load_cases[0].point_loads.a.fx"
         assert not out_path.exists()
@@ -780,6 +782,134 @@ class TestEval:
             {"run": 1, "reason": "exit status 1: boom"},
             {"run": 2, "reason": "exit status 1: boom"},
         ]
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory) -> dict[str, str]:
+    """The input files of every refusal in CLI_REFUSALS, by name."""
+    root = tmp_path_factory.mktemp("refusal_inputs")
+    d = generate_fixture(21, 12, POINTS, 3, units=UnitSystem("klbf", "klbf·in"))
+    one_point = LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(
+        LoadCase(id=1, label="cruise", loads={"a": ComponentSet(fx=1e300)}),
+        LoadCase(id=3, label="climb\nF,7,FX,9.9E+09", loads={"a": ComponentSet(fx=2.0)}),
+    ))
+    extremes = json.loads(write_envelope_json(envelope_extremes(d)))
+
+    def edited(edit) -> str:
+        data = copy.deepcopy(extremes)
+        edit(data["extremes"]["bearing"]["FX"])
+        return json.dumps(data)
+
+    texts = {
+        "delivery": write_delivery_json(d),
+        "merge_yaml": write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
+        "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
+        "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
+        "broken": '{"name": "x"}',
+        "one_point": write_delivery_json(one_point),
+        "nodes": json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}),
+        "nodes_a": json.dumps({"a": 7}),
+        "config_node_map": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0}, "node_map": {"bearing": 7}}),
+        "config_step": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0, "step": 2}}),
+        "config_string": json.dumps({"tolerances": {"abs": "x", "rel": 1.0}}),
+        "config_rel_negative": json.dumps({"tolerances": {"abs": 1e-9, "rel": -1}}),
+        "export_config": json.dumps({"node_map": {p: 7 for p in POINTS}}),
+        "coords_string": json.dumps({p: [0.0, "x" if p == "nozzle" else 0.0, 0.0] for p in POINTS}),
+        "coords_nan": json.dumps({p: [float("nan"), 0.0, 0.0] for p in POINTS}),
+        "extremes": json.dumps(extremes),
+        "extremes_no_max_case": edited(lambda cell: cell.pop("max_case")),
+        "extremes_string_max": edited(lambda cell: cell.update(max="1.0")),
+        "extremes_min_above_max": edited(lambda cell: cell.update(min=cell["max"] + 1.0)),
+        "extremes_empty": json.dumps({**extremes, "extremes": {}}),
+        "scenario": json.dumps(_SCENARIO),
+        **{f"scenario_{param.id}": param.values[0] for param in MALFORMED_SCENARIOS},
+    }
+    files = {"bin": root / "bin.json"}
+    files["bin"].write_bytes(b"\xff\xfename: x\n")
+    for name, text in texts.items():
+        files[name] = root / f"{name}.{'yaml' if name.endswith('yaml') else 'json'}"
+        files[name].write_text(text, encoding="utf-8")
+    return {name: str(path) for name, path in files.items()}
+
+
+def _refusals(status: int, *cases: tuple[str, str]) -> list:
+    return [pytest.param(argv.split(), status, id=name) for name, argv in cases]
+
+
+# Every refusal this file's tests exercise, as an argv with {name} for an
+# input from refusal_inputs and {out} for the test's output directory. A
+# command that reports findings (validate, equilibrium, a failing scenario)
+# and an unreadable input (exit 4) are not refusals.
+CLI_REFUSALS = [
+    *_refusals(
+        1,
+        ("transform-scale-spec", "transform {delivery} --scale FX:1.04 --out {out}/x.json"),
+        ("transform-repeated-rename",
+         "transform {delivery} --rename lug_left=lug_port --rename lug_left=lug_x --out {out}/x.json"),
+        ("transform-unknown-component", "transform {delivery} --scale QQ=2 --out {out}/x.json"),
+        ("envelope-no-out-dir", "envelope {delivery}"),
+        ("export-no-node-map", "export-ansys {delivery} --select 1 --out-dir {out}"),
+        ("export-config-node-map",
+         "export-ansys {delivery} --select 1 --config {export_config} --out-dir {out}"),
+        ("unknown-subcommand", "frobnicate"),
+    ),
+    *_refusals(
+        2,
+        ("convert-undecodable", "convert {bin} --to json --out {out}/x.json"),
+        ("convert-merge-key", "convert {merge_yaml} --to json --out {out}/x.json"),
+        ("validate-long-yaml-version", "validate {long_yaml}"),
+        ("validate-long-json-version", "validate {long_json}"),
+        ("validate-schema", "validate {broken}"),
+        ("transform-overflow", "transform {one_point} --scale FX=1e10 --out {out}/x.json"),
+        ("equilibrium-undecodable-config", "equilibrium {delivery} --config {bin}"),
+        ("equilibrium-undecodable-coords", "equilibrium {delivery} --coords {bin}"),
+        ("equilibrium-config-node-map", "equilibrium {delivery} --config {config_node_map}"),
+        ("equilibrium-config-unknown-key", "equilibrium {delivery} --config {config_step}"),
+        ("equilibrium-config-string", "equilibrium {delivery} --config {config_string}"),
+        ("equilibrium-rel-nan", "equilibrium {delivery} --rel-tol=nan"),
+        ("equilibrium-abs-inf", "equilibrium {delivery} --abs-tol=inf"),
+        ("equilibrium-abs-negative", "equilibrium {delivery} --abs-tol=-1"),
+        ("equilibrium-config-rel-negative", "equilibrium {delivery} --config {config_rel_negative}"),
+        ("equilibrium-coords-string", "equilibrium {delivery} --coords {coords_string}"),
+        ("equilibrium-coords-nan", "equilibrium {delivery} --coords {coords_nan}"),
+        ("export-unknown-excluded",
+         "export-ansys {delivery} --select 1 --node-map {nodes} --exclude baering --out-dir {out}"),
+        ("export-multiline-label",
+         "export-ansys {one_point} --select 3 --node-map {nodes_a} --out-dir {out}"),
+        ("export-later-case-refused",
+         "export-ansys {one_point} --select 1,3 --node-map {nodes_a} --out-dir {out}"),
+        ("export-undecodable-node-map",
+         "export-ansys {delivery} --select 1 --node-map {bin} --out-dir {out}"),
+        ("compare-missing-max-case", "compare {extremes} {extremes_no_max_case} --out {out}/c.json"),
+        ("compare-string-max", "compare {extremes} {extremes_string_max} --out {out}/c.json"),
+        ("compare-min-above-max", "compare {extremes} {extremes_min_above_max} --out {out}/c.json"),
+        ("compare-empty", "compare {extremes_empty} {extremes_empty} --out {out}/c.json"),
+        ("compare-undecodable-new", "compare {bin} {extremes} --out {out}/c.json"),
+        ("compare-undecodable-old", "compare {extremes} {bin} --out {out}/c.json"),
+        *(
+            (f"compare-widen-tol-{value}",
+             f"compare {{extremes}} {{extremes}} --out {{out}}/c.json --widen-tol={value}")
+            for value in ("nan", "inf", "-1")
+        ),
+        *(
+            (f"eval-run-{param.id}", f"eval run {{scenario_{param.id}}} --out-dir {{out}}")
+            for param in MALFORMED_SCENARIOS
+        ),
+        ("eval-passk-p-above-one", "eval passk --p 2"),
+        ("eval-passk-alpha-nan", "eval passk --p 0.9 --alpha nan"),
+        ("eval-run-k-zero", "eval run {scenario} -k 0 --out-dir {out}"),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,status", CLI_REFUSALS)
+def test_refusal_sweep(tmp_path, capsys, monkeypatch, refusal_inputs, argv, status):
+    # Before, a scaled value that overflowed was refused as VALUE_ERROR, the
+    # code main() gives any other ValueError.
+    monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
+    code, out, err = run_cli(capsys, *(arg.format(**refusal_inputs, out=tmp_path) for arg in argv))
+    assert (code, out) == (status, "")
+    assert single_error(err)["code"] != "VALUE_ERROR"
 
 
 class TestUsageAndErrors:

@@ -1,12 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from loadsmith.analysis import envelope_extremes, envelope_select
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError
 from loadsmith.evalkit import generate_fixture
 from loadsmith.export import (
+    DECK_HEADER,
     envelope_to_markdown,
     export_all_inp,
     format_deck_value,
@@ -15,9 +17,9 @@ from loadsmith.export import (
     write_ansys_inp,
     write_envelope_json,
 )
-from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS
+from loadsmith.model import COMPONENT_ORDER, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS
 
-from strategies import envelopes
+from strategies import component_sets, envelopes, point_names_st
 
 
 class TestFormatDeckValue:
@@ -34,6 +36,14 @@ class TestFormatDeckValue:
     )
     def test_examples(self, value, expected):
         assert format_deck_value(value) == expected
+
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(9.9999995e-10)
+    def test_matches_format_spec(self, value):
+        # the definition before the deck template: format(value, ".6E")
+        assert format_deck_value(value) == f"{value:.6E}"
 
 
 class TestWriteAnsysInp:
@@ -113,6 +123,44 @@ class TestWriteAnsysInp:
         with pytest.raises(LoadsmithError) as err:
             write_ansys_inp(case, {"a": 1}, exclude={"a"})
         assert err.value.code == "EMPTY_DECK"
+
+
+def _old_deck(case: LoadCase, nodes: dict, exclude: frozenset) -> str:
+    """The deck as rendered before the template: one format_deck_value per value."""
+    lines = [DECK_HEADER, f"/COM, case {case.id}" + ("" if case.label is None else f" {case.label}")]
+    for point in sorted(case.loads):
+        if point not in exclude:
+            for comp, value in zip(COMPONENT_ORDER, case.loads[point]):
+                lines.append(f"F,{nodes[point]},{comp.name},{format_deck_value(value)}")
+    return "\n".join(lines) + "\n"
+
+
+_percent_text = st.text(alphabet=st.sampled_from("%rsd(x)a_ é"), min_size=1, max_size=6)
+
+
+@st.composite
+def _decks(draw):
+    """A case with its node map and exclusions; names, labels and some node ids hold %."""
+    points = draw(st.lists(st.one_of(_percent_text, point_names_st), min_size=1, max_size=5, unique=True))
+    loads = {p: draw(component_sets(st.floats(allow_nan=False, allow_infinity=False))) for p in points}
+    label = draw(st.none() | _percent_text)
+    node_ids = st.integers(min_value=1, max_value=10**12) | _percent_text
+    nodes = {p: draw(node_ids) for p in points}
+    exclude = frozenset(draw(st.lists(st.sampled_from(points), max_size=len(points) - 1)))
+    case = LoadCase(id=draw(st.integers(min_value=1, max_value=10**6)), label=label, loads=loads)
+    return case, nodes, exclude
+
+
+class TestDeckTemplate:
+    @given(_decks())
+    @example((
+        LoadCase(id=5, label="%s %r 100%", loads={"%": ComponentSet(fx=1.5), "%(x)s": ComponentSet(my=-2.0)}),
+        {"%": 7, "%(x)s": "8%s"},
+        frozenset(),
+    ))
+    def test_matches_per_value_loop(self, deck):
+        case, nodes, exclude = deck
+        assert write_ansys_inp(case, nodes, exclude) == _old_deck(case, nodes, exclude)
 
 
 class TestExportAllInp:

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -15,7 +16,7 @@ from loadsmith.ingest import (
     write_delivery_json,
     write_delivery_yaml,
 )
-from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
+from loadsmith.model import COMPONENT_ORDER, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 
 from strategies import deliveries, oracle_deliveries, plain_deliveries
 
@@ -424,6 +425,137 @@ class TestOnePassReaderOracle:
         assert new == oracle
 
 
+def _parsed(text: str, fast: bool):
+    """parse_delivery's outcome on ``text``, reading rows in one step where it
+    can or always field by field: its value with every type showing, or its refusal."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not fast:
+            patch.setattr(ingest, "_row_at_once", lambda point, comp_node: None)
+        try:
+            return repr(parse_delivery(text))
+        except LoadsmithError as exc:
+            return type(exc).__name__, str(exc), exc.code, exc.location
+
+
+_ROW_JSON = '"fx": 1.5, "fy": -0.0, "fz": 0.25, "mx": 0.0, "my": 2.0, "mz": -3.5'
+_ROW_YAML = "{fx: 1.5, fy: -0.0, fz: 0.25, mx: 0.0, my: 2.0, mz: -3.5}"
+
+
+def _json_row(row: str) -> str:
+    return MINIMAL_JSON.replace('"fx": 0, "fy": 0, "fz": 0, "mx": 0, "my": 0, "mz": 0', row)
+
+
+def _yaml_row(row: str, point: str = "a") -> str:
+    return MINIMAL_YAML.format(id=1, fx=0).replace(
+        "a: {fx: 0, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}", f"{point}: {row}"
+    )
+
+
+# The malformed deliveries of this file's tests, then component maps that
+# probe each condition of the one-step read; a few valid ones among them.
+_ROW_DELIVERIES = [
+    pytest.param(MINIMAL_JSON, id="int-values"),
+    pytest.param(MINIMAL_JSON.replace('"fx": 0, ', ""), id="missing-component"),
+    pytest.param(MINIMAL_JSON.replace('"fx": 0,', '"fx": 0, "fq": 1.0,'), id="extra-component"),
+    pytest.param(MINIMAL_JSON.replace('"version": 1,\n', ""), id="missing-top-level-field"),
+    pytest.param(MINIMAL_JSON.replace('"N·m"', '"tons"'), id="unknown-unit"),
+    pytest.param('{"name": }', id="json-syntax"),
+    pytest.param("name: [unclosed", id="yaml-syntax"),
+    pytest.param("base: &anchor {force: N, moment: N·m}\nunits: *anchor\n", id="yaml-alias"),
+    pytest.param("name: !!python/none", id="yaml-tag"),
+    pytest.param("[1, 2, 3]", id="non-mapping-root"),
+    *(
+        pytest.param(MINIMAL_JSON.replace('"fx": 0', f'"fx": {token}'), id=f"json-{name}")
+        for token, name in (
+            ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+            ("1" + "0" * 400, "int-beyond-float"), ("true", "bool"), ('"1.0"', "string"),
+            ("null", "null"), ("[1.0]", "list"),
+        )
+    ),
+    pytest.param(MINIMAL_JSON.replace('"version": 1', '"version": ' + "9" * 5000), id="5000-digits"),
+    pytest.param(MINIMAL_JSON.replace('"fx": 0,', '"fx": 0, "fx": 5,'), id="json-duplicate-component"),
+    pytest.param(
+        MINIMAL_JSON.replace('"point_loads": {"a": {', '"point_loads": {"a": {}, "a": {'),
+        id="json-duplicate-point",
+    ),
+    pytest.param(MINIMAL_YAML.format(id=1, fx=0).replace("{fx: 0,", "{fx: 0, fx: 5,"), id="yaml-duplicate"),
+    *(
+        pytest.param(MINIMAL_YAML.format(**{"id": 1, "fx": 0, field: token}), id=f"yaml-{field}-{token}")
+        for field, token in (("id", "010"), ("id", "0x1F"), ("id", "1_000"), ("fx", "1:30.5"))
+    ),
+    pytest.param(_yaml_row("{<<: {fx: 5.0, fy: 0}, fz: 0, mx: 0, my: 0, mz: 0}"), id="yaml-merge"),
+    pytest.param(_yaml_row("{'<<': 1, fx: 0, fy: 0, fz: 0, mx: 0, my: 0, mz: 0}"), id="yaml-quoted-merge"),
+    pytest.param("a: " + "9" * 5000 + "\n", id="yaml-5000-digits"),
+    pytest.param(_json_row(_ROW_JSON), id="json-floats"),
+    pytest.param(_yaml_row(_ROW_YAML), id="yaml-floats"),
+    pytest.param(_json_row(_ROW_JSON.replace("1.5", "1")), id="one-int"),
+    pytest.param(_json_row(_ROW_JSON.replace("1.5", "true")), id="one-bool"),
+    pytest.param(_json_row(_ROW_JSON.replace("1.5", "NaN")), id="one-nan"),
+    pytest.param(_json_row(_ROW_JSON.replace("1.5", "-Infinity")), id="one-infinity"),
+    pytest.param(
+        _json_row(_ROW_JSON.replace("1.5", "1.7e308").replace("2.0", "1.7e308")),
+        id="sum-overflows-from-finite-values",
+    ),
+    pytest.param(_json_row(_ROW_JSON.replace('"fx"', '"fq"')), id="six-keys-one-unknown"),
+    pytest.param(_json_row(_ROW_JSON.replace('"fx": 1.5, ', "")), id="five-keys"),
+    pytest.param(_json_row(_ROW_JSON + ', "fq": 1.0'), id="seven-keys"),
+    pytest.param(_yaml_row(_ROW_YAML, point="1"), id="yaml-int-point-name"),
+    pytest.param(_yaml_row(_ROW_YAML, point="null"), id="yaml-null-point-name"),
+    pytest.param(_yaml_row(_ROW_YAML.replace("fx:", "1:")), id="yaml-int-component-key"),
+    pytest.param(_yaml_row("[1.5, 0.0, 0.0, 0.0, 0.0, 0.0]"), id="yaml-row-as-list"),
+]
+
+_component_keys = st.sampled_from([c.value for c in COMPONENT_ORDER])
+_any_value = st.one_of(
+    st.floats(), st.integers(), st.just(10**400), st.booleans(), st.none(), st.text(max_size=2)
+)
+
+
+class TestRowFastPath:
+    """The one-step row reader against the field-by-field one, its reference:
+    the same row, or a decline and the field-by-field refusal."""
+
+    @pytest.mark.parametrize("text", _ROW_DELIVERIES)
+    def test_delivery(self, text):
+        assert _parsed(text, fast=True) == _parsed(text, fast=False)
+
+    def test_shipped_delivery(self):
+        from conftest import SCENARIOS_DIR
+
+        text = (SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml").read_text(encoding="utf-8")
+        assert _parsed(text, fast=True) == _parsed(text, fast=False)
+
+    @given(oracle_deliveries())
+    def test_oracle_component_maps(self, delivery):
+        text = write_delivery_json(delivery)
+        assert _parsed(text, fast=True) == _parsed(text, fast=False)
+        for idx, case in enumerate(json.loads(text)["load_cases"]):
+            for point, comp_node in case["point_loads"].items():
+                fast = ingest._row_at_once(point, comp_node)
+                slow = ingest._row_by_field(point, comp_node, f"load_cases[{idx}].point_loads.{point}")
+                if math.isfinite(sum(comp_node.values())):
+                    assert repr(fast) == repr(slow)
+                else:  # a sum that overflows from finite values
+                    assert fast is None
+
+    @given(
+        point=st.one_of(st.text(max_size=2), st.integers(), st.none()),
+        comp_node=st.one_of(
+            st.fixed_dictionaries({c.value: _any_value for c in COMPONENT_ORDER}),
+            st.dictionaries(st.one_of(_component_keys, st.just("fq"), st.integers()), _any_value),
+            _any_value,
+        ),
+    )
+    def test_any_component_map(self, point, comp_node):
+        fast = ingest._row_at_once(point, comp_node)
+        try:
+            slow = ingest._row_by_field(point, comp_node, "p")
+        except SchemaError:
+            assert fast is None
+        else:
+            assert fast is None or repr(fast) == repr(slow)
+
+
 class TestValidateDelivery:
     def test_valid_si_delivery_clean(self):
         report = validate_delivery(parse_delivery(MINIMAL_JSON))
@@ -534,6 +666,27 @@ class TestCanonicalSerialization:
             cases=(
                 LoadCase(id=1, label=None, loads={"ü\\\"\x01": ComponentSet(-0.0, 0.0, 1e-320)}),
                 LoadCase(id=2, label="", loads={"ü\\\"\x01": ComponentSet(fx=-1.7976931348623157e308)}),
+            ),
+        )
+    )
+    @example(  # point names and labels that read as % conversions; a template escapes them
+        LoadsDelivery(
+            name="%s %r", version=1, units=SI_UNITS, coordinate_system="%%",
+            point_coordinates={"%(fx)s": (1.0, 2.0, 3.0)},
+            cases=(
+                LoadCase(id=1, label="%r %s %% %",
+                         loads={"%": ComponentSet(fx=0.1), "%r": ComponentSet(mz=-2.0)}),
+                LoadCase(id=2, label="100%", loads={"%": ComponentSet(), "%r": ComponentSet(fy=1e-7)}),
+            ),
+        )
+    )
+    @example(
+        LoadsDelivery(
+            name="x", version=1, units=SI_UNITS,
+            cases=(
+                LoadCase(id=1, label="%(fx)s",
+                         loads={"%(fx)r": ComponentSet(fx=1.0), "a%%b%": ComponentSet()}),
+                LoadCase(id=2, label="%", loads={"%d": ComponentSet(fz=3.0)}),
             ),
         )
     )

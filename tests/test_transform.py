@@ -132,7 +132,7 @@ class TestScaleComponent:
         ):
             with pytest.raises(LoadsmithError, match="^fx must be finite") as err:
                 overflow()
-            assert err.value.code == "VALUE_ERROR"
+            assert err.value.code == "SCALE_OVERFLOW"
             assert err.value.location == "load_cases[1].point_loads.b.fx"
 
     @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
