@@ -21,13 +21,13 @@ sys.path.insert(0, str(REPO / "tests"))
 from loadsmith.analysis import envelope_extremes, envelope_select
 from loadsmith.compare import compare_envelopes, write_comparison_report
 from loadsmith.docserver import Catalog, DocServer
-from loadsmith.evalkit import generate_fixture
 from loadsmith.export import envelope_to_markdown, write_ansys_inp, write_envelope_json
 from loadsmith.ingest import write_delivery_json
 from loadsmith.model import Component, EnvelopeExtremes, ExtremeCell, SI_UNITS, UnitSystem
 from loadsmith.transform import convert_units, rename_points, scale_component
 
 import micro_cases
+from fixtures import generate_fixture
 
 SCENARIOS = REPO / "scenarios"
 INPUTS = SCENARIOS / "inputs"

@@ -176,13 +176,10 @@ class SelectionReason(NamedTuple):
     kind: str  # "max" | "min"
 
 
-class EnvelopeSelection(namedtuple("EnvelopeSelection", "selected_case_ids extremes reasons")):
-    __slots__ = ()
-
-    def __new__(cls, selected_case_ids, extremes, reasons=None):
-        # A fresh dict per record when reasons is omitted, never one shared default.
-        reasons = {} if reasons is None else reasons
-        return super().__new__(cls, selected_case_ids, extremes, reasons)
+class EnvelopeSelection(NamedTuple):
+    selected_case_ids: tuple[int, ...]
+    extremes: EnvelopeExtremes
+    reasons: dict[int, tuple[SelectionReason, ...]]
 
 
 def envelope_extremes(delivery: LoadsDelivery) -> EnvelopeExtremes:

@@ -212,6 +212,8 @@ def _cmd_export_ansys(args):
 
 
 def _cmd_compare(args):
+    if args.out is not None and Path(args.out).suffix == ".md":
+        raise _UsageExit(f"--out {args.out!r} would be overwritten by the markdown report")
     new_text = _read_text(args.new, "new extremes")
     old_text = _read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
@@ -221,9 +223,12 @@ def _cmd_compare(args):
         out = Path(args.out)
     else:
         out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
-    _write_text(out, compare_mod.write_comparison_report(report))
+    # Both reports are rendered before either is written, so a refused one leaves neither.
+    json_text = compare_mod.write_comparison_report(report)
+    md_text = compare_mod.comparison_to_markdown(report)
+    _write_text(out, json_text)
     md_path = out.with_suffix(".md")
-    _write_text(md_path, compare_mod.comparison_to_markdown(report))
+    _write_text(md_path, md_text)
     summary = {"new_exceeds_old": report.new_exceeds_old, "written": [str(out), str(md_path)]}
     return (EXIT_EXCEEDANCE if report.new_exceeds_old else EXIT_OK), summary, [out, md_path]
 

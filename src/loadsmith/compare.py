@@ -10,12 +10,11 @@ which keeps the sign convention unambiguous for negative bounds.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from typing import NamedTuple
 
 from .analysis import check_tolerance
 from .errors import LoadsmithError
-from .export import format_deck_value
+from .export import _one_line, format_deck_value
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
 
 
@@ -30,20 +29,14 @@ class ComparisonCell(NamedTuple):
     min_exceeds: bool
 
 
-_REPORT_FIELDS = "new_name new_version old_name old_version units new_exceeds_old cells"
-
-
-class ComparisonReport(namedtuple("ComparisonReport", _REPORT_FIELDS)):
-    __slots__ = ()
-
-    def __new__(
-        cls, new_name, new_version, old_name, old_version, units, new_exceeds_old, cells=None
-    ):
-        # A fresh dict per record when cells is omitted, never one shared default.
-        cells = {} if cells is None else cells
-        return super().__new__(
-            cls, new_name, new_version, old_name, old_version, units, new_exceeds_old, cells
-        )
+class ComparisonReport(NamedTuple):
+    new_name: str
+    new_version: int
+    old_name: str
+    old_version: int
+    units: UnitSystem
+    new_exceeds_old: bool
+    cells: dict[str, dict[Component, ComparisonCell]]
 
 
 def _magnitude_delta_pct(old: float, new: float) -> float | None:
@@ -148,18 +141,23 @@ def _fmt_delta(delta: float | None) -> str:
 
 
 def comparison_to_markdown(report: ComparisonReport) -> str:
-    """Human-readable summary table per point, flags spelled out."""
+    """Human-readable summary table per point, flags spelled out.
+
+    Raises:
+        LoadsmithError: BAD_LABEL for an envelope name or point name that
+            spans lines.
+    """
     lines = [
         "# Envelope comparison",
         "",
-        f"New: {report.new_name} v{report.new_version}",
-        f"Old: {report.old_name} v{report.old_version}",
+        f"New: {_one_line(report.new_name, 'new envelope name')} v{report.new_version}",
+        f"Old: {_one_line(report.old_name, 'old envelope name')} v{report.old_version}",
         f"Units: force {report.units.force_unit}, moment {report.units.moment_unit}",
         f"New exceeds old: {'yes' if report.new_exceeds_old else 'no'}",
     ]
     for point in sorted(report.cells):
         lines.append("")
-        lines.append(f"## {point}")
+        lines.append(f"## {_one_line(point, 'point')}")
         lines.append("")
         lines.append(
             "| Component | Old max | New max | Max delta | Max exceeds"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
@@ -57,23 +57,7 @@ class DocumentVersion:
 class DocumentRecord:
     document_id: int
     title: str
-    versions: dict[int, DocumentVersion] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.document_id < 1:
-            raise LoadsmithError(
-                f"document_id must be positive, got {self.document_id}",
-                code="CATALOG_ERROR",
-            )
-        if not self.versions:
-            raise LoadsmithError(
-                f"document {self.document_id} has no versions", code="CATALOG_ERROR"
-            )
-        if any(v < 1 for v in self.versions):
-            raise LoadsmithError(
-                f"document {self.document_id} has non-positive version numbers",
-                code="CATALOG_ERROR",
-            )
+    versions: dict[int, DocumentVersion]
 
 
 class Catalog:
@@ -87,7 +71,9 @@ class Catalog:
         """The catalog in ``catalog_dir``. Its index is read by the strict
         reader: a repeated key, a non-object entry, an id or version that is
         not an integer, and a repeated version are refused with their
-        location; a missing index or content file is CATALOG_ERROR."""
+        location, and so are an id or version below 1 and an empty version
+        list, as CATALOG_ERROR, before the entry's content files are read. A
+        missing index or content file is CATALOG_ERROR."""
         catalog_dir = Path(catalog_dir)
         index_path = catalog_dir / "catalog.json"
         try:
@@ -103,6 +89,12 @@ class Catalog:
             entry = _expect_mapping(node, loc)
             _expect_keys(entry, ("document_id", "title", "versions"), ("added_at",), loc)
             doc_id = _expect_int(entry["document_id"], f"{loc}.document_id")
+            if doc_id < 1:
+                raise LoadsmithError(
+                    f"document_id must be positive, got {doc_id}",
+                    code="CATALOG_ERROR",
+                    location=f"{loc}.document_id",
+                )
             title = _expect_text(entry["title"], f"{loc}.title")
             if doc_id in records:
                 raise LoadsmithError(
@@ -110,14 +102,29 @@ class Catalog:
                     code="CATALOG_ERROR",
                     location=f"{loc}.document_id",
                 )
-            loaded: dict[int, DocumentVersion] = {}
+            versions: list[int] = []
             for j, node in enumerate(_expect_list(entry["versions"], f"{loc}.versions")):
-                version = _expect_int(node, f"{loc}.versions[{j}]")
-                if version in loaded:
-                    raise SchemaError(
-                        f"version {version} of document {doc_id} is listed twice",
-                        location=f"{loc}.versions[{j}]",
+                vloc = f"{loc}.versions[{j}]"
+                version = _expect_int(node, vloc)
+                if version < 1:
+                    raise LoadsmithError(
+                        f"version {version} of document {doc_id} must be positive",
+                        code="CATALOG_ERROR",
+                        location=vloc,
                     )
+                if version in versions:
+                    raise SchemaError(
+                        f"version {version} of document {doc_id} is listed twice", location=vloc
+                    )
+                versions.append(version)
+            if not versions:
+                raise LoadsmithError(
+                    f"document {doc_id} has no versions",
+                    code="CATALOG_ERROR",
+                    location=f"{loc}.versions",
+                )
+            loaded: dict[int, DocumentVersion] = {}
+            for version in versions:
                 content_path = catalog_dir / "docs" / str(doc_id) / f"v{version}.md"
                 try:
                     content = _decode(content_path.read_bytes(), f"content file {content_path}")
@@ -240,17 +247,15 @@ class DocServer:
         )
 
 
-def serve(catalog_dir: str | Path, stdin=None, stdout=None) -> None:
-    """Run the request loop until stdin closes.
+def serve(catalog_dir: str | Path) -> None:
+    """Answer requests from stdin on stdout until stdin closes.
 
     Catalog load errors abort startup with a diagnostic (raised); per-request
     problems are answered as JSON-RPC error objects.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
     server = DocServer(Catalog.load(catalog_dir))
-    for line in stdin:
+    for line in sys.stdin:
         response = server.handle_line(line)
         if response is not None:
-            stdout.write(response + "\n")
-            stdout.flush()
+            sys.stdout.write(response + "\n")
+            sys.stdout.flush()

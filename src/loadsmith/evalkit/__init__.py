@@ -10,7 +10,6 @@ from .checks import (
     numeric_file_compare,
     text_golden_check,
 )
-from .fixtures import FixtureError, generate_fixture
 from .judge import judge_check
 from .passk import min_k_for, pass_lower_bound
 from .runner import EvalReport, RunOutcome, run_scenario
@@ -21,12 +20,10 @@ __all__ = [
     "CheckSpec",
     "Environment",
     "EvalReport",
-    "FixtureError",
     "RunOutcome",
     "Scenario",
     "StageItem",
     "file_set_check",
-    "generate_fixture",
     "judge_check",
     "load_scenario",
     "min_k_for",

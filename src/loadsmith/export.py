@@ -49,6 +49,16 @@ _DECK_POINT_LINES = "\n".join(
 )
 
 
+def _one_line(text: str, what: str) -> str:
+    """``text`` unchanged, or BAD_LABEL when it spans lines: a written file
+    puts it on one line, where a line break would start a line of its own."""
+    if "".join(text.splitlines()) != text:
+        raise LoadsmithError(
+            f"{what} {text!r} spans lines; it would start a line of its own", code="BAD_LABEL"
+        )
+    return text
+
+
 def parse_node_map(text: str) -> NodeMap:
     """Parse a {point: node id} JSON config; ids must be positive and unique."""
     nodes = _expect_mapping(read_json(text, "node map"), "$")
@@ -105,13 +115,7 @@ def write_ansys_inp(
     lines = [DECK_HEADER]
     title = f"/COM, case {case.id}"
     if case.label is not None:
-        # a line break in the label would start a deck line of its own
-        if "".join(case.label.splitlines()) != case.label:
-            raise LoadsmithError(
-                f"case {case.id}: label {case.label!r} spans lines; a deck title is one line",
-                code="BAD_LABEL",
-            )
-        title += f" {case.label}"
+        title += f" {_one_line(case.label, f'case {case.id}: label')}"
     lines.append(title)
     template = "\n".join(
         _DECK_POINT_LINES % {"node": str(nodes[point]).replace("%", "%%")} for point in points
@@ -154,16 +158,21 @@ def export_all_inp(
 
 
 def envelope_to_markdown(extremes: EnvelopeExtremes) -> str:
-    """One markdown table per point, values formatted as in the decks."""
+    """One markdown table per point, values formatted as in the decks.
+
+    Raises:
+        LoadsmithError: BAD_LABEL for a delivery name or point name that
+            spans lines.
+    """
     lines = [
         "# Envelope extremes",
         "",
-        f"Delivery: {extremes.name} v{extremes.version}",
+        f"Delivery: {_one_line(extremes.name, 'delivery name')} v{extremes.version}",
         f"Units: force {extremes.units.force_unit}, moment {extremes.units.moment_unit}",
     ]
     for point in extremes.points():
         lines.append("")
-        lines.append(f"## {point}")
+        lines.append(f"## {_one_line(point, 'point')}")
         lines.append("")
         lines.append("| Component | Max | Max case | Min | Min case |")
         lines.append("| --- | --- | --- | --- | --- |")

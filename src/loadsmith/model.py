@@ -96,10 +96,6 @@ class Component(enum.Enum):
     def is_force(self) -> bool:
         return self in (Component.FX, Component.FY, Component.FZ)
 
-    @property
-    def is_moment(self) -> bool:
-        return not self.is_force
-
 
 COMPONENT_ORDER = (
     Component.FX,
@@ -109,9 +105,6 @@ COMPONENT_ORDER = (
     Component.MY,
     Component.MZ,
 )
-
-FORCE_COMPONENTS = (Component.FX, Component.FY, Component.FZ)
-MOMENT_COMPONENTS = (Component.MX, Component.MY, Component.MZ)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -255,9 +248,6 @@ class LoadsDelivery(
         fields = (name, version, units, cases, coordinate_system, point_coordinates)
         return super().__new__(cls, *fields)
 
-    def case_ids(self) -> list[int]:
-        return [c.id for c in self.cases]
-
 
 def point_names(delivery: LoadsDelivery) -> list[str]:
     """Lexicographically sorted union of point names over all cases."""
@@ -287,8 +277,8 @@ class EnvelopeExtremes(CheckedRecord, namedtuple("EnvelopeExtremes", "name versi
 
     __slots__ = ()
 
-    def __new__(cls, name, version, units, cells=None):
-        cells = {p: dict(per_comp) for p, per_comp in (cells or {}).items()}
+    def __new__(cls, name, version, units, cells):
+        cells = {p: dict(per_comp) for p, per_comp in cells.items()}
         return super().__new__(cls, name, version, units, cells)
 
     def points(self) -> list[str]:

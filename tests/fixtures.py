@@ -17,12 +17,10 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..analysis import envelope_select
-from ..errors import LoadsmithError
-from ..model import (
+from loadsmith.analysis import envelope_select
+from loadsmith.errors import LoadsmithError
+from loadsmith.model import (
     COMPONENT_ORDER,
-    FORCE_COMPONENTS,
-    MOMENT_COMPONENTS,
     Component,
     ComponentSet,
     LoadCase,
@@ -38,6 +36,9 @@ EXTREME_LO, EXTREME_HI = 60.0, 100.0
 # Three-point balance groups draw their free values from a half band so the
 # closing entry -(a + b) stays inside the interior band.
 TRIANGLE_INTERIOR = 25.0
+
+FORCE_COMPONENTS = COMPONENT_ORDER[:3]
+MOMENT_COMPONENTS = COMPONENT_ORDER[3:]
 
 
 class FixtureError(LoadsmithError):

@@ -19,13 +19,7 @@ from loadsmith.analysis import Tolerance, check_equilibrium_all, envelope_extrem
 from loadsmith.cli import main as cli_main
 from loadsmith.compare import compare_envelopes, write_comparison_report
 from loadsmith.docserver import Catalog, DocServer
-from loadsmith.evalkit import (
-    generate_fixture,
-    load_scenario,
-    min_k_for,
-    pass_lower_bound,
-    run_scenario,
-)
+from loadsmith.evalkit import load_scenario, min_k_for, pass_lower_bound, run_scenario
 from loadsmith.export import envelope_to_markdown, write_ansys_inp, write_envelope_json
 from loadsmith.ingest import parse_delivery
 from loadsmith.model import (
@@ -42,6 +36,7 @@ from loadsmith.model import (
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points
 
 from conftest import CATALOG_DIR, GOLDENS_DIR, REPO_ROOT, SCENARIOS_DIR
+from fixtures import generate_fixture
 import micro_cases
 from strategies import random_delivery
 

@@ -9,7 +9,6 @@ from loadsmith.analysis import (
     envelope_select,
 )
 from loadsmith.errors import LoadsmithError
-from loadsmith.evalkit import generate_fixture
 from loadsmith.model import (
     COMPONENT_ORDER,
     Component,
@@ -21,6 +20,7 @@ from loadsmith.model import (
 )
 from loadsmith.transform import apply_ultimate_factor, convert_units
 
+from fixtures import generate_fixture
 from strategies import deliveries
 
 
@@ -155,7 +155,7 @@ class TestCheckEquilibriumAll:
         d = generate_fixture(3, 40, self.POINTS, 5, balanced=True)
         survey = check_equilibrium_all(d, tol=Tolerance(abs=1e-9, rel=1e-3))
         assert survey.all_balanced
-        assert [r.case_id for r in survey.results] == d.case_ids()
+        assert [r.case_id for r in survey.results] == [c.id for c in d.cases]
 
     def test_one_percent_perturbation_fails(self):
         d = generate_fixture(3, 40, self.POINTS, 5, balanced=True)
@@ -285,7 +285,7 @@ class TestEnvelopeSelect:
     @given(deliveries(max_cases=12, max_points=4))
     def test_selection_sound_and_idempotent(self, delivery):
         sel = envelope_select(delivery)
-        assert set(sel.selected_case_ids) <= set(delivery.case_ids())
+        assert set(sel.selected_case_ids) <= set(c.id for c in delivery.cases)
         restricted = LoadsDelivery(
             name=delivery.name, version=delivery.version, units=delivery.units,
             cases=tuple(c for c in delivery.cases if c.id in sel.selected_case_ids),

@@ -14,11 +14,11 @@ from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import main
 from loadsmith.export import write_envelope_json
 from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
-from loadsmith.evalkit import generate_fixture
 from loadsmith.model import Component, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
 
 from conftest import SCENARIOS_DIR
+from fixtures import generate_fixture
 
 POINTS = ["bearing", "lug_left", "lug_right", "nozzle"]
 
@@ -555,6 +555,26 @@ class TestCompare:
         ]
         assert events[-1]["event"] == "done"
 
+    def test_refused_markdown_leaves_no_report(self, tmp_path, capsys, delivery_file):
+        # Before, the JSON report was written, and the name's second line landed in the markdown.
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps({**json.loads(old.read_text()), "name": "v2\nNew exceeds old: no"}))
+        out = tmp_path / "cmp.json"
+        code, outtext, err = run_cli(capsys, "compare", str(new), str(old), "--out", str(out))
+        assert (code, outtext) == (2, "")
+        assert single_error(err)["code"] == "BAD_LABEL"
+        assert not list(tmp_path.glob("cmp*"))
+
+    def test_markdown_out_path_usage_error(self, tmp_path, capsys, delivery_file):
+        # Before, the markdown report overwrote the JSON report written to the same path.
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        out = tmp_path / "rep.md"
+        code, outtext, err = run_cli(capsys, "compare", str(old), str(old), "--out", str(out))
+        assert (code, outtext) == (1, "")
+        assert single_error(err)["code"] == "USAGE"
+        assert not list(tmp_path.glob("rep*"))
+
     def test_identity_exit_0(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)
         out = tmp_path / "cmp.json"
@@ -793,6 +813,9 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         LoadCase(id=1, label="cruise", loads={"a": ComponentSet(fx=1e300)}),
         LoadCase(id=3, label="climb\nF,7,FX,9.9E+09", loads={"a": ComponentSet(fx=2.0)}),
     ))
+    multiline_point = LoadsDelivery(name="v2", version=1, units=SI_UNITS, cases=(
+        LoadCase(id=1, loads={"a\n| FX | 9.9E+09 | 1 | 0 | 1 |": ComponentSet(fx=1.0)}),
+    ))
     extremes = json.loads(write_envelope_json(envelope_extremes(d)))
 
     def edited(edit) -> str:
@@ -807,6 +830,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
         "broken": '{"name": "x"}',
         "one_point": write_delivery_json(one_point),
+        "multiline_point": write_delivery_json(multiline_point),
         "nodes": json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}),
         "nodes_a": json.dumps({"a": 7}),
         "config_node_map": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0}, "node_map": {"bearing": 7}}),
@@ -821,6 +845,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "extremes_string_max": edited(lambda cell: cell.update(max="1.0")),
         "extremes_min_above_max": edited(lambda cell: cell.update(min=cell["max"] + 1.0)),
         "extremes_empty": json.dumps({**extremes, "extremes": {}}),
+        "extremes_multiline_name": json.dumps({**extremes, "name": "v2\nUnits: force N, moment N·m"}),
         "scenario": json.dumps(_SCENARIO),
         **{f"scenario_{param.id}": param.values[0] for param in MALFORMED_SCENARIOS},
     }
@@ -852,9 +877,11 @@ CLI_REFUSALS = [
         ("export-config-node-map",
          "export-ansys {delivery} --select 1 --config {export_config} --out-dir {out}"),
         ("unknown-subcommand", "frobnicate"),
+        ("compare-out-md", "compare {extremes} {extremes} --out {out}/c.md"),
     ),
     *_refusals(
         2,
+        ("envelope-multiline-point", "envelope {multiline_point} --out-dir {out}"),
         ("convert-undecodable", "convert {bin} --to json --out {out}/x.json"),
         ("convert-merge-key", "convert {merge_yaml} --to json --out {out}/x.json"),
         ("validate-long-yaml-version", "validate {long_yaml}"),
@@ -884,6 +911,7 @@ CLI_REFUSALS = [
         ("compare-string-max", "compare {extremes} {extremes_string_max} --out {out}/c.json"),
         ("compare-min-above-max", "compare {extremes} {extremes_min_above_max} --out {out}/c.json"),
         ("compare-empty", "compare {extremes_empty} {extremes_empty} --out {out}/c.json"),
+        ("compare-multiline-name", "compare {extremes_multiline_name} {extremes} --out {out}/c.json"),
         ("compare-undecodable-new", "compare {bin} {extremes} --out {out}/c.json"),
         ("compare-undecodable-old", "compare {extremes} {bin} --out {out}/c.json"),
         *(

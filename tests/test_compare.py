@@ -179,3 +179,17 @@ class TestComparisonSerialization:
         assert "New exceeds old: yes" in md
         assert "+15.00%" in md
         assert "+30.00%" in md
+
+    @pytest.mark.parametrize("field", ["new_name", "old_name", "point"])
+    def test_markdown_refuses_text_spanning_lines(self, field):
+        # Before, the text's second line was written as a line of its own.
+        text = "v2\nNew exceeds old: no"
+        report = compare_envelopes(envelope_of(2.0, 0.0), envelope_of(1.0, 0.0))
+        if field == "point":
+            report = report._replace(cells={text: report.cells["p"]})
+        else:
+            report = report._replace(**{field: text})
+        with pytest.raises(LoadsmithError) as err:
+            comparison_to_markdown(report)
+        assert err.value.code == "BAD_LABEL"
+        assert repr(text) in str(err.value)

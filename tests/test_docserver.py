@@ -112,11 +112,14 @@ class TestCatalog:
             ('[{"document_id": 1, "title": "t", "versions": 1}]', "SCHEMA_ERROR", "[0].versions"),
             ('[{"document_id": 1, "title": "t", "title": "u", "versions": [1]}]', "SYNTAX_ERROR", None),
             ('[{"document_id": 1, "title": "t", "versions": [1], "notes": ""}]', "SCHEMA_ERROR", "[0].notes"),
+            ('[{"document_id": 0, "title": "t", "versions": [1]}]', "CATALOG_ERROR", "[0].document_id"),
+            ('[{"document_id": 1, "title": "t", "versions": []}]', "CATALOG_ERROR", "[0].versions"),
+            ('[{"document_id": 1, "title": "t", "versions": [0]}]', "CATALOG_ERROR", "[0].versions[0]"),
         ],
         ids=[
             "entry-not-object", "index-not-list", "string-version", "float-version",
             "repeated-version", "bool-id", "string-id", "versions-not-list", "repeated-key",
-            "unknown-field",
+            "unknown-field", "zero-id", "no-versions", "zero-version",
         ],
     )
     def test_malformed_index_refused(self, tmp_path, capsys, index, code, location):

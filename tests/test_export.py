@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from loadsmith.analysis import envelope_extremes, envelope_select
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError
-from loadsmith.evalkit import generate_fixture
 from loadsmith.export import (
     DECK_HEADER,
     envelope_to_markdown,
@@ -19,6 +18,7 @@ from loadsmith.export import (
 )
 from loadsmith.model import COMPONENT_ORDER, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS
 
+from fixtures import generate_fixture
 from strategies import component_sets, envelopes, point_names_st
 
 
@@ -240,6 +240,25 @@ class TestEnvelopeMarkdown:
     def test_points_sorted_as_sections(self, two_point_delivery):
         md = envelope_to_markdown(envelope_extremes(two_point_delivery))
         assert md.index("## bearing") < md.index("## lug_port")
+
+    @pytest.mark.parametrize(
+        "name,point",
+        [
+            ("v2\nUnits: force N, moment N·m", "a"),
+            ("v2\r", "a"),
+            ("v2", "a\n| FX | 9.9E+09 | 1 | 0 | 1 |"),
+            ("v2", "a\u2028b"),
+        ],
+        ids=["name-newline", "name-carriage-return", "point-newline", "point-line-separator"],
+    )
+    def test_text_spanning_lines_refused(self, name, point):
+        # Before, each line break started a line of its own in the report.
+        case = LoadCase(id=1, loads={point: ComponentSet(fx=1.0)})
+        d = LoadsDelivery(name=name, version=1, units=SI_UNITS, cases=(case,))
+        with pytest.raises(LoadsmithError) as err:
+            envelope_to_markdown(envelope_extremes(d))
+        assert err.value.code == "BAD_LABEL"
+        assert repr(point if name == "v2" else name) in str(err.value)
 
 
 class TestEnvelopeJson:

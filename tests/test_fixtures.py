@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsmith.analysis import Tolerance, check_equilibrium_all, envelope_select
-from loadsmith.evalkit import FixtureError, generate_fixture
 from loadsmith.model import SI_UNITS, UnitSystem
 
+from fixtures import FixtureError, generate_fixture
 from strategies import random_delivery
 
 POINTS7 = ["bearing", "lpt", "lug_left", "lug_right", "nozzle", "plug", "spare"]

@@ -42,9 +42,6 @@ class TestComponent:
         assert [c for c in COMPONENT_ORDER if c.is_force] == [
             Component.FX, Component.FY, Component.FZ,
         ]
-        assert [c for c in COMPONENT_ORDER if c.is_moment] == [
-            Component.MX, Component.MY, Component.MZ,
-        ]
 
 
 class TestComponentValue:
@@ -310,18 +307,6 @@ class TestPipelineRecords:
                 setattr(record, name, value)
         with pytest.raises(AttributeError):
             record.extra = 1
-
-
-def test_omitted_dict_fields_are_fresh_per_record():
-    pairs = [
-        [EnvelopeExtremes("v2", 2, SI_UNITS).cells for _ in range(2)],
-        [EnvelopeSelection((1,), EnvelopeExtremes("v2", 2, SI_UNITS)).reasons for _ in range(2)],
-        [ComparisonReport("v2", 2, "v1", 1, SI_UNITS, False).cells for _ in range(2)],
-    ]
-    for first, second in pairs:
-        assert first == second == {}
-        first[1] = 1
-        assert second == {}
 
 
 # One bad field per checked record, as its constructor refuses it.

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loadsmith.errors import LoadsmithError
-from loadsmith.evalkit import generate_fixture
 from loadsmith.model import (
     COMPONENT_ORDER,
     FORCE_TO_N,
@@ -26,6 +25,7 @@ from loadsmith.transform import (
     verify_coordinate_system,
 )
 
+from fixtures import generate_fixture
 from strategies import deliveries
 
 
