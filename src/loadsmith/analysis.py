@@ -105,8 +105,10 @@ def _case_equilibrium(case: LoadCase, coords: Coordinates | None, tol: Tolerance
         force_sum[0] += row[0]
         force_sum[1] += row[1]
         force_sum[2] += row[2]
-    force_residual = tuple(force_sum)
-    force_magnitude = math.sqrt(sum(v * v for v in force_residual))
+    # Summed left to right, not by sum(), whose float result since Python 3.12
+    # is compensated: the printed magnitude must not depend on the interpreter.
+    x, y, z = force_residual = tuple(force_sum)
+    force_magnitude = math.sqrt(x * x + y * y + z * z)
 
     force_ref = max((abs(v) for row in rows for v in row[:3]), default=0.0)
     balanced = force_magnitude <= tol.threshold(force_ref)
@@ -120,8 +122,8 @@ def _case_equilibrium(case: LoadCase, coords: Coordinates | None, tol: Tolerance
             moment_sum[0] += mx + rx_f[0]
             moment_sum[1] += my + rx_f[1]
             moment_sum[2] += mz + rx_f[2]
-        moment_residual = tuple(moment_sum)
-        moment_magnitude = math.sqrt(sum(v * v for v in moment_residual))
+        x, y, z = moment_residual = tuple(moment_sum)
+        moment_magnitude = math.sqrt(x * x + y * y + z * z)
         moment_ref = max((abs(v) for row in rows for v in row[3:]), default=0.0)
         balanced = balanced and moment_magnitude <= tol.threshold(moment_ref)
 
@@ -197,16 +199,15 @@ def envelope_extremes(delivery: LoadsDelivery) -> EnvelopeExtremes:
         case_ids = [case.id for case in holding]
         rows = [case.loads[point] for case in holding]
         per_comp: dict[Component, ExtremeCell] = {}
-        for index, comp in enumerate(COMPONENT_ORDER):
-            values = [row[index] for row in rows]
-            # max() and min() keep the first of equal values: the earliest case.
-            at_max = max(range(len(values)), key=values.__getitem__)
-            at_min = min(range(len(values)), key=values.__getitem__)
+        for comp, values in zip(COMPONENT_ORDER, zip(*rows)):
+            # max() and min() keep the first of equal values, and index() finds
+            # the first equal one: the earliest case.
+            high, low = max(values), min(values)
             per_comp[comp] = ExtremeCell(
-                max_value=values[at_max],
-                max_case=case_ids[at_max],
-                min_value=values[at_min],
-                min_case=case_ids[at_min],
+                max_value=high,
+                max_case=case_ids[values.index(high)],
+                min_value=low,
+                min_case=case_ids[values.index(low)],
             )
         cells[point] = per_comp
 

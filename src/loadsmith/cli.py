@@ -211,9 +211,23 @@ def _cmd_export_ansys(args):
     return EXIT_OK, {"written": [str(p) for p in paths]}, paths
 
 
+def _refuse_overwriting_inputs(out: Path, inputs: tuple[str, ...]) -> None:
+    """A usage error when the report ``out`` or its markdown twin names one of ``inputs``."""
+    for report in (out, out.with_suffix(".md")):
+        for name in inputs:
+            try:
+                same = os.path.samefile(report, name)
+            except OSError:  # one of the two does not exist
+                same = report.resolve() == Path(name).resolve()
+            if same:
+                raise _UsageExit(f"the report {str(report)!r} would overwrite the input {name!r}")
+
+
 def _cmd_compare(args):
-    if args.out is not None and Path(args.out).suffix == ".md":
-        raise _UsageExit(f"--out {args.out!r} would be overwritten by the markdown report")
+    if args.out is not None:
+        if Path(args.out).suffix == ".md":
+            raise _UsageExit(f"--out {args.out!r} would be overwritten by the markdown report")
+        _refuse_overwriting_inputs(Path(args.out), (args.new, args.old))
     new_text = _read_text(args.new, "new extremes")
     old_text = _read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
@@ -223,6 +237,7 @@ def _cmd_compare(args):
         out = Path(args.out)
     else:
         out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
+        _refuse_overwriting_inputs(out, (args.new, args.old))
     # Both reports are rendered before either is written, so a refused one leaves neither.
     json_text = compare_mod.write_comparison_report(report)
     md_text = compare_mod.comparison_to_markdown(report)

@@ -39,10 +39,11 @@ validating and writing JSON never load it. One pass over the parser's events
 builds the data and refuses each fault at its event. A plain scalar is typed
 as SafeLoader types it (YAML 1.1) but for the decimal-only numerals, so
 ``yes``, ``~`` and ``2024-01-01`` reach the field checks as a bool, None and
-a date. The refusals are the same on both parsers, but the wording of a YAML
-syntax error, and at times its position, comes from the parser: for
-``name: [unclosed`` libyaml reports line 2, column 1 and the pure-Python
-parser line 1, column 16.
+a date. Each distinct plain scalar text that reads as a string, an int or a
+float is typed once per document. The refusals are the same on both parsers,
+but the wording of a YAML syntax error, and at times its position, comes from
+the parser: for ``name: [unclosed`` libyaml reports line 2, column 1 and the
+pure-Python parser line 1, column 16.
 """
 
 from __future__ import annotations
@@ -197,10 +198,9 @@ def yaml_backend_used() -> str | None:
     return None if _DeliveryLoader is None else _DeliveryLoader.backend
 
 
-_STR, _INT, _FLOAT, _MERGE, _VALUE = (
-    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "merge", "value")
+_INT, _FLOAT, _MERGE, _VALUE = (
+    f"tag:yaml.org,2002:{name}" for name in ("int", "float", "merge", "value")
 )
-_KEY = object()  # an open mapping's pending key while its next node is a key
 
 
 def _refuse(problem: str, event) -> NoReturn:
@@ -212,65 +212,90 @@ def _build_yaml(loader):
 
     A plain scalar is typed by the loader's resolver table; a decimal int or
     float is built here, any other typed scalar by the loader's SafeConstructor.
+    A text typed ``str``, ``int`` or ``float`` reads the same as a key and as a
+    value, so each distinct one is typed once per document.
     """
     import yaml
 
-    node_events = (yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent)
-    resolvers = loader.yaml_implicit_resolvers  # by first character; "" for an empty scalar
-    open_nodes = []  # [container, pending key] per open mapping or sequence
-    data = None
-    document = False
+    get_event, construct = loader.get_event, loader.construct_object
+    scalar_event, mapping_start, sequence_start = (
+        yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent
+    )
+    mapping_end, sequence_end = yaml.MappingEndEvent, yaml.SequenceEndEvent
+    resolvers = loader.yaml_implicit_resolvers.get  # by first character; "" for an empty scalar
+    typed = {}  # plain text -> its value, for the texts typed str, int or float
+
+    def scalar(event, is_key: bool):
+        """The value of a scalar event that has no anchor and no tag."""
+        text = event.value
+        if not event.implicit[0]:  # quoted
+            return text
+        value = typed.get(text)
+        if value is not None:
+            return value
+        for tag, regexp in resolvers(text[:1], ()):
+            if regexp.match(text):
+                break
+        else:
+            typed[text] = text
+            return text
+        if tag == _FLOAT and text[-1] not in "fFnN":  # not .inf or .nan
+            typed[text] = value = float(text)
+        elif tag == _INT:
+            try:
+                typed[text] = value = int(text)
+            except ValueError:  # beyond int()'s digit limit
+                _refuse(f"{_too_long_int()} in delivery YAML", event)
+        elif is_key and tag == _MERGE:  # a quoted '<<' is an ordinary string key
+            _refuse("YAML merge key '<<' is not allowed in delivery files", event)
+        elif is_key and tag == _VALUE:  # a '=' key is a string
+            value = text
+        else:
+            value = construct(yaml.ScalarNode(tag, text, event.start_mark, event.end_mark))
+        return value
+
+    root = container = []  # the document's one node goes into ``root``
+    parents = []  # the open containers that hold ``container``, innermost last
+    in_map = document = False
     while True:
-        event = loader.get_event()
+        event = get_event()
         kind = type(event)
-        if kind in node_events:
+        is_key = in_map  # until the key is read; a mapping's end, or refused below
+        if in_map and kind is scalar_event and event.anchor is None and event.tag is None:
+            # A mapping's keys repeat, so most are found typed before the call.
+            key = typed.get(event.value) if event.implicit[0] else None
+            if key is None:
+                key = scalar(event, True)
+            if key in container:
+                _refuse(f"duplicate key {key!r} in delivery YAML", event)
+            event = get_event()  # the key's value
+            kind = type(event)
+            is_key = False
+            if kind is scalar_event and event.anchor is None and event.tag is None:
+                container[key] = scalar(event, False)
+                continue
+        if kind is scalar_event or kind is mapping_start or kind is sequence_start:
             if event.anchor is not None:
                 _refuse(f"YAML anchor {event.anchor!r} is not allowed in delivery files", event)
             if event.tag is not None:
                 _refuse(f"YAML tag {event.tag!r} is not allowed in delivery files", event)
-            parent = open_nodes[-1] if open_nodes else None
-            is_key = parent is not None and parent[1] is _KEY
-            if kind is yaml.ScalarEvent:
-                value = event.value
-                if event.implicit[0]:
-                    for tag, regexp in resolvers.get(value[:1], ()):
-                        if regexp.match(value):
-                            break
-                    else:
-                        tag = _STR
-                    if tag == _INT:
-                        try:
-                            value = int(value)
-                        except ValueError:  # beyond int()'s digit limit
-                            _refuse(f"{_too_long_int()} in delivery YAML", event)
-                    elif tag == _FLOAT and value[-1] not in "fFnN":  # not .inf or .nan
-                        value = float(value)
-                    elif is_key and tag == _MERGE:
-                        # A plain ``<<`` would merge another mapping's values in
-                        # without an alias; a quoted '<<' is an ordinary string key.
-                        _refuse("YAML merge key '<<' is not allowed in delivery files", event)
-                    elif tag != _STR and not (is_key and tag == _VALUE):  # a '=' key is a string
-                        node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark)
-                        value = loader.construct_object(node)
-            elif is_key:
+            if is_key:
                 _refuse("invalid YAML: found unhashable key", event)
+            if kind is scalar_event:
+                value = scalar(event, False)
             else:
-                value = {} if kind is yaml.MappingStartEvent else []
-            if parent is None:
-                data = value
-            elif is_key:
-                if value in parent[0]:
-                    _refuse(f"duplicate key {value!r} in delivery YAML", event)
-                parent[1] = value
-            elif type(parent[0]) is list:
-                parent[0].append(value)
+                value = {} if kind is mapping_start else []
+            if in_map:
+                container[key] = value
             else:
-                parent[0][parent[1]] = value
-                parent[1] = _KEY
-            if kind is not yaml.ScalarEvent:
-                open_nodes.append([value, _KEY if kind is yaml.MappingStartEvent else None])
-        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-            open_nodes.pop()
+                container.append(value)
+            if kind is not scalar_event:
+                parents.append(container)
+                container = value
+                in_map = kind is mapping_start
+        elif kind is mapping_end or kind is sequence_end:
+            container = parents.pop()
+            in_map = type(container) is dict
         elif kind is yaml.AliasEvent:
             _refuse("YAML aliases are not allowed in delivery files", event)
         elif kind is yaml.DocumentStartEvent:
@@ -278,7 +303,7 @@ def _build_yaml(loader):
                 _refuse("invalid YAML: but found another document", event)
             document = True
         elif kind is yaml.StreamEndEvent:
-            return data
+            return root[0] if root else None
 
 
 def _load_yaml(text: str):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,16 @@ class TestCheckEquilibrium:
             check_equilibrium_all(d)
         assert err.value.code == "NON_SI_EQUILIBRIUM"
 
+    def test_magnitudes_do_not_depend_on_the_interpreters_sum(self):
+        # sum() of floats is compensated since Python 3.12, which read this
+        # magnitude as 7024.30999623007.
+        load = (-7011.679264617851, -420.9382927282661, 9.786060534191773)
+        result = equilibrium_of(
+            {"a": ComponentSet(*load, *load)}, coords={"a": (0.0, 0.0, 0.0)}
+        )
+        assert result.force_residual_magnitude == 7024.309996230071
+        assert result.moment_residual_magnitude == 7024.309996230071
+
     def test_no_coords_skips_moment_residual(self):
         result = equilibrium_of({"a": ComponentSet(mz=99.0)})
         assert result.moment_residual is None
@@ -220,6 +232,13 @@ class TestEnvelopeExtremes:
         cell = envelope_extremes(d).cell("p", Component.FX)
         assert cell.max_case == 5
         assert cell.min_case == 5
+
+    @pytest.mark.parametrize("first,second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zero_tie_keeps_the_earliest_case_and_its_sign(self, first, second):
+        cell = envelope_extremes(delivery_from_fx({1: first, 2: second})).cell("p", Component.FX)
+        assert (cell.max_case, cell.min_case) == (1, 1)
+        for value in (cell.max_value, cell.min_value):
+            assert math.copysign(1.0, value) == math.copysign(1.0, first)
 
     def test_provenance_carried(self, imperial_delivery):
         ext = envelope_extremes(imperial_delivery)

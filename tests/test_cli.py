@@ -575,6 +575,43 @@ class TestCompare:
         assert single_error(err)["code"] == "USAGE"
         assert not list(tmp_path.glob("rep*"))
 
+    @pytest.mark.parametrize(
+        "old_name,out",
+        [
+            ("old.json", "old.json"),
+            ("old.md", "old.json"),
+            ("old.json", "new.json"),
+            ("old.json", "sub/../old.json"),
+        ],
+        ids=["old", "old-md-twin", "new", "old-other-spelling"],
+    )
+    def test_report_naming_an_input_usage_error(self, tmp_path, capsys, delivery_file, old_name, out):
+        # Before, the report replaced the envelope it had just compared.
+        envelope = self.make_extremes(tmp_path, capsys, delivery_file)
+        inputs = [tmp_path / "new.json", tmp_path / old_name]
+        for path in inputs:
+            path.write_bytes(envelope.read_bytes())
+        (tmp_path / "sub").mkdir()
+        before = [path.read_bytes() for path in inputs]
+        code, outtext, err = run_cli(capsys, "compare", *map(str, inputs), "--out", str(tmp_path / out))
+        assert (code, outtext) == (1, "")
+        assert single_error(err)["code"] == "USAGE"
+        assert [path.read_bytes() for path in inputs] == before
+
+    def test_default_report_path_naming_an_input_usage_error(self, tmp_path, capsys, monkeypatch, delivery_file):
+        old = self.make_extremes(tmp_path, capsys, delivery_file)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "comparison_report").mkdir()
+        _, d = delivery_file
+        report = tmp_path / "comparison_report" / f"v{d.version}_vs_v{d.version}.json"
+        report.write_bytes(old.read_bytes())
+        before = report.read_bytes()
+        code, outtext, err = run_cli(capsys, "compare", str(old), "comparison_report/" + report.name)
+        assert (code, outtext) == (1, "")
+        assert single_error(err)["code"] == "USAGE"
+        assert report.read_bytes() == before
+        assert sorted(p.name for p in report.parent.iterdir()) == [report.name]
+
     def test_identity_exit_0(self, tmp_path, capsys, delivery_file):
         old = self.make_extremes(tmp_path, capsys, delivery_file)
         out = tmp_path / "cmp.json"
@@ -841,6 +878,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "coords_string": json.dumps({p: [0.0, "x" if p == "nozzle" else 0.0, 0.0] for p in POINTS}),
         "coords_nan": json.dumps({p: [float("nan"), 0.0, 0.0] for p in POINTS}),
         "extremes": json.dumps(extremes),
+        "extremes_old": json.dumps(extremes),  # its own file: a run that replaced it harms no other
         "extremes_no_max_case": edited(lambda cell: cell.pop("max_case")),
         "extremes_string_max": edited(lambda cell: cell.update(max="1.0")),
         "extremes_min_above_max": edited(lambda cell: cell.update(min=cell["max"] + 1.0)),
@@ -878,6 +916,7 @@ CLI_REFUSALS = [
          "export-ansys {delivery} --select 1 --config {export_config} --out-dir {out}"),
         ("unknown-subcommand", "frobnicate"),
         ("compare-out-md", "compare {extremes} {extremes} --out {out}/c.md"),
+        ("compare-out-names-old", "compare {extremes} {extremes_old} --out {extremes_old}"),
     ),
     *_refusals(
         2,

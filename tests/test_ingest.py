@@ -235,6 +235,13 @@ class TestStrictReading:
         assert str(err.value) == f"integer of more than {limit} digits in delivery YAML"
         assert err.value.location == "line 1, column 4"
 
+    def test_deep_nesting_reaches_the_schema_check(self):
+        # The reader keeps its own stack of open nodes, so depth is not bounded
+        # by Python's recursion limit.
+        with pytest.raises(SchemaError) as err:
+            parse_delivery("a: " + "[" * 5000 + "]" * 5000)
+        assert str(err.value) == "missing field 'name' at $"
+
     def test_backend(self):
         assert ingest.yaml_backend() == self.backend
 
@@ -379,6 +386,12 @@ _ADVERSARIAL_DOCUMENTS = [
     "=: 1\n",
     "=: 1\n=: 2\n",
     "a: [<<, =]\n",
+    # One plain text at a key and at a value, where it reads differently or is
+    # refused at one of them: a reader must not type a text once for both.
+    "=: 1\na: =\n",
+    "'<<': 1\na: <<\n",
+    "x: yes\nyes: 1\n",
+    "a: 1.0\nb: 1\nc: 1.0\n",
     "- a\n- [b, {c: d}]\n",
     "a: [unclosed\n",
     'a: "unterminated\n',
