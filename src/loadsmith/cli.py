@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import compare as compare_mod
-from . import export, ingest, transform
+from . import export, ingest, strict, transform
 from .analysis import Tolerance, check_equilibrium_all, envelope_select
 from .errors import LoadsmithError
 from .model import Component, UnitSystem
@@ -54,21 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _read_text(path: str, what: str) -> str:
-    """A side input's text; bytes that are not UTF-8 are refused like a delivery's."""
-    return ingest._decode(Path(path).read_bytes(), what)
-
-
 def _load_tolerances(path: str | None) -> Tolerance:
     """Default tolerances, or those of a ``{"tolerances": {"abs": x, "rel": y}}`` config file."""
     if path is None:
         return Tolerance()
-    config = ingest.read_json(_read_text(path, "config"), "config")
-    ingest._expect_keys(ingest._expect_mapping(config, "$"), ("tolerances",), (), "$")
-    tolerances = ingest._expect_mapping(config["tolerances"], "tolerances")
-    ingest._expect_keys(tolerances, ("abs", "rel"), (), "tolerances")
+    config = strict.read_json(strict.read_text(path, "config"), "config")
+    strict.expect_keys(strict.expect_mapping(config, "$"), ("tolerances",), (), "$")
+    tolerances = strict.expect_mapping(config["tolerances"], "tolerances")
+    strict.expect_keys(tolerances, ("abs", "rel"), (), "tolerances")
     return Tolerance(
-        *(ingest._expect_number(tolerances[key], f"tolerances.{key}") for key in ("abs", "rel"))
+        *(strict.expect_number(tolerances[key], f"tolerances.{key}") for key in ("abs", "rel"))
     )
 
 
@@ -173,8 +168,8 @@ def _cmd_equilibrium(args):
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
-        text = _read_text(args.coords, "coords")
-        coords = ingest.read_coordinates(ingest.read_json(text, "coords"), "coords")
+        text = strict.read_text(args.coords, "coords")
+        coords = ingest.read_coordinates(strict.read_json(text, "coords"), "coords")
     survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
     return (EXIT_OK if survey.all_balanced else EXIT_PROCESSING), survey.to_dict(), []
 
@@ -228,8 +223,8 @@ def _cmd_compare(args):
         if Path(args.out).suffix == ".md":
             raise _UsageExit(f"--out {args.out!r} would be overwritten by the markdown report")
         _refuse_overwriting_inputs(Path(args.out), (args.new, args.old))
-    new_text = _read_text(args.new, "new extremes")
-    old_text = _read_text(args.old, "old extremes")
+    new_text = strict.read_text(args.new, "new extremes")
+    old_text = strict.read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
         export.read_envelope_json(new_text), export.read_envelope_json(old_text), args.widen_tol
     )

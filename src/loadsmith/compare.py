@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .analysis import check_tolerance
 from .errors import LoadsmithError
-from .export import _one_line, format_deck_value
+from .export import format_deck_value, one_line
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
 
 
@@ -150,14 +150,14 @@ def comparison_to_markdown(report: ComparisonReport) -> str:
     lines = [
         "# Envelope comparison",
         "",
-        f"New: {_one_line(report.new_name, 'new envelope name')} v{report.new_version}",
-        f"Old: {_one_line(report.old_name, 'old envelope name')} v{report.old_version}",
+        f"New: {one_line(report.new_name, 'new envelope name')} v{report.new_version}",
+        f"Old: {one_line(report.old_name, 'old envelope name')} v{report.old_version}",
         f"Units: force {report.units.force_unit}, moment {report.units.moment_unit}",
         f"New exceeds old: {'yes' if report.new_exceeds_old else 'no'}",
     ]
     for point in sorted(report.cells):
         lines.append("")
-        lines.append(f"## {_one_line(point, 'point')}")
+        lines.append(f"## {one_line(point, 'point')}")
         lines.append("")
         lines.append(
             "| Component | Old max | New max | Max delta | Max exceeds"

@@ -23,16 +23,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import strict
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
-from .ingest import (
-    _decode,
-    _expect_int,
-    _expect_keys,
-    _expect_list,
-    _expect_mapping,
-    _expect_text,
-    read_json,
-)
 
 # JSON-RPC 2.0 error codes (plus two application codes in the server range)
 PARSE_ERROR = -32700
@@ -77,25 +69,25 @@ class Catalog:
         catalog_dir = Path(catalog_dir)
         index_path = catalog_dir / "catalog.json"
         try:
-            raw = index_path.read_bytes()
+            text = strict.read_text(index_path, "catalog index")
         except FileNotFoundError as exc:
             raise LoadsmithError(
                 f"catalog index not found: {index_path}", code="CATALOG_ERROR"
             ) from exc
-        index = read_json(_decode(raw, "catalog index"), "catalog index")
+        index = strict.read_json(text, "catalog index")
         records: dict[int, DocumentRecord] = {}
-        for i, node in enumerate(_expect_list(index, "$")):
+        for i, node in enumerate(strict.expect_list(index, "$")):
             loc = f"[{i}]"
-            entry = _expect_mapping(node, loc)
-            _expect_keys(entry, ("document_id", "title", "versions"), ("added_at",), loc)
-            doc_id = _expect_int(entry["document_id"], f"{loc}.document_id")
+            entry = strict.expect_mapping(node, loc)
+            strict.expect_keys(entry, ("document_id", "title", "versions"), ("added_at",), loc)
+            doc_id = strict.expect_int(entry["document_id"], f"{loc}.document_id")
             if doc_id < 1:
                 raise LoadsmithError(
                     f"document_id must be positive, got {doc_id}",
                     code="CATALOG_ERROR",
                     location=f"{loc}.document_id",
                 )
-            title = _expect_text(entry["title"], f"{loc}.title")
+            title = strict.expect_text(entry["title"], f"{loc}.title")
             if doc_id in records:
                 raise LoadsmithError(
                     f"duplicate document_id {doc_id} in catalog",
@@ -103,9 +95,9 @@ class Catalog:
                     location=f"{loc}.document_id",
                 )
             versions: list[int] = []
-            for j, node in enumerate(_expect_list(entry["versions"], f"{loc}.versions")):
+            for j, node in enumerate(strict.expect_list(entry["versions"], f"{loc}.versions")):
                 vloc = f"{loc}.versions[{j}]"
-                version = _expect_int(node, vloc)
+                version = strict.expect_int(node, vloc)
                 if version < 1:
                     raise LoadsmithError(
                         f"version {version} of document {doc_id} must be positive",
@@ -127,7 +119,7 @@ class Catalog:
             for version in versions:
                 content_path = catalog_dir / "docs" / str(doc_id) / f"v{version}.md"
                 try:
-                    content = _decode(content_path.read_bytes(), f"content file {content_path}")
+                    content = strict.read_text(content_path, f"content file {content_path}")
                 except FileNotFoundError as exc:
                     raise LoadsmithError(
                         f"content file missing for document {doc_id} v{version}: {content_path}",
@@ -185,7 +177,7 @@ class DocServer:
         if not line:
             return None
         try:
-            request = read_json(line, "request")
+            request = strict.read_json(line, "request")
         except InputSyntaxError as exc:
             if isinstance(exc.__cause__, json.JSONDecodeError):
                 return self._error(None, PARSE_ERROR, "parse error: request is not valid JSON")
@@ -202,8 +194,8 @@ class DocServer:
             )
         method = request.get("method")
         try:
-            _expect_keys(request, ("jsonrpc", "method"), ("id", "params"), "request")
-            _expect_text(method, "request.method")
+            strict.expect_keys(request, ("jsonrpc", "method"), ("id", "params"), "request")
+            strict.expect_text(method, "request.method")
         except SchemaError as exc:
             return self._error(request_id, INVALID_REQUEST, f"invalid request: {exc}")
         if "id" not in request:
@@ -212,7 +204,8 @@ class DocServer:
             return self._error(request_id, METHOD_NOT_FOUND, f"method not found: {method!r}")
         params = request.get("params", {})
         try:
-            _expect_keys(_expect_mapping(params, "params"), _METHOD_PARAMS[method], (), "params")
+            params = strict.expect_mapping(params, "params")
+            strict.expect_keys(params, _METHOD_PARAMS[method], (), "params")
         except SchemaError as exc:
             return self._error(request_id, INVALID_PARAMS, f"invalid params: {exc}")
 

@@ -6,12 +6,12 @@ from __future__ import annotations
 class LoadsmithError(Exception):
     """Base error carrying a machine-readable code and an optional location.
 
-    The CLI renders these as JSON on stderr, so every raise site should pick
-    a stable ``code`` and, for input errors, a ``location`` naming the field
-    or file position that triggered it.
+    The CLI renders these as JSON on stderr, so every raise site names a
+    stable ``code`` and, for input errors, a ``location`` naming the field or
+    file position that triggered it.
     """
 
-    def __init__(self, message: str, *, code: str = "ERROR", location: str | None = None):
+    def __init__(self, message: str, *, code: str, location: str | None = None):
         super().__init__(message)
         self.code = code
         self.location = location

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import strict
 from ..errors import LoadsmithError
-from ..ingest import _decode, read_json
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,6 @@ class ReferenceError(LoadsmithError):
 
     def __init__(self, message: str):
         super().__init__(message, code="REFERENCE_ERROR")
-
-
-def _read_json_file(path: Path, what: str):
-    """The JSON in ``path`` read by the strict reader: bytes that are not
-    UTF-8, malformed JSON and a repeated key raise LoadsmithError."""
-    return read_json(_decode(path.read_bytes(), what), what)
 
 
 def _describe(exc: LoadsmithError) -> str:
@@ -135,7 +129,7 @@ def numeric_file_compare(
     actual = Path(actual)
     what = f"reference file {reference}"
     try:
-        ref_data = _read_json_file(reference, what)
+        ref_data = strict.read_json(strict.read_text(reference, what), what)
     except FileNotFoundError as exc:
         raise ReferenceError(f"reference file missing: {reference}") from exc
     except LoadsmithError as exc:
@@ -144,7 +138,7 @@ def numeric_file_compare(
     if non_finite is not None:
         raise ReferenceError(f"{what} holds a non-finite number at {non_finite}")
     try:
-        actual_data = _read_json_file(actual, "actual file")
+        actual_data = strict.read_json(strict.read_text(actual, "actual file"), "actual file")
     except FileNotFoundError:
         return CheckResult("numeric_file_compare", "fail", (f"actual file missing: {actual}",))
     except LoadsmithError as exc:

@@ -23,8 +23,8 @@ import json
 import re
 from pathlib import Path
 
-from ..errors import LoadsmithError
-from ..ingest import _decode, _expect_keys, _expect_mapping, _expect_text, read_json
+from .. import strict
+from ..errors import InputSyntaxError, LoadsmithError
 from .checks import CheckResult, ReferenceError
 
 HTTP_TIMEOUT_S = 30.0
@@ -35,10 +35,15 @@ def _error(why: str) -> ReferenceError:
 
 
 def _read_artifacts(artifacts: list[Path]) -> list[tuple[str, str]]:
+    """Each artifact's name and text, read by the strict reader; every line
+    end reads as one newline, as in a file opened in text mode."""
     try:
-        return [(path.name, Path(path).read_text(encoding="utf-8")) for path in artifacts]
-    except (OSError, UnicodeDecodeError) as exc:
+        texts = [(path.name, strict.read_text(path, f"artifact {path.name}")) for path in artifacts]
+    except OSError as exc:
         raise _error("an artifact file could not be read") from exc
+    except InputSyntaxError as exc:  # not UTF-8
+        raise _error(f"{exc} at {exc.location}") from exc
+    return [(name, text.replace("\r\n", "\n").replace("\r", "\n")) for name, text in texts]
 
 
 def _stub(artifacts: list[Path], rubric: str, endpoint: str | None) -> tuple[bool, str]:
@@ -97,10 +102,11 @@ def _http(artifacts: list[Path], rubric: str, endpoint: str | None) -> tuple[boo
     except (urllib.error.URLError, OSError) as exc:
         raise _error(f"judge endpoint unreachable: {exc}") from exc
     try:
-        data = _expect_mapping(read_json(_decode(body, "judge response"), "judge response"), "$")
-        _expect_keys(data, ("verdict",), ("rationale",), "$")
-        verdict = _expect_text(data["verdict"], "verdict")
-        rationale = _expect_text(data.get("rationale", ""), "rationale")
+        text = strict.decode(body, "judge response")
+        data = strict.expect_mapping(strict.read_json(text, "judge response"), "$")
+        strict.expect_keys(data, ("verdict",), ("rationale",), "$")
+        verdict = strict.expect_text(data["verdict"], "verdict")
+        rationale = strict.expect_text(data.get("rationale", ""), "rationale")
     except LoadsmithError as exc:
         raise _error(f"unparseable judge response: {exc}") from exc
     if verdict not in ("PASS", "FAIL"):

@@ -51,17 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import strict
 from ..errors import SchemaError
-from ..ingest import (
-    _decode,
-    _expect_int,
-    _expect_keys,
-    _expect_list,
-    _expect_mapping,
-    _expect_number,
-    _expect_text,
-    read_json,
-)
 from .judge import ADAPTERS
 
 # Per check kind: (required fields, optional fields) beside "kind".
@@ -118,33 +109,32 @@ class Scenario:
 
 
 def _expect_texts(node, location: str) -> tuple[str, ...]:
-    return tuple(
-        _expect_text(item, f"{location}[{i}]") for i, item in enumerate(_expect_list(node, location))
-    )
+    items = strict.expect_list(node, location)
+    return tuple(strict.expect_text(item, f"{location}[{i}]") for i, item in enumerate(items))
 
 
 def _parse_check(node, loc: str) -> CheckSpec:
-    check = _expect_mapping(node, loc)
+    check = strict.expect_mapping(node, loc)
     if "kind" not in check:
         raise SchemaError(f"missing field 'kind' at {loc}", location=f"{loc}.kind")
-    kind = _expect_text(check["kind"], f"{loc}.kind")
+    kind = strict.expect_text(check["kind"], f"{loc}.kind")
     if kind not in _CHECK_FIELDS:
         raise SchemaError(f"unknown check kind {kind!r}", location=f"{loc}.kind")
     required, optional = _CHECK_FIELDS[kind]
-    _expect_keys(check, ("kind", *required), optional, loc)
+    strict.expect_keys(check, ("kind", *required), optional, loc)
     params = {}
     for name, value in check.items():
         if name == "kind":
             continue
         where = f"{loc}.{name}"
         if name in _TOLERANCE_FIELDS:
-            value = _expect_number(value, where)
+            value = strict.expect_number(value, where)
             if value < 0:
                 raise SchemaError(f"{name} must be >= 0", location=where)
         elif name in _LIST_FIELDS:
             value = _expect_texts(value, where)
         else:
-            value = _expect_text(value, where)
+            value = strict.expect_text(value, where)
         params[name] = value
     if kind == "judge":
         adapter = params["adapter"]
@@ -160,46 +150,46 @@ def _parse_check(node, loc: str) -> CheckSpec:
 
 
 def _parse_stage_item(node, loc: str) -> StageItem:
-    item = _expect_mapping(node, loc)
-    _expect_keys(item, ("source", "dest"), (), loc)
+    item = strict.expect_mapping(node, loc)
+    strict.expect_keys(item, ("source", "dest"), (), loc)
     return StageItem(
-        source=_expect_text(item["source"], f"{loc}.source"),
-        dest=_expect_text(item["dest"], f"{loc}.dest"),
+        source=strict.expect_text(item["source"], f"{loc}.source"),
+        dest=strict.expect_text(item["dest"], f"{loc}.dest"),
     )
 
 
 def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
     """The scenario in JSON ``text``; a malformed one raises a LoadsmithError with its location."""
-    data = _expect_mapping(read_json(text, "scenario"), "$")
-    _expect_keys(data, ("id", "k", "environment", "checks"), ("description", "alpha"), "$")
+    data = strict.expect_mapping(strict.read_json(text, "scenario"), "$")
+    strict.expect_keys(data, ("id", "k", "environment", "checks"), ("description", "alpha"), "$")
 
-    env = _expect_mapping(data["environment"], "environment")
-    _expect_keys(env, ("subject_command",), ("stage", "record"), "environment")
+    env = strict.expect_mapping(data["environment"], "environment")
+    strict.expect_keys(env, ("subject_command",), ("stage", "record"), "environment")
     stage = tuple(
         _parse_stage_item(item, f"environment.stage[{i}]")
-        for i, item in enumerate(_expect_list(env.get("stage", []), "environment.stage"))
+        for i, item in enumerate(strict.expect_list(env.get("stage", []), "environment.stage"))
     )
     command = _expect_texts(env["subject_command"], "environment.subject_command")
     if not command:
         raise SchemaError("subject_command must not be empty", location="environment.subject_command")
-    record = dict(_expect_mapping(env.get("record", {}), "environment.record"))
+    record = dict(strict.expect_mapping(env.get("record", {}), "environment.record"))
 
     checks = tuple(
         _parse_check(node, f"checks[{i}]")
-        for i, node in enumerate(_expect_list(data["checks"], "checks"))
+        for i, node in enumerate(strict.expect_list(data["checks"], "checks"))
     )
 
     return Scenario(
-        id=_expect_text(data["id"], "id"),
-        description=_expect_text(data.get("description", ""), "description"),
+        id=strict.expect_text(data["id"], "id"),
+        description=strict.expect_text(data.get("description", ""), "description"),
         environment=Environment(stage=stage, subject_command=command, record=record),
         checks=checks,
-        k=_expect_int(data["k"], "k"),
-        alpha=_expect_number(data.get("alpha", 0.05), "alpha"),
+        k=strict.expect_int(data["k"], "k"),
+        alpha=strict.expect_number(data.get("alpha", 0.05), "alpha"),
         base_dir=Path(base_dir),
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    return parse_scenario(_decode(path.read_bytes(), "scenario"), base_dir=path.parent)
+    return parse_scenario(strict.read_text(path, "scenario"), base_dir=path.parent)

@@ -11,17 +11,9 @@ import json
 from itertools import chain
 from pathlib import Path
 
+from . import strict
 from .errors import LoadsmithError, SchemaError
-from .ingest import (
-    _decode,
-    _expect_int,
-    _expect_keys,
-    _expect_mapping,
-    _expect_number,
-    _expect_text,
-    read_json,
-    read_units,
-)
+from .ingest import read_units
 from .model import (
     COMPONENT_ORDER,
     Component,
@@ -30,6 +22,8 @@ from .model import (
     LoadCase,
     LoadsDelivery,
 )
+# The field checks run per point and component, so they are looked up as globals.
+from .strict import expect_int, expect_keys, expect_mapping, expect_number, expect_text
 
 NodeMap = dict[str, int]
 
@@ -49,7 +43,7 @@ _DECK_POINT_LINES = "\n".join(
 )
 
 
-def _one_line(text: str, what: str) -> str:
+def one_line(text: str, what: str) -> str:
     """``text`` unchanged, or BAD_LABEL when it spans lines: a written file
     puts it on one line, where a line break would start a line of its own."""
     if "".join(text.splitlines()) != text:
@@ -61,9 +55,9 @@ def _one_line(text: str, what: str) -> str:
 
 def parse_node_map(text: str) -> NodeMap:
     """Parse a {point: node id} JSON config; ids must be positive and unique."""
-    nodes = _expect_mapping(read_json(text, "node map"), "$")
+    nodes = expect_mapping(strict.read_json(text, "node map"), "$")
     for point, node in nodes.items():
-        if _expect_int(node, point) < 1:
+        if expect_int(node, point) < 1:
             raise SchemaError(
                 f"node id for {point!r} must be a positive integer, got {node!r}",
                 location=point,
@@ -74,7 +68,7 @@ def parse_node_map(text: str) -> NodeMap:
 
 
 def load_node_map(path: str | Path) -> NodeMap:
-    return parse_node_map(_decode(Path(path).read_bytes(), "node map"))
+    return parse_node_map(strict.read_text(path, "node map"))
 
 
 def write_ansys_inp(
@@ -115,7 +109,7 @@ def write_ansys_inp(
     lines = [DECK_HEADER]
     title = f"/COM, case {case.id}"
     if case.label is not None:
-        title += f" {_one_line(case.label, f'case {case.id}: label')}"
+        title += f" {one_line(case.label, f'case {case.id}: label')}"
     lines.append(title)
     template = "\n".join(
         _DECK_POINT_LINES % {"node": str(nodes[point]).replace("%", "%%")} for point in points
@@ -167,12 +161,12 @@ def envelope_to_markdown(extremes: EnvelopeExtremes) -> str:
     lines = [
         "# Envelope extremes",
         "",
-        f"Delivery: {_one_line(extremes.name, 'delivery name')} v{extremes.version}",
+        f"Delivery: {one_line(extremes.name, 'delivery name')} v{extremes.version}",
         f"Units: force {extremes.units.force_unit}, moment {extremes.units.moment_unit}",
     ]
     for point in extremes.points():
         lines.append("")
-        lines.append(f"## {_one_line(point, 'point')}")
+        lines.append(f"## {one_line(point, 'point')}")
         lines.append("")
         lines.append("| Component | Max | Max case | Min | Min case |")
         lines.append("| --- | --- | --- | --- | --- |")
@@ -212,32 +206,32 @@ def write_envelope_json(extremes: EnvelopeExtremes) -> str:
 
 def read_envelope_json(text: str) -> EnvelopeExtremes:
     """Inverse of write_envelope_json; a missing, unknown or mistyped field is refused."""
-    root = _expect_mapping(read_json(text, "extremes"), "$")
-    _expect_keys(root, required=("name", "version", "units", "extremes"), optional=(), location="$")
-    extremes_node = _expect_mapping(root["extremes"], "extremes")
+    root = expect_mapping(strict.read_json(text, "extremes"), "$")
+    expect_keys(root, required=("name", "version", "units", "extremes"), optional=(), location="$")
+    extremes_node = expect_mapping(root["extremes"], "extremes")
     if not extremes_node:
         raise SchemaError("empty extremes: no point to compare", location="extremes")
     cells: dict[str, dict[Component, ExtremeCell]] = {}
     for point, per_comp in extremes_node.items():
         ploc = f"extremes.{point}"
-        _expect_keys(_expect_mapping(per_comp, ploc), tuple(c.name for c in COMPONENT_ORDER), (), ploc)
+        expect_keys(expect_mapping(per_comp, ploc), tuple(c.name for c in COMPONENT_ORDER), (), ploc)
         cells[point] = {}
         for comp in COMPONENT_ORDER:
             cloc = f"{ploc}.{comp.name}"
-            raw = _expect_mapping(per_comp[comp.name], cloc)
-            _expect_keys(raw, required=("max", "max_case", "min", "min_case"), optional=(), location=cloc)
+            raw = expect_mapping(per_comp[comp.name], cloc)
+            expect_keys(raw, required=("max", "max_case", "min", "min_case"), optional=(), location=cloc)
             try:
                 cells[point][comp] = ExtremeCell(
-                    max_value=_expect_number(raw["max"], f"{cloc}.max"),
-                    max_case=_expect_int(raw["max_case"], f"{cloc}.max_case"),
-                    min_value=_expect_number(raw["min"], f"{cloc}.min"),
-                    min_case=_expect_int(raw["min_case"], f"{cloc}.min_case"),
+                    max_value=expect_number(raw["max"], f"{cloc}.max"),
+                    max_case=expect_int(raw["max_case"], f"{cloc}.max_case"),
+                    min_value=expect_number(raw["min"], f"{cloc}.min"),
+                    min_case=expect_int(raw["min_case"], f"{cloc}.min_case"),
                 )
             except ValueError as exc:
                 raise SchemaError(str(exc), location=cloc) from exc
     return EnvelopeExtremes(
-        name=_expect_text(root["name"], "name"),
-        version=_expect_int(root["version"], "version"),
+        name=expect_text(root["name"], "name"),
+        version=expect_int(root["version"], "version"),
         units=read_units(root["units"], "units"),
         cells=cells,
     )

@@ -17,33 +17,11 @@ The delivery file schema is this toolkit's contract (documented in
       ]
     }
 
-JSON is the canonical form; YAML is accepted on input restricted to plain
-scalars, mappings and sequences (anchors, aliases, tags and the merge key
-``<<`` are rejected so a delivery file can always be audited line by line).
-Missing components are schema errors, never implicit zeros, and unit tokens
-outside the closed alias table are refused: silent coercion is exactly the
-failure class this layer exists to surface.
-
-Every other pipeline input (node map, extremes, config, coordinates) is
-decoded by ``read_json`` and checked by the same field helpers. Both carriers
-refuse a key repeated within one mapping, and YAML numerals are decimal only:
-``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a field check
-then refuses. Numbers must be finite: ``NaN`` and ``Infinity`` are refused
-at their field. An integer numeral beyond Python's digit limit is refused by
-the reader, as a syntax error.
-
-YAML is parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built with
-it, else by the pure-Python ``yaml.SafeLoader``; ``yaml_backend()`` names the
-one in use. PyYAML is imported on the first YAML read or write, so reading,
-validating and writing JSON never load it. One pass over the parser's events
-builds the data and refuses each fault at its event. A plain scalar is typed
-as SafeLoader types it (YAML 1.1) but for the decimal-only numerals, so
-``yes``, ``~`` and ``2024-01-01`` reach the field checks as a bool, None and
-a date. Each distinct plain scalar text that reads as a string, an int or a
-float is typed once per document. The refusals are the same on both parsers,
-but the wording of a YAML syntax error, and at times its position, comes from
-the parser: for ``name: [unclosed`` libyaml reports line 2, column 1 and the
-pure-Python parser line 1, column 16.
+JSON is the canonical form; YAML is accepted on input and read by
+``yaml_reader``, imported on the first YAML read. Missing components are
+schema errors, never implicit zeros, and unit tokens outside the closed
+alias table are refused: silent coercion is exactly the failure class this
+layer exists to surface.
 """
 
 from __future__ import annotations
@@ -51,12 +29,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
+from . import strict
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
 from .model import (
     COMPONENT_ORDER,
@@ -66,6 +44,8 @@ from .model import (
     UnitSystem,
     point_names,
 )
+# The field checks run per case and point, so they are looked up as globals.
+from .strict import expect_int, expect_keys, expect_mapping, expect_number, expect_text
 
 
 class Finding(NamedTuple):
@@ -97,301 +77,26 @@ class ValidationReport(NamedTuple):
         }
 
 
-def _decode(raw: str | bytes, what: str = "delivery") -> str:
-    """The text of the input named ``what``; bytes that are not UTF-8 raise
-    InputSyntaxError at their offset."""
-    if isinstance(raw, bytes):
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputSyntaxError(
-                f"{what} is not UTF-8 text: {exc.reason}", location=f"offset {exc.start}"
-            ) from exc
-    return raw
-
-
-def _position(mark) -> str:
-    return f"line {mark.line + 1}, column {mark.column + 1}"
-
-
-def read_json(text: str, what: str):
-    """Decode the JSON input named ``what``; malformed JSON (with line and
-    column), a name repeated within an object and an integer beyond Python's
-    digit limit raise InputSyntaxError."""
-
-    def unique(pairs: list) -> dict:
-        mapping = dict(pairs)
-        if len(mapping) < len(pairs):  # name the first repeated key
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise InputSyntaxError(f"duplicate key {key!r} in {what} JSON")
-                seen.add(key)
-        return mapping
-
-    try:
-        return json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
-        raise InputSyntaxError(
-            f"invalid {what} JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    except ValueError as exc:  # the decoder's one other ValueError: int()'s digit limit
-        raise InputSyntaxError(f"{_too_long_int()} in {what} JSON") from exc
-
-
-def _too_long_int() -> str:
-    return f"integer of more than {sys.get_int_max_str_digits()} digits"
-
-
-# YAML 1.1 numerals that are not plain decimal (octal 010, hex, binary, 1_000,
-# sexagesimal 1:30) resolve to strings, so a field check refuses them.
-_DECIMAL_RESOLVERS = {
-    "tag:yaml.org,2002:int": re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$"),
-    "tag:yaml.org,2002:float": re.compile(
-        r"^(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
-        r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
-    ),
-}
-
-
-def _delivery_loader(base: type) -> type:
-    """A ``base`` loader whose resolver table reads numerals as decimal only."""
-    import yaml
-
-    class DeliveryLoader(base):
-        backend = "python" if issubclass(base, yaml.parser.Parser) else "libyaml"
-
-        yaml_implicit_resolvers = {
-            first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
-            for first, resolvers in base.yaml_implicit_resolvers.items()
-        }
-
-    return DeliveryLoader
-
-
-# Built on the first YAML read (or yaml_backend() call), so a process that
-# reads and writes only JSON never imports PyYAML. Tests patch it to pin a parser.
-_DeliveryLoader = None
-
-
-def _yaml_loader() -> type:
-    """The delivery loader: libyaml when PyYAML was built with it, else the
-    pure-Python parser."""
-    global _DeliveryLoader
-    if _DeliveryLoader is None:
-        import yaml
-
-        _DeliveryLoader = _delivery_loader(
-            yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        )
-    return _DeliveryLoader
-
-
-def yaml_backend() -> str:
-    """The parser that reads YAML deliveries: ``"libyaml"`` or ``"python"``."""
-    return _yaml_loader().backend
-
-
-def yaml_backend_used() -> str | None:
-    """The parser that has read YAML in this process, or None when none has;
-    unlike ``yaml_backend()``, never imports PyYAML."""
-    return None if _DeliveryLoader is None else _DeliveryLoader.backend
-
-
-_INT, _FLOAT, _MERGE, _VALUE = (
-    f"tag:yaml.org,2002:{name}" for name in ("int", "float", "merge", "value")
-)
-
-
-def _refuse(problem: str, event) -> NoReturn:
-    raise InputSyntaxError(problem, location=_position(event.start_mark))
-
-
-def _build_yaml(loader):
-    """The one document's data, built from the loader's parser events in one pass.
-
-    A plain scalar is typed by the loader's resolver table; a decimal int or
-    float is built here, any other typed scalar by the loader's SafeConstructor.
-    A text typed ``str``, ``int`` or ``float`` reads the same as a key and as a
-    value, so each distinct one is typed once per document.
-    """
-    import yaml
-
-    get_event, construct = loader.get_event, loader.construct_object
-    scalar_event, mapping_start, sequence_start = (
-        yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent
-    )
-    mapping_end, sequence_end = yaml.MappingEndEvent, yaml.SequenceEndEvent
-    resolvers = loader.yaml_implicit_resolvers.get  # by first character; "" for an empty scalar
-    typed = {}  # plain text -> its value, for the texts typed str, int or float
-
-    def scalar(event, is_key: bool):
-        """The value of a scalar event that has no anchor and no tag."""
-        text = event.value
-        if not event.implicit[0]:  # quoted
-            return text
-        value = typed.get(text)
-        if value is not None:
-            return value
-        for tag, regexp in resolvers(text[:1], ()):
-            if regexp.match(text):
-                break
-        else:
-            typed[text] = text
-            return text
-        if tag == _FLOAT and text[-1] not in "fFnN":  # not .inf or .nan
-            typed[text] = value = float(text)
-        elif tag == _INT:
-            try:
-                typed[text] = value = int(text)
-            except ValueError:  # beyond int()'s digit limit
-                _refuse(f"{_too_long_int()} in delivery YAML", event)
-        elif is_key and tag == _MERGE:  # a quoted '<<' is an ordinary string key
-            _refuse("YAML merge key '<<' is not allowed in delivery files", event)
-        elif is_key and tag == _VALUE:  # a '=' key is a string
-            value = text
-        else:
-            value = construct(yaml.ScalarNode(tag, text, event.start_mark, event.end_mark))
-        return value
-
-    root = container = []  # the document's one node goes into ``root``
-    parents = []  # the open containers that hold ``container``, innermost last
-    in_map = document = False
-    while True:
-        event = get_event()
-        kind = type(event)
-        is_key = in_map  # until the key is read; a mapping's end, or refused below
-        if in_map and kind is scalar_event and event.anchor is None and event.tag is None:
-            # A mapping's keys repeat, so most are found typed before the call.
-            key = typed.get(event.value) if event.implicit[0] else None
-            if key is None:
-                key = scalar(event, True)
-            if key in container:
-                _refuse(f"duplicate key {key!r} in delivery YAML", event)
-            event = get_event()  # the key's value
-            kind = type(event)
-            is_key = False
-            if kind is scalar_event and event.anchor is None and event.tag is None:
-                container[key] = scalar(event, False)
-                continue
-        if kind is scalar_event or kind is mapping_start or kind is sequence_start:
-            if event.anchor is not None:
-                _refuse(f"YAML anchor {event.anchor!r} is not allowed in delivery files", event)
-            if event.tag is not None:
-                _refuse(f"YAML tag {event.tag!r} is not allowed in delivery files", event)
-            if is_key:
-                _refuse("invalid YAML: found unhashable key", event)
-            if kind is scalar_event:
-                value = scalar(event, False)
-            else:
-                value = {} if kind is mapping_start else []
-            if in_map:
-                container[key] = value
-            else:
-                container.append(value)
-            if kind is not scalar_event:
-                parents.append(container)
-                container = value
-                in_map = kind is mapping_start
-        elif kind is mapping_end or kind is sequence_end:
-            container = parents.pop()
-            in_map = type(container) is dict
-        elif kind is yaml.AliasEvent:
-            _refuse("YAML aliases are not allowed in delivery files", event)
-        elif kind is yaml.DocumentStartEvent:
-            if document:
-                _refuse("invalid YAML: but found another document", event)
-            document = True
-        elif kind is yaml.StreamEndEvent:
-            return root[0] if root else None
-
-
-def _load_yaml(text: str):
-    import yaml
-
-    try:
-        loader = _yaml_loader()(text)
-        try:
-            return _build_yaml(loader)
-        finally:
-            loader.dispose()
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = _position(mark) if mark else "unknown position"
-        raise InputSyntaxError(f"invalid YAML: {exc.problem}", location=where) from exc
-    except yaml.YAMLError as exc:
-        raise InputSyntaxError(f"invalid YAML: {exc}", location="unknown position") from exc
-
-
-def _expect_mapping(node, location: str) -> dict:
-    if not isinstance(node, dict):
-        raise SchemaError(f"expected a mapping at {location}", location=location)
-    return node
-
-
-def _expect_list(node, location: str) -> list:
-    if not isinstance(node, list):
-        raise SchemaError(f"expected a list at {location}", location=location)
-    return node
-
-
-def _expect_keys(node: dict, required: tuple[str, ...], optional: tuple[str, ...], location: str):
-    for key in required:
-        if key not in node:
-            raise SchemaError(f"missing field {key!r} at {location}", location=f"{location}.{key}")
-    for key in node:
-        if key not in required and key not in optional:
-            raise SchemaError(f"unknown field {key!r} at {location}", location=f"{location}.{key}")
-
-
-def _expect_number(value, location: str) -> float:
-    # Exact types: the decoders make only int and float, and bool (an int) is refused.
-    if type(value) is float:
-        number = value
-    elif type(value) is int:
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-    else:
-        raise SchemaError(f"expected a number at {location}", location=location)
-    if not math.isfinite(number):
-        raise SchemaError(f"expected a finite number at {location}", location=location)
-    return number
-
-
-def _expect_int(value, location: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer at {location}", location=location)
-    return value
-
-
-def _expect_text(value, location: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"expected a string at {location}", location=location)
-    return value
-
-
 def read_units(node, loc: str) -> UnitSystem:
     """A ``{"force": ..., "moment": ...}`` unit pair; unknown units are refused."""
-    units_node = _expect_mapping(node, loc)
-    _expect_keys(units_node, required=("force", "moment"), optional=(), location=loc)
+    units_node = expect_mapping(node, loc)
+    expect_keys(units_node, required=("force", "moment"), optional=(), location=loc)
     return UnitSystem(
-        _expect_text(units_node["force"], f"{loc}.force"),
-        _expect_text(units_node["moment"], f"{loc}.moment"),
+        expect_text(units_node["force"], f"{loc}.force"),
+        expect_text(units_node["moment"], f"{loc}.moment"),
     )
 
 
 def read_coordinates(node, loc: str) -> dict[str, tuple[float, float, float]]:
     """A ``{point: [x, y, z]}`` mapping of numbers."""
-    coords_node = _expect_mapping(node, loc)
+    coords_node = expect_mapping(node, loc)
     point_coordinates = {}
     for name, xyz in coords_node.items():
         ploc = f"{loc}.{name}"
         if not isinstance(xyz, list) or len(xyz) != 3:
             raise SchemaError(f"expected [x, y, z] at {ploc}", location=ploc)
-        point_coordinates[_expect_text(name, ploc)] = tuple(
-            _expect_number(v, f"{ploc}[{i}]") for i, v in enumerate(xyz)
+        point_coordinates[expect_text(name, ploc)] = tuple(
+            expect_number(v, f"{ploc}[{i}]") for i, v in enumerate(xyz)
         )
     return point_coordinates
 
@@ -423,10 +128,10 @@ def _row_at_once(point, comp_node) -> ComponentSet | None:
 def _row_by_field(point, comp_node, ploc: str) -> ComponentSet:
     """The row of one point's component map at ``ploc``, each field checked
     on its own; the first bad field is refused at its location."""
-    comp_map = _expect_mapping(comp_node, ploc)
-    _expect_keys(comp_map, required=_COMPONENT_KEYS, optional=(), location=ploc)
-    row = ComponentSet.of([_expect_number(comp_map[key], f"{ploc}.{key}") for key in _COMPONENT_KEYS])
-    _expect_text(point, ploc)
+    comp_map = expect_mapping(comp_node, ploc)
+    expect_keys(comp_map, required=_COMPONENT_KEYS, optional=(), location=ploc)
+    row = ComponentSet.of([expect_number(comp_map[key], f"{ploc}.{key}") for key in _COMPONENT_KEYS])
+    expect_text(point, ploc)
     return row
 
 
@@ -443,14 +148,19 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     Args:
         raw: Delivery file content (UTF-8 text or bytes).
     """
-    text = _decode(raw)
+    text = strict.decode(raw, "delivery")
     start = text.lstrip()[:1]
     if not start:
         raise InputSyntaxError("empty delivery input", location="offset 0")
-    data = read_json(text, "delivery") if start in "{[" else _load_yaml(text)
+    if start in "{[":
+        data = strict.read_json(text, "delivery")
+    else:
+        from .yaml_reader import load_yaml
 
-    root = _expect_mapping(data, "$")
-    _expect_keys(
+        data = load_yaml(text)
+
+    root = expect_mapping(data, "$")
+    expect_keys(
         root,
         required=("name", "version", "units", "load_cases"),
         optional=("coordinate_system", "point_coordinates"),
@@ -461,7 +171,7 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
 
     coordinate_system = None
     if "coordinate_system" in root:
-        coordinate_system = _expect_text(root["coordinate_system"], "coordinate_system")
+        coordinate_system = expect_text(root["coordinate_system"], "coordinate_system")
 
     point_coordinates = None
     if "point_coordinates" in root:
@@ -474,11 +184,11 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     cases = []
     for idx, case_node in enumerate(cases_node):
         loc = f"load_cases[{idx}]"
-        case_map = _expect_mapping(case_node, loc)
-        _expect_keys(case_map, required=("id", "point_loads"), optional=("label",), location=loc)
-        case_id = _expect_int(case_map["id"], f"{loc}.id")
-        label = _expect_text(case_map["label"], f"{loc}.label") if "label" in case_map else None
-        points_node = _expect_mapping(case_map["point_loads"], f"{loc}.point_loads")
+        case_map = expect_mapping(case_node, loc)
+        expect_keys(case_map, required=("id", "point_loads"), optional=("label",), location=loc)
+        case_id = expect_int(case_map["id"], f"{loc}.id")
+        label = expect_text(case_map["label"], f"{loc}.label") if "label" in case_map else None
+        points_node = expect_mapping(case_map["point_loads"], f"{loc}.point_loads")
         if not points_node:
             raise SchemaError(f"empty point_loads at {loc}", location=f"{loc}.point_loads")
         loads = {}
@@ -494,8 +204,8 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
 
     try:
         return LoadsDelivery(
-            name=_expect_text(root["name"], "name"),
-            version=_expect_int(root["version"], "version"),
+            name=expect_text(root["name"], "name"),
+            version=expect_int(root["version"], "version"),
             units=units,
             coordinate_system=coordinate_system,
             point_coordinates=point_coordinates,
@@ -664,6 +374,20 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
         )
     parts.append('  "load_cases": [\n' + ",\n".join(cases) + "\n  ]\n}\n")
     return "".join(parts)
+
+
+def yaml_backend() -> str:
+    """The parser that reads YAML deliveries: ``"libyaml"`` or ``"python"``."""
+    from .yaml_reader import backend
+
+    return backend()
+
+
+def yaml_backend_used() -> str | None:
+    """The parser that has read YAML in this process, or None when none has;
+    unlike ``yaml_backend()``, never imports PyYAML or the YAML reader."""
+    reader = sys.modules.get(f"{__package__}.yaml_reader")
+    return None if reader is None else reader.backend()
 
 
 def write_delivery_yaml(delivery: LoadsDelivery) -> str:

@@ -1045,15 +1045,15 @@ class TestUsageAndErrors:
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_harness_and_http_out(self):
-        # Pipeline steps skip the harness, the doc server, PyYAML, dataclasses,
-        # inspect and platform; the layer modules stay imported, where a traced
-        # benchmark step looks them up.
+        # Pipeline steps skip the harness, the doc server, PyYAML, the YAML
+        # reader, dataclasses, inspect and platform; the layer modules stay
+        # imported, where a traced benchmark step looks them up.
         src = Path(loadsmith.__file__).resolve().parents[1]
         script = (
             "import json, sys, loadsmith.cli\n"
             "print(json.dumps(sorted(name for name in ("
             "'loadsmith.evalkit', 'loadsmith.docserver', 'urllib.request', 'http.client', 'yaml', "
-            "'dataclasses', 'inspect', 'platform', "
+            "'loadsmith.yaml_reader', 'dataclasses', 'inspect', 'platform', "
             "'loadsmith.ingest', 'loadsmith.transform', 'loadsmith.analysis', "
             "'loadsmith.export', 'loadsmith.compare', 'loadsmith.trace') "
             "if name in sys.modules)))\n"
@@ -1071,7 +1071,8 @@ class TestUsageAndErrors:
 
     def test_json_only_steps_leave_yaml_out(self, tmp_path):
         # The replay's transform and equilibrium steps on the shipped delivery,
-        # each in a fresh process: reading and writing JSON never loads PyYAML.
+        # each in a fresh process: reading and writing JSON loads neither PyYAML
+        # nor the YAML reader. Converting the shipped YAML loads both.
         src = Path(loadsmith.__file__).resolve().parents[1]
         shipped = SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"
         delivery = tmp_path / "delivery.json"
@@ -1081,13 +1082,15 @@ class TestUsageAndErrors:
             "import json, sys\n"
             "from loadsmith.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "sys.stderr.write(json.dumps({'exit': code, 'yaml': 'yaml' in sys.modules}))\n"
+            "loaded = {'yaml': 'yaml' in sys.modules, 'reader': 'loadsmith.yaml_reader' in sys.modules}\n"
+            "sys.stderr.write(json.dumps({'exit': code, **loaded}))\n"
         )
         steps = [
             ["transform", str(delivery), "--rename", "lug_left=lug_port",
              "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
              "--scale", "FX=1.04", "--units", "N,N·m", "--out", str(processed)],
             ["equilibrium", str(processed)],
+            ["convert", str(shipped), "--to", "json", "--out", str(tmp_path / "converted.json")],
         ]
         for argv in steps:
             proc = subprocess.run(
@@ -1095,7 +1098,8 @@ class TestUsageAndErrors:
                 capture_output=True, text=True, timeout=60,
                 env={**os.environ, "PYTHONPATH": str(src)},
             )
-            assert json.loads(proc.stderr) == {"exit": 0, "yaml": False}, argv[0]
+            loaded = argv[0] == "convert"
+            assert json.loads(proc.stderr) == {"exit": 0, "yaml": loaded, "reader": loaded}, argv[0]
         sidecar = [json.loads(line) for line in Path(f"{processed}.trace.ndjson").read_text().splitlines()]
         (environment,) = [e for e in sidecar if e["event"] == "environment"]
         assert environment["yaml_backend"] is None

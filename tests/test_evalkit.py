@@ -220,10 +220,20 @@ class TestStubJudge:
             judge_check([tmp_path / "gone.py"], "require: x", "stub")
 
     def test_undecodable_artifact_is_error(self, tmp_path):
+        # The strict reader names the artifact and the offset of its first bad byte.
         script = tmp_path / "s.py"
-        script.write_bytes(b"\xff")
-        with pytest.raises(ReferenceError, match="^judge error: an artifact file could not be read$"):
+        script.write_bytes(b"x = 1\n\xff")
+        with pytest.raises(ReferenceError) as err:
             judge_check([script], "require: x", "stub")
+        assert str(err.value) == (
+            "judge error: artifact s.py is not UTF-8 text: invalid start byte at offset 6"
+        )
+
+    def test_artifact_line_ends_read_as_newlines(self, tmp_path):
+        # CRLF and CR line ends read as LF, as a file opened in text mode reads them.
+        script = tmp_path / "s.py"
+        script.write_bytes(b"alpha\r\nbeta\rgamma\n")
+        assert judge_check([script], "require: ^alpha$\nrequire: ^beta$", "stub").passed
 
     def test_unknown_adapter_is_error(self, tmp_path):
         script = tmp_path / "s.py"

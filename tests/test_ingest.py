@@ -7,7 +7,7 @@ import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from loadsmith import ingest
+from loadsmith import ingest, yaml_reader
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError, UnknownUnitError
 from loadsmith.ingest import (
     load_delivery,
@@ -249,7 +249,7 @@ class TestStrictReading:
 @pytest.fixture
 def python_yaml(monkeypatch):
     """Swap the delivery loader for its pure-Python twin, the fallback without libyaml."""
-    monkeypatch.setattr(ingest, "_DeliveryLoader", ingest._delivery_loader(yaml.SafeLoader))
+    monkeypatch.setattr(yaml_reader, "_DeliveryLoader", yaml_reader._delivery_loader(yaml.SafeLoader))
 
 
 @pytest.mark.usefixtures("python_yaml")
@@ -268,7 +268,7 @@ def _two_pass_loader(base: type) -> type:
     """The delivery loader as it was before the one-pass reader, for the oracle."""
 
     class TwoPassLoader(base):
-        yaml_implicit_resolvers = ingest._delivery_loader(base).yaml_implicit_resolvers
+        yaml_implicit_resolvers = yaml_reader._delivery_loader(base).yaml_implicit_resolvers
 
         def construct_mapping(self, node, deep=False):
             mapping = super().construct_mapping(node, deep=deep)
@@ -279,7 +279,7 @@ def _two_pass_loader(base: type) -> type:
                     if key in seen:
                         raise InputSyntaxError(
                             f"duplicate key {key!r} in delivery YAML",
-                            location=ingest._position(key_node.start_mark),
+                            location=yaml_reader._position(key_node.start_mark),
                         )
                     seen.add(key)
             return mapping
@@ -289,7 +289,7 @@ def _two_pass_loader(base: type) -> type:
                 if key_node.tag == "tag:yaml.org,2002:merge":
                     raise InputSyntaxError(
                         "YAML merge key '<<' is not allowed in delivery files",
-                        location=ingest._position(key_node.start_mark),
+                        location=yaml_reader._position(key_node.start_mark),
                     )
             super().flatten_mapping(node)
 
@@ -311,12 +311,12 @@ def _two_pass_load(text: str, loader: type):
                 continue
             raise InputSyntaxError(
                 f"YAML {refused} not allowed in delivery files",
-                location=ingest._position(event.start_mark),
+                location=yaml_reader._position(event.start_mark),
             )
         return yaml.load(text, Loader=loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
-        where = ingest._position(mark) if mark else "unknown position"
+        where = yaml_reader._position(mark) if mark else "unknown position"
         raise InputSyntaxError(f"invalid YAML: {exc.problem}", location=where) from exc
     except yaml.YAMLError as exc:
         raise InputSyntaxError(f"invalid YAML: {exc}", location="unknown position") from exc
@@ -339,8 +339,8 @@ def _outcomes(text: str, base: type) -> tuple:
     """The one-pass reader's outcome and the oracle's, both on the parser ``base``."""
     oracle = _outcome(lambda t: _two_pass_load(t, _two_pass_loader(base)), text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_DeliveryLoader", ingest._delivery_loader(base))
-        new = _outcome(ingest._load_yaml, text)
+        patch.setattr(yaml_reader, "_DeliveryLoader", yaml_reader._delivery_loader(base))
+        new = _outcome(yaml_reader.load_yaml, text)
     return new, oracle
 
 
