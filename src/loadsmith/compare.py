@@ -105,35 +105,60 @@ def suggested_report_filename(report: ComparisonReport) -> str:
     return f"v{report.old_version}_vs_v{report.new_version}.json"
 
 
+# A point's cells, as json.dumps(indent=2) lays them out: per component, a
+# float slot for each bound and a JSON text slot for each delta and flag.
+_REPORT_POINT_JSON = ",\n".join(
+    f'      "{comp.name}": {{\n'
+    '        "old_max": %r,\n        "new_max": %r,\n'
+    '        "max_delta_pct": %s,\n        "max_exceeds": %s,\n'
+    '        "old_min": %r,\n        "new_min": %r,\n'
+    '        "min_delta_pct": %s,\n        "min_exceeds": %s\n      }'
+    for comp in COMPONENT_ORDER
+)
+_NON_FINITE_JSON = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_delta(delta: float | None) -> str:
+    """A delta as json.dumps writes it: ``null``, or a float, ``Infinity``
+    for one that overflowed."""
+    if delta is None:
+        return "null"
+    number = float.__repr__(delta)
+    return _NON_FINITE_JSON.get(number, number)
+
+
 def write_comparison_report(report: ComparisonReport) -> str:
-    """Canonical comparison JSON mirroring the report structure."""
-    data = {
-        "new": {"name": report.new_name, "version": report.new_version},
-        "old": {"name": report.old_name, "version": report.old_version},
-        "units": {
-            "force": report.units.force_unit,
-            "moment": report.units.moment_unit,
-        },
-        "new_exceeds_old": report.new_exceeds_old,
-        "cells": {
-            point: {
-                comp.name: {
-                    "old_max": cell.old_max,
-                    "new_max": cell.new_max,
-                    "max_delta_pct": cell.max_delta_pct,
-                    "max_exceeds": cell.max_exceeds,
-                    "old_min": cell.old_min,
-                    "new_min": cell.new_min,
-                    "min_delta_pct": cell.min_delta_pct,
-                    "min_exceeds": cell.min_exceeds,
-                }
-                for comp in COMPONENT_ORDER
-                for cell in [report.cells[point][comp]]
-            }
-            for point in sorted(report.cells)
-        },
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Canonical comparison JSON mirroring the report structure.
+
+    The text is exactly ``json.dumps`` of that structure with ``indent=2`` and
+    ``ensure_ascii=False``, plus a newline, rendered directly as
+    ``export.write_envelope_json`` renders extremes: bounds written by ``%r``
+    (``float.__repr__``), deltas by ``_json_delta`` and flags as ``true`` or
+    ``false``.
+    """
+    text = json.encoder.encode_basestring
+    points = []
+    for point in sorted(report.cells):
+        values = []
+        for cell in map(report.cells[point].__getitem__, COMPONENT_ORDER):
+            old_max, new_max, max_delta, max_exceeds, old_min, new_min, min_delta, min_exceeds = cell
+            values += (
+                old_max, new_max, _json_delta(max_delta), "true" if max_exceeds else "false",
+                old_min, new_min, _json_delta(min_delta), "true" if min_exceeds else "false",
+            )
+        points.append(f"    {text(point)}: {{\n{_REPORT_POINT_JSON % tuple(values)}\n    }}")
+    rows = "{\n" + ",\n".join(points) + "\n  }" if points else "{}"
+    units = report.units
+    return (
+        f'{{\n  "new": {{\n    "name": {text(report.new_name)},\n'
+        f'    "version": {int.__repr__(report.new_version)}\n  }},\n'
+        f'  "old": {{\n    "name": {text(report.old_name)},\n'
+        f'    "version": {int.__repr__(report.old_version)}\n  }},\n'
+        f'  "units": {{\n    "force": {text(units.force_unit)},\n'
+        f'    "moment": {text(units.moment_unit)}\n  }},\n'
+        f'  "new_exceeds_old": {"true" if report.new_exceeds_old else "false"},\n'
+        f'  "cells": {rows}\n}}\n'
+    )
 
 
 def _fmt_delta(delta: float | None) -> str:

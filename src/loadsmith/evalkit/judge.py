@@ -37,13 +37,17 @@ def _error(why: str) -> ReferenceError:
 def _read_artifacts(artifacts: list[Path]) -> list[tuple[str, str]]:
     """Each artifact's name and text, read by the strict reader; every line
     end reads as one newline, as in a file opened in text mode."""
-    try:
-        texts = [(path.name, strict.read_text(path, f"artifact {path.name}")) for path in artifacts]
-    except OSError as exc:
-        raise _error("an artifact file could not be read") from exc
-    except InputSyntaxError as exc:  # not UTF-8
-        raise _error(f"{exc} at {exc.location}") from exc
-    return [(name, text.replace("\r\n", "\n").replace("\r", "\n")) for name, text in texts]
+    texts = []
+    for path in artifacts:
+        what = f"artifact {path.name}"
+        try:
+            text = strict.read_text(path, what)
+        except OSError as exc:
+            raise _error(f"{what} could not be read: {exc.strerror or exc}") from exc
+        except InputSyntaxError as exc:  # not UTF-8
+            raise _error(f"{exc} at {exc.location}") from exc
+        texts.append((path.name, text.replace("\r\n", "\n").replace("\r", "\n")))
+    return texts
 
 
 def _stub(artifacts: list[Path], rubric: str, endpoint: str | None) -> tuple[bool, str]:

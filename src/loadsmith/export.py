@@ -179,29 +179,38 @@ def envelope_to_markdown(extremes: EnvelopeExtremes) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A point's cells, as json.dumps(indent=2) lays them out: a float slot and a
+# case id slot for each bound of each component.
+_EXTREMES_POINT_JSON = ",\n".join(
+    f'      "{comp.name}": {{\n        "max": %r,\n        "max_case": %d,\n'
+    f'        "min": %r,\n        "min_case": %d\n      }}'
+    for comp in COMPONENT_ORDER
+)
+
+
 def write_envelope_json(extremes: EnvelopeExtremes) -> str:
-    """Canonical extremes JSON: sorted points, canonical components, raw floats."""
-    data = {
-        "name": extremes.name,
-        "version": extremes.version,
-        "units": {
-            "force": extremes.units.force_unit,
-            "moment": extremes.units.moment_unit,
-        },
-        "extremes": {
-            point: {
-                comp.name: {
-                    "max": extremes.cell(point, comp).max_value,
-                    "max_case": extremes.cell(point, comp).max_case,
-                    "min": extremes.cell(point, comp).min_value,
-                    "min_case": extremes.cell(point, comp).min_case,
-                }
-                for comp in COMPONENT_ORDER
-            }
-            for point in extremes.points()
-        },
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Canonical extremes JSON: sorted points, canonical components, raw floats.
+
+    The text is exactly ``json.dumps`` of that structure with ``indent=2`` and
+    ``ensure_ascii=False``, plus a newline, rendered directly as
+    ``ingest.write_delivery_json`` renders a delivery: strings escaped by the
+    json module's ``encode_basestring``, an ``ExtremeCell``'s floats written
+    by ``%r`` (``float.__repr__``) and its case ids by ``%d``.
+    """
+    text = json.encoder.encode_basestring
+    points = []
+    for point in extremes.points():
+        values = chain.from_iterable(map(extremes.cells[point].__getitem__, COMPONENT_ORDER))
+        points.append(f"    {text(point)}: {{\n{_EXTREMES_POINT_JSON % tuple(values)}\n    }}")
+    rows = "{\n" + ",\n".join(points) + "\n  }" if points else "{}"
+    units = extremes.units
+    return (
+        f'{{\n  "name": {text(extremes.name)},\n'
+        f'  "version": {int.__repr__(extremes.version)},\n'
+        f'  "units": {{\n    "force": {text(units.force_unit)},\n'
+        f'    "moment": {text(units.moment_unit)}\n  }},\n'
+        f'  "extremes": {rows}\n}}\n'
+    )
 
 
 def read_envelope_json(text: str) -> EnvelopeExtremes:

@@ -138,18 +138,20 @@ def _row_by_field(point, comp_node, ploc: str) -> ComponentSet:
 def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     """Parse raw JSON/YAML text into a LoadsDelivery.
 
-    The carrier comes from the text: JSON when its first non-blank character
-    is ``{`` or ``[``, YAML otherwise; blank input is refused. The parsed
-    value is independent of the carrier; unit aliases are normalized. Errors
-    name the offending field or file position. A point's component map that
-    passes every check at once becomes its row in one step; any other is read
-    field by field, so a refusal does not depend on which path saw it.
+    The carrier comes from the text after an optional byte order mark: JSON
+    when its first non-blank character is ``{`` or ``[``, YAML otherwise;
+    blank input is refused. The JSON reader refuses the mark, the YAML reader
+    allows it. The parsed value is independent of the carrier; unit aliases
+    are normalized. Errors name the offending field or file position. A
+    point's component map that passes every check at once becomes its row in
+    one step; any other is read field by field, so a refusal does not depend
+    on which path saw it.
 
     Args:
         raw: Delivery file content (UTF-8 text or bytes).
     """
     text = strict.decode(raw, "delivery")
-    start = text.lstrip()[:1]
+    start = text.removeprefix("\ufeff").lstrip()[:1]
     if not start:
         raise InputSyntaxError("empty delivery input", location="offset 0")
     if start in "{[":

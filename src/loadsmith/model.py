@@ -258,13 +258,14 @@ def point_names(delivery: LoadsDelivery) -> list[str]:
 
 
 class ExtremeCell(CheckedRecord, namedtuple("ExtremeCell", "max_value max_case min_value min_case")):
-    """Max/min values of one (point, component) pair with originating cases."""
+    """Max/min values of one (point, component) pair with originating cases;
+    the values are kept as the finite floats they convert to."""
 
     __slots__ = ()
 
     def __new__(cls, max_value, max_case, min_value, min_case):
-        _require_finite("max_value", max_value)
-        _require_finite("min_value", min_value)
+        max_value = _require_finite("max_value", max_value)
+        min_value = _require_finite("min_value", min_value)
         _require_case_id("max_case", max_case)
         _require_case_id("min_case", min_case)
         if min_value > max_value:

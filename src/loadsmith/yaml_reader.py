@@ -9,12 +9,15 @@ events builds the data and refuses each fault at its event. Numerals are
 decimal only: ``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which
 a field check then refuses. Any other plain scalar is typed as SafeLoader
 types it (YAML 1.1), so ``yes``, ``~`` and ``2024-01-01`` reach the field
-checks as a bool, None and a date. Each distinct plain scalar text that
-reads as a string, an int or a float is typed once per document. The
-refusals are the same on both parsers, but the wording of a YAML syntax
-error, and at times its position, comes from the parser: for ``name:
-[unclosed`` libyaml reports line 2, column 1 and the pure-Python parser
-line 1, column 16.
+checks as a bool, None and a date. A plain mapping value that matches the
+decimal float pattern (``.inf`` and ``.nan`` left out) is made a float at
+once, without the resolver table: on both parsers that table's float entry is
+the first for each character such a text can start with, so it would type
+the text the same. Any other distinct plain scalar text that reads as a
+string, an int or a float is typed once per document. The refusals are the
+same on both parsers, but the wording of a YAML syntax error, and at times
+its position, comes from the parser: for ``name: [unclosed`` libyaml reports
+line 2, column 1 and the pure-Python parser line 1, column 16.
 """
 
 from __future__ import annotations
@@ -29,13 +32,16 @@ from .strict import too_long_int
 
 # YAML 1.1 numerals that are not plain decimal (octal 010, hex, binary, 1_000,
 # sexagesimal 1:30) resolve to strings, so a field check refuses them.
+_DECIMAL_FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
 _DECIMAL_RESOLVERS = {
     "tag:yaml.org,2002:int": re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$"),
     "tag:yaml.org,2002:float": re.compile(
-        r"^(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
-        r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
+        rf"^(?:{_DECIMAL_FLOAT}|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
     ),
 }
+# A text this matches is typed float by either parser's resolver table, whose
+# float entry is first for every character it can start with (-, +, ., 0-9).
+_is_decimal_float = re.compile(rf"^(?:{_DECIMAL_FLOAT})$").match
 
 
 def _delivery_loader(base: type) -> type:
@@ -77,10 +83,11 @@ def _refuse(problem: str, event) -> NoReturn:
 def _build_yaml(loader):
     """The one document's data, built from the loader's parser events in one pass.
 
-    A plain scalar is typed by the loader's resolver table; a decimal int or
-    float is built here, any other typed scalar by the loader's SafeConstructor.
-    A text typed ``str``, ``int`` or ``float`` reads the same as a key and as a
-    value, so each distinct one is typed once per document.
+    A plain mapping value that matches ``_is_decimal_float`` is made a float
+    at once; any other plain scalar is typed by the loader's resolver table, a
+    decimal int or float built here, any other typed scalar by the loader's
+    SafeConstructor. A text typed ``str``, ``int`` or ``float`` reads the same
+    as a key and as a value, so each distinct one is typed once per document.
     """
     get_event, construct = loader.get_event, loader.construct_object
     scalar_event, mapping_start, sequence_start = (
@@ -88,6 +95,7 @@ def _build_yaml(loader):
     )
     mapping_end, sequence_end = yaml.MappingEndEvent, yaml.SequenceEndEvent
     resolvers = loader.yaml_implicit_resolvers.get  # by first character; "" for an empty scalar
+    is_decimal_float = _is_decimal_float
     typed = {}  # plain text -> its value, for the texts typed str, int or float
 
     def scalar(event, is_key: bool):
@@ -137,7 +145,12 @@ def _build_yaml(loader):
             kind = type(event)
             is_key = False
             if kind is scalar_event and event.anchor is None and event.tag is None:
-                container[key] = scalar(event, False)
+                # Most values are decimal floats, each written once: typed here.
+                text = event.value
+                if event.implicit[0] and is_decimal_float(text):
+                    container[key] = float(text)
+                else:
+                    container[key] = scalar(event, False)
                 continue
         if kind is scalar_event or kind is mapping_start or kind is sequence_start:
             if event.anchor is not None:

@@ -2,10 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# A longer search for the differential tests, chosen with --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"

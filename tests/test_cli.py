@@ -862,6 +862,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
 
     texts = {
         "delivery": write_delivery_json(d),
+        "bom_json": "\ufeff" + write_delivery_json(d),
         "merge_yaml": write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
         "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
@@ -923,6 +924,7 @@ CLI_REFUSALS = [
         ("envelope-multiline-point", "envelope {multiline_point} --out-dir {out}"),
         ("convert-undecodable", "convert {bin} --to json --out {out}/x.json"),
         ("convert-merge-key", "convert {merge_yaml} --to json --out {out}/x.json"),
+        ("convert-bom-json", "convert {bom_json} --to json --out {out}/x.json"),
         ("validate-long-yaml-version", "validate {long_yaml}"),
         ("validate-long-json-version", "validate {long_json}"),
         ("validate-schema", "validate {broken}"),

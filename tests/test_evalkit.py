@@ -216,8 +216,11 @@ class TestStubJudge:
             judge_check([script], "# only a comment", "stub")
 
     def test_missing_artifact_is_error(self, tmp_path):
-        with pytest.raises(ReferenceError, match="^judge error: an artifact file could not be read$"):
-            judge_check([tmp_path / "gone.py"], "require: x", "stub")
+        # Before, the message named no artifact.
+        (tmp_path / "here.py").write_text("x = 1\n")
+        with pytest.raises(ReferenceError) as err:
+            judge_check([tmp_path / "here.py", tmp_path / "gone.py"], "require: x", "stub")
+        assert str(err.value) == "judge error: artifact gone.py could not be read: No such file or directory"
 
     def test_undecodable_artifact_is_error(self, tmp_path):
         # The strict reader names the artifact and the offset of its first bad byte.

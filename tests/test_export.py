@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loadsmith.analysis import envelope_extremes, envelope_select
+from loadsmith.compare import compare_envelopes, write_comparison_report
 from loadsmith.errors import InputSyntaxError, LoadsmithError, SchemaError
 from loadsmith.export import (
     DECK_HEADER,
@@ -16,7 +18,16 @@ from loadsmith.export import (
     write_ansys_inp,
     write_envelope_json,
 )
-from loadsmith.model import COMPONENT_ORDER, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS
+from loadsmith.model import (
+    COMPONENT_ORDER,
+    ComponentSet,
+    EnvelopeExtremes,
+    ExtremeCell,
+    LoadCase,
+    LoadsDelivery,
+    SI_UNITS,
+    UnitSystem,
+)
 
 from fixtures import generate_fixture
 from strategies import component_sets, envelopes, point_names_st
@@ -326,6 +337,113 @@ class TestEnvelopeJson:
         with pytest.raises(SchemaError) as err:
             read_envelope_json(json.dumps(data))
         assert err.value.location == "extremes"
+
+
+# Values a JSON writer must spell as json.dumps does: signed zero, the
+# smallest subnormal, the largest magnitudes; and point names that need escaping.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308])
+_BOUNDS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+_NAMES = st.one_of(
+    st.sampled_from(['lüg "port"', "a\\b", "tab\tnul\x00\x1f", "\u2028\u00e9\U0001f600", "%s%%r"]),
+    st.text(max_size=6),
+)
+_UNITS = st.sampled_from([SI_UNITS, UnitSystem("klbf", "klbf·in")])
+
+
+@st.composite
+def _edge_extremes(draw, points=None):
+    """Extremes over ``points`` (drawn when None) whose values and names probe a JSON writer."""
+    if points is None:
+        points = draw(st.lists(_NAMES, max_size=3, unique=True))
+    cases = st.integers(min_value=1, max_value=10**20)
+    cells = {}
+    for point in points:
+        cells[point] = {}
+        for comp in COMPONENT_ORDER:
+            a, b = draw(_BOUNDS), draw(_BOUNDS)
+            cells[point][comp] = ExtremeCell(max(a, b), draw(cases), min(a, b), draw(cases))
+    return EnvelopeExtremes(
+        name=draw(_NAMES), version=draw(st.integers(min_value=0, max_value=10**20)),
+        units=draw(_UNITS), cells=cells,
+    )
+
+
+@st.composite
+def _edge_reports(draw):
+    """A comparison of two such extremes, some deltas then redrawn: None,
+    an infinity (old 5e-324 to new 1e308 overflows) or any float."""
+    points = draw(st.lists(_NAMES, max_size=3, unique=True))
+    new, old = draw(_edge_extremes(points)), draw(_edge_extremes(points))
+    report = compare_envelopes(new, old._replace(units=new.units))
+    deltas = st.one_of(st.none(), st.sampled_from([math.inf, -math.inf]), st.floats())
+    cells = {
+        point: {
+            comp: cell._replace(
+                max_delta_pct=draw(st.one_of(st.just(cell.max_delta_pct), deltas)),
+                min_delta_pct=draw(st.one_of(st.just(cell.min_delta_pct), deltas)),
+            )
+            for comp, cell in per_comp.items()
+        }
+        for point, per_comp in report.cells.items()
+    }
+    return report._replace(cells=cells)
+
+
+def _flat_report(new: float, old: float):
+    """The comparison of two one-point extremes whose every bound is ``new`` and ``old``."""
+
+    def flat(value: float) -> EnvelopeExtremes:
+        cells = {"p": {comp: ExtremeCell(value, 1, value, 1) for comp in COMPONENT_ORDER}}
+        return EnvelopeExtremes("e", 1, SI_UNITS, cells)
+
+    return compare_envelopes(flat(new), flat(old))
+
+
+def _json_dumps(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestJsonWritersMatchJsonDumps:
+    """The direct extremes and comparison writers against json.dumps of the
+    structures they render, which both writers once returned."""
+
+    @given(_edge_extremes())
+    def test_extremes(self, ext):
+        data = {
+            "name": ext.name,
+            "version": ext.version,
+            "units": {"force": ext.units.force_unit, "moment": ext.units.moment_unit},
+            "extremes": {
+                point: {
+                    comp.name: {
+                        "max": cell.max_value,
+                        "max_case": cell.max_case,
+                        "min": cell.min_value,
+                        "min_case": cell.min_case,
+                    }
+                    for comp in COMPONENT_ORDER
+                    for cell in [ext.cell(point, comp)]
+                }
+                for point in ext.points()
+            },
+        }
+        assert write_envelope_json(ext) == _json_dumps(data)
+
+    @given(_edge_reports())
+    @example(_flat_report(new=1e308, old=5e-324))  # an Infinity delta
+    @example(_flat_report(new=1.0, old=0.0))  # a null delta
+    def test_comparison_report(self, report):
+        data = {
+            "new": {"name": report.new_name, "version": report.new_version},
+            "old": {"name": report.old_name, "version": report.old_version},
+            "units": {"force": report.units.force_unit, "moment": report.units.moment_unit},
+            "new_exceeds_old": report.new_exceeds_old,
+            "cells": {
+                point: {comp.name: report.cells[point][comp]._asdict() for comp in COMPONENT_ORDER}
+                for point in sorted(report.cells)
+            },
+        }
+        assert write_comparison_report(report) == _json_dumps(data)
 
 
 class TestNodeMap:

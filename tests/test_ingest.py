@@ -52,6 +52,26 @@ class TestDetectFormat:
     def test_bytes_accepted(self):
         assert parse_delivery(b"  " + MINIMAL_JSON.encode()).name == "mini"
 
+    def test_byte_order_mark_before_json_is_refused_as_json(self):
+        # Before, the mark sent the text to the YAML reader, which refused the
+        # JSON numeral 1e5 as "expected a number".
+        raw = b"\xef\xbb\xbf" + MINIMAL_JSON.replace('"fx": 0', '"fx": 1e5').encode()
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(raw)
+        assert (str(err.value), err.value.location) == (
+            "invalid delivery JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", "line 1, column 1"
+        )
+
+    def test_byte_order_mark_before_yaml_is_read(self):
+        text = MINIMAL_YAML.format(id=1, fx=0)
+        assert parse_delivery(b"\xef\xbb\xbf" + text.encode()) == parse_delivery(text)
+
+    def test_byte_order_mark_alone_is_empty_input(self):
+        # Before, it went to the YAML reader and was refused as a non-mapping root.
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(b"\xef\xbb\xbf \n")
+        assert (str(err.value), err.value.location) == ("empty delivery input", "offset 0")
+
 
 class TestParseDelivery:
     def test_minimal_json(self):
@@ -349,6 +369,7 @@ _ADVERSARIAL_SCALARS = [
     "010", "0x1F", "0o17", "0b101", "1_000", "1:30", "1:30.5", "-0", "+5", "0",
     "12345678901234567890", pytest.param("1" + "0" * 400, id="1e400"), "-0.0", "1.", ".5",
     "+.5", "1.5e+3", "1.5E-3", "1e5", "1.5e3", "1_0.5", ".inf", "-.Inf", "+.INF", ".nan",
+    "-.5", "+.5e+3", ".5e3", "-0.", "1.5_0", "0x1.5", "-.", "1.5e+", "1.0e+400",
     ".NaN", "yes", "No", "on",
     "OFF", "y", "n", "true", "False", "~", "null", "NULL", "", "2024-01-01",
     "2024-13-45", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "=", "<<",
@@ -411,6 +432,24 @@ _TWO_FAULT_DOCUMENTS = [
 ]
 
 
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+# Plain scalars of numeral characters: a sign, digits, a point, digits and an
+# exponent, each maybe left out or bent; any text of those characters; and
+# the .inf and .nan spellings.
+_DIGITS = st.sampled_from(["5", "", "0", "12", "007", "1_0"])
+_NUMERAL_TEXTS = st.one_of(
+    _joined(
+        st.sampled_from(["", "-", "+"]), _DIGITS, st.sampled_from([".", "", ":", "x"]), _DIGITS,
+        st.one_of(st.just(""), _joined(st.sampled_from("eE"), st.sampled_from(["+", "-", ""]), _DIGITS)),
+    ),
+    st.text(alphabet="0123456789+-.eE_:xob", min_size=1, max_size=10),
+    st.sampled_from([".inf", "-.Inf", "+.INF", ".nan", ".NaN", ".NAN", "-.nan", ".iNf"]),
+)
+
+
 @pytest.mark.parametrize("backend", sorted(_BASES))
 class TestOnePassReaderOracle:
     """The one-pass reader against the two-pass reader it replaced, on both
@@ -436,6 +475,19 @@ class TestOnePassReaderOracle:
     def test_rendered_delivery(self, backend, delivery):
         new, oracle = _outcomes(write_delivery_yaml(delivery), _BASES[backend])
         assert new == oracle
+
+    def test_float_resolver_is_first_for_every_numeral_start(self, backend):
+        # The reader types a decimal float value without the resolver table,
+        # which gives the same float only while this holds.
+        table = yaml_reader._delivery_loader(_BASES[backend]).yaml_implicit_resolvers
+        for first in "-+.0123456789":
+            assert table[first][0][0] == "tag:yaml.org,2002:float", first
+
+    @given(text=_NUMERAL_TEXTS)
+    def test_numeral(self, backend, text):
+        for document in (f"k: {text}\n", f"{text}: k\n", f"{text}: {text}\nk: {text}\n", f"[{text}]\n"):
+            new, oracle = _outcomes(document, _BASES[backend])
+            assert new == oracle, document
 
 
 def _parsed(text: str, fast: bool):

@@ -230,6 +230,12 @@ class TestExtremeCell:
         cell = ExtremeCell(max_value=1.5, max_case=1, min_value=1.5, min_case=1)
         assert cell.max_value == cell.min_value
 
+    def test_values_are_kept_as_floats(self):
+        # The extremes writer spells every value as a float; before, an int
+        # or a bool was kept as given.
+        cell = ExtremeCell(max_value=True, max_case=1, min_value=-2, min_case=1)
+        assert (repr(cell.max_value), repr(cell.min_value)) == ("1.0", "-2.0")
+
 
 def _every_field_given() -> list:
     """(record type, every field by keyword) for each pipeline record; the
