@@ -10,6 +10,7 @@ which keeps the sign convention unambiguous for negative bounds.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 from .analysis import check_tolerance
@@ -43,7 +44,10 @@ def _magnitude_delta_pct(old: float, new: float) -> float | None:
     """Percentage change of |bound|; None (undefined) when old is zero and new is not."""
     if old == 0.0:
         return None if new != 0.0 else 0.0
-    return 100.0 * (abs(new) - abs(old)) / abs(old)
+    delta = 100.0 * (abs(new) - abs(old)) / abs(old)
+    if math.isinf(delta):  # 100 times the change overflowed; divide first
+        return (abs(new) - abs(old)) / abs(old) * 100.0
+    return delta
 
 
 def compare_envelopes(

@@ -20,8 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import strict
 from .errors import InputSyntaxError, LoadsmithError, SchemaError
@@ -39,14 +39,12 @@ VERSION_NOT_FOUND = -32002
 _METHOD_PARAMS = {"browse_catalog": (), "get_document_content": ("document_id", "version")}
 
 
-@dataclass(frozen=True)
-class DocumentVersion:
+class DocumentVersion(NamedTuple):
     content: str
     checksum: str
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     document_id: int
     title: str
     versions: dict[int, DocumentVersion]

@@ -9,18 +9,17 @@ failing the subject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .. import strict
 from ..errors import LoadsmithError
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     kind: str
     status: str  # "pass" | "fail"
-    diffs: tuple[str, ...] = field(default_factory=tuple)
+    diffs: tuple[str, ...] = ()
     rationale: str | None = None
 
     @property

@@ -22,8 +22,8 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .checks import (
     CheckResult,
@@ -42,8 +42,7 @@ from ..trace import TraceWriter, environment, file_record, utc_now
 TRACE_FILENAME = "trace.ndjson"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     run_index: int
     trace: str  # the run's trace.ndjson, relative to the report's directory
     exit_status: int | None
@@ -53,39 +52,21 @@ class RunOutcome:
     infrastructure_error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "trace": self.trace,
-            "exit_status": self.exit_status,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "passed": self.passed,
-            "reason": self.reason,
-            "infrastructure_error": self.infrastructure_error,
-        }
+        return {**self._asdict(), "verdicts": [v.to_dict() for v in self.verdicts]}
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     scenario_id: str
     k: int
     alpha: float
-    runs: tuple[RunOutcome, ...]
     passes: int
     pass_hat_k: bool
     lower_bound: float | None
     infrastructure_failures: int
+    runs: tuple[RunOutcome, ...]  # last, so that report.json lists the runs after the totals
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "k": self.k,
-            "alpha": self.alpha,
-            "passes": self.passes,
-            "pass_hat_k": self.pass_hat_k,
-            "lower_bound": self.lower_bound,
-            "infrastructure_failures": self.infrastructure_failures,
-            "runs": [r.to_dict() for r in self.runs],
-        }
+        return {**self._asdict(), "runs": [r.to_dict() for r in self.runs]}
 
 
 def _expand_command(command: tuple[str, ...]) -> list[str]:
@@ -246,11 +227,11 @@ def run_scenario(
         scenario_id=scenario.id,
         k=reps,
         alpha=scenario.alpha,
-        runs=runs,
         passes=passes,
         pass_hat_k=pass_hat_k,
         lower_bound=pass_lower_bound(reps, scenario.alpha) if pass_hat_k else None,
         infrastructure_failures=sum(1 for r in runs if r.infrastructure_error),
+        runs=runs,
     )
     (out_root / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",

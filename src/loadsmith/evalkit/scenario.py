@@ -48,11 +48,13 @@ run directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 from .. import strict
 from ..errors import SchemaError
+from ..model import CheckedRecord
 from .judge import ADAPTERS
 
 # Per check kind: (required fields, optional fields) beside "kind".
@@ -66,46 +68,40 @@ _TOLERANCE_FIELDS = ("abs_tol", "rel_tol")
 _LIST_FIELDS = ("expected", "artifacts")
 
 
-@dataclass(frozen=True)
-class StageItem:
+class StageItem(NamedTuple):
     source: str  # relative to the scenario file's directory
     dest: str  # relative to the run working directory
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(NamedTuple):
     stage: tuple[StageItem, ...]
     subject_command: tuple[str, ...]
-    record: dict = field(default_factory=dict)
+    record: dict
 
 
-@dataclass(frozen=True)
-class Scenario:
-    id: str
-    description: str
-    environment: Environment
-    checks: tuple[CheckSpec, ...]
-    k: int
-    alpha: float = 0.05
-    base_dir: Path = Path(".")
+class Scenario(
+    CheckedRecord,
+    namedtuple("Scenario", "id description environment checks k alpha base_dir"),
+):
+    """A parsed scenario; ``base_dir`` is the directory its reference paths resolve against."""
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise SchemaError(f"scenario {self.id!r}: k must be >= 1", location="k")
-        if not self.checks:
+    __slots__ = ()
+
+    def __new__(cls, id, description, environment, checks, k, alpha, base_dir):
+        if k < 1:
+            raise SchemaError(f"scenario {id!r}: k must be >= 1", location="k")
+        if not checks:
+            raise SchemaError(f"scenario {id!r}: at least one check is required", location="checks")
+        if not 0.0 < alpha < 1.0:
             raise SchemaError(
-                f"scenario {self.id!r}: at least one check is required", location="checks"
+                f"scenario {id!r}: alpha must be strictly between 0 and 1", location="alpha"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise SchemaError(
-                f"scenario {self.id!r}: alpha must be strictly between 0 and 1", location="alpha"
-            )
+        return super().__new__(cls, id, description, environment, checks, k, alpha, base_dir)
 
 
 def _expect_texts(node, location: str) -> tuple[str, ...]:

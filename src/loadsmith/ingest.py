@@ -63,18 +63,7 @@ class ValidationReport(NamedTuple):
         return not any(f.severity == "error" for f in self.findings)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "findings": [
-                {
-                    "severity": f.severity,
-                    "code": f.code,
-                    "message": f.message,
-                    "location": f.location,
-                }
-                for f in self.findings
-            ],
-        }
+        return {"ok": self.ok, "findings": [f._asdict() for f in self.findings]}
 
 
 def read_units(node, loc: str) -> UnitSystem:

@@ -170,8 +170,9 @@ class ComponentSet(tuple):
 
 
 class CheckedRecord:
-    """Base of the records whose constructor checks its fields: ``_make`` and
-    ``_replace`` build through the constructor, where namedtuple's skip it."""
+    """Base of the records whose constructor checks its fields (those of this
+    module, ``analysis.Tolerance`` and ``evalkit.scenario.Scenario``): ``_make``
+    and ``_replace`` build through the constructor, where namedtuple's skip it."""
 
     __slots__ = ()
 

@@ -14,7 +14,9 @@ from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import main
 from loadsmith.export import write_envelope_json
 from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
-from loadsmith.model import Component, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
+from loadsmith.model import (
+    Component, ComponentSet, EnvelopeExtremes, ExtremeCell, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem,
+)
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
 
 from conftest import SCENARIOS_DIR
@@ -532,6 +534,22 @@ class TestCompare:
         assert out.exists()
         assert out.with_suffix(".md").exists()
 
+    def test_delta_of_bounds_near_the_float_limit_is_finite(self, tmp_path, capsys):
+        # Before, the report held -Infinity and the markdown -inf%.
+        paths = []
+        for name, cell in (("new", ExtremeCell(1e307, 1, 0.0, 2)), ("old", ExtremeCell(1e308, 1, -1e308, 2))):
+            extremes = EnvelopeExtremes(name, 1, SI_UNITS, {"p": {comp: cell for comp in Component}})
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(write_envelope_json(extremes), encoding="utf-8")
+        out = tmp_path / "cmp.json"
+        code, _, err = run_cli(capsys, "compare", *map(str, paths), "--out", str(out))
+        assert (code, err) == (0, "")
+        cell = json.loads(out.read_text(encoding="utf-8"))["cells"]["p"]["FX"]
+        assert cell["max_delta_pct"] == pytest.approx(-90.0)
+        assert cell["min_delta_pct"] == -100.0
+        row = "| FX | 1.000000E+308 | 1.000000E+307 | -90.00% | no | -1.000000E+308 | 0.000000E+00 | -100.00% | no |"
+        assert row in out.with_suffix(".md").read_text(encoding="utf-8").splitlines()
+
     def test_default_report_path_under_working_directory(self, tmp_path, capsys, monkeypatch, delivery_file):
         _, d = delivery_file
         old = self.make_extremes(tmp_path, capsys, delivery_file)
@@ -896,8 +914,9 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
     return {name: str(path) for name, path in files.items()}
 
 
-def _refusals(status: int, *cases: tuple[str, str]) -> list:
-    return [pytest.param(argv.split(), status, id=name) for name, argv in cases]
+def _refusals(status: int, *cases: tuple[str, ...]) -> list:
+    """Each case is (name, argv) or (name, argv, the error code it must give)."""
+    return [pytest.param(argv.split(), status, code, id=name) for name, argv, *code in cases]
 
 
 # Every refusal this file's tests exercise, as an argv with {name} for an
@@ -929,6 +948,10 @@ CLI_REFUSALS = [
         ("validate-long-json-version", "validate {long_json}"),
         ("validate-schema", "validate {broken}"),
         ("transform-overflow", "transform {one_point} --scale FX=1e10 --out {out}/x.json"),
+        ("transform-unknown-unit", "transform {delivery} --units furlong,N·m --out {out}/x.json",
+         "UNKNOWN_UNIT"),
+        ("transform-negative-factor", "transform {delivery} --scale FX=-1 --out {out}/x.json",
+         "BAD_FACTOR"),
         ("equilibrium-undecodable-config", "equilibrium {delivery} --config {bin}"),
         ("equilibrium-undecodable-coords", "equilibrium {delivery} --coords {bin}"),
         ("equilibrium-config-node-map", "equilibrium {delivery} --config {config_node_map}"),
@@ -971,14 +994,17 @@ CLI_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv,status", CLI_REFUSALS)
-def test_refusal_sweep(tmp_path, capsys, monkeypatch, refusal_inputs, argv, status):
+@pytest.mark.parametrize("argv,status,error_code", CLI_REFUSALS)
+def test_refusal_sweep(tmp_path, capsys, monkeypatch, refusal_inputs, argv, status, error_code):
     # Before, a scaled value that overflowed was refused as VALUE_ERROR, the
     # code main() gives any other ValueError.
     monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
     code, out, err = run_cli(capsys, *(arg.format(**refusal_inputs, out=tmp_path) for arg in argv))
     assert (code, out) == (status, "")
-    assert single_error(err)["code"] != "VALUE_ERROR"
+    given = single_error(err)["code"]
+    assert given != "VALUE_ERROR"
+    if error_code:
+        assert [given] == error_code
 
 
 class TestUsageAndErrors:
@@ -986,6 +1012,14 @@ class TestUsageAndErrors:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
         assert json.loads(err)["error"]["code"] == "USAGE"
+
+    def test_unreadable_input_exit_4(self, tmp_path, capsys):
+        # a directory named as the input: reading it fails with IsADirectoryError
+        code, out, err = run_cli(
+            capsys, "convert", str(tmp_path), "--to", "json", "--out", str(tmp_path / "x.json")
+        )
+        assert (code, out) == (4, "")
+        assert single_error(err)["code"] == "IO_ERROR"
 
     def test_rerun_byte_identical_outputs(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
@@ -1070,6 +1104,21 @@ class TestUsageAndErrors:
             "loadsmith.analysis", "loadsmith.compare", "loadsmith.export",
             "loadsmith.ingest", "loadsmith.trace", "loadsmith.transform",
         ]
+
+    def test_harness_and_doc_server_import_leave_dataclasses_out(self):
+        # Before, their records were dataclasses, which import inspect.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        script = (
+            "import sys, loadsmith.evalkit, loadsmith.docserver\n"
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_json_only_steps_leave_yaml_out(self, tmp_path):
         # The replay's transform and equilibrium steps on the shipped delivery,

@@ -93,6 +93,14 @@ class TestCompareEnvelopes:
         assert cell.max_delta_pct is None
         assert cell.max_exceeds  # the exceeds test still applies
 
+    def test_delta_of_bounds_near_the_float_limit_is_finite(self):
+        # Before, 100 times the change overflowed first: both deltas were -inf.
+        old = envelope_of(1e308, -1e308)
+        new = envelope_of(1e307, 0.0)
+        cell = compare_envelopes(new, old).cells["p"][Component.FX]
+        assert cell.max_delta_pct == pytest.approx(-90.0)
+        assert cell.min_delta_pct == -100.0
+
     def test_widen_tol_suppresses_small_growth(self):
         old = envelope_of(100.0, -100.0)
         new = envelope_of(100.5, -100.5)

@@ -73,8 +73,9 @@ class TestNumericFileCompare:
 
     def test_broken_reference_raises(self, tmp_path):
         a = self.write(tmp_path, "a.json", {"x": 1.0})
-        with pytest.raises(ReferenceError):
+        with pytest.raises(ReferenceError) as missing:
             numeric_file_compare(a, tmp_path / "nope.json")
+        assert missing.value.code == "REFERENCE_ERROR"
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ReferenceError):

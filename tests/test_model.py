@@ -1,5 +1,6 @@
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,7 +14,17 @@ from loadsmith.analysis import (
     Tolerance,
 )
 from loadsmith.compare import ComparisonCell, ComparisonReport
+from loadsmith.docserver import DocumentRecord, DocumentVersion
 from loadsmith.errors import UnknownUnitError
+from loadsmith.evalkit import (
+    CheckResult,
+    CheckSpec,
+    Environment,
+    EvalReport,
+    RunOutcome,
+    Scenario,
+    StageItem,
+)
 from loadsmith.ingest import Finding, ValidationReport
 from loadsmith.model import (
     COMPONENT_ORDER,
@@ -238,8 +249,9 @@ class TestExtremeCell:
 
 
 def _every_field_given() -> list:
-    """(record type, every field by keyword) for each pipeline record; the
-    values are canonical already, so the constructor keeps them as given."""
+    """(record type, every field by keyword) for each record of the pipeline,
+    the harness and the doc server; the values are canonical already, so the
+    constructor keeps them as given."""
     units = UnitSystem(force_unit="klbf", moment_unit="klbf·in")
     case = LoadCase(id=4, loads={"bearing": ComponentSet(fx=1.0)}, label="cruise")
     cell = ExtremeCell(max_value=2.0, max_case=4, min_value=-1.0, min_case=5)
@@ -257,6 +269,15 @@ def _every_field_given() -> list:
         "old_min": 0.0, "new_min": 0.0, "min_delta_pct": None, "min_exceeds": False,
     }
     comparison = ComparisonCell(**comparison_fields)
+    verdict_fields = {"kind": "file_set", "status": "fail", "diffs": ("missing: a.inp",), "rationale": "r"}
+    outcome_fields = {
+        "run_index": 2, "trace": "run_2/trace.ndjson", "exit_status": 1, "verdicts": (CheckResult(**verdict_fields),),
+        "passed": False, "reason": "exit status 1: boom", "infrastructure_error": "staging failed",
+    }
+    stage = StageItem(source="inputs/d.yaml", dest="d.yaml")
+    spec = CheckSpec(kind="file_set", params={"dir": "decks", "expected": ("a.inp",)})
+    environment = Environment(stage=(stage,), subject_command=("{python}", "p.py"), record={"toolkit": "x"})
+    version = DocumentVersion(content="# Doc\n", checksum="ab" * 32)
     return [
         (UnitSystem, {"force_unit": "klbf", "moment_unit": "klbf·in"}),
         (LoadCase, {"id": 4, "loads": {"bearing": ComponentSet(fx=1.0)}, "label": "cruise"}),
@@ -280,6 +301,21 @@ def _every_field_given() -> list:
             "new_exceeds_old": True, "cells": {"bearing": {Component.FX: comparison}},
         }),
         (CoordinateSystemCheck, {"status": "mismatch", "found": "fan_cs"}),
+        (CheckResult, verdict_fields),
+        (RunOutcome, outcome_fields),
+        (EvalReport, {
+            "scenario_id": "replay", "k": 2, "alpha": 0.05, "passes": 0, "pass_hat_k": False,
+            "lower_bound": None, "infrastructure_failures": 1, "runs": (RunOutcome(**outcome_fields),),
+        }),
+        (StageItem, {"source": "inputs/d.yaml", "dest": "d.yaml"}),
+        (CheckSpec, {"kind": "file_set", "params": {"dir": "decks", "expected": ("a.inp",)}}),
+        (Environment, {"stage": (stage,), "subject_command": ("{python}", "p.py"), "record": {"toolkit": "x"}}),
+        (Scenario, {
+            "id": "replay", "description": "d", "environment": environment, "checks": (spec,), "k": 3,
+            "alpha": 0.05, "base_dir": Path("scenarios"),
+        }),
+        (DocumentVersion, {"content": "# Doc\n", "checksum": "ab" * 32}),
+        (DocumentRecord, {"document_id": 1001, "title": "Loads", "versions": {1: version}}),
     ]
 
 
@@ -288,7 +324,7 @@ _RECORDS = _every_field_given()
 
 @pytest.mark.parametrize("record_type, fields", _RECORDS, ids=[t.__name__ for t, _ in _RECORDS])
 class TestPipelineRecords:
-    """The pipeline's records are immutable tuples of their fields, in order."""
+    """Every record is an immutable tuple of its fields, in order."""
 
     def test_every_field_reads_back_unchanged(self, record_type, fields):
         record = record_type(**fields)
@@ -323,6 +359,7 @@ _BAD_FIELD = {
     ExtremeCell: {"min_value": 3.0},
     EnvelopeExtremes: {"cells": {"bearing": 5}},
     Tolerance: {"abs": math.nan},
+    Scenario: {"k": 0},
 }
 
 
