@@ -9,8 +9,9 @@ the root of the repository:
 
     python3 scripts/bench_ab.py --pr N --base HEAD~1 --change HEAD
 
-CHANGE may be any tree-ish; to measure uncommitted work, stage it and pass
-``--change "$(git write-tree)"``. Exports go under ``$TMPDIR`` and are
+Both sides are required. CHANGE may be any tree-ish; to measure uncommitted
+work against the last commit, stage it and pass ``--base HEAD --change
+"$(git write-tree)"``. Exports go under ``$TMPDIR`` and are
 removed at the end, also when the run is stopped by SIGTERM or Ctrl-C, which
 kills the running benchmark first. Defaults: ten pairs, ``run_seconds`` from
 ``BENCHMARK.json``, untraced runs. ``--trace 1`` compares the per-layer
@@ -143,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     workload_names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--base", required=True, help="tree-ish of the parent side")
+    parser.add_argument("--change", required=True, help="tree-ish of the changed side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")

@@ -76,6 +76,23 @@ def _default_out_dir(explicit: str | None) -> Path:
     raise _UsageExit(f"--out-dir is required (or set {OUT_DIR_ENV})")
 
 
+def _number(kind):
+    """The reader of every numeric token: ``kind`` (float or int) of it,
+    refusing the digit grouping (``1_5``) that ``kind`` itself accepts. It
+    takes ``kind``'s name, which argparse shows in its usage errors."""
+
+    def read(token: str):
+        if "_" in token:
+            raise ValueError(f"digit grouping in {token!r}")
+        return kind(token)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_float, _int = _number(float), _number(int)
+
+
 def _parse_units(token: str) -> UnitSystem:
     parts = token.split(",")
     if len(parts) != 2:
@@ -136,7 +153,7 @@ def _cmd_transform(args):
         comp_token, factor_token = spec.split("=", 1)
         component = _parse_component(comp_token)
         try:
-            factor = float(factor_token)
+            factor = _float(factor_token)
         except ValueError:
             raise _UsageExit(f"--scale factor must be a number, got {factor_token!r}")
         delivery = transform.scale_component(delivery, component, factor)
@@ -195,7 +212,7 @@ def _cmd_export_ansys(args):
         token = token.strip()
         if token:
             try:
-                selected.append(int(token))
+                selected.append(_int(token))
             except ValueError:
                 raise _UsageExit(f"--select expects integers, got {token!r}")
     exclude = frozenset(
@@ -244,7 +261,8 @@ def _cmd_compare(args):
 
 
 def _cmd_eval_run(args):
-    from .evalkit import load_scenario, run_scenario
+    from .evalkit.runner import run_scenario
+    from .evalkit.scenario import load_scenario
 
     out_dir = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUT_DIR_ENV, "eval_runs"))
     all_pass = True
@@ -276,7 +294,7 @@ def _cmd_eval_run(args):
 
 
 def _cmd_eval_passk(args):
-    from .evalkit import min_k_for
+    from .evalkit.passk import min_k_for
 
     return EXIT_OK, min_k_for(args.p, args.alpha), []
 
@@ -313,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rename", action="append", metavar="OLD=NEW")
     p.add_argument("--scale", action="append", metavar="COMP=FACTOR")
     p.add_argument("--units", metavar="FORCE,MOMENT")
-    p.add_argument("--ultimate-factor", type=float, dest="ultimate_factor")
+    p.add_argument("--ultimate-factor", type=_float, dest="ultimate_factor")
     p.add_argument("--out", required=True)
     p.add_argument("--to", choices=("json", "yaml"))
     p.set_defaults(func=_cmd_transform)
@@ -321,8 +339,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("equilibrium", help="verify force (and moment) equilibrium per case")
     p.add_argument("input")
     p.add_argument("--coords", help="JSON file {point: [x, y, z]} in meters")
-    p.add_argument("--abs-tol", type=float, dest="abs_tol")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
+    p.add_argument("--abs-tol", type=_float, dest="abs_tol")
+    p.add_argument("--rel-tol", type=_float, dest="rel_tol")
     p.add_argument("--config", help='JSON file {"tolerances": {"abs": number, "rel": number}}')
     p.set_defaults(func=_cmd_equilibrium)
 
@@ -343,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("new")
     p.add_argument("old")
     p.add_argument("--out")
-    p.add_argument("--widen-tol", type=float, default=0.0, dest="widen_tol")
+    p.add_argument("--widen-tol", type=_float, default=0.0, dest="widen_tol")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="evaluation harness")
@@ -351,13 +369,13 @@ def build_parser() -> _Parser:
 
     run_p = eval_sub.add_parser("run", help="run scenario repetitions and report pass^k")
     run_p.add_argument("scenarios", nargs="+")
-    run_p.add_argument("-k", type=int, default=None)
+    run_p.add_argument("-k", type=_int, default=None)
     run_p.add_argument("--out-dir", dest="out_dir")
     run_p.set_defaults(func=_cmd_eval_run)
 
     passk_p = eval_sub.add_parser("passk", help="minimum k for a target pass probability")
-    passk_p.add_argument("--p", type=float, required=True)
-    passk_p.add_argument("--alpha", type=float, default=0.05)
+    passk_p.add_argument("--p", type=_float, required=True)
+    passk_p.add_argument("--alpha", type=_float, default=0.05)
     passk_p.set_defaults(func=_cmd_eval_passk)
 
     p = sub.add_parser("docserve", help="serve a document catalog over stdio JSON-RPC")

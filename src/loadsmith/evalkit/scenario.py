@@ -37,7 +37,10 @@ a repeated key, an unknown field, a value of the wrong type (a string
 ``abs_tol``, ``"k": true`` or ``2.7``, ``checks`` given as an object) or an
 ``alpha`` outside (0, 1) is refused with its location, never coerced. So
 is a judge whose ``adapter`` is not one of ``judge.ADAPTERS``, an ``http``
-judge without an ``endpoint`` and a ``stub`` judge with one.
+judge without an ``endpoint`` and a ``stub`` judge with one, and a path in
+the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
+``artifacts``) that is absolute or has a ``..`` part, since it would leave
+the run directory.
 
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
@@ -104,6 +107,14 @@ class Scenario(
         return super().__new__(cls, id, description, environment, checks, k, alpha, base_dir)
 
 
+def _inside_run(path: str, location: str) -> str:
+    """``path``, refused when it is absolute or has a ``..`` part."""
+    parsed = Path(path)
+    if parsed.is_absolute() or ".." in parsed.parts:
+        raise SchemaError(f"{path!r} leaves the run directory", location=location)
+    return path
+
+
 def _expect_texts(node, location: str) -> tuple[str, ...]:
     items = strict.expect_list(node, location)
     return tuple(strict.expect_text(item, f"{location}[{i}]") for i, item in enumerate(items))
@@ -131,6 +142,11 @@ def _parse_check(node, loc: str) -> CheckSpec:
             value = _expect_texts(value, where)
         else:
             value = strict.expect_text(value, where)
+        if name in ("actual", "dir"):
+            _inside_run(value, where)
+        elif name == "artifacts":
+            for i, artifact in enumerate(value):
+                _inside_run(artifact, f"{where}[{i}]")
         params[name] = value
     if kind == "judge":
         adapter = params["adapter"]
@@ -150,7 +166,7 @@ def _parse_stage_item(node, loc: str) -> StageItem:
     strict.expect_keys(item, ("source", "dest"), (), loc)
     return StageItem(
         source=strict.expect_text(item["source"], f"{loc}.source"),
-        dest=strict.expect_text(item["dest"], f"{loc}.dest"),
+        dest=_inside_run(strict.expect_text(item["dest"], f"{loc}.dest"), f"{loc}.dest"),
     )
 
 

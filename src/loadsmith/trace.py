@@ -31,12 +31,7 @@ def sha256_file(path: str | Path) -> str:
 
 def file_record(path: str | Path, relative_to: str | Path | None = None) -> dict:
     path = Path(path)
-    shown = path
-    if relative_to is not None:
-        try:
-            shown = path.relative_to(relative_to)
-        except ValueError:
-            pass
+    shown = path if relative_to is None else path.relative_to(relative_to)
     return {"path": str(shown), "bytes": path.stat().st_size, "sha256": sha256_file(path)}
 
 

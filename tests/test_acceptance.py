@@ -19,7 +19,9 @@ from loadsmith.analysis import Tolerance, check_equilibrium_all, envelope_extrem
 from loadsmith.cli import main as cli_main
 from loadsmith.compare import compare_envelopes, write_comparison_report
 from loadsmith.docserver import Catalog, DocServer
-from loadsmith.evalkit import load_scenario, min_k_for, pass_lower_bound, run_scenario
+from loadsmith.evalkit.passk import min_k_for, pass_lower_bound
+from loadsmith.evalkit.runner import run_scenario
+from loadsmith.evalkit.scenario import load_scenario
 from loadsmith.export import envelope_to_markdown, write_ansys_inp, write_envelope_json
 from loadsmith.ingest import parse_delivery
 from loadsmith.model import (

@@ -745,6 +745,17 @@ MALFORMED_SCENARIOS = [
                  "checks[0].endpoint", id="http-judge-without-endpoint"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, endpoint="http://127.0.0.1:9/judge")),
                  "SCHEMA_ERROR", "checks[0].endpoint", id="stub-judge-with-endpoint"),
+    # Before, each of these paths was joined to the run directory unchecked.
+    pytest.param(_scenario_with(("environment", "stage", 0, "dest"), "../../escaped.txt"),
+                 "SCHEMA_ERROR", "environment.stage[0].dest", id="stage-dest-parent"),
+    pytest.param(_scenario_with(("environment", "stage", 0, "dest"), "/dev/null"),
+                 "SCHEMA_ERROR", "environment.stage[0].dest", id="stage-dest-absolute"),
+    pytest.param(_scenario_with(("checks", 0, "actual"), "sub/../../o.json"), "SCHEMA_ERROR",
+                 "checks[0].actual", id="check-actual-parent"),
+    pytest.param(_scenario_with(("checks", 0), {"kind": "file_set", "dir": "/", "expected": []}),
+                 "SCHEMA_ERROR", "checks[0].dir", id="check-dir-absolute"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "../o.json"])),
+                 "SCHEMA_ERROR", "checks[0].artifacts[1]", id="judge-artifact-parent"),
 ]
 
 
@@ -937,6 +948,17 @@ CLI_REFUSALS = [
         ("unknown-subcommand", "frobnicate"),
         ("compare-out-md", "compare {extremes} {extremes} --out {out}/c.md"),
         ("compare-out-names-old", "compare {extremes} {extremes_old} --out {extremes_old}"),
+        # Before, float() and int() read "1_5" as 15, so each of these ran.
+        ("transform-ultimate-factor-grouped",
+         "transform {delivery} --ultimate-factor 1_5 --out {out}/x.json", "USAGE"),
+        ("transform-scale-grouped", "transform {delivery} --scale FX=1_04 --out {out}/x.json", "USAGE"),
+        ("export-select-grouped",
+         "export-ansys {delivery} --select 1_0 --node-map {nodes} --out-dir {out}", "USAGE"),
+        ("equilibrium-abs-tol-grouped", "equilibrium {delivery} --abs-tol=1_0", "USAGE"),
+        ("compare-widen-tol-grouped",
+         "compare {extremes} {extremes} --out {out}/c.json --widen-tol=0_1", "USAGE"),
+        ("eval-passk-p-grouped", "eval passk --p 0.9_0", "USAGE"),
+        ("eval-run-k-grouped", "eval run {scenario} -k 1_0 --out-dir {out}", "USAGE"),
     ),
     *_refusals(
         2,
@@ -1106,10 +1128,11 @@ class TestUsageAndErrors:
         ]
 
     def test_harness_and_doc_server_import_leave_dataclasses_out(self):
-        # Before, their records were dataclasses, which import inspect.
+        # Before, their records were dataclasses, which import inspect. The
+        # runner imports every other harness module.
         src = Path(loadsmith.__file__).resolve().parents[1]
         script = (
-            "import sys, loadsmith.evalkit, loadsmith.docserver\n"
+            "import sys, loadsmith.evalkit.runner, loadsmith.docserver\n"
             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
         )
         proc = subprocess.run(
@@ -1119,6 +1142,25 @@ class TestUsageAndErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_eval_passk_loads_only_passk(self):
+        # Before, the harness package imported every harness module, so
+        # eval passk loaded the runner, scenario reader, checks and judge.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        script = (
+            "import json, sys\n"
+            "from loadsmith.cli import main\n"
+            "code = main(['eval', 'passk', '--p', '0.9'])\n"
+            "harness = sorted(n for n in sys.modules if n.startswith('loadsmith.evalkit.'))\n"
+            "sys.stderr.write(json.dumps({'exit': code, 'harness': harness}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.strip() == "29"
+        assert json.loads(proc.stderr) == {"exit": 0, "harness": ["loadsmith.evalkit.passk"]}
 
     def test_json_only_steps_leave_yaml_out(self, tmp_path):
         # The replay's transform and equilibrium steps on the shipped delivery,

@@ -10,17 +10,16 @@ import yaml
 
 import loadsmith
 from loadsmith.cli import main
-from loadsmith.evalkit import (
+from loadsmith.evalkit.checks import (
     ReferenceError,
     file_set_check,
-    judge_check,
-    load_scenario,
     numeric_file_compare,
-    parse_scenario,
-    pass_lower_bound,
-    run_scenario,
     text_golden_check,
 )
+from loadsmith.evalkit.judge import judge_check
+from loadsmith.evalkit.passk import pass_lower_bound
+from loadsmith.evalkit.runner import run_scenario
+from loadsmith.evalkit.scenario import load_scenario, parse_scenario
 from loadsmith.errors import SchemaError
 
 from conftest import REPO_ROOT

@@ -16,15 +16,9 @@ from loadsmith.analysis import (
 from loadsmith.compare import ComparisonCell, ComparisonReport
 from loadsmith.docserver import DocumentRecord, DocumentVersion
 from loadsmith.errors import UnknownUnitError
-from loadsmith.evalkit import (
-    CheckResult,
-    CheckSpec,
-    Environment,
-    EvalReport,
-    RunOutcome,
-    Scenario,
-    StageItem,
-)
+from loadsmith.evalkit.checks import CheckResult
+from loadsmith.evalkit.runner import EvalReport, RunOutcome
+from loadsmith.evalkit.scenario import CheckSpec, Environment, Scenario, StageItem
 from loadsmith.ingest import Finding, ValidationReport
 from loadsmith.model import (
     COMPONENT_ORDER,

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loadsmith.evalkit import min_k_for, pass_lower_bound
+from loadsmith.evalkit.passk import min_k_for, pass_lower_bound
 
 
 class TestMinKFor:
