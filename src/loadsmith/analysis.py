@@ -172,16 +172,9 @@ def check_equilibrium_all(
     return EquilibriumSurvey(tuple(_case_equilibrium(case, coords, tol) for case in delivery.cases))
 
 
-class SelectionReason(NamedTuple):
-    point: str
-    component: Component
-    kind: str  # "max" | "min"
-
-
 class EnvelopeSelection(NamedTuple):
     selected_case_ids: tuple[int, ...]
     extremes: EnvelopeExtremes
-    reasons: dict[int, tuple[SelectionReason, ...]]
 
 
 def envelope_extremes(delivery: LoadsDelivery) -> EnvelopeExtremes:
@@ -220,22 +213,15 @@ def envelope_select(delivery: LoadsDelivery) -> EnvelopeSelection:
     """Downselect to the critical cases per the envelope rule.
 
     Selected set = every max case id, plus min case ids whose minimum is
-    strictly negative; ids are reported in ascending order with the
-    (point, component, max|min) reasons that caused each selection.
+    strictly negative; ids are reported in ascending order. The extremes
+    name the cell each selected case holds.
     """
     extremes = envelope_extremes(delivery)
-    reasons: dict[int, list[SelectionReason]] = {}
+    selected: set[int] = set()
     for point in extremes.points():
         for comp in COMPONENT_ORDER:
             cell = extremes.cell(point, comp)
-            reasons.setdefault(cell.max_case, []).append(SelectionReason(point, comp, "max"))
+            selected.add(cell.max_case)
             if cell.min_value < 0.0:
-                reasons.setdefault(cell.min_case, []).append(
-                    SelectionReason(point, comp, "min")
-                )
-    selected = tuple(sorted(reasons))
-    return EnvelopeSelection(
-        selected_case_ids=selected,
-        extremes=extremes,
-        reasons={cid: tuple(rs) for cid, rs in reasons.items()},
-    )
+                selected.add(cell.min_case)
+    return EnvelopeSelection(tuple(sorted(selected)), extremes)

@@ -412,7 +412,3 @@ def main(argv: list[str] | None = None) -> int:
         error, status = LoadsmithError(str(exc), code="VALUE_ERROR"), EXIT_PROCESSING
     sys.stderr.write(json.dumps({"error": error.to_dict()}, ensure_ascii=False) + "\n")
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

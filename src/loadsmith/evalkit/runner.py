@@ -103,14 +103,13 @@ def _run_check(spec: CheckSpec, workdir: Path, base_dir: Path) -> CheckResult:
         return file_set_check(workdir / params["dir"], params["expected"])
     if spec.kind == "text_golden":
         return text_golden_check(workdir / params["actual"], base_dir / params["reference"])
-    if spec.kind == "judge":
-        return judge_check(
-            [workdir / a for a in params["artifacts"]],
-            params["rubric"],
-            params["adapter"],
-            endpoint=params.get("endpoint"),
-        )
-    raise ValueError(f"unhandled check kind {spec.kind!r}")
+    # parse_scenario refuses any other kind
+    return judge_check(
+        [workdir / a for a in params["artifacts"]],
+        params["rubric"],
+        params["adapter"],
+        endpoint=params.get("endpoint"),
+    )
 
 
 def _failure_reason(exit_status: int | None, stderr: str, verdicts: list[CheckResult]) -> str:

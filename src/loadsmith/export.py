@@ -78,8 +78,8 @@ def write_ansys_inp(
 
     Two comment lines, then one ``F,<node>,<LABEL>,<value>`` line per
     non-excluded point (lexicographic) and component (canonical order),
-    rendered with one ``%`` of a template built for the deck.
-    The caller must have converted the delivery to the FEM unit system.
+    rendered with one ``%`` of a template built for the deck, in the
+    case's own units: ``export_all_inp`` refuses a delivery that is not SI.
 
     Raises:
         LoadsmithError: For an excluded name that is not a point of the case,
@@ -128,9 +128,18 @@ def export_all_inp(
     """Write ``limit_load_<id>.inp`` per selected case, ascending id order.
 
     Returns the paths written. Repeat runs on equal inputs are
-    byte-identical. Every deck is rendered before any is written, so a
-    refused case leaves no deck behind.
+    byte-identical. A deck holds bare numbers, so a delivery that is not in
+    SI units is refused (NON_SI_EXPORT) before any deck is rendered. Every
+    deck is rendered before any is written, so a refused case leaves no
+    deck behind.
     """
+    units = delivery.units
+    if not units.is_si:
+        raise LoadsmithError(
+            f"decks are written in SI units only (got {units.force_unit}/{units.moment_unit}); "
+            "convert first",
+            code="NON_SI_EXPORT",
+        )
     if not selected:
         raise LoadsmithError("no cases selected for export", code="EMPTY_SELECTION")
     by_id = {case.id: case for case in delivery.cases}

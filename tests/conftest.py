@@ -10,6 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 # A longer search for the differential tests, chosen with --hypothesis-profile=ci.
 settings.register_profile("ci", max_examples=1000, deadline=None)
+# The line-coverage run (scripts/line_coverage.py) traces every line, which
+# slows each example past the default deadline.
+settings.register_profile("coverage", deadline=None)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"

@@ -274,20 +274,16 @@ class TestEnvelopeSelect:
         d = LoadsDelivery(
             name="x", version=1, units=SI_UNITS,
             cases=(
-                LoadCase(id=1, loads={"p": ComponentSet(fx=5.0, fy=1.0)}),
-                LoadCase(id=2, loads={"p": ComponentSet(fx=0.0, fy=2.0)}),
+                LoadCase(id=1, loads={"p": ComponentSet(5.0, 5.0, 5.0, 5.0, 5.0, 5.0)}),
+                LoadCase(id=2, loads={"p": ComponentSet(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)}),
             ),
         )
         sel = envelope_select(d)
-        # case 2 is min on fx at exactly zero: not selected for that, but is fy max
-        reasons_2 = sel.reasons[2]
-        assert all(r.kind == "max" for r in reasons_2)
-
-    def test_every_selection_has_reasons(self):
-        d = generate_fixture(5, 30, ["a", "b", "c"], 4)
-        sel = envelope_select(d)
-        for cid in sel.selected_case_ids:
-            assert sel.reasons[cid]
+        # case 2 holds only minima, and its fx minimum is exactly zero, so
+        # no cell selects it
+        assert sel.selected_case_ids == (1,)
+        fx = sel.extremes.cell("p", Component.FX)
+        assert (fx.min_case, fx.min_value) == (2, 0.0)
 
     @settings(max_examples=150)
     @given(deliveries(max_cases=20, max_points=5))

@@ -33,6 +33,15 @@ def delivery_file(tmp_path):
     return path, d
 
 
+@pytest.fixture
+def si_delivery_file(tmp_path):
+    """The delivery of ``delivery_file`` in SI units, the only units ``export-ansys`` writes."""
+    d = generate_fixture(21, 12, POINTS, 3)
+    path = tmp_path / "delivery_si.json"
+    path.write_text(write_delivery_json(d), encoding="utf-8")
+    return path, d
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -393,8 +402,8 @@ class TestEnvelope:
 
 
 class TestExportAnsys:
-    def test_writes_selected_decks(self, tmp_path, capsys, delivery_file):
-        path, d = delivery_file
+    def test_writes_selected_decks(self, tmp_path, capsys, si_delivery_file):
+        path, d = si_delivery_file
         node_map = tmp_path / "nodes.json"
         node_map.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
         out_dir = tmp_path / "decks"
@@ -408,8 +417,8 @@ class TestExportAnsys:
         assert len(written) == 2
         assert all("limit_load_" in w for w in written)
 
-    def test_exclude_point(self, tmp_path, capsys, delivery_file):
-        path, d = delivery_file
+    def test_exclude_point(self, tmp_path, capsys, si_delivery_file):
+        path, d = si_delivery_file
         node_map = tmp_path / "nodes.json"
         node_map.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
         out_dir = tmp_path / "decks"
@@ -422,8 +431,8 @@ class TestExportAnsys:
         deck = (out_dir / f"limit_load_{d.cases[0].id}.inp").read_text()
         assert ",1000," not in deck
 
-    def test_unknown_excluded_point_exit_2(self, tmp_path, capsys, delivery_file):
-        path, d = delivery_file
+    def test_unknown_excluded_point_exit_2(self, tmp_path, capsys, si_delivery_file):
+        path, d = si_delivery_file
         node_map = tmp_path / "nodes.json"
         node_map.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
         out_dir = tmp_path / "decks"
@@ -756,6 +765,10 @@ MALFORMED_SCENARIOS = [
                  "SCHEMA_ERROR", "checks[0].dir", id="check-dir-absolute"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "../o.json"])),
                  "SCHEMA_ERROR", "checks[0].artifacts[1]", id="judge-artifact-parent"),
+    pytest.param(_scenario_with(("checks", 0), {"actual": "o.json", "reference": "ref.json"}),
+                 "SCHEMA_ERROR", "checks[0].kind", id="check-without-kind"),
+    pytest.param(_scenario_with(("environment", "subject_command"), []), "SCHEMA_ERROR",
+                 "environment.subject_command", id="empty-subject-command"),
 ]
 
 
@@ -891,6 +904,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
 
     texts = {
         "delivery": write_delivery_json(d),
+        "delivery_si": write_delivery_json(generate_fixture(21, 12, POINTS, 3)),
         "bom_json": "\ufeff" + write_delivery_json(d),
         "merge_yaml": write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
         "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
@@ -941,6 +955,9 @@ CLI_REFUSALS = [
         ("transform-repeated-rename",
          "transform {delivery} --rename lug_left=lug_port --rename lug_left=lug_x --out {out}/x.json"),
         ("transform-unknown-component", "transform {delivery} --scale QQ=2 --out {out}/x.json"),
+        ("transform-units-one-part", "transform {delivery} --units N --out {out}/x.json", "USAGE"),
+        ("transform-rename-no-equals", "transform {delivery} --rename lug_left --out {out}/x.json",
+         "USAGE"),
         ("envelope-no-out-dir", "envelope {delivery}"),
         ("export-no-node-map", "export-ansys {delivery} --select 1 --out-dir {out}"),
         ("export-config-node-map",
@@ -986,7 +1003,10 @@ CLI_REFUSALS = [
         ("equilibrium-coords-string", "equilibrium {delivery} --coords {coords_string}"),
         ("equilibrium-coords-nan", "equilibrium {delivery} --coords {coords_nan}"),
         ("export-unknown-excluded",
-         "export-ansys {delivery} --select 1 --node-map {nodes} --exclude baering --out-dir {out}"),
+         "export-ansys {delivery_si} --select 1 --node-map {nodes} --exclude baering --out-dir {out}",
+         "UNKNOWN_POINT"),
+        ("export-non-si", "export-ansys {delivery} --select 1 --node-map {nodes} --out-dir {out}",
+         "NON_SI_EXPORT"),
         ("export-multiline-label",
          "export-ansys {one_point} --select 3 --node-map {nodes_a} --out-dir {out}"),
         ("export-later-case-refused",
@@ -1055,8 +1075,8 @@ class TestUsageAndErrors:
         ).read_bytes()
 
     @pytest.mark.parametrize("command", ["convert", "transform", "envelope", "export-ansys", "compare"])
-    def test_sidecar_records_parsed_arguments(self, tmp_path, capsys, monkeypatch, delivery_file, command):
-        path, d = delivery_file
+    def test_sidecar_records_parsed_arguments(self, tmp_path, capsys, monkeypatch, si_delivery_file, command):
+        path, d = si_delivery_file
         nodes = tmp_path / "nodes.json"
         nodes.write_text(json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}))
         run_cli(capsys, "envelope", str(path), "--out-dir", str(tmp_path / "env"))

@@ -87,6 +87,23 @@ class TestNumericFileCompare:
         assert not result.passed
 
     @pytest.mark.parametrize(
+        "actual,reference,diff",
+        [
+            ([1.0], {"a": 1.0}, "$.x: expected object, got list"),
+            ({"a": 1.0}, [1.0], "$.x: expected array, got dict"),
+            ("1.0", 1.0, "$.x: expected number, got '1.0'"),
+            (True, 1, "$.x: expected number, got True"),
+            ("kN", "N", "$.x: 'kN' != expected 'N'"),
+            (None, False, "$.x: None != expected False"),
+        ],
+        ids=["object", "array", "number", "bool-for-number", "string", "bool"],
+    )
+    def test_type_mismatch_names_path_and_types(self, tmp_path, actual, reference, diff):
+        a = self.write(tmp_path, "a.json", {"x": actual})
+        b = self.write(tmp_path, "b.json", {"x": reference})
+        assert numeric_file_compare(a, b).diffs == (diff,)
+
+    @pytest.mark.parametrize(
         "text,diff",
         [
             ('{"v": NaN}', "$.v: nan != expected 5.0"),
@@ -167,6 +184,13 @@ class TestTextGolden:
         assert not result.passed
         assert "line 2" in result.diffs[0]
 
+    def test_prefix_names_lengths(self, tmp_path):
+        # every line the two share is equal: only the final newline is missing
+        (tmp_path / "got.txt").write_bytes(b"one\ntwo")
+        (tmp_path / "want.txt").write_bytes(b"one\ntwo\n")
+        result = text_golden_check(tmp_path / "got.txt", tmp_path / "want.txt")
+        assert result.diffs == ("length differs: 7 vs 8 bytes",)
+
     def test_missing_golden_raises(self, tmp_path):
         (tmp_path / "got.txt").write_text("x")
         with pytest.raises(ReferenceError):
@@ -208,6 +232,12 @@ class TestStubJudge:
         script.write_text("x")
         with pytest.raises(ReferenceError, match="^judge error: rubric line 1 "):
             judge_check([script], "script applies factor", "stub")
+
+    def test_bad_regex_is_error(self, tmp_path):
+        script = tmp_path / "s.py"
+        script.write_text("x")
+        with pytest.raises(ReferenceError, match=r"^judge error: rubric line 2: bad regex \(missing \)"):
+            judge_check([script], "require: x\nforbid: (", "stub")
 
     def test_empty_rubric_is_error(self, tmp_path):
         script = tmp_path / "s.py"
@@ -257,12 +287,17 @@ _JUDGE_RESPONSES = {
     "/not-utf8": b'{"verdict": "PASS", "rationale": "\xff"}',
     "/extra-key": b'{"verdict": "PASS", "score": 1}',
 }
+# Well-formed response bodies that still give no usable verdict or rationale.
+_JUDGE_ODD_VERDICTS = {
+    "/maybe": b'{"verdict": "MAYBE", "rationale": "unsure"}',
+    "/fail-without-rationale": b'{"verdict": "FAIL"}',
+}
 
 
 class _JudgeHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        payload = _JUDGE_RESPONSES.get(self.path)
+        payload = _JUDGE_RESPONSES.get(self.path, _JUDGE_ODD_VERDICTS.get(self.path))
         if payload is None:
             passed = "1.04" in body["artifacts"][0]["content"]
             payload = json.dumps(
@@ -315,6 +350,29 @@ class TestHttpJudge:
         script.write_text("factor = 1.04\n")
         with pytest.raises(ReferenceError, match="^judge error: unparseable judge response: "):
             judge_check([script], "rubric", "http", endpoint=judge_server + path)
+
+    def test_unknown_verdict_is_error(self, tmp_path, judge_server):
+        script = tmp_path / "s.py"
+        script.write_text("factor = 1.04\n")
+        with pytest.raises(ReferenceError, match="^judge error: judge returned unknown verdict 'MAYBE'$"):
+            judge_check([script], "rubric", "http", endpoint=judge_server + "/maybe")
+
+    def test_fail_without_rationale_names_the_check(self, tmp_path, judge_server):
+        scenario = {
+            "id": "http-judge-terse",
+            "k": 1,
+            "environment": {
+                "stage": [],
+                "subject_command": ["{python}", "-c", "open('s.py', 'w').write('1.04')"],
+            },
+            "checks": [{
+                "kind": "judge", "adapter": "http", "endpoint": judge_server + "/fail-without-rationale",
+                "artifacts": ["s.py"], "rubric": "apply the factor",
+            }],
+        }
+        run = run_scenario(parse_scenario(json.dumps(scenario)), tmp_path / "runs").runs[0]
+        assert (run.passed, run.infrastructure_error) == (False, None)
+        assert run.reason == "judge check failed"
 
     def test_malformed_response_fails_run_as_infrastructure(self, tmp_path, judge_server, capsys):
         scenario_dir = tmp_path / "scenario"
@@ -495,6 +553,33 @@ class TestRunScenario:
         shutil.rmtree(dirs[2])
         assert (dirs[1] / "out.txt").read_text() == "reference payload\n"
         assert report.runs[0].passed and report.runs[2].passed
+
+    def test_rerun_replaces_the_run_directories(self, tmp_path):
+        scenario = load_scenario(make_copy_scenario(tmp_path, k=2))
+        out = tmp_path / "runs"
+        run_scenario(scenario, out)
+        (out / "run_1" / "stale.txt").write_text("from an earlier run\n")
+        report = run_scenario(scenario, out)
+        assert report.passes == 2
+        assert sorted(p.name for p in (out / "run_1").iterdir()) == [
+            "out.txt", "payload.txt", "trace.ndjson",
+        ]
+
+    def test_subject_that_cannot_launch_is_infrastructure(self, tmp_path):
+        missing = tmp_path / "no-such-program"
+        scenario = {
+            "id": "no-launch",
+            "k": 2,
+            "environment": {"subject_command": [str(missing)]},
+            "checks": [{"kind": "file_set", "dir": ".", "expected": []}],
+        }
+        report = run_scenario(parse_scenario(json.dumps(scenario)), tmp_path / "runs")
+        assert (report.passes, report.infrastructure_failures) == (0, 2)
+        for run in report.runs:
+            assert run.exit_status is None and run.verdicts == ()
+            assert run.reason == run.infrastructure_error
+            assert run.reason.startswith("subject failed to run: [Errno 2] No such file or directory")
+            assert str(missing) in run.reason
 
     def test_nonzero_exit_is_not_harness_error(self, tmp_path):
         scenario_dir = tmp_path / "scenario"

@@ -204,6 +204,13 @@ class TestExportAllInp:
             )
         assert err.value.code == "UNKNOWN_CASE_ID"
 
+    def test_non_si_delivery_refused_before_any_deck(self, tmp_path, imperial_delivery):
+        with pytest.raises(LoadsmithError) as err:
+            export_all_inp(imperial_delivery, [1], {"bearing": 1}, out_dir=tmp_path / "decks")
+        assert err.value.code == "NON_SI_EXPORT"
+        assert "(got klbf/klbf·in)" in str(err.value)
+        assert not (tmp_path / "decks").exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         d = generate_fixture(4, 10, self.POINTS, 2)
         sel = [d.cases[0].id, d.cases[5].id]

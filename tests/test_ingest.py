@@ -123,6 +123,28 @@ class TestParseDelivery:
             parse_delivery(json.dumps(data))
         assert "version" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edit,message,location",
+        [
+            (lambda d: d["load_cases"][0].update(id=0),
+             "case id must be a positive integer, got 0", "load_cases[0]"),
+            (lambda d: d.update(version=0),
+             "delivery version must be a positive integer, got 0", "$"),
+            (lambda d: d.update(load_cases=[]), "load_cases must be a non-empty list", "load_cases"),
+            (lambda d: d["load_cases"][0].update(point_loads={}),
+             "empty point_loads at load_cases[0]", "load_cases[0].point_loads"),
+            (lambda d: d.update(point_coordinates={"a": [0.0, 1.0]}),
+             "expected [x, y, z] at point_coordinates.a", "point_coordinates.a"),
+        ],
+        ids=["case-id-0", "version-0", "no-load-cases", "empty-point-loads", "xy-coordinates"],
+    )
+    def test_schema_refusal_names_its_location(self, edit, message, location):
+        data = json.loads(MINIMAL_JSON)
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            parse_delivery(json.dumps(data))
+        assert (str(err.value), err.value.location) == (message, location)
+
     def test_json_syntax_error_reports_position(self):
         with pytest.raises(InputSyntaxError) as err:
             parse_delivery('{"name": }')
@@ -134,9 +156,11 @@ class TestParseDelivery:
         assert "line" in err.value.location
 
     def test_yaml_aliases_rejected(self):
-        text = "base: &anchor {force: N, moment: N·m}\nunits: *anchor\n"
-        with pytest.raises(InputSyntaxError):
-            parse_delivery(text)
+        # The alias alone: an anchor in the text would be refused first.
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery("units: *anchor\n")
+        assert str(err.value) == "YAML aliases are not allowed in delivery files"
+        assert err.value.location == "line 1, column 8"
 
     def test_yaml_tags_rejected(self):
         with pytest.raises(InputSyntaxError):

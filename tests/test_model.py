@@ -10,7 +10,6 @@ from loadsmith.analysis import (
     EnvelopeSelection,
     EquilibriumResult,
     EquilibriumSurvey,
-    SelectionReason,
     Tolerance,
 )
 from loadsmith.compare import ComparisonCell, ComparisonReport
@@ -256,7 +255,6 @@ def _every_field_given() -> list:
         "moment_residual": (0.0, 2.0, 0.0), "moment_residual_magnitude": 2.0,
     }
     result = EquilibriumResult(**result_fields)
-    reason = SelectionReason(point="bearing", component=Component.MZ, kind="min")
     finding = Finding(severity="warning", code="NON_SI_UNITS", message="m", location="units")
     comparison_fields = {
         "old_max": 1.0, "new_max": 2.0, "max_delta_pct": 100.0, "max_exceeds": True,
@@ -285,8 +283,7 @@ def _every_field_given() -> list:
         (Tolerance, {"abs": 0.5, "rel": 0.25}),
         (EquilibriumResult, result_fields),
         (EquilibriumSurvey, {"results": (result,)}),
-        (SelectionReason, {"point": "bearing", "component": Component.MZ, "kind": "min"}),
-        (EnvelopeSelection, {"selected_case_ids": (4, 5), "extremes": extremes, "reasons": {5: (reason,)}}),
+        (EnvelopeSelection, {"selected_case_ids": (4, 5), "extremes": extremes}),
         (Finding, {"severity": "warning", "code": "NON_SI_UNITS", "message": "m", "location": "units"}),
         (ValidationReport, {"findings": (finding,)}),
         (ComparisonCell, comparison_fields),

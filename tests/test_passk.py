@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,18 @@ class TestMinKFor:
             assert pass_lower_bound(k, 0.05) >= p
             if k > 1:
                 assert pass_lower_bound(k - 1, 0.05) < p
+
+    def test_nudge_up_past_a_ceiling_that_falls_short(self):
+        # ceil(ln 0.05 / ln p) is 1 here, but pass_lower_bound(1) == 0.05 < p
+        p = math.nextafter(0.05, 1.0)
+        assert math.ceil(math.log(0.05) / math.log(p)) == 1
+        assert min_k_for(p, 0.05) == 2
+
+    def test_nudge_down_past_a_ceiling_that_overshoots(self):
+        # ceil(ln 0.05 / ln p) is 4 here, but pass_lower_bound(3) already reaches p
+        p = 0.05 ** (1 / 3)
+        assert math.ceil(math.log(0.05) / math.log(p)) == 4
+        assert min_k_for(p, 0.05) == 3
 
     @pytest.mark.parametrize("bad_p", [0.0, 1.0, -0.1, 1.5])
     def test_domain_errors(self, bad_p):
