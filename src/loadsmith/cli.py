@@ -385,11 +385,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _refuse_undecodable(argv: list[str]) -> None:
+    """A usage error for an argv token, or a ``LOADSMITH_OUT_DIR``, that the
+    system gave as bytes that are not UTF-8: Python holds them as lone
+    surrogates, which no sidecar or summary can write."""
+    named = [(f"argument {token!r}", token) for token in argv]
+    named.append((OUT_DIR_ENV, os.environ.get(OUT_DIR_ENV, "")))
+    for what, token in named:
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _UsageExit(f"{what} is not UTF-8 text") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; write its sidecar and stdout summary, or its stderr error."""
     if argv is None:
         argv = sys.argv[1:]
     try:
+        _refuse_undecodable(argv)
         args = build_parser().parse_args(argv)
         status, summary, written = args.func(args)
         if written:

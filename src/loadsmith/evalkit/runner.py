@@ -153,7 +153,8 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
             return infrastructure_failure(f"staging failed: {exc}")
 
         # the measured versions win over a record key of the same name; the subject
-        # runs in this environment, so the YAML backend is the installed parser
+        # runs in this environment, so the YAML backend is the installed parser, the
+        # one its YAML outside the block subset goes to (its sidecars name the reader)
         writer.emit(
             "versions",
             **{**scenario.environment.record, **environment(), "yaml_backend": yaml_backend()},

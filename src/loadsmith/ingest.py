@@ -43,6 +43,7 @@ from .model import (
     LoadsDelivery,
     UnitSystem,
     point_names,
+    require_positive_int,
 )
 # The field checks run per case and point, so they are looked up as globals.
 from .strict import expect_int, expect_keys, expect_mapping, expect_number, expect_text
@@ -124,6 +125,17 @@ def _row_by_field(point, comp_node, ploc: str) -> ComponentSet:
     return row
 
 
+def _positive_int(value, what: str, location: str) -> int:
+    """``value`` as an int that the model's rule accepts as ``what``, else
+    refused at ``location`` with the model's message."""
+    number = expect_int(value, location)
+    try:
+        require_positive_int(what, number)
+    except ValueError as exc:
+        raise SchemaError(str(exc), location=location) from exc
+    return number
+
+
 def parse_delivery(raw: str | bytes) -> LoadsDelivery:
     """Parse raw JSON/YAML text into a LoadsDelivery.
 
@@ -177,7 +189,7 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
         loc = f"load_cases[{idx}]"
         case_map = expect_mapping(case_node, loc)
         expect_keys(case_map, required=("id", "point_loads"), optional=("label",), location=loc)
-        case_id = expect_int(case_map["id"], f"{loc}.id")
+        case_id = _positive_int(case_map["id"], "case id", f"{loc}.id")
         label = expect_text(case_map["label"], f"{loc}.label") if "label" in case_map else None
         points_node = expect_mapping(case_map["point_loads"], f"{loc}.point_loads")
         if not points_node:
@@ -188,22 +200,16 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
             if row is None:
                 row = _row_by_field(point, comp_node, f"{loc}.point_loads.{point}")
             loads[point] = row
-        try:
-            cases.append(LoadCase(id=case_id, label=label, loads=loads))
-        except ValueError as exc:
-            raise SchemaError(str(exc), location=loc) from exc
+        cases.append(LoadCase(id=case_id, label=label, loads=loads))
 
-    try:
-        return LoadsDelivery(
-            name=expect_text(root["name"], "name"),
-            version=expect_int(root["version"], "version"),
-            units=units,
-            coordinate_system=coordinate_system,
-            point_coordinates=point_coordinates,
-            cases=tuple(cases),
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), location="$") from exc
+    return LoadsDelivery(
+        name=expect_text(root["name"], "name"),
+        version=_positive_int(root["version"], "delivery version", "version"),
+        units=units,
+        coordinate_system=coordinate_system,
+        point_coordinates=point_coordinates,
+        cases=tuple(cases),
+    )
 
 
 def validate_delivery(delivery: LoadsDelivery) -> ValidationReport:
@@ -368,17 +374,20 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
 
 
 def yaml_backend() -> str:
-    """The parser that reads YAML deliveries: ``"libyaml"`` or ``"python"``."""
+    """The parser that reads YAML deliveries outside the block subset:
+    ``"libyaml"`` or ``"python"``."""
     from .yaml_reader import backend
 
     return backend()
 
 
 def yaml_backend_used() -> str | None:
-    """The parser that has read YAML in this process, or None when none has;
-    unlike ``yaml_backend()``, never imports PyYAML or the YAML reader."""
+    """The reader of the latest YAML read in this process: ``"block"`` for
+    the line reader, else the parser, ``"libyaml"`` or ``"python"``; None
+    before the first. Unlike ``yaml_backend()``, never imports PyYAML or the
+    YAML reader."""
     reader = sys.modules.get(f"{__package__}.yaml_reader")
-    return None if reader is None else reader.backend()
+    return None if reader is None else reader.last_reader
 
 
 def write_delivery_yaml(delivery: LoadsDelivery) -> str:

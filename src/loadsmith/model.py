@@ -114,7 +114,9 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _require_case_id(name: str, value) -> None:
+def require_positive_int(name: str, value) -> None:
+    """The one rule for case ids and the delivery version: ``value`` is an
+    int, not a bool, of at least 1; else ValueError names it ``name``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
@@ -211,7 +213,7 @@ class LoadCase(CheckedRecord, namedtuple("LoadCase", "id loads label")):
     __slots__ = ()
 
     def __new__(cls, id, loads, label=None):
-        _require_case_id("case id", id)
+        require_positive_int("case id", id)
         if not loads:
             raise ValueError(f"case {id} has no point loads")
         return super().__new__(cls, id, dict(loads), label)
@@ -233,8 +235,7 @@ class LoadsDelivery(
     __slots__ = ()
 
     def __new__(cls, name, version, units, cases, coordinate_system=None, point_coordinates=None):
-        if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-            raise ValueError(f"delivery version must be a positive integer, got {version!r}")
+        require_positive_int("delivery version", version)
         cases = tuple(cases)
         if not cases:
             raise ValueError("delivery must contain at least one load case")
@@ -267,8 +268,8 @@ class ExtremeCell(CheckedRecord, namedtuple("ExtremeCell", "max_value max_case m
     def __new__(cls, max_value, max_case, min_value, min_case):
         max_value = _require_finite("max_value", max_value)
         min_value = _require_finite("min_value", min_value)
-        _require_case_id("max_case", max_case)
-        _require_case_id("min_case", min_case)
+        require_positive_int("max_case", max_case)
+        require_positive_int("min_case", min_case)
         if min_value > max_value:
             raise ValueError(f"min_value {min_value} exceeds max_value {max_value}")
         return super().__new__(cls, max_value, max_case, min_value, min_case)

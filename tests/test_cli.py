@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import loadsmith
 from loadsmith.analysis import envelope_extremes
@@ -52,6 +53,11 @@ def single_error(err: str) -> dict:
     """The one JSON error object a failing command writes to stderr."""
     (line,) = err.strip().splitlines()
     return json.loads(line)["error"]
+
+
+def surrogate_json(delivery: LoadsDelivery) -> str:
+    """The delivery's JSON with a ``\\u`` escape of a lone surrogate in its name."""
+    return write_delivery_json(delivery).replace('"name": "', '"name": "bad \\udcff ', 1)
 
 
 def undecodable(tmp_path) -> Path:
@@ -102,6 +108,40 @@ class TestConvert:
         assert environment["python"] == platform.python_version()
         assert environment["loadsmith"] == loadsmith.__version__
         assert environment["yaml_backend"] == yaml_backend() in ("libyaml", "python")
+
+    @pytest.mark.parametrize("flow,reader", [(False, "block"), (True, yaml_backend())])
+    def test_sidecar_names_the_yaml_reader(self, tmp_path, capsys, flow, reader):
+        # The shipped block-style delivery is read line by line; the same
+        # data with its component maps in flow style goes to the parser.
+        path = SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"
+        if flow:
+            data = yaml.safe_load(path.read_text(encoding="utf-8"))
+            path = tmp_path / "flow.yaml"
+            path.write_text(yaml.safe_dump(data, default_flow_style=None), encoding="utf-8")
+        out_path = tmp_path / "c.json"
+        code, _, _ = run_cli(capsys, "convert", str(path), "--to", "json", "--out", str(out_path))
+        assert code == 0
+        events = [json.loads(line) for line in Path(f"{out_path}.trace.ndjson").read_text().splitlines()]
+        (environment,) = [e for e in events if e["event"] == "environment"]
+        assert environment["yaml_backend"] == reader
+
+    def test_escaped_lone_surrogate_leaves_no_content_file(self, tmp_path, capsys, delivery_file):
+        # Before, the escape was read and writing it failed: convert and
+        # envelope exited 2 with VALUE_ERROR and left an empty content file.
+        path = tmp_path / "surrogate.json"
+        path.write_text(surrogate_json(delivery_file[1]), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (
+            ["convert", str(path), "--to", "json", "--out", str(out / "out.json")],
+            ["envelope", str(path), "--out-dir", str(out)],
+        ):
+            code, stdout, err = run_cli(capsys, *argv)
+            assert (code, stdout) == (2, "")
+            error = single_error(err)
+            assert error["code"] == "SYNTAX_ERROR"
+            assert error["message"] == "invalid delivery JSON: a \\u escape of a lone surrogate"
+        assert list(out.iterdir()) == []
 
     def test_undecodable_bytes_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bin.yaml"
@@ -910,6 +950,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
         "broken": '{"name": "x"}',
+        "surrogate": surrogate_json(d),
         "one_point": write_delivery_json(one_point),
         "multiline_point": write_delivery_json(multiline_point),
         "nodes": json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}),
@@ -976,6 +1017,10 @@ CLI_REFUSALS = [
          "compare {extremes} {extremes} --out {out}/c.json --widen-tol=0_1", "USAGE"),
         ("eval-passk-p-grouped", "eval passk --p 0.9_0", "USAGE"),
         ("eval-run-k-grouped", "eval run {scenario} -k 1_0 --out-dir {out}", "USAGE"),
+        # Before, convert wrote the content file and an empty sidecar, then
+        # exited 2 with VALUE_ERROR.
+        ("convert-undecodable-out-name", "convert {delivery} --to json --out {out}/\udcff.json",
+         "USAGE"),
     ),
     *_refusals(
         2,
@@ -983,6 +1028,8 @@ CLI_REFUSALS = [
         ("convert-undecodable", "convert {bin} --to json --out {out}/x.json"),
         ("convert-merge-key", "convert {merge_yaml} --to json --out {out}/x.json"),
         ("convert-bom-json", "convert {bom_json} --to json --out {out}/x.json"),
+        ("convert-surrogate-escape", "convert {surrogate} --to json --out {out}/x.json",
+         "SYNTAX_ERROR"),
         ("validate-long-yaml-version", "validate {long_yaml}"),
         ("validate-long-json-version", "validate {long_json}"),
         ("validate-schema", "validate {broken}"),
@@ -1062,6 +1109,34 @@ class TestUsageAndErrors:
         )
         assert (code, out) == (4, "")
         assert single_error(err)["code"] == "IO_ERROR"
+
+    @pytest.mark.parametrize(
+        "env,argv",
+        [
+            (None, ["--out", "{out}/\udcff.json"]),
+            ("{out}/\udcff", ["--out", "{out}/x.json"]),
+        ],
+        ids=["argument", "out-dir-env"],
+    )
+    def test_undecodable_name_is_usage_before_any_file(
+        self, tmp_path, capsys, monkeypatch, delivery_file, env, argv
+    ):
+        # Python gives a name whose bytes are not UTF-8 as lone surrogates.
+        # Before, convert wrote the content file and an empty sidecar, then
+        # exited 2 with VALUE_ERROR.
+        out = tmp_path / "out"
+        out.mkdir()
+        if env is None:
+            monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("LOADSMITH_OUT_DIR", env.format(out=out))
+        argv = [arg.format(out=out) for arg in argv]
+        code, out_text, err = run_cli(capsys, "convert", str(delivery_file[0]), "--to", "json", *argv)
+        assert (code, out_text) == (1, "")
+        error = single_error(err)
+        assert error["code"] == "USAGE"
+        assert error["message"].endswith("is not UTF-8 text")
+        assert list(out.iterdir()) == []
 
     def test_rerun_byte_identical_outputs(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file

@@ -126,10 +126,11 @@ class TestParseDelivery:
     @pytest.mark.parametrize(
         "edit,message,location",
         [
+            # Before, these two were refused at the enclosing "load_cases[0]" and "$".
             (lambda d: d["load_cases"][0].update(id=0),
-             "case id must be a positive integer, got 0", "load_cases[0]"),
+             "case id must be a positive integer, got 0", "load_cases[0].id"),
             (lambda d: d.update(version=0),
-             "delivery version must be a positive integer, got 0", "$"),
+             "delivery version must be a positive integer, got 0", "version"),
             (lambda d: d.update(load_cases=[]), "load_cases must be a non-empty list", "load_cases"),
             (lambda d: d["load_cases"][0].update(point_loads={}),
              "empty point_loads at load_cases[0]", "load_cases[0].point_loads"),
@@ -192,6 +193,30 @@ class TestParseDelivery:
             parse_delivery(MINIMAL_JSON.replace('"version": 1', '"version": ' + "9" * 5000))
         limit = sys.get_int_max_str_digits()
         assert str(err.value) == f"integer of more than {limit} digits in delivery JSON"
+
+    @pytest.mark.parametrize(
+        "escape", ["\\udcff", "\\ud83d", "\\ude00\\ud83d", "\\ud83d\\u0041"],
+        ids=["low", "high", "swapped-pair", "high-then-letter"],
+    )
+    @pytest.mark.parametrize("field", ['"name": "', '"a": {"', '"label": "'])
+    def test_json_escaped_lone_surrogate_refused(self, escape, field):
+        # Before, it was read, and writing the delivery failed.
+        text = MINIMAL_JSON.replace('"id": 1,', '"id": 1, "label": "x",').replace(field, field + escape, 1)
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(text)
+        assert str(err.value) == "invalid delivery JSON: a \\u escape of a lone surrogate"
+
+    @pytest.mark.parametrize(
+        "name,read",
+        [
+            ("\\ud83d\\ude00 \\u00b7", "\U0001f600 ·"),
+            # A str, not bytes, may hold a lone surrogate itself; the escape is elsewhere.
+            ("\udcff \\u00b7", "\udcff ·"),
+        ],
+        ids=["escaped-pair", "unescaped-in-a-str"],
+    )
+    def test_json_surrogate_read(self, name, read):
+        assert parse_delivery(MINIMAL_JSON.replace('"mini"', f'"{name}"')).name == read
 
 
 MINIMAL_YAML = """\
@@ -380,10 +405,12 @@ if yaml.__with_libyaml__:
 
 
 def _outcomes(text: str, base: type) -> tuple:
-    """The one-pass reader's outcome and the oracle's, both on the parser ``base``."""
+    """The one-pass event reader's outcome and the oracle's, both on the parser
+    ``base``; the line reader is held to the event reader by TestBlockReaderOracle."""
     oracle = _outcome(lambda t: _two_pass_load(t, _two_pass_loader(base)), text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(yaml_reader, "_DeliveryLoader", yaml_reader._delivery_loader(base))
+        patch.setattr(yaml_reader, "_read_block", lambda text, types: None)
         new = _outcome(yaml_reader.load_yaml, text)
     return new, oracle
 
@@ -512,6 +539,174 @@ class TestOnePassReaderOracle:
         for document in (f"k: {text}\n", f"{text}: k\n", f"{text}: {text}\nk: {text}\n", f"[{text}]\n"):
             new, oracle = _outcomes(document, _BASES[backend])
             assert new == oracle, document
+
+
+def _block_and_event(text: str, base: type) -> tuple:
+    """The line reader's data on ``text``, None when it declines, and the
+    event reader's outcome, both on the parser ``base``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml_reader, "_DeliveryLoader", yaml_reader._delivery_loader(base))
+        types = yaml_reader._PlainTypes(yaml_reader._DeliveryLoader.yaml_implicit_resolvers.get)
+        block = yaml_reader._read_block(text, types)
+        patch.setattr(yaml_reader, "_read_block", lambda text, types: None)
+        event = _outcome(yaml_reader.load_yaml, text)
+    return (None if block is None else repr(block)), event
+
+
+# Words at the edges of the block subset: typed other than str, document
+# markers, keys that may not start a line, and characters outside the subset.
+_EDGE_WORDS = st.one_of(
+    st.sampled_from([
+        "a  b", "1", "-1", "1.5", "1.", ".5", "-.5", "1e5", "0x1F", "1_000", ".inf", ".nan",
+        "yes", "null", "~", "<<", "=", "-", "--", "---", "...", "-x", "2024-01-01", "a#b",
+        "'a'", "a\tb", "é", "a:b", "",
+    ]),
+    st.text(alphabet="ab1_-.: =<~#", min_size=1, max_size=4),
+)
+# Words the line reader reads: keys typed str, and values typed str, int or float.
+_KEY_WORDS = st.sampled_from(["a", "b", "c", "ab", "a b", "_x", "x1", "1a", "fx", "N"])
+_VALUE_WORDS = st.one_of(
+    st.sampled_from([
+        "a", "a b", "x  y", "0", "-7", "+5", "1.5", "-0.0", "1.0e-06", "2.5E+3", ".5", "1.",
+        "N.m", "$(a)", "a;b", "~x", "<a", "=a", "a-b", "-a", "--", "_", "a/b^c",
+    ]),
+    st.floats(allow_nan=False).map(repr),
+)
+# Block mappings and sequences of those words; a sequence holds no sequence.
+_BLOCK_TREES = st.dictionaries(
+    _KEY_WORDS,
+    st.recursive(
+        _VALUE_WORDS,
+        lambda children: st.dictionaries(_KEY_WORDS, children, min_size=1, max_size=3)
+        | st.lists(children.filter(lambda child: not isinstance(child, list)), min_size=1, max_size=3),
+        max_leaves=12,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _block_lines(node, col: int, step: int, indentless: bool) -> list[str]:
+    """The lines of ``node`` written in block style at column ``col``: a
+    mapping's children ``step`` deeper, a sequence under a key at the key's
+    own column when ``indentless``."""
+    pad = " " * col
+    lines = []
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, str):
+                lines.append(f"{pad}{key}: {value}")
+            else:
+                lines.append(f"{pad}{key}:")
+                deeper = col if isinstance(value, list) and indentless else col + step
+                lines += _block_lines(value, deeper, step, indentless)
+    else:
+        for item in node:
+            if isinstance(item, str):
+                lines.append(f"{pad}- {item}")
+            else:  # a mapping, its first key on the dash's line
+                first, *rest = _block_lines(item, col + 2, step, indentless)
+                lines += [f"{pad}- {first[col + 2:]}", *rest]
+    return lines
+
+
+# One line from the template INDENT DASH KEY SEP VALUE, its spacing bent.
+_BENT_LINES = st.tuples(
+    st.sampled_from(["", " ", "  ", "   ", "    "]),
+    st.sampled_from(["", "- ", "-", "-  "]),
+    st.one_of(_KEY_WORDS, _EDGE_WORDS),
+    st.sampled_from([":", ": ", ":  ", " : ", "", " "]),
+    st.one_of(st.just(""), _VALUE_WORDS, _EDGE_WORDS),
+).map("".join)
+
+
+@st.composite
+def _block_texts(draw) -> str:
+    """A block-style document of _BLOCK_TREES, then up to two of its lines
+    replaced by _BENT_LINES."""
+    lines = _block_lines(
+        draw(_BLOCK_TREES), 0, draw(st.integers(1, 4)), draw(st.booleans())
+    )
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 99), _BENT_LINES), max_size=2)):
+        lines[at % len(lines)] = line
+    return "".join(line + "\n" for line in lines)
+
+
+_LONG_KEY = "k" * 1024
+
+# Texts at the subset's boundary, and whether the line reader reads them.
+_BLOCK_CASES = [
+    pytest.param("a:  b\n", False, id="two-spaces-after-colon"),
+    pytest.param("a : b\n", False, id="space-before-colon"),
+    pytest.param("a: b \n", False, id="trailing-space"),
+    pytest.param("a: b: c\n", False, id="colon-in-value"),
+    pytest.param("a: -\n", False, id="dash-value"),
+    pytest.param("a: - b\n", False, id="dash-space-value"),
+    pytest.param("a: b\n  c\n", False, id="folded-continuation"),
+    pytest.param("a:\n", False, id="null-value"),
+    pytest.param("a:\nb: 1\n", False, id="null-value-before-a-key"),
+    pytest.param(f"{_LONG_KEY}: 1\n", True, id="key-of-1024"),
+    pytest.param(f"{_LONG_KEY}k: 1\n", False, id="key-of-1025"),
+    pytest.param(f"a:\n- {_LONG_KEY}: 1\n", True, id="item-key-of-1024"),
+    pytest.param(f"a:\n- {_LONG_KEY}k: 1\n", False, id="item-key-of-1025"),
+    pytest.param("---\na: 1\n", False, id="document-start"),
+    pytest.param("...: 1\n", False, id="dots-key"),
+    pytest.param("-x: 1\n", False, id="dash-led-key"),
+    pytest.param("a:\n- b:\n  - 1\n", True, id="sequence-at-its-keys-indent"),
+    pytest.param("a:\n\tb: 1\n", False, id="tab-indent"),
+    pytest.param("a:\n  b: 1\n c: 2\n", False, id="column-between-levels"),
+    pytest.param("a:\n  - 1\n  -  2\n", False, id="two-spaces-after-dash"),
+    pytest.param("a:\n- b\n  c\n", False, id="folded-item"),
+    pytest.param("a:\n- - b\n", False, id="nested-dash"),
+    pytest.param("a: 1\n- b\n", False, id="item-in-a-mapping"),
+    pytest.param("a:\n  - 1\n  b: 2\n", False, id="key-at-an-indented-sequences-column"),
+    pytest.param("a: 1\na: 2\n", False, id="repeated-key"),
+    pytest.param("1: a\n", False, id="int-key"),
+    pytest.param("a: yes\n", False, id="bool-value"),
+    pytest.param("a: 1\n\nb: 2\n", False, id="blank-line"),
+    pytest.param("a: 1", False, id="no-final-newline"),
+    pytest.param("  a: 1\n", False, id="indented-root"),
+    pytest.param("- a\n", False, id="sequence-root"),
+    pytest.param(
+        "a:\n  b:\n  - 1\n  - c: d\n    e: 0.5\n  f: -2\nh: $(x) y;z\n", True, id="nested"
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", sorted(_BASES))
+class TestBlockReaderOracle:
+    """The line reader against the event reader, on both parsers: the same
+    data with the same types, or a decline."""
+
+    def assert_agree(self, backend, text, read=None):
+        block, event = _block_and_event(text, _BASES[backend])
+        assert block is None or block == event, text
+        if read is not None:
+            assert (block is not None) == read, text
+
+    def test_shipped_file(self, backend):
+        from conftest import SCENARIOS_DIR
+
+        text = (SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml").read_text(encoding="utf-8")
+        self.assert_agree(backend, text, read=True)
+
+    @given(delivery=deliveries())
+    def test_rendered_ascii_delivery(self, backend, delivery):
+        # The moment unit's "·", the one character outside the subset, spelled
+        # "." as the unit aliases spell it.
+        self.assert_agree(backend, write_delivery_yaml(delivery).replace("·", "."), read=True)
+
+    @pytest.mark.parametrize("text,read", _BLOCK_CASES)
+    def test_boundary(self, backend, text, read):
+        self.assert_agree(backend, text, read)
+
+    @pytest.mark.parametrize("token", _ADVERSARIAL_SCALARS)
+    def test_scalar_in_a_block_document(self, backend, token):
+        for text in (f"a: {token}\n", f"{token}: a\n", f"a:\n- {token}\n"):
+            self.assert_agree(backend, text)
+
+    @given(text=_block_texts())
+    def test_line_templates(self, backend, text):
+        self.assert_agree(backend, text)
 
 
 def _parsed(text: str, fast: bool):
