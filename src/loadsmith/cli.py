@@ -309,24 +309,19 @@ def _cmd_docserve(args):
 # --- parser wiring --------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="loadsmith", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert a delivery between JSON and YAML")
+def _convert_arguments(p):
     p.add_argument("input")
     p.add_argument("--to", choices=("json", "yaml"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("validate", help="validate a delivery and print the findings")
+
+def _validate_arguments(p):
     p.add_argument("input")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser(
-        "transform",
-        help="rename points, apply correction factors, convert units (in that order)",
-    )
+
+def _transform_arguments(p):
     p.add_argument("input")
     p.add_argument("--rename", action="append", metavar="OLD=NEW")
     p.add_argument("--scale", action="append", metavar="COMP=FACTOR")
@@ -336,7 +331,8 @@ def build_parser() -> _Parser:
     p.add_argument("--to", choices=("json", "yaml"))
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("equilibrium", help="verify force (and moment) equilibrium per case")
+
+def _equilibrium_arguments(p):
     p.add_argument("input")
     p.add_argument("--coords", help="JSON file {point: [x, y, z]} in meters")
     p.add_argument("--abs-tol", type=_float, dest="abs_tol")
@@ -344,12 +340,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help='JSON file {"tolerances": {"abs": number, "rel": number}}')
     p.set_defaults(func=_cmd_equilibrium)
 
-    p = sub.add_parser("envelope", help="downselect critical cases and write the envelope")
+
+def _envelope_arguments(p):
     p.add_argument("input")
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=_cmd_envelope)
 
-    p = sub.add_parser("export-ansys", help="write one nodal-force .inp deck per selected case")
+
+def _export_ansys_arguments(p):
     p.add_argument("input")
     p.add_argument("--select", required=True, metavar="ID,ID,...")
     p.add_argument("--node-map", dest="node_map", required=True, help="JSON file {point: node id}")
@@ -357,14 +355,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=_cmd_export_ansys)
 
-    p = sub.add_parser("compare", help="exceedance comparison of new extremes vs old")
+
+def _compare_arguments(p):
     p.add_argument("new")
     p.add_argument("old")
     p.add_argument("--out")
     p.add_argument("--widen-tol", type=_float, default=0.0, dest="widen_tol")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("eval", help="evaluation harness")
+
+def _eval_arguments(p):
     eval_sub = p.add_subparsers(dest="eval_command", required=True)
 
     run_p = eval_sub.add_parser("run", help="run scenario repetitions and report pass^k")
@@ -378,10 +378,39 @@ def build_parser() -> _Parser:
     passk_p.add_argument("--alpha", type=_float, default=0.05)
     passk_p.set_defaults(func=_cmd_eval_passk)
 
-    p = sub.add_parser("docserve", help="serve a document catalog over stdio JSON-RPC")
+
+def _docserve_arguments(p):
     p.add_argument("catalog_dir")
     p.set_defaults(func=_cmd_docserve)
 
+
+# Each subcommand's name, help line and the function that adds its arguments.
+_COMMANDS = {
+    "convert": ("convert a delivery between JSON and YAML", _convert_arguments),
+    "validate": ("validate a delivery and print the findings", _validate_arguments),
+    "transform": (
+        "rename points, apply correction factors, convert units (in that order)",
+        _transform_arguments,
+    ),
+    "equilibrium": ("verify force (and moment) equilibrium per case", _equilibrium_arguments),
+    "envelope": ("downselect critical cases and write the envelope", _envelope_arguments),
+    "export-ansys": ("write one nodal-force .inp deck per selected case", _export_ansys_arguments),
+    "compare": ("exceedance comparison of new extremes vs old", _compare_arguments),
+    "eval": ("evaluation harness", _eval_arguments),
+    "docserve": ("serve a document catalog over stdio JSON-RPC", _docserve_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser. When ``command``, the first argv token, names a
+    subcommand, only that one is added, since it is the only one the argv
+    can run; otherwise (no command, ``-h``, an unknown name) all are, so
+    help and usage errors list every subcommand."""
+    parser = _Parser(prog="loadsmith", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -404,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         _refuse_undecodable(argv)
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         status, summary, written = args.func(args)
         if written:
             named = [vars(args)[n] for n in ("input", "node_map", "new", "old") if n in vars(args)]

@@ -9,7 +9,6 @@ tail or forward the stream to an observability platform.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -22,6 +21,8 @@ def utc_now() -> str:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib  # on the first hash: it loads OpenSSL, which a step that writes no sidecar skips
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):

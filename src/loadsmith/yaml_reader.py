@@ -2,16 +2,16 @@
 sequences: anchors, aliases, tags, the merge key ``<<`` and a repeated key
 are refused, so a delivery file can always be audited line by line.
 
-``ingest`` imports this module, and so PyYAML, on the first YAML read. A
-text in the *block subset* is read line by line, without a parser; any other
+``ingest`` imports this module on the first YAML read. A text in the *block
+subset* is read line by line, without a parser and without PyYAML; any other
 text, and any text the line reader declines, is read from the start by the
-event reader, so every refusal comes from the event reader. The text alone
-decides which reader runs. The block subset is:
+event reader, which imports PyYAML, so every refusal comes from the event
+reader. The text alone decides which reader runs. The block subset is:
 
-* only ``\\n``, space, ASCII letters and digits and ``$()+-./:;<=^_~``, so no
-  comment, quote, flow bracket, anchor, alias, tag, block scalar, directive,
-  tab, CR or non-ASCII text; a final ``\\n``, no blank line and no line that
-  ends in a space;
+* only ``\\n``, space, ASCII letters and digits, ``$()+-./:;<=^_~`` and
+  ``·`` (the moment units' middle dot), so no comment, quote, flow bracket,
+  anchor, alias, tag, block scalar, directive, tab, CR or other non-ASCII
+  text; a final ``\\n``, no blank line and no line that ends in a space;
 * lines ``KEY: VALUE``, ``KEY:``, either after ``- ``, and ``- VALUE``, each
   after its indent, with exactly one space after ``-`` and after ``:``; a
   KEY starts with a letter, a digit or ``_``, holds no ``:``, does not end
@@ -28,15 +28,17 @@ The event reader parses with libyaml (``yaml.CSafeLoader``) when PyYAML was
 built with it, else with the pure-Python ``yaml.SafeLoader``. One pass over
 the parser's events builds the data and refuses each fault at its event.
 
-Both readers type a plain scalar with one typer. Numerals are decimal only:
-``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a field check
-then refuses. Any other plain scalar is typed as SafeLoader types it (YAML
-1.1), so ``yes``, ``~`` and ``2024-01-01`` reach the field checks as a bool,
-None and a date. A text that matches the decimal float pattern (``.inf`` and
-``.nan`` left out) is made a float at once, without the resolver table: on
-both parsers that table's float entry is the first for each character such a
-text can start with, so it would type the text the same. Any other distinct
-plain scalar text that reads as a string, an int or a float is typed once
+Both readers type a plain scalar with one typer, by one table held here as
+data: SafeLoader's YAML 1.1 implicit-typing rows, except that numerals are
+decimal only: ``010``, ``0x1F``, ``1_000`` and ``1:30`` stay strings, which a
+field check then refuses. Any other plain scalar is typed as SafeLoader types
+it, so ``yes``, ``~`` and ``2024-01-01`` reach the field checks as a bool,
+None and a date; a date or time that does not exist, such as ``2024-13-45``,
+is refused at its line and column. A text that matches the decimal float
+pattern (``.inf`` and ``.nan`` left out) is made a float at once, without the
+table: its float row is the first for each character such a text can start
+with, so it would type the text the same. Any other distinct plain scalar
+text that reads as a string, an int or a float is typed once
 per document. The refusals are the same on both parsers, but the wording of
 a YAML syntax error, and at times its position, comes from the parser: for
 ``name: [unclosed`` libyaml reports line 2, column 1 and the pure-Python
@@ -48,51 +50,88 @@ from __future__ import annotations
 import re
 from typing import NoReturn
 
-import yaml
-
 from .errors import InputSyntaxError
 from .strict import too_long_int
 
-# YAML 1.1 numerals that are not plain decimal (octal 010, hex, binary, 1_000,
-# sexagesimal 1:30) resolve to strings, so a field check refuses them.
 _DECIMAL_FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
-_DECIMAL_RESOLVERS = {
-    "tag:yaml.org,2002:int": re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$"),
-    "tag:yaml.org,2002:float": re.compile(
+
+
+def _by_first_character(rows) -> dict:
+    """The rows ``(tag, regexp, first characters)`` as a resolver table: each
+    first character's ``(tag, regexp)`` pairs, in row order."""
+    table = {}
+    for tag, regexp, firsts in rows:
+        for first in firsts:
+            table.setdefault(first, []).append((f"tag:yaml.org,2002:{tag}", regexp))
+    return table
+
+
+# SafeLoader's implicit resolver rows, in its order and with its patterns,
+# except that YAML 1.1 numerals that are not plain decimal (octal 010, hex,
+# binary, 1_000, sexagesimal 1:30) resolve to strings, so a field check
+# refuses them. Both readers type plain scalars by this table, and the event
+# reader's loader carries it, so PyYAML's own table is never consulted.
+_IMPLICIT_RESOLVERS = _by_first_character((
+    ("bool", re.compile(r'''^(?:yes|Yes|YES|no|No|NO
+                    |true|True|TRUE|false|False|FALSE
+                    |on|On|ON|off|Off|OFF)$''', re.X), "yYnNtTfFoO"),
+    ("float", re.compile(
         rf"^(?:{_DECIMAL_FLOAT}|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
-    ),
-}
-# A text this matches is typed float by either parser's resolver table, whose
-# float entry is first for every character it can start with (-, +, ., 0-9).
+    ), "-+0123456789."),
+    ("int", re.compile(r"^[-+]?(?:0|[1-9][0-9]*)$"), "-+0123456789"),
+    ("merge", re.compile(r"^(?:<<)$"), "<"),
+    ("null", re.compile(r'''^(?: ~
+                    |null|Null|NULL
+                    | )$''', re.X), ("~", "n", "N", "")),
+    ("timestamp", re.compile(r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
+                     (?:[Tt]|[ \t]+)[0-9][0-9]?
+                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
+                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X), "0123456789"),
+    ("value", re.compile(r"^(?:=)$"), "="),
+    ("yaml", re.compile(r"^(?:!|&|\*)$"), "!&*"),
+))
+# A text this matches is typed float by the table, whose float row is first
+# for every character it can start with (-, +, ., 0-9).
 _is_decimal_float = re.compile(rf"^(?:{_DECIMAL_FLOAT})$").match
 
 
 def _delivery_loader(base: type) -> type:
-    """A ``base`` loader whose resolver table reads numerals as decimal only."""
+    """A ``base`` loader that carries ``_IMPLICIT_RESOLVERS`` as its resolver table."""
+    import yaml
 
     class DeliveryLoader(base):
         backend = "python" if issubclass(base, yaml.parser.Parser) else "libyaml"
-
-        yaml_implicit_resolvers = {
-            first: [(tag, _DECIMAL_RESOLVERS.get(tag, regexp)) for tag, regexp in resolvers]
-            for first, resolvers in base.yaml_implicit_resolvers.items()
-        }
+        yaml_implicit_resolvers = _IMPLICIT_RESOLVERS
 
     return DeliveryLoader
 
 
-# The loader every event read uses, and whose resolver table types every
-# plain scalar; tests patch it to pin a parser.
-_DeliveryLoader = _delivery_loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+# The loader every event read uses, made on the first; tests patch it to pin
+# a parser.
+_DeliveryLoader = None
 
 # The reader of the latest YAML text in this process: "block", "libyaml" or
 # "python"; None before the first. Trace sidecars record it.
 last_reader: str | None = None
 
 
+def _event_loader() -> type:
+    """``_DeliveryLoader``, made on the first call from the parser PyYAML was
+    built with: libyaml's when it has it, else the pure-Python one."""
+    global _DeliveryLoader
+    if _DeliveryLoader is None:
+        import yaml
+
+        _DeliveryLoader = _delivery_loader(
+            yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        )
+    return _DeliveryLoader
+
+
 def backend() -> str:
     """The parser that reads YAML outside the block subset: ``"libyaml"`` or ``"python"``."""
-    return _DeliveryLoader.backend
+    return _event_loader().backend
 
 
 _INT, _FLOAT, _MERGE, _VALUE = (
@@ -139,8 +178,13 @@ class _PlainTypes(dict):
         return value
 
 
-# The characters of the block subset, and the first characters of its keys.
-_BLOCK_CHARS = b"\n 0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz$()+-./:;<=^_~"
+# The UTF-8 bytes of the block subset's characters, and the first characters
+# of its keys. In UTF-8 the bytes C2 and B7 can only form "·" together: C2
+# leads only two-byte characters, and B7 never leads one.
+_BLOCK_CHARS = (
+    b"\n 0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz$()+-./:;<=^_~"
+    + "·".encode()
+)
 _KEY_START = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
@@ -157,7 +201,8 @@ def _read_block(text: str, types):
     keeps to the innermost mapping's column goes straight into it.
     """
     if (
-        not text.isascii() or text.encode().translate(None, _BLOCK_CHARS)
+        # A lone surrogate, which no file can hold, encodes to bytes outside the subset.
+        text.encode("utf-8", "surrogatepass").translate(None, _BLOCK_CHARS)
         or text[-1:] != "\n" or text[0] == "\n" or "\n\n" in text or " \n" in text
     ):
         return None
@@ -252,6 +297,8 @@ def _build_yaml(loader, types):
     at once; any other plain scalar is typed by ``types``, and one it does not
     type is refused, or built by the loader's SafeConstructor.
     """
+    import yaml
+
     get_event, construct = loader.get_event, loader.construct_object
     scalar_event, mapping_start, sequence_start = (
         yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent
@@ -274,7 +321,10 @@ def _build_yaml(loader, types):
             _refuse("YAML merge key '<<' is not allowed in delivery files", event)
         if is_key and tag == _VALUE:  # a '=' key is a string
             return text
-        return construct(yaml.ScalarNode(tag, text, event.start_mark, event.end_mark))
+        try:
+            return construct(yaml.ScalarNode(tag, text, event.start_mark, event.end_mark))
+        except ValueError as exc:  # a date or time that does not exist, such as 2024-13-45
+            _refuse(f"invalid YAML scalar {text!r}: {exc}", event)
 
     root = container = []  # the document's one node goes into ``root``
     parents = []  # the open containers that hold ``container``, innermost last
@@ -338,14 +388,17 @@ def load_yaml(text: str):
     ``text`` is in the block subset, else by the event reader, where a fault
     raises InputSyntaxError at its line and column."""
     global last_reader
-    types = _PlainTypes(_DeliveryLoader.yaml_implicit_resolvers.get)
+    types = _PlainTypes(_IMPLICIT_RESOLVERS.get)
     data = _read_block(text, types)
     if data is not None:
         last_reader = "block"
         return data
-    last_reader = _DeliveryLoader.backend
+    import yaml
+
+    loader_type = _event_loader()
+    last_reader = loader_type.backend
     try:
-        loader = _DeliveryLoader(text)
+        loader = loader_type(text)
         try:
             return _build_yaml(loader, types)
         finally:

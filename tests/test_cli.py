@@ -11,8 +11,9 @@ import pytest
 import yaml
 
 import loadsmith
+from loadsmith import cli
 from loadsmith.analysis import envelope_extremes
-from loadsmith.cli import main
+from loadsmith.cli import build_parser, main
 from loadsmith.export import write_envelope_json
 from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
 from loadsmith.model import (
@@ -94,7 +95,9 @@ class TestConvert:
 
     def test_trace_sidecar_written(self, tmp_path, capsys, delivery_file):
         # A YAML input, so the recorded backend is the one that read it in
-        # this process, whichever tests ran before.
+        # this process, whichever tests ran before: the line reader, since
+        # the writer's YAML, "·" in the moment unit included, is in the
+        # block subset.
         _, d = delivery_file
         path = tmp_path / "delivery.yaml"
         path.write_text(write_delivery_yaml(d), encoding="utf-8")
@@ -107,7 +110,7 @@ class TestConvert:
         environment = events[1]
         assert environment["python"] == platform.python_version()
         assert environment["loadsmith"] == loadsmith.__version__
-        assert environment["yaml_backend"] == yaml_backend() in ("libyaml", "python")
+        assert environment["yaml_backend"] == "block"
 
     @pytest.mark.parametrize("flow,reader", [(False, "block"), (True, yaml_backend())])
     def test_sidecar_names_the_yaml_reader(self, tmp_path, capsys, flow, reader):
@@ -948,6 +951,11 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "bom_json": "\ufeff" + write_delivery_json(d),
         "merge_yaml": write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
         "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
+        "date_value_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\nlabel: 2024-13-45\n"),
+        "time_value_yaml": write_delivery_yaml(d).replace(
+            "\nversion: 1\n", "\nversion: 1\nlabel: 2001-12-14 25:00:00\n"
+        ),
+        "date_key_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\n2024-13-45: a\n"),
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
         "broken": '{"name": "x"}',
         "surrogate": surrogate_json(d),
@@ -1030,6 +1038,14 @@ CLI_REFUSALS = [
         ("convert-bom-json", "convert {bom_json} --to json --out {out}/x.json"),
         ("convert-surrogate-escape", "convert {surrogate} --to json --out {out}/x.json",
          "SYNTAX_ERROR"),
+        # Before, a YAML date or time that does not exist escaped as
+        # VALUE_ERROR, with no line and column.
+        ("convert-impossible-date", "convert {date_value_yaml} --to json --out {out}/x.json",
+         "SYNTAX_ERROR"),
+        ("convert-impossible-time", "convert {time_value_yaml} --to json --out {out}/x.json",
+         "SYNTAX_ERROR"),
+        ("convert-impossible-date-key", "convert {date_key_yaml} --to json --out {out}/x.json",
+         "SYNTAX_ERROR"),
         ("validate-long-yaml-version", "validate {long_yaml}"),
         ("validate-long-json-version", "validate {long_json}"),
         ("validate-schema", "validate {broken}"),
@@ -1096,11 +1112,50 @@ def test_refusal_sweep(tmp_path, capsys, monkeypatch, refusal_inputs, argv, stat
         assert [given] == error_code
 
 
+# One valid argv per subcommand, each option it takes given.
+VALID_ARGVS = [
+    "convert d.yaml --to json --out d.json",
+    "validate d.json",
+    "transform d.json --rename a=b --rename c=d --scale FX=2 --scale MY=0.5 --units N,N·m "
+    "--ultimate-factor 1.5 --out o.yaml --to yaml",
+    "equilibrium d.json --coords c.json --abs-tol 1e-6 --rel-tol 1e-3 --config t.json",
+    "envelope d.json --out-dir out",
+    "export-ansys d.json --select 1,2 --node-map n.json --exclude bearing --out-dir out",
+    "compare new.json old.json --out c.json --widen-tol 0.1",
+    "eval run s1.json s2.json -k 3 --out-dir out",
+    "eval passk --p 0.9 --alpha 0.1",
+    "docserve catalog",
+]
+
+
 class TestUsageAndErrors:
+    @pytest.mark.parametrize("argv", VALID_ARGVS)
+    def test_one_subcommand_parser_parses_as_all_of_them(self, argv):
+        # main() builds only the subcommand that argv names.
+        argv = argv.split()
+        one = build_parser(argv[0])
+        assert one.format_usage() == f"usage: loadsmith [-h] {{{argv[0]}}} ...\n"
+        assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_valid_argvs_name_every_subcommand(self):
+        assert sorted({argv.split()[0] for argv in VALID_ARGVS}) == sorted(cli._COMMANDS)
+
     def test_unknown_subcommand_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
-        assert json.loads(err)["error"]["code"] == "USAGE"
+        assert json.loads(err)["error"] == {
+            "code": "USAGE",
+            "message": "argument command: invalid choice: 'frobnicate' (choose from 'convert', "
+            "'validate', 'transform', 'equilibrium', 'envelope', 'export-ansys', 'compare', 'eval', "
+            "'docserve')",
+        }
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        listed = capsys.readouterr().out.split("positional arguments:\n", 1)[1].splitlines()[0]
+        assert listed.strip() == "{" + ",".join(cli._COMMANDS) + "}"
 
     def test_unreadable_input_exit_4(self, tmp_path, capsys):
         # a directory named as the input: reading it fails with IsADirectoryError
@@ -1258,11 +1313,22 @@ class TestUsageAndErrors:
         assert json.loads(proc.stderr) == {"exit": 0, "harness": ["loadsmith.evalkit.passk"]}
 
     def test_json_only_steps_leave_yaml_out(self, tmp_path):
-        # The replay's transform and equilibrium steps on the shipped delivery,
-        # each in a fresh process: reading and writing JSON loads neither PyYAML
-        # nor the YAML reader. Converting the shipped YAML loads both.
+        # The replay's first three steps on the shipped delivery, each in a
+        # fresh process: reading and writing JSON loads neither PyYAML nor the
+        # YAML reader, and a step that writes no sidecar (equilibrium) hashes
+        # nothing, so it skips hashlib. The shipped YAML is in the block
+        # subset, so converting it loads the reader but not PyYAML; a flow
+        # mapping takes the event reader, which loads both. Before, the reader
+        # imported PyYAML as it loaded, and trace imported hashlib.
         src = Path(loadsmith.__file__).resolve().parents[1]
         shipped = SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"
+        flow = tmp_path / "flow.yaml"
+        flow.write_text(
+            shipped.read_text(encoding="utf-8").replace(
+                "units:\n  force: klbs\n  moment: klbs.in\n", "units: {force: klbs, moment: klbs.in}\n"
+            ),
+            encoding="utf-8",
+        )
         delivery = tmp_path / "delivery.json"
         delivery.write_text(write_delivery_json(parse_delivery(shipped.read_bytes())), encoding="utf-8")
         processed = tmp_path / "processed.json"
@@ -1270,27 +1336,35 @@ class TestUsageAndErrors:
             "import json, sys\n"
             "from loadsmith.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "loaded = {'yaml': 'yaml' in sys.modules, 'reader': 'loadsmith.yaml_reader' in sys.modules}\n"
-            "sys.stderr.write(json.dumps({'exit': code, **loaded}))\n"
+            "loaded = [name for name in ('yaml', 'loadsmith.yaml_reader', 'hashlib') if name in sys.modules]\n"
+            "sys.stderr.write(json.dumps({'exit': code, 'loaded': loaded}))\n"
         )
         steps = [
-            ["transform", str(delivery), "--rename", "lug_left=lug_port",
-             "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
-             "--scale", "FX=1.04", "--units", "N,N·m", "--out", str(processed)],
-            ["equilibrium", str(processed)],
-            ["convert", str(shipped), "--to", "json", "--out", str(tmp_path / "converted.json")],
+            (["transform", str(delivery), "--rename", "lug_left=lug_port",
+              "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
+              "--scale", "FX=1.04", "--units", "N,N·m", "--out", str(processed)], ["hashlib"]),
+            (["equilibrium", str(processed)], []),
+            (["convert", str(shipped), "--to", "json", "--out", str(tmp_path / "converted.json")],
+             ["loadsmith.yaml_reader", "hashlib"]),
+            (["convert", str(flow), "--to", "json", "--out", str(tmp_path / "flow.json")],
+             ["yaml", "loadsmith.yaml_reader", "hashlib"]),
         ]
-        for argv in steps:
+        for argv, loaded in steps:
             proc = subprocess.run(
                 [sys.executable, "-c", script, *argv],
                 capture_output=True, text=True, timeout=60,
                 env={**os.environ, "PYTHONPATH": str(src)},
             )
-            loaded = argv[0] == "convert"
-            assert json.loads(proc.stderr) == {"exit": 0, "yaml": loaded, "reader": loaded}, argv[0]
-        sidecar = [json.loads(line) for line in Path(f"{processed}.trace.ndjson").read_text().splitlines()]
-        (environment,) = [e for e in sidecar if e["event"] == "environment"]
-        assert environment["yaml_backend"] is None
+            assert json.loads(proc.stderr) == {"exit": 0, "loaded": loaded}, argv[0]
+        assert (tmp_path / "flow.json").read_bytes() == (tmp_path / "converted.json").read_bytes()
+        backends = {}
+        for output in (processed, tmp_path / "converted.json", tmp_path / "flow.json"):
+            sidecar = [json.loads(line) for line in Path(f"{output}.trace.ndjson").read_text().splitlines()]
+            (environment,) = [e for e in sidecar if e["event"] == "environment"]
+            backends[output.name] = environment["yaml_backend"]
+        assert backends == {
+            "processed.json": None, "converted.json": "block", "flow.json": yaml_backend(),
+        }
 
     def test_console_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -304,6 +305,19 @@ class TestStrictReading:
         assert str(err.value) == f"integer of more than {limit} digits in delivery YAML"
         assert err.value.location == "line 1, column 4"
 
+    @pytest.mark.parametrize("text,message,location", [
+        ("label: 2024-13-45\n", "'2024-13-45': month must be in 1..12", "line 1, column 8"),
+        ("label: 2001-12-14 25:00:00\n", "'2001-12-14 25:00:00': hour must be in 0..23",
+         "line 1, column 8"),
+        ("2024-13-45: a\n", "'2024-13-45': month must be in 1..12", "line 1, column 1"),
+    ])
+    def test_impossible_date_refused_at_its_scalar(self, text, message, location):
+        # Before, the date constructor's ValueError escaped with no position.
+        with pytest.raises(InputSyntaxError) as err:
+            parse_delivery(text)
+        assert str(err.value) == f"invalid YAML scalar {message}"
+        assert err.value.location == location
+
     def test_deep_nesting_reaches_the_schema_check(self):
         # The reader keeps its own stack of open nodes, so depth is not bounded
         # by Python's recursion limit.
@@ -361,6 +375,15 @@ def _two_pass_loader(base: type) -> type:
                         location=yaml_reader._position(key_node.start_mark),
                     )
             super().flatten_mapping(node)
+
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep=deep)
+            except ValueError as exc:  # a date or time that does not exist, refused at its scalar
+                raise InputSyntaxError(
+                    f"invalid YAML scalar {node.value!r}: {exc}",
+                    location=yaml_reader._position(node.start_mark),
+                ) from exc
 
     return TwoPassLoader
 
@@ -534,6 +557,34 @@ class TestOnePassReaderOracle:
         for first in "-+.0123456789":
             assert table[first][0][0] == "tag:yaml.org,2002:float", first
 
+    def test_typing_table_is_safeloaders_with_decimal_numerals(self, backend):
+        # The readers type plain scalars by a table of their own, so the line
+        # reader needs no PyYAML; it must be the parser's, numerals aside.
+        base = _BASES[backend]
+        decimal = {
+            "tag:yaml.org,2002:int": (r"^[-+]?(?:0|[1-9][0-9]*)$", re.UNICODE),
+            "tag:yaml.org,2002:float": (
+                r"^(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
+                r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$",
+                re.UNICODE,
+            ),
+        }
+
+        def rows(table, replaced=None):
+            """Each first character's (tag, pattern, flags) rows, in order,
+            with the (pattern, flags) of the tags in ``replaced`` swapped."""
+            return {
+                first: [
+                    (tag, *(replaced or {}).get(tag, (regexp.pattern, regexp.flags)))
+                    for tag, regexp in pairs
+                ]
+                for first, pairs in table.items()
+            }
+
+        table = yaml_reader._delivery_loader(base).yaml_implicit_resolvers
+        assert table is yaml_reader._IMPLICIT_RESOLVERS
+        assert rows(table) == rows(base.yaml_implicit_resolvers, decimal)
+
     @given(text=_NUMERAL_TEXTS)
     def test_numeral(self, backend, text):
         for document in (f"k: {text}\n", f"{text}: k\n", f"{text}: {text}\nk: {text}\n", f"[{text}]\n"):
@@ -546,7 +597,7 @@ def _block_and_event(text: str, base: type) -> tuple:
     event reader's outcome, both on the parser ``base``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(yaml_reader, "_DeliveryLoader", yaml_reader._delivery_loader(base))
-        types = yaml_reader._PlainTypes(yaml_reader._DeliveryLoader.yaml_implicit_resolvers.get)
+        types = yaml_reader._PlainTypes(yaml_reader._IMPLICIT_RESOLVERS.get)
         block = yaml_reader._read_block(text, types)
         patch.setattr(yaml_reader, "_read_block", lambda text, types: None)
         event = _outcome(yaml_reader.load_yaml, text)
@@ -559,16 +610,17 @@ _EDGE_WORDS = st.one_of(
     st.sampled_from([
         "a  b", "1", "-1", "1.5", "1.", ".5", "-.5", "1e5", "0x1F", "1_000", ".inf", ".nan",
         "yes", "null", "~", "<<", "=", "-", "--", "---", "...", "-x", "2024-01-01", "a#b",
-        "'a'", "a\tb", "é", "a:b", "",
+        "'a'", "a\tb", "é", "a:b", "", "·", "·a", "a··", "-·",
     ]),
-    st.text(alphabet="ab1_-.: =<~#", min_size=1, max_size=4),
+    st.text(alphabet="ab1_-.: =<~#·", min_size=1, max_size=4),
 )
 # Words the line reader reads: keys typed str, and values typed str, int or float.
-_KEY_WORDS = st.sampled_from(["a", "b", "c", "ab", "a b", "_x", "x1", "1a", "fx", "N"])
+_KEY_WORDS = st.sampled_from(["a", "b", "c", "ab", "a b", "_x", "x1", "1a", "fx", "N", "N·m", "a·"])
 _VALUE_WORDS = st.one_of(
     st.sampled_from([
         "a", "a b", "x  y", "0", "-7", "+5", "1.5", "-0.0", "1.0e-06", "2.5E+3", ".5", "1.",
-        "N.m", "$(a)", "a;b", "~x", "<a", "=a", "a-b", "-a", "--", "_", "a/b^c",
+        "N.m", "N·m", "klbf·in", "·", "·5", "1·5", "$(a)", "a;b", "~x", "<a", "=a", "a-b", "-a",
+        "--", "_", "a/b^c",
     ]),
     st.floats(allow_nan=False).map(repr),
 )
@@ -648,6 +700,14 @@ _BLOCK_CASES = [
     pytest.param(f"{_LONG_KEY}k: 1\n", False, id="key-of-1025"),
     pytest.param(f"a:\n- {_LONG_KEY}: 1\n", True, id="item-key-of-1024"),
     pytest.param(f"a:\n- {_LONG_KEY}k: 1\n", False, id="item-key-of-1025"),
+    pytest.param(f"{_LONG_KEY[1:]}·: 1\n", True, id="key-of-1024-characters-1025-bytes"),
+    pytest.param(f"{_LONG_KEY}·: 1\n", False, id="key-of-1025-characters"),
+    pytest.param("units:\n  moment: N·m\n", True, id="middle-dot"),
+    pytest.param("·: 1\n", False, id="middle-dot-led-key"),
+    pytest.param("a: é\n", False, id="other-non-ascii"),
+    pytest.param("a: \u0177\n", False, id="other-non-ascii-with-a-b7-byte"),
+    pytest.param("a: \u00a9\n", False, id="other-non-ascii-with-a-c2-byte"),
+    pytest.param("a: \ud800\n", False, id="lone-surrogate"),
     pytest.param("---\na: 1\n", False, id="document-start"),
     pytest.param("...: 1\n", False, id="dots-key"),
     pytest.param("-x: 1\n", False, id="dash-led-key"),
@@ -658,6 +718,7 @@ _BLOCK_CASES = [
     pytest.param("a:\n- b\n  c\n", False, id="folded-item"),
     pytest.param("a:\n- - b\n", False, id="nested-dash"),
     pytest.param("a: 1\n- b\n", False, id="item-in-a-mapping"),
+    pytest.param("a:\n  b: 1\n- c\n", False, id="item-in-a-mapping-after-a-nested-one"),
     pytest.param("a:\n  - 1\n  b: 2\n", False, id="key-at-an-indented-sequences-column"),
     pytest.param("a: 1\na: 2\n", False, id="repeated-key"),
     pytest.param("1: a\n", False, id="int-key"),
@@ -690,10 +751,9 @@ class TestBlockReaderOracle:
         self.assert_agree(backend, text, read=True)
 
     @given(delivery=deliveries())
-    def test_rendered_ascii_delivery(self, backend, delivery):
-        # The moment unit's "·", the one character outside the subset, spelled
-        # "." as the unit aliases spell it.
-        self.assert_agree(backend, write_delivery_yaml(delivery).replace("·", "."), read=True)
+    def test_rendered_delivery(self, backend, delivery):
+        # What write_delivery_yaml writes, "·" in the moment unit included.
+        self.assert_agree(backend, write_delivery_yaml(delivery), read=True)
 
     @pytest.mark.parametrize("text,read", _BLOCK_CASES)
     def test_boundary(self, backend, text, read):
