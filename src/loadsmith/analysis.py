@@ -9,7 +9,10 @@ that repeated runs select identical ids.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from functools import reduce
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import LoadsmithError
@@ -88,43 +91,35 @@ class EquilibriumSurvey(NamedTuple):
         }
 
 
-def _cross(r: tuple[float, float, float], f: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (
-        r[1] * f[2] - r[2] * f[1],
-        r[2] * f[0] - r[0] * f[2],
-        r[0] * f[1] - r[1] * f[0],
-    )
-
-
 def _case_equilibrium(case: LoadCase, coords: Coordinates | None, tol: Tolerance) -> EquilibriumResult:
-    """Force (and, with ``coords``, moment) residuals of one case; see check_equilibrium_all."""
-    points = sorted(case.loads)
-    rows = [case.loads[point] for point in points]
-    force_sum = [0.0, 0.0, 0.0]
-    for row in rows:
-        force_sum[0] += row[0]
-        force_sum[1] += row[1]
-        force_sum[2] += row[2]
-    # Summed left to right, not by sum(), whose float result since Python 3.12
-    # is compensated: the printed magnitude must not depend on the interpreter.
-    x, y, z = force_residual = tuple(force_sum)
-    force_magnitude = math.sqrt(x * x + y * y + z * z)
+    """Force (and, with ``coords``, moment) residuals of one case; see check_equilibrium_all.
 
-    force_ref = max((abs(v) for row in rows for v in row[:3]), default=0.0)
+    Each residual component is its column summed point by point from 0.0 in
+    sorted point order, not by sum(), whose float result since Python 3.12 is
+    compensated: the printed magnitude must not depend on the interpreter.
+    """
+    points = sorted(case.loads)
+    fx, fy, fz, mx, my, mz = zip(*map(case.loads.__getitem__, points))
+    add = operator.add
+    x, y, z = force_residual = (reduce(add, fx, 0.0), reduce(add, fy, 0.0), reduce(add, fz, 0.0))
+    force_magnitude = math.sqrt(x * x + y * y + z * z)
+    force_ref = max(map(abs, chain(fx, fy, fz)))
     balanced = force_magnitude <= tol.threshold(force_ref)
 
     moment_residual = None
     moment_magnitude = None
     if coords is not None:
-        moment_sum = [0.0, 0.0, 0.0]
-        for point, (fx, fy, fz, mx, my, mz) in zip(points, rows):
-            rx_f = _cross(coords[point], (fx, fy, fz))
-            moment_sum[0] += mx + rx_f[0]
-            moment_sum[1] += my + rx_f[1]
-            moment_sum[2] += mz + rx_f[2]
-        x, y, z = moment_residual = tuple(moment_sum)
+        # Each point's term M + r x F, added in sorted point order. One loop over
+        # the points: at a few points per case it beats a map per operation.
+        x = y = z = 0.0
+        terms = zip(map(coords.__getitem__, points), fx, fy, fz, mx, my, mz)
+        for (rx, ry, rz), f1, f2, f3, m1, m2, m3 in terms:
+            x += m1 + (ry * f3 - rz * f2)
+            y += m2 + (rz * f1 - rx * f3)
+            z += m3 + (rx * f2 - ry * f1)
+        moment_residual = (x, y, z)
         moment_magnitude = math.sqrt(x * x + y * y + z * z)
-        moment_ref = max((abs(v) for row in rows for v in row[3:]), default=0.0)
+        moment_ref = max(map(abs, chain(mx, my, mz)))
         balanced = balanced and moment_magnitude <= tol.threshold(moment_ref)
 
     return EquilibriumResult(

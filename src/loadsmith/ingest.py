@@ -302,8 +302,7 @@ def _delivery_to_plain(delivery: LoadsDelivery) -> dict:
         if case.label is not None:
             case_out["label"] = case.label
         case_out["point_loads"] = {
-            point: {c.value: case.loads[point].value(c) for c in COMPONENT_ORDER}
-            for point in sorted(case.loads)
+            point: dict(zip(_COMPONENT_KEYS, case.loads[point])) for point in sorted(case.loads)
         }
         out["load_cases"].append(case_out)
     return out

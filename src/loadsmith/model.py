@@ -2,12 +2,14 @@
 
 Every record here is an immutable tuple of its fields. A point's loads are one
 ``ComponentSet``: a tuple of six finite floats in ``COMPONENT_ORDER``, built
-and checked once per row by ``ComponentSet.of``, or by a reader or transform
-that checked the row itself and builds it with ``ComponentSet._checked``. Constructors reject locally
-invalid data (non-finite numbers, bad ids, unrecognized units); consistency
-rules that span several cases of one delivery (unique ids, identical point
-sets) are checked by :func:`loadsmith.ingest.validate_delivery` so that a
-broken delivery can still be loaded and reported on.
+and checked once per row by ``ComponentSet.of``, or built unchecked by a
+reader that checked the row itself (``ComponentSet._checked``) or by a
+transform that checked all its values at once (``tuple.__new__`` over the
+rows). Constructors reject locally invalid data (non-finite numbers, bad
+ids, unrecognized units); consistency rules that span several cases of one
+delivery (unique ids, identical point sets) are checked by
+:func:`loadsmith.ingest.validate_delivery` so that a broken delivery can
+still be loaded and reported on.
 
 Deterministic ordering rules live here and are shared by every exporter:
 points sort lexicographically, components follow the canonical FX, FY, FZ,

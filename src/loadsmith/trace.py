@@ -8,16 +8,20 @@ tail or forward the stream to an observability platform.
 
 from __future__ import annotations
 
-import datetime
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .ingest import yaml_backend_used
 
+
 def utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
+    """The time as ``datetime.now(timezone.utc).isoformat(timespec="microseconds")``
+    writes it, built without importing ``datetime``."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
 
 
 def sha256_file(path: str | Path) -> str:

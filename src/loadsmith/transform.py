@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain, cycle, repeat
 from typing import NamedTuple
 
 from .errors import LoadsmithError
@@ -93,25 +94,23 @@ def rename_points(
 def _scale_cases(delivery: LoadsDelivery, factors: tuple[float, ...]) -> LoadsDelivery:
     """Multiply every row by ``factors`` (one per component, canonical order).
 
-    A product that overflows to infinity is refused with the location of the
-    value it came from.
+    The delivery's values are multiplied as one flat sequence, rows in case
+    and point order, and regrouped into rows of six. A product that overflows
+    to infinity is refused with the location of the value it came from.
     """
-    scaled = ComponentSet._checked  # floats times floats; finiteness is checked below
-    new_cases = tuple(
-        LoadCase(
-            id=case.id,
-            label=case.label,
-            loads={
-                point: scaled(map(operator.mul, row, factors))
-                for point, row in case.loads.items()
-            },
-        )
-        for case in delivery.cases
-    )
+    cases = delivery.cases
+    values = chain.from_iterable(chain.from_iterable(case.loads.values() for case in cases))
+    products = list(map(operator.mul, values, cycle(factors)))
     # An infinite product makes the total infinite; so can a sum of finite
     # products, for which _locate_overflow finds nothing to refuse.
-    if not math.isfinite(sum(sum(map(sum, case.loads.values())) for case in new_cases)):
+    if not math.isfinite(sum(products)):
         _locate_overflow(delivery, factors)
+    # Floats times floats, finite as checked: each row is built unchecked.
+    rows = map(tuple.__new__, repeat(ComponentSet), zip(*[iter(products)] * len(factors)))
+    new_cases = tuple(
+        LoadCase(id=case.id, label=case.label, loads=dict(zip(case.loads, rows)))
+        for case in cases
+    )
     return delivery._replace(cases=new_cases)
 
 

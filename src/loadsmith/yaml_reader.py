@@ -215,6 +215,7 @@ def _read_block(text: str, types):
     pending = None  # the key of a ``KEY:`` line, whose value starts on the next line
     keys = {}  # a key text -> its string, once checked
     keys_get = keys.get
+    is_decimal_float = _is_decimal_float
     try:
         for line in lines:
             content = line.lstrip(" ")
@@ -269,9 +270,12 @@ def _read_block(text: str, types):
             if name in container:
                 return None
             if colon:
-                value = types[value]
-                if type(value) is str and not _is_block_value(value):
-                    return None
+                if is_decimal_float(value):  # most values, each written once: typed here
+                    value = float(value)
+                else:
+                    value = types[value]
+                    if type(value) is str and not _is_block_value(value):
+                        return None
                 container[name] = value
                 map_col = col
             else:

@@ -11,8 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 # A longer search for the differential tests, chosen with --hypothesis-profile=ci.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 # The line-coverage run (scripts/line_coverage.py) traces every line, which
-# slows each example past the default deadline.
-settings.register_profile("coverage", deadline=None)
+# slows each example past the default deadline. Its examples are derived from
+# each test, not drawn at random, so a line that only some draws reach is run
+# or unrun the same way on every run of the gate.
+settings.register_profile("coverage", deadline=None, derandomize=True)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"

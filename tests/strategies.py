@@ -32,6 +32,10 @@ finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 ).map(lambda v: round(v, 6))
 
+# Any finite float as often as a grid value, so that products with a scale or
+# unit factor overflow in some draws.
+wide_floats = st.one_of(finite_floats, st.floats(allow_nan=False, allow_infinity=False))
+
 unit_systems = st.sampled_from(
     [
         SI_UNITS,

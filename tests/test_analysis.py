@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsmith.analysis import (
+    EquilibriumResult,
+    EquilibriumSurvey,
     Tolerance,
     check_equilibrium_all,
     envelope_extremes,
@@ -23,7 +25,7 @@ from loadsmith.model import (
 from loadsmith.transform import apply_ultimate_factor, convert_units
 
 from fixtures import generate_fixture
-from strategies import deliveries
+from strategies import deliveries, finite_floats
 
 
 def brute_force_envelope(delivery):
@@ -206,6 +208,69 @@ class TestCheckEquilibriumAll:
         for r0, r1 in zip(base.results, scaled.results):
             for v0, v1 in zip(r0.force_residual, r1.force_residual):
                 assert v1 == pytest.approx(factor * v0, rel=1e-12, abs=1e-9)
+
+
+def per_row_equilibrium(case, coords, tol):
+    """One case's result by a loop over its rows in sorted point order, each
+    residual component accumulated from 0.0 and each moment term M + r x F:
+    the reference the column sums must match bit for bit."""
+    points = sorted(case.loads)
+    rows = [case.loads[point] for point in points]
+    force_sum = [0.0, 0.0, 0.0]
+    for row in rows:
+        force_sum[0] += row[0]
+        force_sum[1] += row[1]
+        force_sum[2] += row[2]
+    x, y, z = force_residual = tuple(force_sum)
+    force_magnitude = math.sqrt(x * x + y * y + z * z)
+    force_ref = max((abs(v) for row in rows for v in row[:3]), default=0.0)
+    balanced = force_magnitude <= tol.threshold(force_ref)
+    moment_residual = moment_magnitude = None
+    if coords is not None:
+        moment_sum = [0.0, 0.0, 0.0]
+        for point, (fx, fy, fz, mx, my, mz) in zip(points, rows):
+            r = coords[point]
+            moment_sum[0] += mx + (r[1] * fz - r[2] * fy)
+            moment_sum[1] += my + (r[2] * fx - r[0] * fz)
+            moment_sum[2] += mz + (r[0] * fy - r[1] * fx)
+        x, y, z = moment_residual = tuple(moment_sum)
+        moment_magnitude = math.sqrt(x * x + y * y + z * z)
+        moment_ref = max((abs(v) for row in rows for v in row[3:]), default=0.0)
+        balanced = balanced and moment_magnitude <= tol.threshold(moment_ref)
+    return EquilibriumResult(
+        case_id=case.id,
+        force_residual=force_residual,
+        force_residual_magnitude=force_magnitude,
+        moment_residual=moment_residual,
+        moment_residual_magnitude=moment_magnitude,
+        balanced=balanced,
+        tolerance_used=tol,
+    )
+
+
+_tolerances = st.builds(Tolerance, abs=st.just(1e-9), rel=st.floats(min_value=0.0, max_value=2.0))
+
+
+@st.composite
+def deliveries_with_coordinates(draw):
+    delivery = draw(deliveries(with_units=SI_UNITS))
+    xyz = st.tuples(finite_floats, finite_floats, finite_floats)
+    return delivery, {point: draw(xyz) for point in delivery.cases[0].loads}
+
+
+class TestEquilibriumMatchesPerRowLoop:
+    """check_equilibrium_all's survey, printed, against the per-row reference's."""
+
+    @given(deliveries(), _tolerances)
+    def test_forces(self, delivery, tol):
+        expected = EquilibriumSurvey(tuple(per_row_equilibrium(c, None, tol) for c in delivery.cases))
+        assert repr(check_equilibrium_all(delivery, tol).to_dict()) == repr(expected.to_dict())
+
+    @given(deliveries_with_coordinates(), _tolerances)
+    def test_forces_and_moments(self, delivery_coords, tol):
+        delivery, coords = delivery_coords
+        expected = EquilibriumSurvey(tuple(per_row_equilibrium(c, coords, tol) for c in delivery.cases))
+        assert repr(check_equilibrium_all(delivery, tol, coords).to_dict()) == repr(expected.to_dict())
 
 
 class TestEnvelopeExtremes:

@@ -1319,7 +1319,9 @@ class TestUsageAndErrors:
         # nothing, so it skips hashlib. The shipped YAML is in the block
         # subset, so converting it loads the reader but not PyYAML; a flow
         # mapping takes the event reader, which loads both. Before, the reader
-        # imported PyYAML as it loaded, and trace imported hashlib.
+        # imported PyYAML as it loaded, and trace imported hashlib. No step
+        # loads datetime but through PyYAML, which imports it: trace stamps
+        # its events without it.
         src = Path(loadsmith.__file__).resolve().parents[1]
         shipped = SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"
         flow = tmp_path / "flow.yaml"
@@ -1336,7 +1338,8 @@ class TestUsageAndErrors:
             "import json, sys\n"
             "from loadsmith.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "loaded = [name for name in ('yaml', 'loadsmith.yaml_reader', 'hashlib') if name in sys.modules]\n"
+            "probed = ('yaml', 'loadsmith.yaml_reader', 'hashlib', 'datetime')\n"
+            "loaded = [name for name in probed if name in sys.modules]\n"
             "sys.stderr.write(json.dumps({'exit': code, 'loaded': loaded}))\n"
         )
         steps = [
@@ -1347,7 +1350,7 @@ class TestUsageAndErrors:
             (["convert", str(shipped), "--to", "json", "--out", str(tmp_path / "converted.json")],
              ["loadsmith.yaml_reader", "hashlib"]),
             (["convert", str(flow), "--to", "json", "--out", str(tmp_path / "flow.json")],
-             ["yaml", "loadsmith.yaml_reader", "hashlib"]),
+             ["yaml", "loadsmith.yaml_reader", "hashlib", "datetime"]),
         ]
         for argv, loaded in steps:
             proc = subprocess.run(

@@ -26,7 +26,7 @@ from loadsmith.transform import (
 )
 
 from fixtures import generate_fixture
-from strategies import deliveries
+from strategies import deliveries, unit_systems, wide_floats
 
 
 @pytest.fixture
@@ -211,6 +211,56 @@ class TestConvertUnits:
                     v0 = before.loads[point].value(comp)
                     v1 = after.loads[point].value(comp)
                     assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-300)
+
+
+def per_value_scaled(delivery, factors):
+    """``(delivery with each value times its component's factor, None)``, one
+    multiply per value in case, point and component order; or ``(None,
+    location)`` for the first product that is not finite."""
+    cases = []
+    for index, case in enumerate(delivery.cases):
+        loads = {}
+        for point, row in case.loads.items():
+            products = []
+            for comp, value, factor in zip(COMPONENT_ORDER, row, factors):
+                product = value * factor
+                if not math.isfinite(product):
+                    return None, f"load_cases[{index}].point_loads.{point}.{comp.value}"
+                products.append(product)
+            loads[point] = ComponentSet(*products)
+        cases.append(LoadCase(id=case.id, label=case.label, loads=loads))
+    return delivery._replace(cases=tuple(cases)), None
+
+
+def assert_scales_as_per_value(scale, delivery, factors):
+    """``scale()`` prints as the per-value reference's delivery, or refuses
+    SCALE_OVERFLOW at the reference's location."""
+    expected, location = per_value_scaled(delivery, factors)
+    if location is None:
+        assert repr(scale()) == repr(expected)
+    else:
+        with pytest.raises(LoadsmithError) as err:
+            scale()
+        assert (err.value.code, err.value.location) == ("SCALE_OVERFLOW", location)
+
+
+class TestScaleMatchesPerValueMultiply:
+    @given(
+        deliveries(values=wide_floats),
+        st.sampled_from(COMPONENT_ORDER),
+        st.floats(min_value=1e-3, max_value=1e10),
+    )
+    def test_scale_component(self, delivery, component, factor):
+        factors = tuple(factor if c is component else 1.0 for c in COMPONENT_ORDER)
+        assert_scales_as_per_value(lambda: scale_component(delivery, component, factor), delivery, factors)
+
+    @given(deliveries(values=wide_floats), unit_systems)
+    def test_convert_units(self, delivery, target):
+        force = FORCE_TO_N[delivery.units.force_unit] / FORCE_TO_N[target.force_unit]
+        moment = MOMENT_TO_NM[delivery.units.moment_unit] / MOMENT_TO_NM[target.moment_unit]
+        factors = (force, force, force, moment, moment, moment)
+        expected_units = delivery._replace(units=target)
+        assert_scales_as_per_value(lambda: convert_units(delivery, target), expected_units, factors)
 
 
 class TestVerifyCoordinateSystem:
