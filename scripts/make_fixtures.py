@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "tests"))
 
 from loadsmith.analysis import envelope_extremes, envelope_select
 from loadsmith.compare import compare_envelopes, write_comparison_report
-from loadsmith.docserver import Catalog, DocServer
+from loadsmith.docserver import handle_line, load_catalog
 from loadsmith.export import envelope_to_markdown, write_ansys_inp, write_envelope_json
 from loadsmith.ingest import write_delivery_json
 from loadsmith.model import Component, EnvelopeExtremes, ExtremeCell, SI_UNITS, UnitSystem
@@ -286,8 +286,8 @@ def make_docserver_goldens() -> None:
         for line in DOCSERVER_SESSION
     ]
     write(GOLDENS / "docserver_requests.txt", "\n".join(requests) + "\n")
-    server = DocServer(Catalog.load(CATALOG))
-    responses = [server.handle_line(line) for line in requests]
+    catalog = load_catalog(CATALOG)
+    responses = [handle_line(catalog, line) for line in requests]
     write(GOLDENS / "docserver_responses.txt", "\n".join(responses) + "\n")
 
 

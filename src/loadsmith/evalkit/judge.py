@@ -94,16 +94,18 @@ def _http(artifacts: list[Path], rubric: str, endpoint: str | None) -> tuple[boo
     ).encode("utf-8")
     # Imported here: the HTTP stack is most of the harness's import time,
     # and only this adapter uses it.
-    import urllib.error
+    import http.client
     import urllib.request
 
-    request = urllib.request.Request(
-        endpoint, data=payload, headers={"Content-Type": "application/json"}
-    )
     try:
+        request = urllib.request.Request(
+            endpoint, data=payload, headers={"Content-Type": "application/json"}
+        )
         with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
             body = response.read()
-    except (urllib.error.URLError, OSError) as exc:
+    # OSError covers urllib's URLError; ValueError is an endpoint of no known
+    # scheme, and HTTPException a URL with a space or a malformed reply.
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise _error(f"judge endpoint unreachable: {exc}") from exc
     try:
         text = strict.decode(body, "judge response")

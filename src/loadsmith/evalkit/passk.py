@@ -36,16 +36,22 @@ def pass_lower_bound(k: int, alpha: float = DEFAULT_ALPHA) -> float:
 def min_k_for(p: float, alpha: float = DEFAULT_ALPHA) -> int:
     """Smallest k whose all-pass lower bound reaches the target probability.
 
-    Computes ceil(ln alpha / ln p) and then nudges across the ceiling
-    boundary until pass_lower_bound(k) >= p > pass_lower_bound(k - 1), so a
-    float rounding on the boundary cannot shift the result.
+    Bisects for the smallest k with pass_lower_bound(k) >= p, below an upper
+    end that doubles from ceil(ln alpha / ln p) until its bound reaches p.
+    So a float rounding on the ceiling boundary cannot shift the result, and
+    near p = 1, where the bound rounds to p across a long run of k, about
+    2 log2(k) bounds are evaluated rather than one per k of the run.
     """
     p = _check_probability("p", p)
     alpha = _check_probability("alpha", alpha)
-    k = max(1, math.ceil(math.log(alpha) / math.log(p)))
-    while pass_lower_bound(k, alpha) < p:
-        k += 1
-    while k > 1 and pass_lower_bound(k - 1, alpha) >= p:
-        k -= 1
-    return k
-
+    high = max(1, math.ceil(math.log(alpha) / math.log(p)))
+    while pass_lower_bound(high, alpha) < p:
+        high *= 2
+    low = 0  # every k <= low falls short of p
+    while high - low > 1:
+        mid = (low + high) // 2
+        if pass_lower_bound(mid, alpha) >= p:
+            high = mid
+        else:
+            low = mid
+    return high

@@ -35,8 +35,8 @@ from .checks import (
 from .judge import judge_check
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
+from .. import yaml_reader
 from ..errors import OutOfRangeError
-from ..ingest import yaml_backend
 from ..trace import TraceWriter, environment, file_record, utc_now
 
 TRACE_FILENAME = "trace.ndjson"
@@ -157,7 +157,7 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         # one its YAML outside the block subset goes to (its sidecars name the reader)
         writer.emit(
             "versions",
-            **{**scenario.environment.record, **environment(), "yaml_backend": yaml_backend()},
+            **{**scenario.environment.record, **environment(), "yaml_backend": yaml_reader.backend()},
         )
 
         env = _subject_env()

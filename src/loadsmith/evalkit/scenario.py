@@ -40,7 +40,10 @@ is a judge whose ``adapter`` is not one of ``judge.ADAPTERS``, an ``http``
 judge without an ``endpoint`` and a ``stub`` judge with one, and a path in
 the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
 ``artifacts``) that is absolute or has a ``..`` part, since it would leave
-the run directory.
+the run directory. A path or a subject command argument that holds U+0000
+is refused, and so is an ``id``, which names the scenario's directory in
+the output directory, that is empty, ``.`` or ``..`` or holds ``/`` or
+``\\``.
 
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
@@ -107,12 +110,33 @@ class Scenario(
         return super().__new__(cls, id, description, environment, checks, k, alpha, base_dir)
 
 
+def _no_nul(text: str, location: str) -> str:
+    """``text``, a path or a command argument, refused when it holds U+0000,
+    which neither can hold."""
+    if "\0" in text:
+        raise SchemaError(f"{text!r} holds U+0000", location=location)
+    return text
+
+
 def _inside_run(path: str, location: str) -> str:
-    """``path``, refused when it is absolute or has a ``..`` part."""
-    parsed = Path(path)
+    """``path``, refused when it holds U+0000, is absolute or has a ``..`` part."""
+    parsed = Path(_no_nul(path, location))
     if parsed.is_absolute() or ".." in parsed.parts:
         raise SchemaError(f"{path!r} leaves the run directory", location=location)
     return path
+
+
+def _scenario_id(node) -> str:
+    """The scenario's id, which names its directory under the output
+    directory: refused when empty, ``.`` or ``..``, or when it holds ``/``,
+    ``\\`` or U+0000."""
+    scenario_id = strict.expect_text(node, "id")
+    if scenario_id in ("", ".", "..") or any(c in scenario_id for c in "/\\\0"):
+        raise SchemaError(
+            f"scenario id {scenario_id!r} cannot name a directory in the output directory",
+            location="id",
+        )
+    return scenario_id
 
 
 def _expect_texts(node, location: str) -> tuple[str, ...]:
@@ -144,6 +168,8 @@ def _parse_check(node, loc: str) -> CheckSpec:
             value = strict.expect_text(value, where)
         if name in ("actual", "dir"):
             _inside_run(value, where)
+        elif name == "reference":
+            _no_nul(value, where)
         elif name == "artifacts":
             for i, artifact in enumerate(value):
                 _inside_run(artifact, f"{where}[{i}]")
@@ -165,7 +191,7 @@ def _parse_stage_item(node, loc: str) -> StageItem:
     item = strict.expect_mapping(node, loc)
     strict.expect_keys(item, ("source", "dest"), (), loc)
     return StageItem(
-        source=strict.expect_text(item["source"], f"{loc}.source"),
+        source=_no_nul(strict.expect_text(item["source"], f"{loc}.source"), f"{loc}.source"),
         dest=_inside_run(strict.expect_text(item["dest"], f"{loc}.dest"), f"{loc}.dest"),
     )
 
@@ -182,6 +208,8 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
         for i, item in enumerate(strict.expect_list(env.get("stage", []), "environment.stage"))
     )
     command = _expect_texts(env["subject_command"], "environment.subject_command")
+    for i, token in enumerate(command):
+        _no_nul(token, f"environment.subject_command[{i}]")
     if not command:
         raise SchemaError("subject_command must not be empty", location="environment.subject_command")
     record = dict(strict.expect_mapping(env.get("record", {}), "environment.record"))
@@ -192,7 +220,7 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
     )
 
     return Scenario(
-        id=strict.expect_text(data["id"], "id"),
+        id=_scenario_id(data["id"]),
         description=strict.expect_text(data.get("description", ""), "description"),
         environment=Environment(stage=stage, subject_command=command, record=record),
         checks=checks,

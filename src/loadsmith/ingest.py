@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -111,7 +110,7 @@ def _row_at_once(point, comp_node) -> ComponentSet | None:
     # NaN or an infinity makes the sum non-finite, as an overflowing sum does.
     if type(fx) is type(fy) is type(fz) is type(mx) is type(my) is type(mz) is float:
         if math.isfinite(fx + fy + fz + mx + my + mz):
-            return ComponentSet._checked(row)
+            return tuple.__new__(ComponentSet, row)
     return None
 
 
@@ -370,23 +369,6 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
         )
     parts.append('  "load_cases": [\n' + ",\n".join(cases) + "\n  ]\n}\n")
     return "".join(parts)
-
-
-def yaml_backend() -> str:
-    """The parser that reads YAML deliveries outside the block subset:
-    ``"libyaml"`` or ``"python"``."""
-    from .yaml_reader import backend
-
-    return backend()
-
-
-def yaml_backend_used() -> str | None:
-    """The reader of the latest YAML read in this process: ``"block"`` for
-    the line reader, else the parser, ``"libyaml"`` or ``"python"``; None
-    before the first. Unlike ``yaml_backend()``, never imports PyYAML or the
-    YAML reader."""
-    reader = sys.modules.get(f"{__package__}.yaml_reader")
-    return None if reader is None else reader.last_reader
 
 
 def write_delivery_yaml(delivery: LoadsDelivery) -> str:

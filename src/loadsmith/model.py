@@ -2,14 +2,13 @@
 
 Every record here is an immutable tuple of its fields. A point's loads are one
 ``ComponentSet``: a tuple of six finite floats in ``COMPONENT_ORDER``, built
-and checked once per row by ``ComponentSet.of``, or built unchecked by a
-reader that checked the row itself (``ComponentSet._checked``) or by a
-transform that checked all its values at once (``tuple.__new__`` over the
-rows). Constructors reject locally invalid data (non-finite numbers, bad
-ids, unrecognized units); consistency rules that span several cases of one
-delivery (unique ids, identical point sets) are checked by
-:func:`loadsmith.ingest.validate_delivery` so that a broken delivery can
-still be loaded and reported on.
+and checked once per row by ``ComponentSet.of``, or built unchecked with
+``tuple.__new__`` by a reader that checked the row itself or by a transform
+that checked all its values at once. Constructors reject locally invalid
+data (non-finite numbers, bad ids, unrecognized units); consistency rules
+that span several cases of one delivery (unique ids, identical point sets)
+are checked by :func:`loadsmith.ingest.validate_delivery` so that a broken
+delivery can still be loaded and reported on.
 
 Deterministic ordering rules live here and are shared by every exporter:
 points sort lexicographically, components follow the canonical FX, FY, FZ,
@@ -148,12 +147,6 @@ class ComponentSet(tuple):
             for comp, value in zip(COMPONENT_ORDER, row):
                 _require_finite(comp.value, value)
         return row
-
-    @classmethod
-    def _checked(cls, values) -> "ComponentSet":
-        """The row of six ``values`` that the caller has already checked to be
-        finite floats; nothing is converted or checked again."""
-        return tuple.__new__(cls, values)
 
     def __reduce__(self):
         return (type(self), tuple(self))

@@ -60,8 +60,9 @@ def _holds_surrogate(data) -> bool:
 
 def read_json(text: str, what: str):
     """Decode the JSON input named ``what``; malformed JSON (with line and
-    column), a name repeated within an object, an integer beyond Python's
-    digit limit and an escaped lone surrogate raise InputSyntaxError."""
+    column), nesting beyond the decoder's recursion limit, a name repeated
+    within an object, an integer beyond Python's digit limit and an escaped
+    lone surrogate raise InputSyntaxError."""
 
     def unique(pairs: list) -> dict:
         mapping = dict(pairs)
@@ -81,6 +82,8 @@ def read_json(text: str, what: str):
         ) from exc
     except ValueError as exc:  # the decoder's one other ValueError: int()'s digit limit
         raise InputSyntaxError(f"{too_long_int()} in {what} JSON") from exc
+    except RecursionError as exc:  # the decoder recurses once per open array or object
+        raise InputSyntaxError(f"invalid {what} JSON: nested too deeply to decode") from exc
     # A lone surrogate that the text itself does not hold came from an escape;
     # decoded bytes never hold one, a str given by a caller may. A search for
     # one character is about 40x faster than for two, so "\\" is sought first.

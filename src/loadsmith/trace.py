@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .ingest import yaml_backend_used
 
 
 def utc_now() -> str:
@@ -42,12 +41,15 @@ def file_record(path: str | Path, relative_to: str | Path | None = None) -> dict
 
 def environment() -> dict:
     """What a trace records of the software that ran: Python and loadsmith
-    versions and the parser that read YAML in this process (None when none
-    did)."""
+    versions and the reader of the latest YAML read in this process:
+    ``"block"`` for the line reader, else the parser, ``"libyaml"`` or
+    ``"python"``; None when none ran. The YAML reader is looked up, never
+    imported, so a step that read only JSON does not load it."""
+    reader = sys.modules.get(f"{__package__}.yaml_reader")
     return {
         "python": sys.version.split()[0],  # platform.python_version() on CPython
         "loadsmith": __version__,
-        "yaml_backend": yaml_backend_used(),
+        "yaml_backend": None if reader is None else reader.last_reader,
     }
 
 

@@ -18,7 +18,7 @@ import pytest
 from loadsmith.analysis import Tolerance, check_equilibrium_all, envelope_extremes, envelope_select
 from loadsmith.cli import main as cli_main
 from loadsmith.compare import compare_envelopes, write_comparison_report
-from loadsmith.docserver import Catalog, DocServer
+from loadsmith.docserver import handle_line, load_catalog
 from loadsmith.evalkit.passk import min_k_for, pass_lower_bound
 from loadsmith.evalkit.runner import run_scenario
 from loadsmith.evalkit.scenario import load_scenario
@@ -398,8 +398,8 @@ def test_criterion_10_docserver_conformance():
     with criterion(10, "docserver golden session"):
         requests = (GOLDENS_DIR / "docserver_requests.txt").read_text(encoding="utf-8")
         expected = (GOLDENS_DIR / "docserver_responses.txt").read_bytes()
-        server = DocServer(Catalog.load(CATALOG_DIR))
-        responses = [server.handle_line(line) for line in requests.splitlines()]
+        catalog = load_catalog(CATALOG_DIR)
+        responses = [handle_line(catalog, line) for line in requests.splitlines()]
         got = ("\n".join(r for r in responses if r is not None) + "\n").encode("utf-8")
         assert got == expected
 

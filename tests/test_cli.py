@@ -15,11 +15,12 @@ from loadsmith import cli
 from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import build_parser, main
 from loadsmith.export import write_envelope_json
-from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml, yaml_backend
+from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml
 from loadsmith.model import (
     Component, ComponentSet, EnvelopeExtremes, ExtremeCell, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem,
 )
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
+from loadsmith.yaml_reader import backend as yaml_backend
 
 from conftest import SCENARIOS_DIR
 from fixtures import generate_fixture
@@ -812,6 +813,24 @@ MALFORMED_SCENARIOS = [
                  "SCHEMA_ERROR", "checks[0].kind", id="check-without-kind"),
     pytest.param(_scenario_with(("environment", "subject_command"), []), "SCHEMA_ERROR",
                  "environment.subject_command", id="empty-subject-command"),
+    # Before, the id was joined to --out-dir unchecked, and U+0000 in a path
+    # or an argument escaped as VALUE_ERROR with no location.
+    *(pytest.param(_scenario_with(("id",), scenario_id), "SCHEMA_ERROR", "id", id=f"id-{name}")
+      for name, scenario_id in (("parent", "../outside"), ("dot", "."), ("dot-dot", ".."), ("empty", ""),
+                                ("slash", "a/b"), ("backslash", "a\\b"), ("nul", "a\0b"))),
+    *(pytest.param(_scenario_with(path, "o\0.json"), "SCHEMA_ERROR", location, id=f"nul-{name}")
+      for name, path, location in (
+          ("stage-source", ("environment", "stage", 0, "source"), "environment.stage[0].source"),
+          ("stage-dest", ("environment", "stage", 0, "dest"), "environment.stage[0].dest"),
+          ("subject-argument", ("environment", "subject_command", 2),
+           "environment.subject_command[2]"),
+          ("check-actual", ("checks", 0, "actual"), "checks[0].actual"),
+          ("check-reference", ("checks", 0, "reference"), "checks[0].reference"),
+      )),
+    pytest.param(_scenario_with(("checks", 0), {"kind": "file_set", "dir": "d\0", "expected": []}),
+                 "SCHEMA_ERROR", "checks[0].dir", id="nul-check-dir"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "o\0.json"])),
+                 "SCHEMA_ERROR", "checks[0].artifacts[1]", id="nul-judge-artifact"),
 ]
 
 
@@ -827,6 +846,23 @@ class TestEval:
         assert error["code"] == code
         assert error.get("location") == location
         assert not (tmp_path / "runs").exists()
+
+    def test_run_id_cannot_leave_out_dir(self, tmp_path, capsys):
+        # Before, the runs and report.json landed in D/../outside, and the
+        # run_1 already there was deleted.
+        spath = tmp_path / "scenario.json"
+        spath.write_text(_scenario_with(("id",), "../outside"), encoding="utf-8")
+        kept = tmp_path / "outside" / "run_1" / "kept.txt"
+        kept.parent.mkdir(parents=True)
+        kept.write_text("kept\n")
+        (tmp_path / "D").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        exit_code, out, err = run_cli(capsys, "eval", "run", str(spath), "-k", "1",
+                                      "--out-dir", str(tmp_path / "D"))
+        assert (exit_code, out) == (2, "")
+        assert single_error(err)["location"] == "id"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert kept.read_text() == "kept\n"
 
 
     @pytest.mark.parametrize(
@@ -958,6 +994,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "date_key_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\n2024-13-45: a\n"),
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
         "broken": '{"name": "x"}',
+        "deep": "[" * 200_000 + "]" * 200_000,
         "surrogate": surrogate_json(d),
         "one_point": write_delivery_json(one_point),
         "multiline_point": write_delivery_json(multiline_point),
@@ -1049,6 +1086,8 @@ CLI_REFUSALS = [
         ("validate-long-yaml-version", "validate {long_yaml}"),
         ("validate-long-json-version", "validate {long_json}"),
         ("validate-schema", "validate {broken}"),
+        # Before, the decoder's RecursionError ended in a traceback (exit 1).
+        ("validate-deep-json", "validate {deep}", "SYNTAX_ERROR"),
         ("transform-overflow", "transform {one_point} --scale FX=1e10 --out {out}/x.json"),
         ("transform-unknown-unit", "transform {delivery} --units furlong,N·m --out {out}/x.json",
          "UNKNOWN_UNIT"),

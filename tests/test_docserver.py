@@ -6,12 +6,12 @@ import sys
 import pytest
 
 from loadsmith.docserver import (
-    Catalog,
     DOCUMENT_NOT_FOUND,
-    DocServer,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
     VERSION_NOT_FOUND,
+    handle_line,
+    load_catalog,
 )
 from loadsmith.cli import main
 from loadsmith.errors import LoadsmithError
@@ -36,7 +36,7 @@ def make_catalog(tmp_path, docs):
 
 @pytest.fixture
 def catalog(tmp_path):
-    return Catalog.load(
+    return load_catalog(
         make_catalog(
             tmp_path,
             {
@@ -45,11 +45,6 @@ def catalog(tmp_path):
             },
         )
     )
-
-
-@pytest.fixture
-def server(catalog):
-    return DocServer(catalog)
 
 
 def rpc(method, params=None, request_id=1):
@@ -61,7 +56,7 @@ def rpc(method, params=None, request_id=1):
 
 class TestCatalog:
     def test_browse_sorted_no_bodies(self, catalog):
-        listing = catalog.browse_catalog()
+        listing = json.loads(handle_line(catalog, rpc("browse_catalog")))["result"]
         assert [d["document_id"] for d in listing] == [1001, 1002]
         assert listing[0] == {
             "document_id": 1001,
@@ -71,17 +66,19 @@ class TestCatalog:
         assert "content" not in listing[0]
 
     def test_get_content_exact(self, catalog):
-        doc = catalog.get_document_content(1001, 1)
+        doc = catalog[1001].versions[1]
         assert doc.content == "practice text v1\n"
         assert doc.checksum == hashlib.sha256(b"practice text v1\n").hexdigest()
 
     def test_empty_catalog_lists_nothing(self, tmp_path):
         (tmp_path / "catalog.json").write_text("[]", encoding="utf-8")
-        assert Catalog.load(tmp_path).browse_catalog() == []
+        catalog = load_catalog(tmp_path)
+        assert catalog == {}
+        assert json.loads(handle_line(catalog, rpc("browse_catalog")))["result"] == []
 
     def test_missing_catalog_dir(self, tmp_path):
         with pytest.raises(LoadsmithError) as err:
-            Catalog.load(tmp_path / "nowhere")
+            load_catalog(tmp_path / "nowhere")
         assert err.value.code == "CATALOG_ERROR"
 
     def test_missing_content_file(self, tmp_path):
@@ -90,14 +87,14 @@ class TestCatalog:
             encoding="utf-8",
         )
         with pytest.raises(LoadsmithError):
-            Catalog.load(tmp_path)
+            load_catalog(tmp_path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = make_catalog(tmp_path, {5: ("a", {1: "x"})})
         entries = json.loads((path / "catalog.json").read_text())
         (path / "catalog.json").write_text(json.dumps(entries * 2), encoding="utf-8")
         with pytest.raises(LoadsmithError):
-            Catalog.load(path)
+            load_catalog(path)
 
     @pytest.mark.parametrize(
         "index,code,location",
@@ -126,7 +123,7 @@ class TestCatalog:
         make_catalog(tmp_path, {1: ("t", {1: "x\n"})})
         (tmp_path / "catalog.json").write_text(index, encoding="utf-8")
         with pytest.raises(LoadsmithError) as err:
-            Catalog.load(tmp_path)
+            load_catalog(tmp_path)
         assert (err.value.code, err.value.location) == (code, location)
         assert main(["docserve", str(tmp_path)]) == 2
         captured = capsys.readouterr()
@@ -135,63 +132,54 @@ class TestCatalog:
         assert json.loads(line)["error"]["code"] == code
 
     def test_shipped_catalog_loads(self):
-        catalog = Catalog.load(CATALOG_DIR)
-        listing = catalog.browse_catalog()
-        assert listing[0]["document_id"] == 1001
-        assert listing[0]["title"] == "DP-TRS-LOADS-001"
-        assert catalog.get_document_content(1001, 1).content.startswith("# DP-TRS-LOADS-001")
+        catalog = load_catalog(CATALOG_DIR)
+        assert min(catalog) == 1001
+        assert catalog[1001].title == "DP-TRS-LOADS-001"
+        assert catalog[1001].versions[1].content.startswith("# DP-TRS-LOADS-001")
 
 
 class TestDocServer:
-    def test_browse_catalog(self, server):
-        response = json.loads(server.handle_line(rpc("browse_catalog")))
+    def test_browse_catalog(self, catalog):
+        response = json.loads(handle_line(catalog, rpc("browse_catalog")))
         assert response["id"] == 1
         assert [d["document_id"] for d in response["result"]] == [1001, 1002]
 
-    def test_get_document_content(self, server):
+    def test_get_document_content(self, catalog):
         response = json.loads(
-            server.handle_line(
-                rpc("get_document_content", {"document_id": 1001, "version": 1})
-            )
+            handle_line(catalog, rpc("get_document_content", {"document_id": 1001, "version": 1}))
         )
         assert response["result"]["content"] == "practice text v1\n"
         assert response["result"]["checksum"]
 
-    def test_unknown_document(self, server):
+    def test_unknown_document(self, catalog):
         response = json.loads(
-            server.handle_line(
-                rpc("get_document_content", {"document_id": 9999, "version": 1})
-            )
+            handle_line(catalog, rpc("get_document_content", {"document_id": 9999, "version": 1}))
         )
         assert response["error"]["code"] == DOCUMENT_NOT_FOUND
 
-    def test_unknown_version_lists_available(self, server):
+    def test_unknown_version_lists_available(self, catalog):
         response = json.loads(
-            server.handle_line(
-                rpc("get_document_content", {"document_id": 1002, "version": 3})
-            )
+            handle_line(catalog, rpc("get_document_content", {"document_id": 1002, "version": 3}))
         )
         assert response["error"]["code"] == VERSION_NOT_FOUND
         assert response["error"]["data"]["available_versions"] == [1]
 
-    def test_unknown_method(self, server):
-        response = json.loads(server.handle_line(rpc("delete_document")))
+    def test_unknown_method(self, catalog):
+        response = json.loads(handle_line(catalog, rpc("delete_document")))
         assert response["error"]["code"] == METHOD_NOT_FOUND
 
-    def test_parse_error_on_garbage(self, server):
-        response = json.loads(server.handle_line("this is not json"))
+    def test_parse_error_on_garbage(self, catalog):
+        response = json.loads(handle_line(catalog, "this is not json"))
         assert response["error"]["code"] == PARSE_ERROR
         assert response["id"] is None
 
-    def test_invalid_request_shape(self, server):
-        response = json.loads(server.handle_line(json.dumps({"id": 1, "method": "x"})))
+    def test_invalid_request_shape(self, catalog):
+        response = json.loads(handle_line(catalog, json.dumps({"id": 1, "method": "x"})))
         assert response["error"]["code"] == -32600
 
-    def test_bad_params_type(self, server):
+    def test_bad_params_type(self, catalog):
         response = json.loads(
-            server.handle_line(
-                rpc("get_document_content", {"document_id": "1001", "version": 1})
-            )
+            handle_line(catalog, rpc("get_document_content", {"document_id": "1001", "version": 1}))
         )
         assert response["error"]["code"] == -32602
 
@@ -200,16 +188,16 @@ class TestDocServer:
         [{"document_id": 1001, "version": True}, {"document_id": True, "version": 1}],
         ids=["version", "document_id"],
     )
-    def test_bool_params_refused(self, server, params):
+    def test_bool_params_refused(self, catalog, params):
         # Before, True was read as the integer 1.
-        response = json.loads(server.handle_line(rpc("get_document_content", params)))
+        response = json.loads(handle_line(catalog, rpc("get_document_content", params)))
         assert response["error"]["code"] == -32602
         assert response["id"] == 1
 
-    def test_repeated_key_refused(self, server):
+    def test_repeated_key_refused(self, catalog):
         # Before, the last "id" won silently.
         line = '{"jsonrpc": "2.0", "id": 2, "id": 3, "method": "browse_catalog"}'
-        response = json.loads(server.handle_line(line))
+        response = json.loads(handle_line(catalog, line))
         assert response["error"]["code"] == -32600
         assert response["id"] is None
         assert "duplicate key 'id'" in response["error"]["message"]
@@ -226,9 +214,9 @@ class TestDocServer:
         ],
         ids=["list-id", "bool-id", "float-id", "extra-member", "list-method", "no-method"],
     )
-    def test_bad_request_shape_refused(self, server, request_, request_id):
+    def test_bad_request_shape_refused(self, catalog, request_, request_id):
         # Before, each was answered; a bad id was echoed back.
-        response = json.loads(server.handle_line(json.dumps(request_)))
+        response = json.loads(handle_line(catalog, json.dumps(request_)))
         assert response["error"]["code"] == -32600
         assert response["id"] == request_id
 
@@ -243,14 +231,14 @@ class TestDocServer:
         ],
         ids=["string", "unexpected-name", "misspelled-name", "missing-name", "omitted"],
     )
-    def test_bad_params_refused(self, server, method, params):
+    def test_bad_params_refused(self, catalog, method, params):
         # Before, string params and unknown names were ignored.
-        response = json.loads(server.handle_line(rpc(method, params, request_id="r1")))
+        response = json.loads(handle_line(catalog, rpc(method, params, request_id="r1")))
         assert response["error"]["code"] == -32602
         assert response["id"] == "r1"
 
-    def test_string_id_and_empty_params_answered(self, server):
-        response = json.loads(server.handle_line(rpc("browse_catalog", {}, request_id="r1")))
+    def test_string_id_and_empty_params_answered(self, catalog):
+        response = json.loads(handle_line(catalog, rpc("browse_catalog", {}, request_id="r1")))
         assert response["id"] == "r1"
         assert [d["document_id"] for d in response["result"]] == [1001, 1002]
 
@@ -264,26 +252,26 @@ class TestDocServer:
         ],
         ids=["browse", "get", "unknown-method", "bad-params"],
     )
-    def test_notification_gets_no_reply(self, server, request_):
+    def test_notification_gets_no_reply(self, catalog, request_):
         # Before, each was answered with "id": null.
-        assert server.handle_line(json.dumps(request_)) is None
+        assert handle_line(catalog, json.dumps(request_)) is None
 
     @pytest.mark.parametrize(
         "line",
         ['{"jsonrpc": "2.0", "method"', '{"method": "browse_catalog"}', '{"jsonrpc": "2.0", "method": 1}'],
         ids=["not-json", "no-jsonrpc", "method-not-text"],
     )
-    def test_malformed_request_without_id_answered(self, server, line):
-        response = json.loads(server.handle_line(line))
+    def test_malformed_request_without_id_answered(self, catalog, line):
+        response = json.loads(handle_line(catalog, line))
         assert response["error"]["code"] in (PARSE_ERROR, -32600)
         assert response["id"] is None
 
-    def test_empty_line_ignored(self, server):
-        assert server.handle_line("   \n") is None
+    def test_empty_line_ignored(self, catalog):
+        assert handle_line(catalog, "   \n") is None
 
-    def test_repeated_requests_byte_identical(self, server):
+    def test_repeated_requests_byte_identical(self, catalog):
         line = rpc("get_document_content", {"document_id": 1001, "version": 2})
-        assert server.handle_line(line) == server.handle_line(line)
+        assert handle_line(catalog, line) == handle_line(catalog, line)
 
 
 class TestServeSubprocess:
@@ -309,3 +297,16 @@ class TestServeSubprocess:
         assert "Interface Loads Processing" in json.loads(lines[1])["result"]["content"]
         assert json.loads(lines[2])["error"]["code"] == DOCUMENT_NOT_FOUND
         assert json.loads(lines[3])["error"]["code"] == PARSE_ERROR
+
+    def test_too_deeply_nested_line_is_a_parse_error(self):
+        # Before, the decoder's RecursionError ended the server (exit 1)
+        # before it answered the second line.
+        session = "[" * 200_000 + "]" * 200_000 + "\n" + rpc("browse_catalog", request_id=2) + "\n"
+        proc = subprocess.run(
+            [sys.executable, "-m", "loadsmith", "docserve", str(CATALOG_DIR)],
+            input=session, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        parse_error, browse = map(json.loads, proc.stdout.splitlines())
+        assert (parse_error["id"], parse_error["error"]["code"]) == (None, PARSE_ERROR)
+        assert browse["id"] == 2 and browse["result"][0]["document_id"] == 1001

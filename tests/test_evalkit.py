@@ -297,6 +297,9 @@ _JUDGE_ODD_VERDICTS = {
 class _JudgeHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/bad-status-line":
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
         payload = _JUDGE_RESPONSES.get(self.path, _JUDGE_ODD_VERDICTS.get(self.path))
         if payload is None:
             passed = "1.04" in body["artifacts"][0]["content"]
@@ -337,6 +340,25 @@ class TestHttpJudge:
         script.write_text("x")
         with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
             judge_check([script], "rubric", "http", endpoint="http://127.0.0.1:9/judge")
+
+    @pytest.mark.parametrize(
+        "endpoint", ["not-a-url", "http://a b/judge", "http://a\0b/judge"],
+        ids=["no-scheme", "space-in-host", "nul-in-host"],
+    )
+    def test_unusable_endpoint_is_error(self, tmp_path, endpoint):
+        # Before, the first escaped the harness as VALUE_ERROR and the others
+        # as a traceback; none of them reaches the network.
+        script = tmp_path / "s.py"
+        script.write_text("x")
+        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
+            judge_check([script], "rubric", "http", endpoint=endpoint)
+
+    def test_malformed_status_line_is_error(self, tmp_path, judge_server):
+        # Before, http.client's BadStatusLine ended the harness in a traceback.
+        script = tmp_path / "s.py"
+        script.write_text("x")
+        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
+            judge_check([script], "rubric", "http", endpoint=judge_server + "/bad-status-line")
 
     def test_missing_endpoint_is_error(self, tmp_path):
         script = tmp_path / "s.py"

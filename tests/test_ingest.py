@@ -326,7 +326,7 @@ class TestStrictReading:
         assert str(err.value) == "missing field 'name' at $"
 
     def test_backend(self):
-        assert ingest.yaml_backend() == self.backend
+        assert yaml_reader.backend() == self.backend
 
 
 @pytest.fixture

@@ -4,7 +4,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loadsmith.evalkit import passk
 from loadsmith.evalkit.passk import min_k_for, pass_lower_bound
+
+
+def nudged_min_k(p, alpha, steps=100_000):
+    """The closed-form ceiling nudged one k at a time across the boundary,
+    as min_k_for once computed it; fails after ``steps`` nudges."""
+    k = max(1, math.ceil(math.log(alpha) / math.log(p)))
+    for _ in range(steps):
+        if pass_lower_bound(k, alpha) < p:
+            k += 1
+        elif k > 1 and pass_lower_bound(k - 1, alpha) >= p:
+            k -= 1
+        else:
+            return k
+    raise AssertionError(f"the nudge did not end within {steps} steps at p={p!r}, alpha={alpha!r}")
+
+
+def _grid():
+    """(p, alpha) pairs, README's 0.5, 0.9 and 0.99 at 0.05 among them."""
+    alphas = [0.001, 0.01, 0.05, 0.1, 0.5, 0.9, math.nextafter(1.0, 0.0)]
+    for alpha in alphas:
+        ps = [x / 100 for x in range(1, 100)] + [0.999, 0.9999, 1 - 1e-6, 1 - 1e-8]
+        for k in (1, 2, 3, 7, 10, 29, 299, 1000):
+            bound = alpha ** (1 / k)  # the boundary itself and its float neighbours
+            ps += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, 1.0)]
+        ps += [math.nextafter(alpha, 1.0), math.nextafter(0.0, 1.0)]
+        yield from ((p, alpha) for p in ps if 0.0 < p < 1.0)
 
 
 class TestMinKFor:
@@ -33,6 +60,29 @@ class TestMinKFor:
         p = 0.05 ** (1 / 3)
         assert math.ceil(math.log(0.05) / math.log(p)) == 4
         assert min_k_for(p, 0.05) == 3
+
+    def test_matches_the_nudged_ceiling(self):
+        # The bisection answers as the one-k-at-a-time nudge did on a grid
+        # where the nudge ends, boundaries and their float neighbours included.
+        for p, alpha in _grid():
+            assert min_k_for(p, alpha) == nudged_min_k(p, alpha), (p, alpha)
+
+    @pytest.mark.parametrize("p", [1 - 1e-14, 0.9999999999999999], ids=["1-1e-14", "below-1"])
+    def test_near_one_answers_in_few_evaluations(self, monkeypatch, p):
+        # Before, the nudge took one evaluation per k across a run of k where
+        # the bound rounds to p: more than 10**6 of them, so `eval passk` hung.
+        calls = []
+
+        def counted(k, alpha=passk.DEFAULT_ALPHA):
+            calls.append(k)
+            if len(calls) > 10_000:
+                raise AssertionError("more than 10 000 evaluations")
+            return pass_lower_bound(k, alpha)
+
+        monkeypatch.setattr(passk, "pass_lower_bound", counted)
+        k = min_k_for(p, 0.05)
+        assert len(calls) < 200
+        assert pass_lower_bound(k, 0.05) >= p > pass_lower_bound(k - 1, 0.05)
 
     @pytest.mark.parametrize("bad_p", [0.0, 1.0, -0.1, 1.5])
     def test_domain_errors(self, bad_p):
