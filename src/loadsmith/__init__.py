@@ -41,7 +41,6 @@ from .ingest import (
     parse_delivery,
     validate_delivery,
     write_delivery_json,
-    write_delivery_yaml,
 )
 from .model import (
     Component,
@@ -108,6 +107,5 @@ __all__ = [
     "write_ansys_inp",
     "write_comparison_report",
     "write_delivery_json",
-    "write_delivery_yaml",
     "write_envelope_json",
 ]

@@ -112,16 +112,29 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _delivery_out(token: str) -> Path:
+    """The ``--out`` of a command that writes a delivery, which is always
+    canonical JSON: a ``.yaml`` or ``.yml`` name is a usage error, raised as
+    the argv is parsed, before any input is read."""
+    out = Path(token)
+    if out.suffix.lower() in (".yaml", ".yml"):
+        raise argparse.ArgumentTypeError(
+            f"a delivery is written as JSON; {token!r} names a YAML file"
+        )
+    return out
+
+
+def _write_delivery(out: Path, delivery) -> None:
+    _write_text(out, ingest.write_delivery_json(delivery))
+
+
 # --- subcommand implementations -----------------------------------------
 # Each returns (exit code, stdout summary or None, files written).
 
 
 def _cmd_convert(args):
-    delivery = ingest.load_delivery(args.input)
-    out = Path(args.out)
-    write = ingest.write_delivery_json if args.to == "json" else ingest.write_delivery_yaml
-    _write_text(out, write(delivery))
-    return EXIT_OK, {"written": str(out), "format": args.to}, [out]
+    _write_delivery(args.out, ingest.load_delivery(args.input))
+    return EXIT_OK, {"written": str(args.out), "format": args.to}, [args.out]
 
 
 def _cmd_validate(args):
@@ -137,9 +150,9 @@ def _cmd_transform(args):
 
     renames = {}
     for spec in args.rename or []:
-        if "=" not in spec:
-            raise _UsageExit(f"--rename expects old=new, got {spec!r}")
-        old, new = spec.split("=", 1)
+        old, equals, new = spec.partition("=")
+        if not (equals and new):
+            raise _UsageExit(f"--rename expects old=new with a new name, got {spec!r}")
         if old in renames:
             raise _UsageExit(f"--rename names point {old!r} twice")
         renames[old] = new
@@ -168,12 +181,9 @@ def _cmd_transform(args):
         delivery = transform.apply_ultimate_factor(delivery, args.ultimate_factor)
         summary["ultimate_factor"] = args.ultimate_factor
 
-    out = Path(args.out)
-    as_yaml = args.to == "yaml" or (args.to is None and out.suffix in (".yaml", ".yml"))
-    write = ingest.write_delivery_yaml if as_yaml else ingest.write_delivery_json
-    _write_text(out, write(delivery))
-    summary["written"] = str(out)
-    return EXIT_OK, summary, [out]
+    _write_delivery(args.out, delivery)
+    summary["written"] = str(args.out)
+    return EXIT_OK, summary, [args.out]
 
 
 def _cmd_equilibrium(args):
@@ -311,8 +321,8 @@ def _cmd_docserve(args):
 
 def _convert_arguments(p):
     p.add_argument("input")
-    p.add_argument("--to", choices=("json", "yaml"), required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--to", choices=("json",), required=True)
+    p.add_argument("--out", required=True, type=_delivery_out)
     p.set_defaults(func=_cmd_convert)
 
 
@@ -327,8 +337,7 @@ def _transform_arguments(p):
     p.add_argument("--scale", action="append", metavar="COMP=FACTOR")
     p.add_argument("--units", metavar="FORCE,MOMENT")
     p.add_argument("--ultimate-factor", type=_float, dest="ultimate_factor")
-    p.add_argument("--out", required=True)
-    p.add_argument("--to", choices=("json", "yaml"))
+    p.add_argument("--out", required=True, type=_delivery_out)
     p.set_defaults(func=_cmd_transform)
 
 
@@ -386,7 +395,7 @@ def _docserve_arguments(p):
 
 # Each subcommand's name, help line and the function that adds its arguments.
 _COMMANDS = {
-    "convert": ("convert a delivery between JSON and YAML", _convert_arguments),
+    "convert": ("convert a delivery to canonical JSON", _convert_arguments),
     "validate": ("validate a delivery and print the findings", _validate_arguments),
     "transform": (
         "rename points, apply correction factors, convert units (in that order)",

@@ -17,11 +17,11 @@ The delivery file schema is this toolkit's contract (documented in
       ]
     }
 
-JSON is the canonical form; YAML is accepted on input and read by
-``yaml_reader``, imported on the first YAML read. Missing components are
-schema errors, never implicit zeros, and unit tokens outside the closed
-alias table are refused: silent coercion is exactly the failure class this
-layer exists to surface.
+JSON is the canonical form and the only one written; YAML is accepted on
+input and read by ``yaml_reader``, imported on the first YAML read. Missing
+components are schema errors, never implicit zeros, and unit tokens outside
+the closed alias table are refused: silent coercion is exactly the failure
+class this layer exists to surface.
 """
 
 from __future__ import annotations
@@ -281,32 +281,6 @@ def validate_delivery(delivery: LoadsDelivery) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def _delivery_to_plain(delivery: LoadsDelivery) -> dict:
-    """Delivery as plain dicts in canonical key/point order."""
-    out: dict = {
-        "name": delivery.name,
-        "version": delivery.version,
-        "units": {"force": delivery.units.force_unit, "moment": delivery.units.moment_unit},
-    }
-    if delivery.coordinate_system is not None:
-        out["coordinate_system"] = delivery.coordinate_system
-    if delivery.point_coordinates is not None:
-        out["point_coordinates"] = {
-            point: list(delivery.point_coordinates[point])
-            for point in sorted(delivery.point_coordinates)
-        }
-    out["load_cases"] = []
-    for case in delivery.cases:
-        case_out: dict = {"id": case.id}
-        if case.label is not None:
-            case_out["label"] = case.label
-        case_out["point_loads"] = {
-            point: dict(zip(_COMPONENT_KEYS, case.loads[point])) for point in sorted(case.loads)
-        }
-        out["load_cases"].append(case_out)
-    return out
-
-
 # One point's row and one point's coordinates, as json.dumps(indent=2) lays them
 # out. The row's name slot is filled first, so its value slots are escaped.
 _POINT_LOADS_JSON = (
@@ -327,9 +301,11 @@ def _point_loads_template(points: tuple[str, ...]) -> str:
 def write_delivery_json(delivery: LoadsDelivery) -> str:
     """Canonical JSON rendering: fixed key order, sorted points, LF, trailing newline.
 
-    The text is exactly ``json.dumps(_delivery_to_plain(delivery), indent=2,
-    ensure_ascii=False) + "\\n"``, rendered directly: with ``indent`` the json
-    module falls back to its pure-Python encoder, which took most of the time.
+    The text is exactly ``json.dumps(...)`` of the canonical structure, with
+    ``indent=2, ensure_ascii=False``, plus ``"\\n"``: keys in schema order,
+    optional fields only when set, points sorted, components in ``fx`` to
+    ``mz`` order. It is rendered directly: with ``indent`` the json module
+    falls back to its pure-Python encoder, which took most of the time.
     Strings are escaped by the json module's own ``encode_basestring`` and
     numbers written with ``int.__repr__`` and ``float.__repr__``, as it does.
     A case's point loads are one ``%`` of a template built once per point set,
@@ -369,18 +345,6 @@ def write_delivery_json(delivery: LoadsDelivery) -> str:
         )
     parts.append('  "load_cases": [\n' + ",\n".join(cases) + "\n  ]\n}\n")
     return "".join(parts)
-
-
-def write_delivery_yaml(delivery: LoadsDelivery) -> str:
-    """Deterministic YAML rendering of the same canonical structure."""
-    import yaml
-
-    return yaml.safe_dump(
-        _delivery_to_plain(delivery),
-        sort_keys=False,
-        allow_unicode=True,
-        default_flow_style=False,
-    )
 
 
 def load_delivery(path: str | Path) -> LoadsDelivery:

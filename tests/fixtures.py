@@ -10,6 +10,10 @@ point count with a three-point group whose last entry is -(a + b).
 The construction is verified before returning: the generator runs
 envelope_select on its own output and refuses to hand back a fixture whose
 selection differs from the requested ids.
+
+``delivery_to_plain`` and ``delivery_yaml`` render a delivery as the plain
+dicts of its canonical JSON and as block-style YAML text: the oracle of the
+canonical JSON writer, and the YAML source of the tests that read YAML.
 """
 
 from __future__ import annotations
@@ -78,6 +82,47 @@ class _Assigner:
             f"cannot place extreme slots for {len(self.designated)} critical cases; "
             "too few points/components for this configuration"
         )
+
+
+_COMPONENT_KEYS = tuple(c.value for c in COMPONENT_ORDER)
+
+
+def delivery_to_plain(delivery: LoadsDelivery) -> dict:
+    """Delivery as plain dicts in canonical key/point order."""
+    out: dict = {
+        "name": delivery.name,
+        "version": delivery.version,
+        "units": {"force": delivery.units.force_unit, "moment": delivery.units.moment_unit},
+    }
+    if delivery.coordinate_system is not None:
+        out["coordinate_system"] = delivery.coordinate_system
+    if delivery.point_coordinates is not None:
+        out["point_coordinates"] = {
+            point: list(delivery.point_coordinates[point])
+            for point in sorted(delivery.point_coordinates)
+        }
+    out["load_cases"] = []
+    for case in delivery.cases:
+        case_out: dict = {"id": case.id}
+        if case.label is not None:
+            case_out["label"] = case.label
+        case_out["point_loads"] = {
+            point: dict(zip(_COMPONENT_KEYS, case.loads[point])) for point in sorted(case.loads)
+        }
+        out["load_cases"].append(case_out)
+    return out
+
+
+def delivery_yaml(delivery: LoadsDelivery) -> str:
+    """Deterministic block-style YAML of the same canonical structure."""
+    import yaml
+
+    return yaml.safe_dump(
+        delivery_to_plain(delivery),
+        sort_keys=False,
+        allow_unicode=True,
+        default_flow_style=False,
+    )
 
 
 def generate_fixture(

@@ -15,7 +15,7 @@ from loadsmith import cli
 from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import build_parser, main
 from loadsmith.export import write_envelope_json
-from loadsmith.ingest import parse_delivery, write_delivery_json, write_delivery_yaml
+from loadsmith.ingest import parse_delivery, write_delivery_json
 from loadsmith.model import (
     Component, ComponentSet, EnvelopeExtremes, ExtremeCell, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem,
 )
@@ -23,7 +23,7 @@ from loadsmith.transform import apply_ultimate_factor, convert_units, rename_poi
 from loadsmith.yaml_reader import backend as yaml_backend
 
 from conftest import SCENARIOS_DIR
-from fixtures import generate_fixture
+from fixtures import delivery_yaml, generate_fixture
 
 POINTS = ["bearing", "lug_left", "lug_right", "nozzle"]
 
@@ -80,28 +80,21 @@ class TestConvert:
     def test_yaml_to_json_round_trip(self, tmp_path, capsys, delivery_file):
         path, d = delivery_file
         yaml_path = tmp_path / "delivery.yaml"
-        yaml_path.write_text(write_delivery_yaml(d), encoding="utf-8")
+        yaml_path.write_text(delivery_yaml(d), encoding="utf-8")
         out_path = tmp_path / "converted.json"
         code, out, _ = run_cli(capsys, "convert", str(yaml_path), "--to", "json", "--out", str(out_path))
         assert code == 0
         assert json.loads(out)["written"] == str(out_path)
         assert parse_delivery(out_path.read_text()) == d
 
-    def test_json_to_yaml(self, tmp_path, capsys, delivery_file):
-        path, d = delivery_file
-        out_path = tmp_path / "converted.yaml"
-        code, _, _ = run_cli(capsys, "convert", str(path), "--to", "yaml", "--out", str(out_path))
-        assert code == 0
-        assert parse_delivery(out_path.read_text()) == d
-
     def test_trace_sidecar_written(self, tmp_path, capsys, delivery_file):
         # A YAML input, so the recorded backend is the one that read it in
         # this process, whichever tests ran before: the line reader, since
-        # the writer's YAML, "·" in the moment unit included, is in the
-        # block subset.
+        # delivery_yaml's block-style text, "·" in the moment unit included,
+        # is in the block subset.
         _, d = delivery_file
         path = tmp_path / "delivery.yaml"
-        path.write_text(write_delivery_yaml(d), encoding="utf-8")
+        path.write_text(delivery_yaml(d), encoding="utf-8")
         out_path = tmp_path / "c.json"
         run_cli(capsys, "convert", str(path), "--to", "json", "--out", str(out_path))
         trace = tmp_path / "c.json.trace.ndjson"
@@ -161,7 +154,7 @@ class TestConvert:
     def test_yaml_merge_key_exit_2(self, tmp_path, capsys, delivery_file):
         _, d = delivery_file
         path = tmp_path / "merge.yaml"
-        text = write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1)
+        text = delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1)
         path.write_text(text, encoding="utf-8")
         code, _, err = run_cli(
             capsys, "convert", str(path), "--to", "json", "--out", str(tmp_path / "x.json")
@@ -209,7 +202,7 @@ class TestValidate:
     def test_version_of_5000_digits_exit_2(self, tmp_path, capsys, delivery_file, carrier):
         _, d = delivery_file
         if carrier == "yaml":
-            text = write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n")
+            text = delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n")
         else:
             text = write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ",")
         path = tmp_path / f"long.{carrier}"
@@ -985,13 +978,13 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "delivery": write_delivery_json(d),
         "delivery_si": write_delivery_json(generate_fixture(21, 12, POINTS, 3)),
         "bom_json": "\ufeff" + write_delivery_json(d),
-        "merge_yaml": write_delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
-        "long_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
-        "date_value_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\nlabel: 2024-13-45\n"),
-        "time_value_yaml": write_delivery_yaml(d).replace(
+        "merge_yaml": delivery_yaml(d).replace("      fx:", "      <<: {fx: 5.0}\n      fx:", 1),
+        "long_yaml": delivery_yaml(d).replace("\nversion: 1\n", "\nversion: " + "9" * 5000 + "\n"),
+        "date_value_yaml": delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\nlabel: 2024-13-45\n"),
+        "time_value_yaml": delivery_yaml(d).replace(
             "\nversion: 1\n", "\nversion: 1\nlabel: 2001-12-14 25:00:00\n"
         ),
-        "date_key_yaml": write_delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\n2024-13-45: a\n"),
+        "date_key_yaml": delivery_yaml(d).replace("\nversion: 1\n", "\nversion: 1\n2024-13-45: a\n"),
         "long_json": write_delivery_json(d).replace('"version": 1,', '"version": ' + "9" * 5000 + ","),
         "broken": '{"name": "x"}',
         "deep": "[" * 200_000 + "]" * 200_000,
@@ -1044,6 +1037,19 @@ CLI_REFUSALS = [
         ("transform-units-one-part", "transform {delivery} --units N --out {out}/x.json", "USAGE"),
         ("transform-rename-no-equals", "transform {delivery} --rename lug_left --out {out}/x.json",
          "USAGE"),
+        # Before, the point was renamed to "", which envelope.md then wrote
+        # as a bare "## " heading.
+        ("transform-rename-empty-target", "transform {delivery} --rename lug_left= --out {out}/x.json",
+         "USAGE"),
+        # Before, convert and transform wrote YAML on request, and JSON or
+        # YAML under any name. A delivery is written as JSON only, and never
+        # under a YAML name, which is refused before the input is read: the
+        # input of the last three is not UTF-8, which would exit 2.
+        ("convert-to-yaml", "convert {delivery} --to yaml --out {out}/x.json", "USAGE"),
+        ("transform-to-yaml", "transform {delivery} --to yaml --out {out}/x.json", "USAGE"),
+        ("transform-out-yaml", "transform {bin} --out {out}/x.yaml", "USAGE"),
+        ("transform-out-upper-yaml", "transform {bin} --out {out}/x.YAML", "USAGE"),
+        ("convert-out-yml", "convert {bin} --to json --out {out}/x.yml", "USAGE"),
         ("envelope-no-out-dir", "envelope {delivery}"),
         ("export-no-node-map", "export-ansys {delivery} --select 1 --out-dir {out}"),
         ("export-config-node-map",
@@ -1156,7 +1162,7 @@ VALID_ARGVS = [
     "convert d.yaml --to json --out d.json",
     "validate d.json",
     "transform d.json --rename a=b --rename c=d --scale FX=2 --scale MY=0.5 --units N,N·m "
-    "--ultimate-factor 1.5 --out o.yaml --to yaml",
+    "--ultimate-factor 1.5 --out o.json",
     "equilibrium d.json --coords c.json --abs-tol 1e-6 --rel-tol 1e-3 --config t.json",
     "envelope d.json --out-dir out",
     "export-ansys d.json --select 1,2 --node-map n.json --exclude bearing --out-dir out",

@@ -318,10 +318,12 @@ class _JudgeHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def judge_server():
     server = HTTPServer(("127.0.0.1", 0), _JudgeHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll, 0.5 s apart by default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpJudge:

@@ -15,10 +15,10 @@ from loadsmith.ingest import (
     parse_delivery,
     validate_delivery,
     write_delivery_json,
-    write_delivery_yaml,
 )
 from loadsmith.model import COMPONENT_ORDER, ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
 
+from fixtures import delivery_to_plain, delivery_yaml
 from strategies import deliveries, oracle_deliveries, plain_deliveries
 
 MINIMAL_JSON = """\
@@ -547,7 +547,7 @@ class TestOnePassReaderOracle:
 
     @given(delivery=st.one_of(deliveries(), oracle_deliveries()))
     def test_rendered_delivery(self, backend, delivery):
-        new, oracle = _outcomes(write_delivery_yaml(delivery), _BASES[backend])
+        new, oracle = _outcomes(delivery_yaml(delivery), _BASES[backend])
         assert new == oracle
 
     def test_float_resolver_is_first_for_every_numeral_start(self, backend):
@@ -752,8 +752,8 @@ class TestBlockReaderOracle:
 
     @given(delivery=deliveries())
     def test_rendered_delivery(self, backend, delivery):
-        # What write_delivery_yaml writes, "·" in the moment unit included.
-        self.assert_agree(backend, write_delivery_yaml(delivery), read=True)
+        # The tests' block-style YAML, "·" in the moment unit included.
+        self.assert_agree(backend, delivery_yaml(delivery), read=True)
 
     @pytest.mark.parametrize("text,read", _BLOCK_CASES)
     def test_boundary(self, backend, text, read):
@@ -985,13 +985,13 @@ class TestCanonicalSerialization:
         assert "\r" not in text
 
     def test_yaml_rendering_parses_back(self, two_point_delivery):
-        text = write_delivery_yaml(two_point_delivery)
+        text = delivery_yaml(two_point_delivery)
         assert parse_delivery(text) == two_point_delivery
 
     @given(deliveries())
     def test_format_agnosticism(self, delivery):
         via_json = parse_delivery(write_delivery_json(delivery))
-        via_yaml = parse_delivery(write_delivery_yaml(delivery))
+        via_yaml = parse_delivery(delivery_yaml(delivery))
         assert via_json == via_yaml == delivery
 
     @given(deliveries())
@@ -1035,7 +1035,7 @@ class TestCanonicalSerialization:
         )
     )
     def test_writer_matches_json_dumps_oracle(self, delivery):
-        oracle = json.dumps(ingest._delivery_to_plain(delivery), indent=2, ensure_ascii=False)
+        oracle = json.dumps(delivery_to_plain(delivery), indent=2, ensure_ascii=False)
         assert write_delivery_json(delivery) == oracle + "\n"
 
     @given(plain_deliveries())
