@@ -8,7 +8,9 @@ Exit codes form a contract orchestrators can branch on:
 * 3 - processing succeeded but the new loads exceed the previous envelope
 * 4 - infrastructure failure (missing files, I/O trouble)
 
-Each subcommand writes its content files and returns its exit code, its
+argv is a command's only source of settings, and each option's ``type=``
+reader checks its value while argv is parsed, before any input is read.
+Each subcommand then writes its content files and returns its exit code, its
 summary and the files written. ``main()`` writes the rest: an NDJSON trace
 sidecar for those files (argv, checksums, timestamps, kept out of the
 content), the summary as JSON on stdout, or one JSON error object on stderr.
@@ -39,8 +41,6 @@ EXIT_PROCESSING = 2
 EXIT_EXCEEDANCE = 3
 EXIT_INFRASTRUCTURE = 4
 
-OUT_DIR_ENV = "LOADSMITH_OUT_DIR"
-
 
 class _UsageExit(LoadsmithError):
     def __init__(self, message: str):
@@ -52,28 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # failures, so route usage problems through our own handler.
     def error(self, message):
         raise _UsageExit(message)
-
-
-def _load_tolerances(path: str | None) -> Tolerance:
-    """Default tolerances, or those of a ``{"tolerances": {"abs": x, "rel": y}}`` config file."""
-    if path is None:
-        return Tolerance()
-    config = strict.read_json(strict.read_text(path, "config"), "config")
-    strict.expect_keys(strict.expect_mapping(config, "$"), ("tolerances",), (), "$")
-    tolerances = strict.expect_mapping(config["tolerances"], "tolerances")
-    strict.expect_keys(tolerances, ("abs", "rel"), (), "tolerances")
-    return Tolerance(
-        *(strict.expect_number(tolerances[key], f"tolerances.{key}") for key in ("abs", "rel"))
-    )
-
-
-def _default_out_dir(explicit: str | None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    raise _UsageExit(f"--out-dir is required (or set {OUT_DIR_ENV})")
 
 
 def _number(kind):
@@ -93,18 +71,44 @@ def _number(kind):
 _float, _int = _number(float), _number(int)
 
 
-def _parse_units(token: str) -> UnitSystem:
+def _rename(token: str) -> tuple[str, str]:
+    """``OLD=NEW`` as ``(old, new)``, refusing a blank ``NEW``."""
+    old, equals, new = token.partition("=")
+    if not (equals and new.strip()):
+        raise argparse.ArgumentTypeError(f"expected OLD=NEW with a new name, got {token!r}")
+    return old, new
+
+
+def _scale(token: str) -> tuple[Component, float]:
+    """``COMP=FACTOR`` as ``(component, factor)``."""
+    name, _, factor = token.partition("=")
+    try:
+        return Component[name.strip().upper()], _float(factor)
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected COMP=FACTOR, COMP one of FX FY FZ MX MY MZ, got {token!r}"
+        ) from None
+
+
+def _units(token: str) -> UnitSystem:
+    """``FORCE,MOMENT`` as a unit system; an unknown unit is UNKNOWN_UNIT (exit 2)."""
     parts = token.split(",")
     if len(parts) != 2:
-        raise _UsageExit("--units expects FORCE,MOMENT (for example N,N·m)")
+        raise argparse.ArgumentTypeError("expected FORCE,MOMENT (for example N,N·m)")
     return UnitSystem(parts[0].strip(), parts[1].strip())
 
 
-def _parse_component(token: str) -> Component:
+def _case_ids(token: str) -> list[int]:
+    """``ID,ID,...`` as case ids, skipping blank entries."""
     try:
-        return Component[token.strip().upper()]
-    except KeyError:
-        raise _UsageExit(f"unknown component {token!r}; expected one of FX FY FZ MX MY MZ")
+        return [_int(part) for part in token.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {token!r}") from None
+
+
+def _point_names(token: str) -> frozenset[str]:
+    """``POINT,POINT,...`` as point names, skipping blank entries."""
+    return frozenset(part.strip() for part in token.split(",") if part.strip())
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -121,6 +125,15 @@ def _delivery_out(token: str) -> Path:
         raise argparse.ArgumentTypeError(
             f"a delivery is written as JSON; {token!r} names a YAML file"
         )
+    return out
+
+
+def _report_out(token: str) -> Path:
+    """``compare --out``: the markdown report is written beside it with the
+    suffix ``.md``, so a ``.md`` name, which it would overwrite, is refused."""
+    out = Path(token)
+    if out.suffix == ".md":
+        raise argparse.ArgumentTypeError(f"{token!r} would be overwritten by the markdown report")
     return out
 
 
@@ -145,37 +158,24 @@ def _cmd_validate(args):
 
 
 def _cmd_transform(args):
-    delivery = ingest.load_delivery(args.input)
-    summary: dict = {}
-
     renames = {}
-    for spec in args.rename or []:
-        old, equals, new = spec.partition("=")
-        if not (equals and new):
-            raise _UsageExit(f"--rename expects old=new with a new name, got {spec!r}")
+    for old, new in args.rename:
         if old in renames:
             raise _UsageExit(f"--rename names point {old!r} twice")
         renames[old] = new
+    delivery = ingest.load_delivery(args.input)
+    summary: dict = {}
     if renames:
         delivery, count = transform.rename_points(delivery, renames)
         summary["rename_count"] = count
 
-    for spec in args.scale or []:
-        if "=" not in spec:
-            raise _UsageExit(f"--scale expects COMP=factor, got {spec!r}")
-        comp_token, factor_token = spec.split("=", 1)
-        component = _parse_component(comp_token)
-        try:
-            factor = _float(factor_token)
-        except ValueError:
-            raise _UsageExit(f"--scale factor must be a number, got {factor_token!r}")
+    for component, factor in args.scale:
         delivery = transform.scale_component(delivery, component, factor)
         summary.setdefault("scaled", []).append({"component": component.name, "factor": factor})
 
     if args.units is not None:
-        target = _parse_units(args.units)
-        delivery = transform.convert_units(delivery, target)
-        summary["units"] = {"force": target.force_unit, "moment": target.moment_unit}
+        delivery = transform.convert_units(delivery, args.units)
+        summary["units"] = {"force": args.units.force_unit, "moment": args.units.moment_unit}
 
     if args.ultimate_factor is not None:
         delivery = transform.apply_ultimate_factor(delivery, args.ultimate_factor)
@@ -187,11 +187,7 @@ def _cmd_transform(args):
 
 
 def _cmd_equilibrium(args):
-    defaults = _load_tolerances(args.config)
-    tol = Tolerance(
-        abs=args.abs_tol if args.abs_tol is not None else defaults.abs,
-        rel=args.rel_tol if args.rel_tol is not None else defaults.rel,
-    )
+    tol = Tolerance(args.abs_tol, args.rel_tol)
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
@@ -204,9 +200,8 @@ def _cmd_equilibrium(args):
 def _cmd_envelope(args):
     delivery = ingest.load_delivery(args.input)
     selection = envelope_select(delivery)
-    out_dir = _default_out_dir(args.out_dir)
-    md_path = out_dir / "envelope.md"
-    json_path = out_dir / "envelope_extremes.json"
+    md_path = args.out_dir / "envelope.md"
+    json_path = args.out_dir / "envelope_extremes.json"
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
     summary = {"selected_case_ids": list(selection.selected_case_ids)}
@@ -217,19 +212,7 @@ def _cmd_envelope(args):
 def _cmd_export_ansys(args):
     delivery = ingest.load_delivery(args.input)
     nodes = export.load_node_map(args.node_map)
-    selected = []
-    for token in args.select.split(","):
-        token = token.strip()
-        if token:
-            try:
-                selected.append(_int(token))
-            except ValueError:
-                raise _UsageExit(f"--select expects integers, got {token!r}")
-    exclude = frozenset(
-        token.strip() for token in (args.exclude or "").split(",") if token.strip()
-    )
-    out_dir = _default_out_dir(args.out_dir)
-    paths = export.export_all_inp(delivery, selected, nodes, exclude, out_dir)
+    paths = export.export_all_inp(delivery, args.select, nodes, args.exclude, args.out_dir)
     return EXIT_OK, {"written": [str(p) for p in paths]}, paths
 
 
@@ -247,16 +230,14 @@ def _refuse_overwriting_inputs(out: Path, inputs: tuple[str, ...]) -> None:
 
 def _cmd_compare(args):
     if args.out is not None:
-        if Path(args.out).suffix == ".md":
-            raise _UsageExit(f"--out {args.out!r} would be overwritten by the markdown report")
-        _refuse_overwriting_inputs(Path(args.out), (args.new, args.old))
+        _refuse_overwriting_inputs(args.out, (args.new, args.old))
     new_text = strict.read_text(args.new, "new extremes")
     old_text = strict.read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
         export.read_envelope_json(new_text), export.read_envelope_json(old_text), args.widen_tol
     )
     if args.out is not None:
-        out = Path(args.out)
+        out = args.out
     else:
         out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
         _refuse_overwriting_inputs(out, (args.new, args.old))
@@ -274,13 +255,22 @@ def _cmd_eval_run(args):
     from .evalkit.runner import run_scenario
     from .evalkit.scenario import load_scenario
 
-    out_dir = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUT_DIR_ENV, "eval_runs"))
+    # Every scenario is read before any runs, so a malformed one, or two
+    # that would share a directory of --out-dir, leaves no run behind.
+    scenarios, first_path = [], {}
+    for path in args.scenarios:
+        scenario = load_scenario(path)
+        if scenario.id in first_path:
+            raise _UsageExit(
+                f"the scenarios {first_path[scenario.id]!r} and {path!r} share the id {scenario.id!r}"
+            )
+        first_path[scenario.id] = path
+        scenarios.append(scenario)
     all_pass = True
     any_infra = False
     summaries = []
-    for scenario_path in args.scenarios:
-        scenario = load_scenario(scenario_path)
-        report = run_scenario(scenario, out_dir / scenario.id, k=args.k)
+    for scenario in scenarios:
+        report = run_scenario(scenario, args.out_dir / scenario.id, k=args.k)
         all_pass = all_pass and report.pass_hat_k
         any_infra = any_infra or report.infrastructure_failures > 0
         summaries.append(
@@ -296,7 +286,7 @@ def _cmd_eval_run(args):
                     for run in report.runs
                     if not run.passed
                 ],
-                "report": str(out_dir / scenario.id / "report.json"),
+                "report": str(args.out_dir / scenario.id / "report.json"),
             }
         )
     status = EXIT_OK if all_pass else EXIT_INFRASTRUCTURE if any_infra else EXIT_PROCESSING
@@ -333,9 +323,9 @@ def _validate_arguments(p):
 
 def _transform_arguments(p):
     p.add_argument("input")
-    p.add_argument("--rename", action="append", metavar="OLD=NEW")
-    p.add_argument("--scale", action="append", metavar="COMP=FACTOR")
-    p.add_argument("--units", metavar="FORCE,MOMENT")
+    p.add_argument("--rename", action="append", default=[], type=_rename, metavar="OLD=NEW")
+    p.add_argument("--scale", action="append", default=[], type=_scale, metavar="COMP=FACTOR")
+    p.add_argument("--units", type=_units, metavar="FORCE,MOMENT")
     p.add_argument("--ultimate-factor", type=_float, dest="ultimate_factor")
     p.add_argument("--out", required=True, type=_delivery_out)
     p.set_defaults(func=_cmd_transform)
@@ -344,31 +334,30 @@ def _transform_arguments(p):
 def _equilibrium_arguments(p):
     p.add_argument("input")
     p.add_argument("--coords", help="JSON file {point: [x, y, z]} in meters")
-    p.add_argument("--abs-tol", type=_float, dest="abs_tol")
-    p.add_argument("--rel-tol", type=_float, dest="rel_tol")
-    p.add_argument("--config", help='JSON file {"tolerances": {"abs": number, "rel": number}}')
+    p.add_argument("--abs-tol", type=_float, default=Tolerance().abs, dest="abs_tol")
+    p.add_argument("--rel-tol", type=_float, default=Tolerance().rel, dest="rel_tol")
     p.set_defaults(func=_cmd_equilibrium)
 
 
 def _envelope_arguments(p):
     p.add_argument("input")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", required=True, type=Path)
     p.set_defaults(func=_cmd_envelope)
 
 
 def _export_ansys_arguments(p):
     p.add_argument("input")
-    p.add_argument("--select", required=True, metavar="ID,ID,...")
+    p.add_argument("--select", required=True, type=_case_ids, metavar="ID,ID,...")
     p.add_argument("--node-map", dest="node_map", required=True, help="JSON file {point: node id}")
-    p.add_argument("--exclude", metavar="POINT,POINT,...")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--exclude", type=_point_names, default=frozenset(), metavar="POINT,POINT,...")
+    p.add_argument("--out-dir", dest="out_dir", required=True, type=Path)
     p.set_defaults(func=_cmd_export_ansys)
 
 
 def _compare_arguments(p):
     p.add_argument("new")
     p.add_argument("old")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_report_out)
     p.add_argument("--widen-tol", type=_float, default=0.0, dest="widen_tol")
     p.set_defaults(func=_cmd_compare)
 
@@ -379,7 +368,7 @@ def _eval_arguments(p):
     run_p = eval_sub.add_parser("run", help="run scenario repetitions and report pass^k")
     run_p.add_argument("scenarios", nargs="+")
     run_p.add_argument("-k", type=_int, default=None)
-    run_p.add_argument("--out-dir", dest="out_dir")
+    run_p.add_argument("--out-dir", dest="out_dir", default="eval_runs", type=Path)
     run_p.set_defaults(func=_cmd_eval_run)
 
     passk_p = eval_sub.add_parser("passk", help="minimum k for a target pass probability")
@@ -424,16 +413,14 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _refuse_undecodable(argv: list[str]) -> None:
-    """A usage error for an argv token, or a ``LOADSMITH_OUT_DIR``, that the
-    system gave as bytes that are not UTF-8: Python holds them as lone
-    surrogates, which no sidecar or summary can write."""
-    named = [(f"argument {token!r}", token) for token in argv]
-    named.append((OUT_DIR_ENV, os.environ.get(OUT_DIR_ENV, "")))
-    for what, token in named:
+    """A usage error for an argv token that the system gave as bytes that are
+    not UTF-8: Python holds them as lone surrogates, which no sidecar or
+    summary can write."""
+    for token in argv:
         try:
             token.encode("utf-8")
         except UnicodeEncodeError:
-            raise _UsageExit(f"{what} is not UTF-8 text") from None
+            raise _UsageExit(f"argument {token!r} is not UTF-8 text") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         if written:
             named = [vars(args)[n] for n in ("input", "node_map", "new", "old") if n in vars(args)]
             if "out_dir" in vars(args):
-                sidecar = _default_out_dir(args.out_dir) / "trace.ndjson"
+                sidecar = args.out_dir / "trace.ndjson"
             else:
                 sidecar = f"{written[0]}.trace.ndjson"
             write_cli_trace(sidecar, ["loadsmith", *argv], named, written)

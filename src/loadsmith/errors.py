@@ -35,7 +35,7 @@ class InputSyntaxError(LoadsmithError):
 
 
 class SchemaError(LoadsmithError):
-    """Well-formed input that violates the delivery (or config) schema."""
+    """Well-formed input that violates its schema (a delivery, extremes or a scenario, say)."""
 
     def __init__(self, message: str, *, location: str | None = None):
         super().__init__(message, code="SCHEMA_ERROR", location=location)

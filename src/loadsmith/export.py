@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import strict
 from .errors import LoadsmithError, SchemaError
-from .ingest import read_units
+from .ingest import read_positive_int, read_units
 from .model import (
     COMPONENT_ORDER,
     Component,
@@ -54,7 +54,7 @@ def one_line(text: str, what: str) -> str:
 
 
 def parse_node_map(text: str) -> NodeMap:
-    """Parse a {point: node id} JSON config; ids must be positive and unique."""
+    """Parse a {point: node id} JSON file; ids must be positive and unique."""
     nodes = expect_mapping(strict.read_json(text, "node map"), "$")
     for point, node in nodes.items():
         if expect_int(node, point) < 1:
@@ -249,7 +249,7 @@ def read_envelope_json(text: str) -> EnvelopeExtremes:
                 raise SchemaError(str(exc), location=cloc) from exc
     return EnvelopeExtremes(
         name=expect_text(root["name"], "name"),
-        version=expect_int(root["version"], "version"),
+        version=read_positive_int(root["version"], "extremes version", "version"),
         units=read_units(root["units"], "units"),
         cells=cells,
     )

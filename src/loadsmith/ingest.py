@@ -124,7 +124,7 @@ def _row_by_field(point, comp_node, ploc: str) -> ComponentSet:
     return row
 
 
-def _positive_int(value, what: str, location: str) -> int:
+def read_positive_int(value, what: str, location: str) -> int:
     """``value`` as an int that the model's rule accepts as ``what``, else
     refused at ``location`` with the model's message."""
     number = expect_int(value, location)
@@ -188,7 +188,7 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
         loc = f"load_cases[{idx}]"
         case_map = expect_mapping(case_node, loc)
         expect_keys(case_map, required=("id", "point_loads"), optional=("label",), location=loc)
-        case_id = _positive_int(case_map["id"], "case id", f"{loc}.id")
+        case_id = read_positive_int(case_map["id"], "case id", f"{loc}.id")
         label = expect_text(case_map["label"], f"{loc}.label") if "label" in case_map else None
         points_node = expect_mapping(case_map["point_loads"], f"{loc}.point_loads")
         if not points_node:
@@ -203,7 +203,7 @@ def parse_delivery(raw: str | bytes) -> LoadsDelivery:
 
     return LoadsDelivery(
         name=expect_text(root["name"], "name"),
-        version=_positive_int(root["version"], "delivery version", "version"),
+        version=read_positive_int(root["version"], "delivery version", "version"),
         units=units,
         coordinate_system=coordinate_system,
         point_coordinates=point_coordinates,

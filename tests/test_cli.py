@@ -1,8 +1,11 @@
+import argparse
 import copy
 import hashlib
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,7 @@ from loadsmith.model import (
 from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
 from loadsmith.yaml_reader import backend as yaml_backend
 
-from conftest import SCENARIOS_DIR
+from conftest import REPO_ROOT, SCENARIOS_DIR
 from fixtures import delivery_yaml, generate_fixture
 
 POINTS = ["bearing", "lug_left", "lug_right", "nozzle"]
@@ -312,14 +315,6 @@ class TestEquilibrium:
         assert code == 2
         assert not json.loads(out)["all_balanced"]
 
-    def test_undecodable_config_exit_2(self, tmp_path, capsys, delivery_file):
-        path, _ = delivery_file
-        code, _, err = run_cli(
-            capsys, "equilibrium", str(path), "--config", str(undecodable(tmp_path))
-        )
-        assert code == 2
-        assert_refused_as_not_utf8(err, "config")
-
     def test_undecodable_coords_exit_2(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
         code, _, err = run_cli(
@@ -328,50 +323,18 @@ class TestEquilibrium:
         assert code == 2
         assert_refused_as_not_utf8(err, "coords")
 
-    def test_config_supplies_tolerances(self, tmp_path, capsys, delivery_file):
+    def test_loose_tolerances_balance(self, capsys, delivery_file):
         path, _ = delivery_file
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0}}))
-        code, out, _ = run_cli(capsys, "equilibrium", str(path), "--config", str(config))
-        assert code == 0  # absurdly loose tolerance from config
+        code, _, _ = run_cli(capsys, "equilibrium", str(path), "--abs-tol", "1e9", "--rel-tol", "1")
+        assert code == 0
 
     @pytest.mark.parametrize(
-        "config,location",
-        [
-            ({"tolerances": {"abs": 1e9, "rel": 1.0}, "node_map": {"bearing": 7}}, "$.node_map"),
-            ({"tolerances": {"abs": 1e9, "rel": 1.0, "step": 2}}, "tolerances.step"),
-            ({"tolerances": {"abs": "x", "rel": 1.0}}, "tolerances.abs"),
-        ],
-        ids=["node-map-key", "unknown-key", "string-tolerance"],
+        "flag", ["--rel-tol=nan", "--abs-tol=inf", "--abs-tol=-1"],
+        ids=["rel-nan", "abs-inf", "abs-negative"],
     )
-    def test_config_refused(self, tmp_path, capsys, delivery_file, config, location):
+    def test_non_finite_or_negative_tolerance_exit_2(self, capsys, delivery_file, flag):
         path, _ = delivery_file
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        code, _, err = run_cli(capsys, "equilibrium", str(path), "--config", str(config_path))
-        assert code == 2
-        error = single_error(err)
-        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
-
-    @pytest.mark.parametrize(
-        "flags,config",
-        [
-            (["--rel-tol=nan"], None),
-            (["--abs-tol=inf"], None),
-            (["--abs-tol=-1"], None),
-            ([], {"tolerances": {"abs": 1e-9, "rel": -1}}),
-        ],
-        ids=["rel-nan", "abs-inf", "abs-negative", "config-rel-negative"],
-    )
-    def test_non_finite_or_negative_tolerance_exit_2(
-        self, tmp_path, capsys, delivery_file, flags, config
-    ):
-        path, _ = delivery_file
-        if config is not None:
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(config))
-            flags = [*flags, "--config", str(config_path)]
-        code, out, err = run_cli(capsys, "equilibrium", str(path), *flags)
+        code, out, err = run_cli(capsys, "equilibrium", str(path), flag)
         assert (code, out) == (2, "")
         assert single_error(err)["code"] == "BAD_TOLERANCE"
 
@@ -425,15 +388,18 @@ class TestEnvelope:
         assert (out_dir / "trace.ndjson").exists()
 
     def test_out_dir_env_override(self, tmp_path, capsys, monkeypatch, delivery_file):
+        # Before, LOADSMITH_OUT_DIR stood in for --out-dir, so an exported
+        # variable moved the outputs without showing in the recorded argv.
+        # argv is the only source of a setting.
         path, _ = delivery_file
         monkeypatch.setenv("LOADSMITH_OUT_DIR", str(tmp_path / "from_env"))
-        code, _, _ = run_cli(capsys, "envelope", str(path))
-        assert code == 0
-        assert (tmp_path / "from_env" / "envelope.md").exists()
+        code, out, err = run_cli(capsys, "envelope", str(path))
+        assert (code, out) == (1, "")
+        assert single_error(err)["code"] == "USAGE"
+        assert not (tmp_path / "from_env").exists()
 
-    def test_missing_out_dir_usage_error(self, capsys, monkeypatch, delivery_file):
+    def test_missing_out_dir_usage_error(self, capsys, delivery_file):
         path, _ = delivery_file
-        monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
         code, _, _ = run_cli(capsys, "envelope", str(path))
         assert code == 1
 
@@ -703,6 +669,20 @@ class TestCompare:
         error = single_error(err)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", location)
 
+    @pytest.mark.parametrize("version", [0, -7])
+    def test_version_below_one_exit_2(self, tmp_path, capsys, monkeypatch, delivery_file, version):
+        # Before, compare wrote comparison_report/v-7_vs_v1.json. An
+        # envelope's version meets the rule a delivery's version meets.
+        new = self.make_extremes(tmp_path, capsys, delivery_file)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**json.loads(new.read_text()), "version": version}))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "compare", str(new), str(old))
+        assert (code, out) == (2, "")
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "version")
+        assert not (tmp_path / "comparison_report").exists()
+
     def test_empty_extremes_exit_2(self, tmp_path, capsys, delivery_file):
         data = json.loads(self.make_extremes(tmp_path, capsys, delivery_file).read_text())
         data["extremes"] = {}
@@ -839,6 +819,40 @@ class TestEval:
         assert error["code"] == code
         assert error.get("location") == location
         assert not (tmp_path / "runs").exists()
+
+    def test_run_shared_id_usage_error(self, tmp_path, capsys):
+        # Before, both ran into runs/cli-malformed/: the second's report.json
+        # replaced the first's, and its run_1/ was wiped.
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(_SCENARIO), encoding="utf-8")
+        second.write_text(json.dumps({**_SCENARIO, "k": 2}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "run", str(first), str(second), "-k", "1",
+                                 "--out-dir", str(tmp_path / "runs"))
+        assert (code, out) == (1, "")
+        error = single_error(err)
+        assert error["code"] == "USAGE"
+        assert repr(str(first)) in error["message"] and repr(str(second)) in error["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_malformed_second_scenario_runs_nothing(self, tmp_path, capsys):
+        # Before, the first scenario ran before the second was read.
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(_SCENARIO), encoding="utf-8")
+        second.write_text(_scenario_with(("k",), True), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "run", str(first), str(second), "-k", "1",
+                                 "--out-dir", str(tmp_path / "runs"))
+        assert (code, out) == (2, "")
+        error = single_error(err)
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "k")
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_out_dir_defaults_to_eval_runs(self, tmp_path, capsys, monkeypatch):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(_SCENARIO), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "eval", "run", str(spath), "-k", "1")
+        assert json.loads(out)[0]["report"] == "eval_runs/cli-malformed/report.json"
+        assert (tmp_path / "eval_runs" / "cli-malformed" / "report.json").exists()
 
     def test_run_id_cannot_leave_out_dir(self, tmp_path, capsys):
         # Before, the runs and report.json landed in D/../outside, and the
@@ -993,10 +1007,7 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "multiline_point": write_delivery_json(multiline_point),
         "nodes": json.dumps({p: 1000 + i for i, p in enumerate(POINTS)}),
         "nodes_a": json.dumps({"a": 7}),
-        "config_node_map": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0}, "node_map": {"bearing": 7}}),
-        "config_step": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0, "step": 2}}),
-        "config_string": json.dumps({"tolerances": {"abs": "x", "rel": 1.0}}),
-        "config_rel_negative": json.dumps({"tolerances": {"abs": 1e-9, "rel": -1}}),
+        "tolerances": json.dumps({"tolerances": {"abs": 1e9, "rel": 1.0}}),
         "export_config": json.dumps({"node_map": {p: 7 for p in POINTS}}),
         "coords_string": json.dumps({p: [0.0, "x" if p == "nozzle" else 0.0, 0.0] for p in POINTS}),
         "coords_nan": json.dumps({p: [float("nan"), 0.0, 0.0] for p in POINTS}),
@@ -1007,7 +1018,9 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "extremes_min_above_max": edited(lambda cell: cell.update(min=cell["max"] + 1.0)),
         "extremes_empty": json.dumps({**extremes, "extremes": {}}),
         "extremes_multiline_name": json.dumps({**extremes, "name": "v2\nUnits: force N, moment N·m"}),
+        "extremes_version_negative": json.dumps({**extremes, "version": -7}),
         "scenario": json.dumps(_SCENARIO),
+        "scenario_same_id": json.dumps({**_SCENARIO, "k": 2}),
         **{f"scenario_{param.id}": param.values[0] for param in MALFORMED_SCENARIOS},
     }
     files = {"bin": root / "bin.json"}
@@ -1018,9 +1031,13 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
     return {name: str(path) for name, path in files.items()}
 
 
-def _refusals(status: int, *cases: tuple[str, ...]) -> list:
-    """Each case is (name, argv) or (name, argv, the error code it must give)."""
-    return [pytest.param(argv.split(), status, code, id=name) for name, argv, *code in cases]
+def _refusals(status: int, *cases: tuple) -> list:
+    """Each case is (name, argv) or (name, argv, the error code it must give);
+    an argv is a string of space-separated arguments, or their list."""
+    return [
+        pytest.param(argv.split() if isinstance(argv, str) else argv, status, code, id=name)
+        for name, argv, *code in cases
+    ]
 
 
 # Every refusal this file's tests exercise, as an argv with {name} for an
@@ -1030,17 +1047,30 @@ def _refusals(status: int, *cases: tuple[str, ...]) -> list:
 CLI_REFUSALS = [
     *_refusals(
         1,
-        ("transform-scale-spec", "transform {delivery} --scale FX:1.04 --out {out}/x.json"),
+        # Every option value is checked as argv is parsed, before the input
+        # is read. Before, the checks of --scale, --units, --rename and
+        # --select ran after the read, so the input of these, which is not
+        # UTF-8 or is missing, was refused first (exit 2 or 4).
+        ("transform-scale-spec", "transform {bin} --scale FX:1.04 --out {out}/x.json", "USAGE"),
+        ("transform-scale-spec-missing-input",
+         "transform {out}/missing.json --scale FX:1.04 --out {out}/x.json", "USAGE"),
         ("transform-repeated-rename",
-         "transform {delivery} --rename lug_left=lug_port --rename lug_left=lug_x --out {out}/x.json"),
-        ("transform-unknown-component", "transform {delivery} --scale QQ=2 --out {out}/x.json"),
-        ("transform-units-one-part", "transform {delivery} --units N --out {out}/x.json", "USAGE"),
-        ("transform-rename-no-equals", "transform {delivery} --rename lug_left --out {out}/x.json",
+         "transform {bin} --rename lug_left=lug_port --rename lug_left=lug_x --out {out}/x.json",
          "USAGE"),
-        # Before, the point was renamed to "", which envelope.md then wrote
-        # as a bare "## " heading.
+        ("transform-unknown-component", "transform {bin} --scale QQ=2 --out {out}/x.json", "USAGE"),
+        ("transform-units-one-part", "transform {bin} --units N --out {out}/x.json", "USAGE"),
+        ("transform-rename-no-equals", "transform {bin} --rename lug_left --out {out}/x.json",
+         "USAGE"),
+        ("export-select-not-integer",
+         "export-ansys {bin} --select x --node-map {nodes} --out-dir {out}", "USAGE"),
+        # Before, the point was renamed to "" or " ", which envelope.md then
+        # wrote as a heading with no name.
         ("transform-rename-empty-target", "transform {delivery} --rename lug_left= --out {out}/x.json",
          "USAGE"),
+        ("transform-rename-blank-target",
+         ["transform", "{delivery}", "--rename", "lug_left= ", "--out", "{out}/x.json"], "USAGE"),
+        # Before, --config read default tolerances from a file.
+        ("equilibrium-config", "equilibrium {delivery} --config {tolerances}", "USAGE"),
         # Before, convert and transform wrote YAML on request, and JSON or
         # YAML under any name. A delivery is written as JSON only, and never
         # under a YAML name, which is refused before the input is read: the
@@ -1068,6 +1098,8 @@ CLI_REFUSALS = [
          "compare {extremes} {extremes} --out {out}/c.json --widen-tol=0_1", "USAGE"),
         ("eval-passk-p-grouped", "eval passk --p 0.9_0", "USAGE"),
         ("eval-run-k-grouped", "eval run {scenario} -k 1_0 --out-dir {out}", "USAGE"),
+        # Before, both ran into one directory, the second over the first.
+        ("eval-run-shared-id", "eval run {scenario} {scenario_same_id} -k 1 --out-dir {out}", "USAGE"),
         # Before, convert wrote the content file and an empty sidecar, then
         # exited 2 with VALUE_ERROR.
         ("convert-undecodable-out-name", "convert {delivery} --to json --out {out}/\udcff.json",
@@ -1099,15 +1131,10 @@ CLI_REFUSALS = [
          "UNKNOWN_UNIT"),
         ("transform-negative-factor", "transform {delivery} --scale FX=-1 --out {out}/x.json",
          "BAD_FACTOR"),
-        ("equilibrium-undecodable-config", "equilibrium {delivery} --config {bin}"),
         ("equilibrium-undecodable-coords", "equilibrium {delivery} --coords {bin}"),
-        ("equilibrium-config-node-map", "equilibrium {delivery} --config {config_node_map}"),
-        ("equilibrium-config-unknown-key", "equilibrium {delivery} --config {config_step}"),
-        ("equilibrium-config-string", "equilibrium {delivery} --config {config_string}"),
         ("equilibrium-rel-nan", "equilibrium {delivery} --rel-tol=nan"),
         ("equilibrium-abs-inf", "equilibrium {delivery} --abs-tol=inf"),
         ("equilibrium-abs-negative", "equilibrium {delivery} --abs-tol=-1"),
-        ("equilibrium-config-rel-negative", "equilibrium {delivery} --config {config_rel_negative}"),
         ("equilibrium-coords-string", "equilibrium {delivery} --coords {coords_string}"),
         ("equilibrium-coords-nan", "equilibrium {delivery} --coords {coords_nan}"),
         ("export-unknown-excluded",
@@ -1126,6 +1153,9 @@ CLI_REFUSALS = [
         ("compare-min-above-max", "compare {extremes} {extremes_min_above_max} --out {out}/c.json"),
         ("compare-empty", "compare {extremes_empty} {extremes_empty} --out {out}/c.json"),
         ("compare-multiline-name", "compare {extremes_multiline_name} {extremes} --out {out}/c.json"),
+        # Before, the report was written, naming version -7.
+        ("compare-version-below-one", "compare {extremes} {extremes_version_negative} --out {out}/c.json",
+         "SCHEMA_ERROR"),
         ("compare-undecodable-new", "compare {bin} {extremes} --out {out}/c.json"),
         ("compare-undecodable-old", "compare {extremes} {bin} --out {out}/c.json"),
         *(
@@ -1137,6 +1167,8 @@ CLI_REFUSALS = [
             (f"eval-run-{param.id}", f"eval run {{scenario_{param.id}}} --out-dir {{out}}")
             for param in MALFORMED_SCENARIOS
         ),
+        ("eval-run-malformed-second", "eval run {scenario} {scenario_k-true} -k 1 --out-dir {out}",
+         "SCHEMA_ERROR"),
         ("eval-passk-p-above-one", "eval passk --p 2"),
         ("eval-passk-alpha-nan", "eval passk --p 0.9 --alpha nan"),
         ("eval-run-k-zero", "eval run {scenario} -k 0 --out-dir {out}"),
@@ -1145,10 +1177,9 @@ CLI_REFUSALS = [
 
 
 @pytest.mark.parametrize("argv,status,error_code", CLI_REFUSALS)
-def test_refusal_sweep(tmp_path, capsys, monkeypatch, refusal_inputs, argv, status, error_code):
+def test_refusal_sweep(tmp_path, capsys, refusal_inputs, argv, status, error_code):
     # Before, a scaled value that overflowed was refused as VALUE_ERROR, the
     # code main() gives any other ValueError.
-    monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
     code, out, err = run_cli(capsys, *(arg.format(**refusal_inputs, out=tmp_path) for arg in argv))
     assert (code, out) == (status, "")
     given = single_error(err)["code"]
@@ -1163,7 +1194,7 @@ VALID_ARGVS = [
     "validate d.json",
     "transform d.json --rename a=b --rename c=d --scale FX=2 --scale MY=0.5 --units N,N·m "
     "--ultimate-factor 1.5 --out o.json",
-    "equilibrium d.json --coords c.json --abs-tol 1e-6 --rel-tol 1e-3 --config t.json",
+    "equilibrium d.json --coords c.json --abs-tol 1e-6 --rel-tol 1e-3",
     "envelope d.json --out-dir out",
     "export-ansys d.json --select 1,2 --node-map n.json --exclude bearing --out-dir out",
     "compare new.json old.json --out c.json --widen-tol 0.1",
@@ -1171,6 +1202,42 @@ VALID_ARGVS = [
     "eval passk --p 0.9 --alpha 0.1",
     "docserve catalog",
 ]
+
+
+def _readme_command_lines() -> list[str]:
+    """Each ``loadsmith ...`` command of README's ``sh`` blocks, continuation
+    lines joined."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("loadsmith ")]
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of its subcommands, at any depth."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", _readme_command_lines())
+    def test_command_line_parses(self, line):
+        argv = shlex.split(line, comments=True)
+        build_parser().parse_args(argv[1:])
+
+    def test_command_lines_found(self):
+        assert len(_readme_command_lines()) >= 8
+
+    def test_named_options_exist(self):
+        # Before, README named the deleted equilibrium --config.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+        assert named - _option_strings(build_parser()) == set()
 
 
 class TestUsageAndErrors:
@@ -1211,27 +1278,21 @@ class TestUsageAndErrors:
         assert single_error(err)["code"] == "IO_ERROR"
 
     @pytest.mark.parametrize(
-        "env,argv",
+        "argv",
         [
-            (None, ["--out", "{out}/\udcff.json"]),
-            ("{out}/\udcff", ["--out", "{out}/x.json"]),
+            ["convert", "{input}", "--to", "json", "--out", "{out}/\udcff.json"],
+            ["envelope", "{input}", "--out-dir", "{out}/\udcff"],
         ],
-        ids=["argument", "out-dir-env"],
+        ids=["argument", "out-dir"],
     )
-    def test_undecodable_name_is_usage_before_any_file(
-        self, tmp_path, capsys, monkeypatch, delivery_file, env, argv
-    ):
+    def test_undecodable_name_is_usage_before_any_file(self, tmp_path, capsys, delivery_file, argv):
         # Python gives a name whose bytes are not UTF-8 as lone surrogates.
         # Before, convert wrote the content file and an empty sidecar, then
         # exited 2 with VALUE_ERROR.
         out = tmp_path / "out"
         out.mkdir()
-        if env is None:
-            monkeypatch.delenv("LOADSMITH_OUT_DIR", raising=False)
-        else:
-            monkeypatch.setenv("LOADSMITH_OUT_DIR", env.format(out=out))
-        argv = [arg.format(out=out) for arg in argv]
-        code, out_text, err = run_cli(capsys, "convert", str(delivery_file[0]), "--to", "json", *argv)
+        argv = [arg.format(input=delivery_file[0], out=out) for arg in argv]
+        code, out_text, err = run_cli(capsys, *argv)
         assert (code, out_text) == (1, "")
         error = single_error(err)
         assert error["code"] == "USAGE"
