@@ -10,7 +10,13 @@ Exit codes form a contract orchestrators can branch on:
 
 argv is a command's only source of settings, and each option's ``type=``
 reader checks its value while argv is parsed, before any input is read.
-Each subcommand then writes its content files and returns its exit code, its
+No command writes a content file over a file it reads: each refuses such an
+output before it reads anything, or, for ``compare``'s default report path,
+which only the envelopes name, before it writes anything. So the sidecar's
+checksums, taken from disk once the command has run, are those of the bytes
+it read.
+
+Each subcommand writes its content files and returns its exit code, its
 summary and the files written. ``main()`` writes the rest: an NDJSON trace
 sidecar for those files (argv, checksums, timestamps, kept out of the
 content), the summary as JSON on stdout, or one JSON error object on stderr.
@@ -137,8 +143,23 @@ def _report_out(token: str) -> Path:
     return out
 
 
-def _write_delivery(out: Path, delivery) -> None:
-    _write_text(out, ingest.write_delivery_json(delivery))
+def _inputs(args) -> list[str]:
+    """The files the command reads, as argv names them."""
+    return [vars(args)[name] for name in ("input", "node_map", "new", "old") if name in vars(args)]
+
+
+def _refuse_overwriting_inputs(outputs, inputs: list[str]) -> None:
+    """A usage error when a content file the command will write names one of
+    its ``inputs``: the sidecar hashes the inputs from disk once the command
+    has run, so it would record the bytes written as the bytes read."""
+    for output in outputs:
+        for name in inputs:
+            try:
+                same = os.path.samefile(output, name)
+            except OSError:  # one of the two does not exist
+                same = Path(output).resolve() == Path(name).resolve()
+            if same:
+                raise _UsageExit(f"the output {str(output)!r} would overwrite the input {name!r}")
 
 
 # --- subcommand implementations -----------------------------------------
@@ -146,7 +167,8 @@ def _write_delivery(out: Path, delivery) -> None:
 
 
 def _cmd_convert(args):
-    _write_delivery(args.out, ingest.load_delivery(args.input))
+    _refuse_overwriting_inputs([args.out], _inputs(args))
+    _write_text(args.out, ingest.write_delivery_json(ingest.load_delivery(args.input)))
     return EXIT_OK, {"written": str(args.out), "format": args.to}, [args.out]
 
 
@@ -163,6 +185,7 @@ def _cmd_transform(args):
         if old in renames:
             raise _UsageExit(f"--rename names point {old!r} twice")
         renames[old] = new
+    _refuse_overwriting_inputs([args.out], _inputs(args))
     delivery = ingest.load_delivery(args.input)
     summary: dict = {}
     if renames:
@@ -181,7 +204,7 @@ def _cmd_transform(args):
         delivery = transform.apply_ultimate_factor(delivery, args.ultimate_factor)
         summary["ultimate_factor"] = args.ultimate_factor
 
-    _write_delivery(args.out, delivery)
+    _write_text(args.out, ingest.write_delivery_json(delivery))
     summary["written"] = str(args.out)
     return EXIT_OK, summary, [args.out]
 
@@ -191,6 +214,11 @@ def _cmd_equilibrium(args):
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
+        if delivery.point_coordinates is not None:
+            raise _UsageExit(
+                f"the delivery {args.input!r} holds its own point_coordinates; "
+                f"--coords {args.coords!r} would replace them"
+            )
         text = strict.read_text(args.coords, "coords")
         coords = ingest.read_coordinates(strict.read_json(text, "coords"), "coords")
     survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
@@ -198,10 +226,10 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_envelope(args):
-    delivery = ingest.load_delivery(args.input)
-    selection = envelope_select(delivery)
     md_path = args.out_dir / "envelope.md"
     json_path = args.out_dir / "envelope_extremes.json"
+    _refuse_overwriting_inputs([md_path, json_path], _inputs(args))
+    selection = envelope_select(ingest.load_delivery(args.input))
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
     summary = {"selected_case_ids": list(selection.selected_case_ids)}
@@ -210,27 +238,17 @@ def _cmd_envelope(args):
 
 
 def _cmd_export_ansys(args):
+    decks = [args.out_dir / export.deck_name(case_id) for case_id in args.select]
+    _refuse_overwriting_inputs(decks, _inputs(args))
     delivery = ingest.load_delivery(args.input)
     nodes = export.load_node_map(args.node_map)
     paths = export.export_all_inp(delivery, args.select, nodes, args.exclude, args.out_dir)
     return EXIT_OK, {"written": [str(p) for p in paths]}, paths
 
 
-def _refuse_overwriting_inputs(out: Path, inputs: tuple[str, ...]) -> None:
-    """A usage error when the report ``out`` or its markdown twin names one of ``inputs``."""
-    for report in (out, out.with_suffix(".md")):
-        for name in inputs:
-            try:
-                same = os.path.samefile(report, name)
-            except OSError:  # one of the two does not exist
-                same = report.resolve() == Path(name).resolve()
-            if same:
-                raise _UsageExit(f"the report {str(report)!r} would overwrite the input {name!r}")
-
-
 def _cmd_compare(args):
     if args.out is not None:
-        _refuse_overwriting_inputs(args.out, (args.new, args.old))
+        _refuse_overwriting_inputs([args.out, args.out.with_suffix(".md")], _inputs(args))
     new_text = strict.read_text(args.new, "new extremes")
     old_text = strict.read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
@@ -240,7 +258,7 @@ def _cmd_compare(args):
         out = args.out
     else:
         out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
-        _refuse_overwriting_inputs(out, (args.new, args.old))
+        _refuse_overwriting_inputs([out, out.with_suffix(".md")], _inputs(args))
     # Both reports are rendered before either is written, so a refused one leaves neither.
     json_text = compare_mod.write_comparison_report(report)
     md_text = compare_mod.comparison_to_markdown(report)
@@ -432,12 +450,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         status, summary, written = args.func(args)
         if written:
-            named = [vars(args)[n] for n in ("input", "node_map", "new", "old") if n in vars(args)]
             if "out_dir" in vars(args):
                 sidecar = args.out_dir / "trace.ndjson"
             else:
                 sidecar = f"{written[0]}.trace.ndjson"
-            write_cli_trace(sidecar, ["loadsmith", *argv], named, written)
+            write_cli_trace(sidecar, ["loadsmith", *argv], _inputs(args), written)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
         return status

@@ -1,13 +1,20 @@
 """Deterministic artifact checks used by the scenario runner.
 
-Each check returns a :class:`CheckResult` with status "pass" or "fail";
-problems on the reference side (missing or unparseable expected data) raise
-instead, because a broken reference invalidates the repetition rather than
-failing the subject.
+Each check returns a :class:`CheckResult` with status "pass" or "fail".
+A check reads each side of its comparison through its own reader, each
+with one rule. ``read_run_file`` reads what the subject left in the run
+directory (an ``actual`` file, a ``file_set`` directory's listing, a judge's
+artifacts): a file that is missing, unreadable (a directory, say) or
+refused by the strict reader fails the check with a diff that names it,
+since the subject was to write it. ``read_reference`` reads the scenario's
+own ``reference`` files: any such problem raises :class:`ReferenceError`,
+because a broken reference invalidates the repetition rather than failing
+the subject.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -42,8 +49,51 @@ class ReferenceError(LoadsmithError):
         super().__init__(message, code="REFERENCE_ERROR")
 
 
+class _RunFileUnreadable(Exception):
+    """A file on the run side that cannot be read; the check fails, naming it."""
+
+
 def _describe(exc: LoadsmithError) -> str:
     return str(exc) if exc.location is None else f"{exc} at {exc.location}"
+
+
+def _read(path: Path, what: str, parse, fault):
+    """``parse(path)``; an operating-system error, which names ``what`` and
+    ``path``, or a refusal of the strict reader raises ``fault``."""
+    try:
+        return parse(path)
+    except OSError as exc:
+        raise fault(f"{what} {path} could not be read: {exc.strerror or exc}") from exc
+    except LoadsmithError as exc:
+        raise fault(_describe(exc)) from exc
+
+
+def read_run_file(path: Path, what: str, parse):
+    """``parse(path)`` of a file the subject left in the run directory; one
+    that cannot be read fails the check (see :func:`check`)."""
+    return _read(path, what, parse, _RunFileUnreadable)
+
+
+def read_reference(path: Path, what: str, parse):
+    """``parse(path)`` of a reference file; one that cannot be read raises ReferenceError."""
+    return _read(path, what, parse, ReferenceError)
+
+
+def check(kind: str):
+    """Make a function the check ``kind``: a run-side file that
+    :func:`read_run_file` cannot read gives a failing verdict naming it."""
+
+    def decorate(function):
+        @functools.wraps(function)
+        def run(*args, **kwargs) -> CheckResult:
+            try:
+                return function(*args, **kwargs)
+            except _RunFileUnreadable as exc:
+                return CheckResult(kind, "fail", (str(exc),))
+
+        return run
+
+    return decorate
 
 
 def _finite(value) -> bool:
@@ -105,6 +155,13 @@ def _walk_numeric_diffs(actual, reference, abs_tol, rel_tol, path, diffs):
             diffs.append(f"{path}: {actual!r} != expected {reference!r}")
 
 
+def _strict_json(what: str):
+    """A ``parse`` for the readers: the file's JSON, read by the strict reader
+    as the input named ``what``."""
+    return lambda path: strict.read_json(strict.read_text(path, what), what)
+
+
+@check("numeric_file_compare")
 def numeric_file_compare(
     actual: str | Path,
     reference: str | Path,
@@ -115,31 +172,19 @@ def numeric_file_compare(
 
     Keys must match exactly; every numeric leaf must be finite and satisfy
     |actual - ref| <= max(abs_tol, rel_tol * |ref|). Both files are read by
-    the strict reader. An actual file that is missing, not UTF-8, not JSON
-    or repeats a key is a failing verdict (that is the subject's output); a
-    reference that is any of those or holds a non-finite number raises
-    :class:`ReferenceError`.
+    the strict reader, so one that is not UTF-8, not JSON or repeats a key
+    cannot be read (see the module docstring); a reference that holds a
+    non-finite number raises :class:`ReferenceError` too.
     """
     if not (0 <= abs_tol < math.inf and 0 <= rel_tol < math.inf):
         raise ValueError("tolerances must be finite and >= 0")
     reference = Path(reference)
-    actual = Path(actual)
     what = f"reference file {reference}"
-    try:
-        ref_data = strict.read_json(strict.read_text(reference, what), what)
-    except FileNotFoundError as exc:
-        raise ReferenceError(f"reference file missing: {reference}") from exc
-    except LoadsmithError as exc:
-        raise ReferenceError(_describe(exc)) from exc
+    ref_data = read_reference(reference, "reference file", _strict_json(what))
     non_finite = _first_non_finite(ref_data, "$")
     if non_finite is not None:
         raise ReferenceError(f"{what} holds a non-finite number at {non_finite}")
-    try:
-        actual_data = strict.read_json(strict.read_text(actual, "actual file"), "actual file")
-    except FileNotFoundError:
-        return CheckResult("numeric_file_compare", "fail", (f"actual file missing: {actual}",))
-    except LoadsmithError as exc:
-        return CheckResult("numeric_file_compare", "fail", (_describe(exc),))
+    actual_data = read_run_file(Path(actual), "actual file", _strict_json("actual file"))
 
     diffs: list[str] = []
     _walk_numeric_diffs(actual_data, ref_data, abs_tol, rel_tol, "$", diffs)
@@ -147,30 +192,23 @@ def numeric_file_compare(
     return CheckResult("numeric_file_compare", status, tuple(diffs))
 
 
+@check("file_set")
 def file_set_check(directory: str | Path, expected: list[str]) -> CheckResult:
     """Exact file-name set comparison for one output directory."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return CheckResult("file_set", "fail", (f"directory missing: {directory}",))
-    found = {p.name for p in directory.iterdir() if p.is_file()}
+    found = read_run_file(
+        Path(directory), "directory", lambda d: {p.name for p in d.iterdir() if p.is_file()}
+    )
     missing = sorted(set(expected) - found)
     extra = sorted(found - set(expected))
     diffs = [f"missing: {name}" for name in missing] + [f"unexpected: {name}" for name in extra]
     return CheckResult("file_set", "pass" if not diffs else "fail", tuple(diffs))
 
 
+@check("text_golden")
 def text_golden_check(actual: str | Path, reference: str | Path) -> CheckResult:
     """Byte-exact comparison between an artifact and its golden reference."""
-    reference = Path(reference)
-    actual = Path(actual)
-    try:
-        expected_bytes = reference.read_bytes()
-    except FileNotFoundError as exc:
-        raise ReferenceError(f"golden file missing: {reference}") from exc
-    try:
-        actual_bytes = actual.read_bytes()
-    except FileNotFoundError:
-        return CheckResult("text_golden", "fail", (f"actual file missing: {actual}",))
+    expected_bytes = read_reference(Path(reference), "reference file", Path.read_bytes)
+    actual_bytes = read_run_file(Path(actual), "actual file", Path.read_bytes)
     if actual_bytes == expected_bytes:
         return CheckResult("text_golden", "pass")
     for lineno, (got, want) in enumerate(

@@ -4,7 +4,10 @@
 :class:`CheckResult`, "pass" or "fail" with the judge's rationale, and
 raises :class:`ReferenceError` (``judge error: <why>``) when the judge
 cannot give a verdict, because a judge that could not run says nothing
-about the subject. Two adapters ship with the toolkit:
+about the subject. The artifacts are the subject's output, so they are
+read like any other file on the run side: one that is missing, unreadable
+or not UTF-8 fails the check with a diff that names it. Two adapters ship
+with the toolkit:
 
 * ``stub``: a local, scripted judge. The rubric is a list of rules, one per
   line, ``require: <regex>`` or ``forbid: <regex>`` (``#`` comments and
@@ -24,8 +27,8 @@ import re
 from pathlib import Path
 
 from .. import strict
-from ..errors import InputSyntaxError, LoadsmithError
-from .checks import CheckResult, ReferenceError
+from ..errors import LoadsmithError
+from .checks import CheckResult, ReferenceError, check, read_run_file
 
 HTTP_TIMEOUT_S = 30.0
 
@@ -35,17 +38,11 @@ def _error(why: str) -> ReferenceError:
 
 
 def _read_artifacts(artifacts: list[Path]) -> list[tuple[str, str]]:
-    """Each artifact's name and text, read by the strict reader; every line
+    """Each artifact's name and text, read as a run-side file; every line
     end reads as one newline, as in a file opened in text mode."""
     texts = []
     for path in artifacts:
-        what = f"artifact {path.name}"
-        try:
-            text = strict.read_text(path, what)
-        except OSError as exc:
-            raise _error(f"{what} could not be read: {exc.strerror or exc}") from exc
-        except InputSyntaxError as exc:  # not UTF-8
-            raise _error(f"{exc} at {exc.location}") from exc
+        text = read_run_file(path, "artifact", lambda p: strict.read_text(p, f"artifact {p.name}"))
         texts.append((path.name, text.replace("\r\n", "\n").replace("\r", "\n")))
     return texts
 
@@ -124,11 +121,13 @@ def _http(artifacts: list[Path], rubric: str, endpoint: str | None) -> tuple[boo
 ADAPTERS = {"stub": _stub, "http": _http}
 
 
+@check("judge")
 def judge_check(
     artifacts: list[Path], rubric: str, adapter: str, endpoint: str | None = None
 ) -> CheckResult:
     """Grade ``artifacts`` against ``rubric`` with the named adapter; an
-    unknown adapter, or one that cannot give a verdict, raises ReferenceError."""
+    unknown adapter, or one that cannot give a verdict, raises ReferenceError,
+    and an artifact that cannot be read fails the check."""
     if adapter not in ADAPTERS:
         raise _error(f"no judge adapter registered under {adapter!r}")
     passed, rationale = ADAPTERS[adapter](artifacts, rubric, endpoint)

@@ -5,12 +5,15 @@ staged in, runs the subject command there, and is then graded by the
 scenario's checks. Staging problems, unreadable references and judges that
 cannot give a verdict are infrastructure failures: they invalidate the
 repetition and are flagged separately, never counted as the subject
-failing a check. A nonzero subject exit status, by contrast, is just a
-recorded fact for the checks to interpret.
+failing a check. A file the subject was to leave in the run directory that
+is missing or unreadable, by contrast, fails its check, and a nonzero
+subject exit status is just a recorded fact for the checks to interpret.
 
 Each run directory keeps its own ``trace.ndjson``, the run's one record
 (argv, Python and loadsmith versions, the YAML backend, checksums of staged
-inputs and produced artifacts, timestamps, stdout/stderr, each verdict);
+inputs, timestamps, stdout/stderr, each verdict, and an ``artifact``
+checksum for every file the subject wrote or changed, a CLI sidecar of
+its own included);
 the aggregated report lands beside the run directories as ``report.json``,
 naming each run's trace, with a one-line reason for each failed repetition.
 """
@@ -139,7 +142,7 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
         argv = _expand_command(scenario.environment.subject_command)
         started = utc_now()
 
-        staged_names = set()
+        staged = {}  # path in the run directory -> sha256 as staged
         try:
             for item in scenario.environment.stage:
                 source = scenario.base_dir / item.source
@@ -147,7 +150,7 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(source, dest)
                 record = file_record(dest, relative_to=run_dir)
-                staged_names.add(record["path"])
+                staged[record["path"]] = record["sha256"]
                 writer.emit("stage", **record)
         except OSError as exc:
             return infrastructure_failure(f"staging failed: {exc}")
@@ -177,10 +180,10 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
                     stdout=stdout, stderr=stderr, pythonpath=env.get("PYTHONPATH"))
 
         for path in sorted(run_dir.rglob("*")):
-            if not path.is_file() or path.name == TRACE_FILENAME:
+            if not path.is_file() or path == writer.path:
                 continue
             record = file_record(path, relative_to=run_dir)
-            if record["path"] not in staged_names:
+            if staged.get(record["path"]) != record["sha256"]:
                 writer.emit("artifact", **record)
 
         if launch_error is not None:

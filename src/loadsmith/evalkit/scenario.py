@@ -40,10 +40,13 @@ is a judge whose ``adapter`` is not one of ``judge.ADAPTERS``, an ``http``
 judge without an ``endpoint`` and a ``stub`` judge with one, and a path in
 the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
 ``artifacts``) that is absolute or has a ``..`` part, since it would leave
-the run directory. A path or a subject command argument that holds U+0000
-is refused, and so is an ``id``, which names the scenario's directory in
-the output directory, that is empty, ``.`` or ``..`` or holds ``/`` or
-``\\``.
+the run directory. A stage ``dest``, a check's ``actual`` and an artifact
+each name a file, so one with no parts (``""``, ``.``, ``./``), which names
+the run directory itself, is refused too; a ``file_set`` ``dir`` of ``.``
+lists the run directory. A path or a subject command argument that holds
+U+0000 is refused, and so is an ``id``, which names the scenario's
+directory in the output directory, that is empty, ``.`` or ``..`` or holds
+``/`` or ``\\``.
 
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
@@ -126,6 +129,14 @@ def _inside_run(path: str, location: str) -> str:
     return path
 
 
+def _run_file(path: str, location: str) -> str:
+    """``path``, checked as :func:`_inside_run` checks it, and refused when it
+    has no parts, since it then names the run directory, not a file in it."""
+    if not Path(_inside_run(path, location)).parts:
+        raise SchemaError(f"{path!r} names the run directory, not a file in it", location=location)
+    return path
+
+
 def _scenario_id(node) -> str:
     """The scenario's id, which names its directory under the output
     directory: refused when empty, ``.`` or ``..``, or when it holds ``/``,
@@ -166,13 +177,15 @@ def _parse_check(node, loc: str) -> CheckSpec:
             value = _expect_texts(value, where)
         else:
             value = strict.expect_text(value, where)
-        if name in ("actual", "dir"):
+        if name == "actual":
+            _run_file(value, where)
+        elif name == "dir":
             _inside_run(value, where)
         elif name == "reference":
             _no_nul(value, where)
         elif name == "artifacts":
             for i, artifact in enumerate(value):
-                _inside_run(artifact, f"{where}[{i}]")
+                _run_file(artifact, f"{where}[{i}]")
         params[name] = value
     if kind == "judge":
         adapter = params["adapter"]
@@ -192,7 +205,7 @@ def _parse_stage_item(node, loc: str) -> StageItem:
     strict.expect_keys(item, ("source", "dest"), (), loc)
     return StageItem(
         source=_no_nul(strict.expect_text(item["source"], f"{loc}.source"), f"{loc}.source"),
-        dest=_inside_run(strict.expect_text(item["dest"], f"{loc}.dest"), f"{loc}.dest"),
+        dest=_run_file(strict.expect_text(item["dest"], f"{loc}.dest"), f"{loc}.dest"),
     )
 
 

@@ -118,6 +118,11 @@ def write_ansys_inp(
     return "\n".join(lines) + "\n"
 
 
+def deck_name(case_id: int) -> str:
+    """The file name of case ``case_id``'s deck."""
+    return f"limit_load_{case_id}.inp"
+
+
 def export_all_inp(
     delivery: LoadsDelivery,
     selected: list[int],
@@ -125,7 +130,7 @@ def export_all_inp(
     exclude: set[str] | frozenset[str] = frozenset(),
     out_dir: str | Path = ".",
 ) -> list[Path]:
-    """Write ``limit_load_<id>.inp`` per selected case, ascending id order.
+    """Write a deck, named by ``deck_name``, per selected case, ascending id order.
 
     Returns the paths written. Repeat runs on equal inputs are
     byte-identical. A deck holds bare numbers, so a delivery that is not in
@@ -154,7 +159,7 @@ def export_all_inp(
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for case_id, deck in decks.items():
-        path = out / f"limit_load_{case_id}.inp"
+        path = out / deck_name(case_id)
         path.write_text(deck, encoding="utf-8", newline="\n")
         paths.append(path)
     return paths

@@ -291,6 +291,27 @@ class TestTransform:
         assert "'lug_left'" in error["message"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "out", ["delivery.json", "sub/../delivery.json", "link.json"],
+        ids=["same-name", "other-spelling", "hard-link"],
+    )
+    def test_out_naming_the_input_usage_error(self, tmp_path, capsys, delivery_file, out):
+        # Before, this exited 0, and the sidecar recorded the sha256 of the
+        # scaled file it wrote as that of the input it had read.
+        path, _ = delivery_file
+        (tmp_path / "sub").mkdir()
+        os.link(path, tmp_path / "link.json")
+        before = path.read_bytes()
+        out = tmp_path / out
+        code, out_text, err = run_cli(capsys, "transform", str(path), "--scale", "FX=2", "--out", str(out))
+        assert (code, out_text) == (1, "")
+        assert single_error(err) == {
+            "code": "USAGE",
+            "message": f"the output {str(out)!r} would overwrite the input {str(path)!r}",
+        }
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.ndjson"))
+
     def test_unknown_component_usage_error(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
         code, _, _ = run_cli(
@@ -350,6 +371,29 @@ class TestEquilibrium:
         code, out, _ = run_cli(capsys, "equilibrium", str(path), "--coords", str(coords))
         assert code == 0
         assert json.loads(out)["cases"][0]["moment_residual"] == [0.0, 0.0, 0.0]
+
+    def test_coords_beside_the_delivery_coordinates_usage_error(self, tmp_path, capsys):
+        # Before, --coords silently replaced the delivery's own coordinates:
+        # this delivery, balanced on its own, exited 2 with a moment residual of 4.0.
+        case = LoadCase(
+            id=1, loads={"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0, mz=-10.0)}
+        )
+        d = LoadsDelivery(name="m", version=1, units=SI_UNITS, cases=(case,),
+                          point_coordinates={"a": (1.0, 0.0, 0.0), "b": (0.0, 0.0, 0.0)})
+        path = tmp_path / "d.json"
+        path.write_text(write_delivery_json(d), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "equilibrium", str(path))
+        assert code == 0
+        assert json.loads(out)["cases"][0]["moment_residual"] == [0.0, 0.0, 0.0]
+        coords = tmp_path / "coords.json"
+        coords.write_text(json.dumps({"a": [0.6, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}))
+        code, out, err = run_cli(capsys, "equilibrium", str(path), "--coords", str(coords))
+        assert (code, out) == (1, "")
+        assert single_error(err) == {
+            "code": "USAGE",
+            "message": f"the delivery {str(path)!r} holds its own point_coordinates; "
+            f"--coords {str(coords)!r} would replace them",
+        }
 
     def test_coords_non_number_refused(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
@@ -804,6 +848,14 @@ MALFORMED_SCENARIOS = [
                  "SCHEMA_ERROR", "checks[0].dir", id="nul-check-dir"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "o\0.json"])),
                  "SCHEMA_ERROR", "checks[0].artifacts[1]", id="nul-judge-artifact"),
+    # Before, each of these was accepted, naming the run directory itself as
+    # a file; an empty actual stopped eval run with IO_ERROR and no report.
+    pytest.param(_scenario_with(("checks", 0, "actual"), ""), "SCHEMA_ERROR", "checks[0].actual",
+                 id="check-actual-empty"),
+    pytest.param(_scenario_with(("environment", "stage", 0, "dest"), "."), "SCHEMA_ERROR",
+                 "environment.stage[0].dest", id="stage-dest-dot"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "./"])),
+                 "SCHEMA_ERROR", "checks[0].artifacts[1]", id="judge-artifact-dot-slash"),
 ]
 
 
@@ -981,6 +1033,9 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
     multiline_point = LoadsDelivery(name="v2", version=1, units=SI_UNITS, cases=(
         LoadCase(id=1, loads={"a\n| FX | 9.9E+09 | 1 | 0 | 1 |": ComponentSet(fx=1.0)}),
     ))
+    with_coordinates = LoadsDelivery(name="c", version=1, units=SI_UNITS, cases=(
+        LoadCase(id=1, loads={"a": ComponentSet(fy=10.0), "b": ComponentSet(fy=-10.0, mz=-10.0)}),
+    ), point_coordinates={"a": (1.0, 0.0, 0.0), "b": (0.0, 0.0, 0.0)})
     extremes = json.loads(write_envelope_json(envelope_extremes(d)))
 
     def edited(edit) -> str:
@@ -1011,6 +1066,8 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
         "export_config": json.dumps({"node_map": {p: 7 for p in POINTS}}),
         "coords_string": json.dumps({p: [0.0, "x" if p == "nozzle" else 0.0, 0.0] for p in POINTS}),
         "coords_nan": json.dumps({p: [float("nan"), 0.0, 0.0] for p in POINTS}),
+        "with_coordinates": write_delivery_json(with_coordinates),
+        "coords_ab": json.dumps({"a": [0.6, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}),
         "extremes": json.dumps(extremes),
         "extremes_old": json.dumps(extremes),  # its own file: a run that replaced it harms no other
         "extremes_no_max_case": edited(lambda cell: cell.pop("max_case")),
@@ -1028,6 +1085,11 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
     for name, text in texts.items():
         files[name] = root / f"{name}.{'yaml' if name.endswith('yaml') else 'json'}"
         files[name].write_text(text, encoding="utf-8")
+    # Inputs named as the content files of envelope and export-ansys in this directory.
+    files["shadow"] = root / "shadow"
+    files["shadow"].mkdir()
+    (files["shadow"] / "envelope_extremes.json").write_bytes(files["bin"].read_bytes())
+    (files["shadow"] / "limit_load_1.inp").write_text(texts["nodes"], encoding="utf-8")
     return {name: str(path) for name, path in files.items()}
 
 
@@ -1087,6 +1149,19 @@ CLI_REFUSALS = [
         ("unknown-subcommand", "frobnicate"),
         ("compare-out-md", "compare {extremes} {extremes} --out {out}/c.md"),
         ("compare-out-names-old", "compare {extremes} {extremes_old} --out {extremes_old}"),
+        # Before, each of these wrote over its input, and its sidecar recorded
+        # the written file's sha256 as the input's. The refusal comes before
+        # the input is read: the input of the first three is not UTF-8.
+        ("convert-out-names-input", "convert {bin} --to json --out {bin}", "USAGE"),
+        ("transform-out-names-input", "transform {bin} --scale FX=2 --out {bin}", "USAGE"),
+        ("envelope-out-dir-holds-input",
+         "envelope {shadow}/envelope_extremes.json --out-dir {shadow}", "USAGE"),
+        ("export-deck-names-node-map",
+         "export-ansys {delivery_si} --select 1 --node-map {shadow}/limit_load_1.inp --out-dir {shadow}",
+         "USAGE"),
+        # Before, --coords silently replaced the delivery's own coordinates.
+        ("equilibrium-coords-beside-delivery-coordinates",
+         "equilibrium {with_coordinates} --coords {coords_ab}", "USAGE"),
         # Before, float() and int() read "1_5" as 15, so each of these ran.
         ("transform-ultimate-factor-grouped",
          "transform {delivery} --ultimate-factor 1_5 --out {out}/x.json", "USAGE"),

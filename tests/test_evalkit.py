@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -147,6 +148,22 @@ class TestNumericFileCompare:
             numeric_file_compare(a, b)
         assert message in str(err.value)
 
+    def test_directory_at_actual_fails_naming_it(self, tmp_path):
+        # Before, the IsADirectoryError escaped: eval run stopped with IO_ERROR.
+        (tmp_path / "a.json").mkdir()
+        b = self.write(tmp_path, "b.json", {"v": 5.0})
+        result = numeric_file_compare(tmp_path / "a.json", b)
+        assert (result.status, result.diffs) == (
+            "fail", (f"actual file {tmp_path / 'a.json'} could not be read: Is a directory",)
+        )
+
+    def test_directory_at_reference_raises(self, tmp_path):
+        a = self.write(tmp_path, "a.json", {"v": 5.0})
+        (tmp_path / "b.json").mkdir()
+        with pytest.raises(ReferenceError) as err:
+            numeric_file_compare(a, tmp_path / "b.json")
+        assert str(err.value) == f"reference file {tmp_path / 'b.json'} could not be read: Is a directory"
+
     @pytest.mark.parametrize("tol", [{"abs_tol": float("nan")}, {"rel_tol": float("inf")}])
     def test_non_finite_tolerance_refused(self, tmp_path, tol):
         a = self.write(tmp_path, "a.json", {"v": 1.0})
@@ -169,6 +186,13 @@ class TestFileSetCheck:
 
     def test_missing_directory_fails(self, tmp_path):
         assert not file_set_check(tmp_path / "nowhere", ["a"]).passed
+
+    def test_file_at_directory_fails_naming_it(self, tmp_path):
+        # Before, this diff read "directory missing", and a directory that
+        # could not be listed escaped as an operating-system error.
+        (tmp_path / "decks").write_text("not a directory")
+        result = file_set_check(tmp_path / "decks", ["a.inp"])
+        assert result.diffs == (f"directory {tmp_path / 'decks'} could not be read: Not a directory",)
 
 
 class TestTextGolden:
@@ -193,8 +217,35 @@ class TestTextGolden:
 
     def test_missing_golden_raises(self, tmp_path):
         (tmp_path / "got.txt").write_text("x")
-        with pytest.raises(ReferenceError):
+        with pytest.raises(ReferenceError) as err:
             text_golden_check(tmp_path / "got.txt", tmp_path / "nope.txt")
+        assert str(err.value) == (
+            f"reference file {tmp_path / 'nope.txt'} could not be read: No such file or directory"
+        )
+
+    def test_missing_actual_fails_naming_it(self, tmp_path):
+        (tmp_path / "want.txt").write_text("x")
+        result = text_golden_check(tmp_path / "got.txt", tmp_path / "want.txt")
+        assert result.diffs == (
+            f"actual file {tmp_path / 'got.txt'} could not be read: No such file or directory",
+        )
+
+    def test_directory_at_actual_fails_naming_it(self, tmp_path):
+        # Before, the IsADirectoryError escaped: eval run stopped with IO_ERROR.
+        (tmp_path / "got.txt").mkdir()
+        (tmp_path / "want.txt").write_text("x")
+        result = text_golden_check(tmp_path / "got.txt", tmp_path / "want.txt")
+        assert (result.status, result.diffs) == (
+            "fail", (f"actual file {tmp_path / 'got.txt'} could not be read: Is a directory",)
+        )
+
+    def test_directory_at_reference_raises(self, tmp_path):
+        # Before, the IsADirectoryError escaped: eval run stopped with IO_ERROR.
+        (tmp_path / "got.txt").write_text("x")
+        (tmp_path / "want.txt").mkdir()
+        with pytest.raises(ReferenceError) as err:
+            text_golden_check(tmp_path / "got.txt", tmp_path / "want.txt")
+        assert str(err.value) == f"reference file {tmp_path / 'want.txt'} could not be read: Is a directory"
 
 
 class TestStubJudge:
@@ -246,20 +297,25 @@ class TestStubJudge:
             judge_check([script], "# only a comment", "stub")
 
     def test_missing_artifact_is_error(self, tmp_path):
-        # Before, the message named no artifact.
+        # The artifacts are the subject's output, so a missing one fails the
+        # check, as a missing actual file does. Before, it was a judge error,
+        # which made the repetition an infrastructure failure.
         (tmp_path / "here.py").write_text("x = 1\n")
-        with pytest.raises(ReferenceError) as err:
-            judge_check([tmp_path / "here.py", tmp_path / "gone.py"], "require: x", "stub")
-        assert str(err.value) == "judge error: artifact gone.py could not be read: No such file or directory"
+        result = judge_check([tmp_path / "here.py", tmp_path / "gone.py"], "require: x", "stub")
+        assert result.to_dict() == {
+            "kind": "judge",
+            "status": "fail",
+            "diffs": [f"artifact {tmp_path / 'gone.py'} could not be read: No such file or directory"],
+        }
 
     def test_undecodable_artifact_is_error(self, tmp_path):
-        # The strict reader names the artifact and the offset of its first bad byte.
+        # The strict reader names the artifact and the offset of its first bad
+        # byte. Before, this was a judge error, not a failing verdict.
         script = tmp_path / "s.py"
         script.write_bytes(b"x = 1\n\xff")
-        with pytest.raises(ReferenceError) as err:
-            judge_check([script], "require: x", "stub")
-        assert str(err.value) == (
-            "judge error: artifact s.py is not UTF-8 text: invalid start byte at offset 6"
+        result = judge_check([script], "require: x", "stub")
+        assert (result.status, result.diffs) == (
+            "fail", ("artifact s.py is not UTF-8 text: invalid start byte at offset 6",)
         )
 
     def test_artifact_line_ends_read_as_newlines(self, tmp_path):
@@ -740,3 +796,126 @@ class TestRunScenario:
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk["scenario_id"] == report.scenario_id
         assert on_disk["pass_hat_k"] is True
+
+
+def write_scenario(tmp_path: Path, subject: str, checks: list, k: int = 2, stage=()) -> Path:
+    """A scenario whose subject runs the Python code ``subject``; ``ref.txt``
+    (``x``), ``ref.json`` and ``in.txt`` lie beside it."""
+    scenario_dir = tmp_path / "scenario"
+    scenario_dir.mkdir()
+    (scenario_dir / "ref.txt").write_text("x\n", encoding="utf-8")
+    (scenario_dir / "ref.json").write_text('{"v": 1.0}', encoding="utf-8")
+    (scenario_dir / "in.txt").write_text("staged\n", encoding="utf-8")
+    scenario = {
+        "id": "boundary",
+        "k": k,
+        "environment": {
+            "stage": [{"source": name, "dest": name} for name in stage],
+            "subject_command": ["{python}", "-c", subject],
+        },
+        "checks": checks,
+    }
+    path = scenario_dir / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    return path
+
+
+def trace_events(run_dir: Path, kind: str) -> list[dict]:
+    lines = (run_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+    return [event for event in map(json.loads, lines) if event["event"] == kind]
+
+
+class TestFileBoundaries:
+    """A run-side file that cannot be read fails its check; a reference that
+    cannot be read makes the repetition an infrastructure failure."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"kind": "text_golden", "actual": "out.txt", "reference": "ref.txt"},
+            {"kind": "numeric_file_compare", "actual": "out.txt", "reference": "ref.json"},
+        ],
+        ids=["text_golden", "numeric_file_compare"],
+    )
+    def test_directory_at_actual_fails_every_run(self, tmp_path, capsys, check):
+        # Before, eval run stopped at run 1 with exit 4 (IO_ERROR), and wrote no report.json.
+        path = write_scenario(tmp_path, "import os; os.mkdir('out.txt')", [check])
+        out = tmp_path / "runs"
+        code, printed = main(["eval", "run", str(path), "--out-dir", str(out)]), capsys.readouterr()
+        assert (code, printed.err) == (2, "")
+        summary = json.loads(printed.out)[0]
+        assert summary["infrastructure_failures"] == 0
+        assert summary["failures"] == [
+            {"run": i, "reason": (
+                f"{check['kind']} check failed: actual file {out / 'boundary' / f'run_{i}' / 'out.txt'} "
+                "could not be read: Is a directory"
+            )}
+            for i in (1, 2)
+        ]
+        assert len(json.loads((out / "boundary" / "report.json").read_text())["runs"]) == 2
+
+    def test_directory_at_reference_is_infrastructure_on_every_run(self, tmp_path, capsys):
+        # Before, eval run stopped at run 1 with exit 4 (IO_ERROR), and wrote no report.json.
+        path = write_scenario(
+            tmp_path, "open('out.txt', 'w').write('x\\n')",
+            [{"kind": "text_golden", "actual": "out.txt", "reference": "golden"}],
+        )
+        (path.parent / "golden").mkdir()
+        out = tmp_path / "runs"
+        code, printed = main(["eval", "run", str(path), "--out-dir", str(out)]), capsys.readouterr()
+        assert (code, printed.err) == (4, "")
+        reason = f"reference file {path.parent / 'golden'} could not be read: Is a directory"
+        assert json.loads(printed.out)[0]["failures"] == [
+            {"run": 1, "reason": reason}, {"run": 2, "reason": reason}
+        ]
+        on_disk = json.loads((out / "boundary" / "report.json").read_text())
+        assert [run["infrastructure_error"] for run in on_disk["runs"]] == [reason, reason]
+
+    def test_missing_judge_artifact_fails_the_check(self, tmp_path, capsys):
+        # Before, it was a judge error: an infrastructure failure, exit 4.
+        path = write_scenario(
+            tmp_path, "pass",
+            [{"kind": "judge", "adapter": "stub", "artifacts": ["gone.py"], "rubric": "require: x"}],
+            k=1,
+        )
+        out = tmp_path / "runs"
+        code, printed = main(["eval", "run", str(path), "--out-dir", str(out)]), capsys.readouterr()
+        assert code == 2
+        summary = json.loads(printed.out)[0]
+        assert summary["infrastructure_failures"] == 0
+        assert summary["failures"] == [{"run": 1, "reason": (
+            f"judge check failed: artifact {out / 'boundary' / 'run_1' / 'gone.py'} could not be read: "
+            "No such file or directory"
+        )}]
+
+    def test_nested_sidecar_is_an_artifact(self, tmp_path):
+        # Before, every file named trace.ndjson was skipped, so a subject's
+        # CLI sidecar in its out-dir never got an artifact event.
+        path = write_scenario(
+            tmp_path,
+            "import os; os.mkdir('sub'); open('sub/trace.ndjson', 'w').write('{}\\n')",
+            [{"kind": "file_set", "dir": "sub", "expected": ["trace.ndjson"]}],
+            k=1,
+        )
+        report = run_scenario(load_scenario(path), tmp_path / "runs")
+        assert report.passes == 1
+        assert [e["path"] for e in trace_events(tmp_path / "runs" / "run_1", "artifact")] == [
+            str(Path("sub") / "trace.ndjson")
+        ]
+
+    def test_changed_staged_file_is_an_artifact(self, tmp_path):
+        # Before, a staged file was never an artifact, so the trace held only
+        # the sha256 it was staged with.
+        path = write_scenario(
+            tmp_path,
+            "open('in.txt', 'a').write('appended\\n')",
+            [{"kind": "file_set", "dir": ".", "expected": ["in.txt", "ref.txt", "trace.ndjson"]}],
+            k=1, stage=("in.txt", "ref.txt"),
+        )
+        assert run_scenario(load_scenario(path), tmp_path / "runs").passes == 1
+        run_dir = tmp_path / "runs" / "run_1"
+        (staged, _) = trace_events(run_dir, "stage")
+        (artifact,) = trace_events(run_dir, "artifact")  # ref.txt, unchanged, is none
+        assert staged["path"] == artifact["path"] == "in.txt"
+        assert staged["sha256"] != artifact["sha256"]
+        assert artifact["sha256"] == hashlib.sha256(b"staged\nappended\n").hexdigest()
