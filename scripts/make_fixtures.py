@@ -162,7 +162,6 @@ def scenario_json(scenario_id: str, pipeline_name: str, description: str) -> str
             },
             {
                 "kind": "judge",
-                "adapter": "stub",
                 "artifacts": ["pipeline.py"],
                 "rubric": RUBRIC,
             },

@@ -10,11 +10,11 @@ Exit codes form a contract orchestrators can branch on:
 
 argv is a command's only source of settings, and each option's ``type=``
 reader checks its value while argv is parsed, before any input is read.
-No command writes a content file over a file it reads: each refuses such an
-output before it reads anything, or, for ``compare``'s default report path,
-which only the envelopes name, before it writes anything. So the sidecar's
-checksums, taken from disk once the command has run, are those of the bytes
-it read.
+No command writes a content file or its sidecar over a file it reads: each
+refuses such an output before it reads anything, or, for ``compare``'s
+default report path, which only the envelopes name, before it writes
+anything. So the sidecar's checksums, taken from disk once the command has
+run, are those of the bytes it read.
 
 Each subcommand writes its content files and returns its exit code, its
 summary and the files written. ``main()`` writes the rest: an NDJSON trace
@@ -148,11 +148,21 @@ def _inputs(args) -> list[str]:
     return [vars(args)[name] for name in ("input", "node_map", "new", "old") if name in vars(args)]
 
 
-def _refuse_overwriting_inputs(outputs, inputs: list[str]) -> None:
-    """A usage error when a content file the command will write names one of
-    its ``inputs``: the sidecar hashes the inputs from disk once the command
-    has run, so it would record the bytes written as the bytes read."""
-    for output in outputs:
+def _sidecar(args, outputs) -> Path:
+    """The trace sidecar of a command that writes ``outputs``: ``trace.ndjson``
+    in its ``--out-dir``, else ``<first output>.trace.ndjson``."""
+    if "out_dir" in vars(args):
+        return args.out_dir / "trace.ndjson"
+    return Path(f"{outputs[0]}.trace.ndjson")
+
+
+def _refuse_overwriting_inputs(args, outputs) -> None:
+    """A usage error when a content file in ``outputs``, or their sidecar,
+    names one of the command's inputs: the sidecar hashes the inputs from
+    disk once the command has run, so it would record the bytes written as
+    the bytes read."""
+    inputs = _inputs(args)
+    for output in [*outputs, _sidecar(args, outputs)]:
         for name in inputs:
             try:
                 same = os.path.samefile(output, name)
@@ -167,7 +177,7 @@ def _refuse_overwriting_inputs(outputs, inputs: list[str]) -> None:
 
 
 def _cmd_convert(args):
-    _refuse_overwriting_inputs([args.out], _inputs(args))
+    _refuse_overwriting_inputs(args, [args.out])
     _write_text(args.out, ingest.write_delivery_json(ingest.load_delivery(args.input)))
     return EXIT_OK, {"written": str(args.out), "format": args.to}, [args.out]
 
@@ -185,7 +195,7 @@ def _cmd_transform(args):
         if old in renames:
             raise _UsageExit(f"--rename names point {old!r} twice")
         renames[old] = new
-    _refuse_overwriting_inputs([args.out], _inputs(args))
+    _refuse_overwriting_inputs(args, [args.out])
     delivery = ingest.load_delivery(args.input)
     summary: dict = {}
     if renames:
@@ -228,7 +238,7 @@ def _cmd_equilibrium(args):
 def _cmd_envelope(args):
     md_path = args.out_dir / "envelope.md"
     json_path = args.out_dir / "envelope_extremes.json"
-    _refuse_overwriting_inputs([md_path, json_path], _inputs(args))
+    _refuse_overwriting_inputs(args, [md_path, json_path])
     selection = envelope_select(ingest.load_delivery(args.input))
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
@@ -239,7 +249,7 @@ def _cmd_envelope(args):
 
 def _cmd_export_ansys(args):
     decks = [args.out_dir / export.deck_name(case_id) for case_id in args.select]
-    _refuse_overwriting_inputs(decks, _inputs(args))
+    _refuse_overwriting_inputs(args, decks)
     delivery = ingest.load_delivery(args.input)
     nodes = export.load_node_map(args.node_map)
     paths = export.export_all_inp(delivery, args.select, nodes, args.exclude, args.out_dir)
@@ -248,7 +258,7 @@ def _cmd_export_ansys(args):
 
 def _cmd_compare(args):
     if args.out is not None:
-        _refuse_overwriting_inputs([args.out, args.out.with_suffix(".md")], _inputs(args))
+        _refuse_overwriting_inputs(args, [args.out, args.out.with_suffix(".md")])
     new_text = strict.read_text(args.new, "new extremes")
     old_text = strict.read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
@@ -258,7 +268,7 @@ def _cmd_compare(args):
         out = args.out
     else:
         out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
-        _refuse_overwriting_inputs([out, out.with_suffix(".md")], _inputs(args))
+        _refuse_overwriting_inputs(args, [out, out.with_suffix(".md")])
     # Both reports are rendered before either is written, so a refused one leaves neither.
     json_text = compare_mod.write_comparison_report(report)
     md_text = compare_mod.comparison_to_markdown(report)
@@ -450,11 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         status, summary, written = args.func(args)
         if written:
-            if "out_dir" in vars(args):
-                sidecar = args.out_dir / "trace.ndjson"
-            else:
-                sidecar = f"{written[0]}.trace.ndjson"
-            write_cli_trace(sidecar, ["loadsmith", *argv], _inputs(args), written)
+            write_cli_trace(_sidecar(args, written), ["loadsmith", *argv], _inputs(args), written)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
         return status

@@ -43,7 +43,9 @@ class CheckResult(NamedTuple):
 
 
 class ReferenceError(LoadsmithError):
-    """The check's own reference data is unusable (infrastructure, not a fail)."""
+    """A check's ``reference`` file is unusable (infrastructure, not a fail).
+    Only ``read_reference`` raises it: the judge, which has no reference
+    file, always gives a verdict."""
 
     def __init__(self, message: str):
         super().__init__(message, code="REFERENCE_ERROR")

@@ -2,20 +2,21 @@
 
 Every repetition gets a fresh working directory with the declared inputs
 staged in, runs the subject command there, and is then graded by the
-scenario's checks. Staging problems, unreadable references and judges that
-cannot give a verdict are infrastructure failures: they invalidate the
-repetition and are flagged separately, never counted as the subject
-failing a check. A file the subject was to leave in the run directory that
-is missing or unreadable, by contrast, fails its check, and a nonzero
-subject exit status is just a recorded fact for the checks to interpret.
+scenario's checks. Staging problems and unreadable references are
+infrastructure failures: they invalidate the repetition and are flagged
+separately, never counted as the subject failing a check. A file the
+subject was to leave in the run directory that is missing or unreadable,
+by contrast, fails its check, and a nonzero subject exit status is just a
+recorded fact for the checks to interpret.
 
-Each run directory keeps its own ``trace.ndjson``, the run's one record
-(argv, Python and loadsmith versions, the YAML backend, checksums of staged
-inputs, timestamps, stdout/stderr, each verdict, and an ``artifact``
-checksum for every file the subject wrote or changed, a CLI sidecar of
-its own included);
-the aggregated report lands beside the run directories as ``report.json``,
-naming each run's trace, with a one-line reason for each failed repetition.
+Each run directory ``run_<i>`` has its trace, ``run_<i>.trace.ndjson``,
+beside it, so the subject can neither write over it nor list it: the run's
+one record (argv, Python and loadsmith versions, the YAML backend, checksums
+of staged inputs, timestamps, stdout/stderr, each verdict, and an
+``artifact`` checksum for every file the subject wrote or changed, a CLI
+sidecar of its own included). The aggregated report lands beside the run
+directories as ``report.json``, naming each run's trace, with a one-line
+reason for each failed repetition.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ from .. import yaml_reader
 from ..errors import OutOfRangeError
 from ..trace import TraceWriter, environment, file_record, utc_now
 
-TRACE_FILENAME = "trace.ndjson"
-
 
 class RunOutcome(NamedTuple):
     run_index: int
-    trace: str  # the run's trace.ndjson, relative to the report's directory
+    trace: str  # run_<i>.trace.ndjson, relative to the report's directory
     exit_status: int | None
     verdicts: tuple[CheckResult, ...]
     passed: bool
@@ -107,12 +106,7 @@ def _run_check(spec: CheckSpec, workdir: Path, base_dir: Path) -> CheckResult:
     if spec.kind == "text_golden":
         return text_golden_check(workdir / params["actual"], base_dir / params["reference"])
     # parse_scenario refuses any other kind
-    return judge_check(
-        [workdir / a for a in params["artifacts"]],
-        params["rubric"],
-        params["adapter"],
-        endpoint=params.get("endpoint"),
-    )
+    return judge_check([workdir / a for a in params["artifacts"]], params["rubric"])
 
 
 def _failure_reason(exit_status: int | None, stderr: str, verdicts: list[CheckResult]) -> str:
@@ -123,8 +117,6 @@ def _failure_reason(exit_status: int | None, stderr: str, verdicts: list[CheckRe
         return f"exit status {exit_status}: {last}"
     failed = next(v for v in verdicts if not v.passed)
     detail = failed.diffs[0] if failed.diffs else failed.rationale
-    if not detail:
-        return f"{failed.kind} check failed"
     return f"{failed.kind} check failed: {detail.splitlines()[0]}"
 
 
@@ -132,8 +124,8 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
     if run_dir.exists():
         shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True)
-    with TraceWriter(run_dir / TRACE_FILENAME) as writer:
-        trace = f"{run_dir.name}/{TRACE_FILENAME}"
+    trace = f"{run_dir.name}.trace.ndjson"
+    with TraceWriter(run_dir.parent / trace) as writer:
 
         def infrastructure_failure(reason: str, exit_status=None, verdicts=()) -> RunOutcome:
             writer.emit("infrastructure_error", reason=reason)
@@ -180,7 +172,7 @@ def _single_run(scenario: Scenario, run_index: int, run_dir: Path) -> RunOutcome
                     stdout=stdout, stderr=stderr, pythonpath=env.get("PYTHONPATH"))
 
         for path in sorted(run_dir.rglob("*")):
-            if not path.is_file() or path == writer.path:
+            if not path.is_file():
                 continue
             record = file_record(path, relative_to=run_dir)
             if staged.get(record["path"]) != record["sha256"]:
@@ -211,8 +203,10 @@ def run_scenario(
 
     Args:
         scenario: Parsed scenario definition.
-        out_root: Directory that will hold run_1..run_k and report.json;
-            re-running wipes and repopulates the run directories.
+        out_root: Directory that will hold run_1..run_k, their traces
+            run_1.trace.ndjson..run_k.trace.ndjson, and report.json;
+            re-running wipes and repopulates the run directories and
+            rewrites their traces.
         k: Optional override of the scenario's repetition count.
     """
     reps = scenario.k if k is None else k

@@ -27,8 +27,7 @@ Format (see ``scenarios/`` for live examples):
         {"kind": "file_set", "dir": "decks", "expected": ["limit_load_2.inp"]},
         {"kind": "text_golden", "actual": "envelope.md",
          "reference": "references/envelope.md"},
-        {"kind": "judge", "adapter": "stub", "artifacts": ["pipeline.py"],
-         "rubric": "require: 1\\.04"}
+        {"kind": "judge", "artifacts": ["pipeline.py"], "rubric": "require: 1\\.04"}
       ]
     }
 
@@ -36,9 +35,9 @@ The file is read by the strict reader every pipeline input goes through:
 a repeated key, an unknown field, a value of the wrong type (a string
 ``abs_tol``, ``"k": true`` or ``2.7``, ``checks`` given as an object) or an
 ``alpha`` outside (0, 1) is refused with its location, never coerced. So
-is a judge whose ``adapter`` is not one of ``judge.ADAPTERS``, an ``http``
-judge without an ``endpoint`` and a ``stub`` judge with one, and a path in
-the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
+is a judge ``rubric`` that :func:`judge.read_rubric` refuses, a ``record``
+key ``event`` or ``ts``, which would name a trace event's own fields, and a
+path in the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
 ``artifacts``) that is absolute or has a ``..`` part, since it would leave
 the run directory. A stage ``dest``, a check's ``actual`` and an artifact
 each name a file, so one with no parts (``""``, ``.``, ``./``), which names
@@ -64,14 +63,14 @@ from typing import NamedTuple
 from .. import strict
 from ..errors import SchemaError
 from ..model import CheckedRecord
-from .judge import ADAPTERS
+from .judge import read_rubric
 
 # Per check kind: (required fields, optional fields) beside "kind".
 _CHECK_FIELDS = {
     "numeric_file_compare": (("actual", "reference"), ("abs_tol", "rel_tol")),
     "file_set": (("dir", "expected"), ()),
     "text_golden": (("actual", "reference"), ()),
-    "judge": (("adapter", "artifacts", "rubric"), ("endpoint",)),
+    "judge": (("artifacts", "rubric"), ()),
 }
 _TOLERANCE_FIELDS = ("abs_tol", "rel_tol")
 _LIST_FIELDS = ("expected", "artifacts")
@@ -186,17 +185,9 @@ def _parse_check(node, loc: str) -> CheckSpec:
         elif name == "artifacts":
             for i, artifact in enumerate(value):
                 _run_file(artifact, f"{where}[{i}]")
+        elif name == "rubric":
+            read_rubric(value, where)
         params[name] = value
-    if kind == "judge":
-        adapter = params["adapter"]
-        if adapter not in ADAPTERS:
-            raise SchemaError(
-                f"unknown judge adapter {adapter!r}; expected one of {', '.join(ADAPTERS)}",
-                location=f"{loc}.adapter",
-            )
-        if (adapter == "http") != ("endpoint" in params):
-            need = "needs an endpoint" if adapter == "http" else "takes no endpoint"
-            raise SchemaError(f"a {adapter} judge {need}", location=f"{loc}.endpoint")
     return CheckSpec(kind=kind, params=params)
 
 
@@ -226,6 +217,12 @@ def parse_scenario(text: str, base_dir: str | Path = ".") -> Scenario:
     if not command:
         raise SchemaError("subject_command must not be empty", location="environment.subject_command")
     record = dict(strict.expect_mapping(env.get("record", {}), "environment.record"))
+    for key in ("event", "ts"):
+        if key in record:
+            raise SchemaError(
+                f"record key {key!r} would name a trace event's own field",
+                location=f"environment.record.{key}",
+            )
 
     checks = tuple(
         _parse_check(node, f"checks[{i}]")

@@ -794,7 +794,7 @@ def _scenario_with(path: tuple, value) -> str:
     return json.dumps(data)
 
 
-_JUDGE = {"kind": "judge", "adapter": "stub", "artifacts": ["o.json"], "rubric": "require: x"}
+_JUDGE = {"kind": "judge", "artifacts": ["o.json"], "rubric": "require: x"}
 
 # (scenario text, error code, location); JSON duplicate keys have no position.
 MALFORMED_SCENARIOS = [
@@ -809,12 +809,24 @@ MALFORMED_SCENARIOS = [
     pytest.param(_scenario_with(("alpha",), 5), "SCHEMA_ERROR", "alpha", id="alpha-out-of-range"),
     pytest.param(json.dumps(_SCENARIO).replace('"k": 1', '"k": 1, "k": 2'), "SYNTAX_ERROR", None,
                  id="duplicate-key"),
+    # A judge has no adapter or endpoint: it checks its rubric's rules.
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, adapter="stb")), "SCHEMA_ERROR",
                  "checks[0].adapter", id="misspelled-judge-adapter"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, adapter="http")), "SCHEMA_ERROR",
-                 "checks[0].endpoint", id="http-judge-without-endpoint"),
+                 "checks[0].adapter", id="http-judge-without-endpoint"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, endpoint="http://127.0.0.1:9/judge")),
                  "SCHEMA_ERROR", "checks[0].endpoint", id="stub-judge-with-endpoint"),
+    # Before, a malformed rubric was found only as each repetition was
+    # graded: every repetition ran, then failed as infrastructure (exit 4).
+    *(pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, rubric=rubric)), "SCHEMA_ERROR",
+                   "checks[0].rubric", id=f"judge-rubric-{name}")
+      for name, rubric in (("not-a-rule", "requires: x"), ("bad-regex", "require: x\nforbid: ("),
+                           ("no-rules", "# only a comment\n"))),
+    # Before, "event" ended eval run in a TypeError traceback, and "ts"
+    # replaced the versions event's timestamp.
+    *(pytest.param(_scenario_with(("environment", "record"), {key: "mine"}), "SCHEMA_ERROR",
+                   f"environment.record.{key}", id=f"record-key-{key}")
+      for key in ("event", "ts")),
     # Before, each of these paths was joined to the run directory unchecked.
     pytest.param(_scenario_with(("environment", "stage", 0, "dest"), "../../escaped.txt"),
                  "SCHEMA_ERROR", "environment.stage[0].dest", id="stage-dest-parent"),
@@ -1090,6 +1102,11 @@ def refusal_inputs(tmp_path_factory) -> dict[str, str]:
     files["shadow"].mkdir()
     (files["shadow"] / "envelope_extremes.json").write_bytes(files["bin"].read_bytes())
     (files["shadow"] / "limit_load_1.inp").write_text(texts["nodes"], encoding="utf-8")
+    # Inputs named as the sidecar that envelope and transform write beside their outputs.
+    files["sidecar_shadow"] = root / "sidecar_shadow"
+    files["sidecar_shadow"].mkdir()
+    for name in ("trace.ndjson", "x.json.trace.ndjson"):
+        (files["sidecar_shadow"] / name).write_text(texts["delivery"], encoding="utf-8")
     return {name: str(path) for name, path in files.items()}
 
 
@@ -1158,6 +1175,13 @@ CLI_REFUSALS = [
          "envelope {shadow}/envelope_extremes.json --out-dir {shadow}", "USAGE"),
         ("export-deck-names-node-map",
          "export-ansys {delivery_si} --select 1 --node-map {shadow}/limit_load_1.inp --out-dir {shadow}",
+         "USAGE"),
+        # Before, each of these exited 0: its sidecar replaced the input, and
+        # recorded the half-written sidecar's bytes as the input's.
+        ("envelope-sidecar-names-input",
+         "envelope {sidecar_shadow}/trace.ndjson --out-dir {sidecar_shadow}", "USAGE"),
+        ("transform-sidecar-names-input",
+         "transform {sidecar_shadow}/x.json.trace.ndjson --scale FX=2 --out {sidecar_shadow}/x.json",
          "USAGE"),
         # Before, --coords silently replaced the delivery's own coordinates.
         ("equilibrium-coords-beside-delivery-coordinates",
@@ -1255,7 +1279,11 @@ CLI_REFUSALS = [
 def test_refusal_sweep(tmp_path, capsys, refusal_inputs, argv, status, error_code):
     # Before, a scaled value that overflowed was refused as VALUE_ERROR, the
     # code main() gives any other ValueError.
+    root = Path(refusal_inputs["bin"]).parent
+    before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
     code, out, err = run_cli(capsys, *(arg.format(**refusal_inputs, out=tmp_path) for arg in argv))
+    # a refusal leaves every input as it was, and writes nothing beside them
+    assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == before
     assert (code, out) == (status, "")
     given = single_error(err)["code"]
     assert given != "VALUE_ERROR"

@@ -2,8 +2,6 @@ import hashlib
 import json
 import os
 import platform
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -252,7 +250,7 @@ class TestStubJudge:
     def test_require_satisfied(self, tmp_path):
         script = tmp_path / "pipeline.py"
         script.write_text("loads = scale_component(loads, Component.FX, 1.04)\n")
-        result = judge_check([script], "require: scale_component.*1\\.04", "stub")
+        result = judge_check([script], "require: scale_component.*1\\.04")
         assert result.passed
         assert result.to_dict() == {
             "kind": "judge", "status": "pass", "rationale": "all 1 rubric rules satisfied",
@@ -262,46 +260,48 @@ class TestStubJudge:
         script = tmp_path / "pipeline.py"
         script.write_text("# no rename here\n")
         rubric = "require: rename_points\nrequire: 1\\.04"
-        result = judge_check([script], rubric, "stub")
+        result = judge_check([script], rubric)
         assert result.status == "fail"
         assert "rename_points" in result.rationale
 
     def test_forbid_rule(self, tmp_path):
         script = tmp_path / "pipeline.py"
         script.write_text("import os; os.system('rm')\n")
-        result = judge_check([script], "forbid: os\\.system", "stub")
+        result = judge_check([script], "forbid: os\\.system")
         assert result.status == "fail"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("value = 1.04\n")
         rubric = "# factor applied\n\nrequire: 1\\.04\n"
-        assert judge_check([script], rubric, "stub").passed
+        assert judge_check([script], rubric).passed
 
+    # A scenario's rubric is read when the scenario is, so these are schema
+    # errors; before, each was a judge error at every repetition.
     def test_bad_rubric_line_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: rubric line 1 "):
-            judge_check([script], "script applies factor", "stub")
+        with pytest.raises(SchemaError, match="^rubric line 1 is neither 'require:' nor 'forbid:'$"):
+            judge_check([script], "script applies factor")
 
     def test_bad_regex_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        with pytest.raises(ReferenceError, match=r"^judge error: rubric line 2: bad regex \(missing \)"):
-            judge_check([script], "require: x\nforbid: (", "stub")
+        with pytest.raises(SchemaError, match=r"^rubric line 2: bad regex \(missing \)"):
+            judge_check([script], "require: x\nforbid: (")
 
     def test_empty_rubric_is_error(self, tmp_path):
         script = tmp_path / "s.py"
         script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: rubric contains no rules$"):
-            judge_check([script], "# only a comment", "stub")
+        with pytest.raises(SchemaError, match="^rubric contains no rules$"):
+            judge_check([script], "# only a comment")
 
     def test_missing_artifact_is_error(self, tmp_path):
         # The artifacts are the subject's output, so a missing one fails the
         # check, as a missing actual file does. Before, it was a judge error,
         # which made the repetition an infrastructure failure.
         (tmp_path / "here.py").write_text("x = 1\n")
-        result = judge_check([tmp_path / "here.py", tmp_path / "gone.py"], "require: x", "stub")
+        result = judge_check([tmp_path / "here.py", tmp_path / "gone.py"], "require: x")
         assert result.to_dict() == {
             "kind": "judge",
             "status": "fail",
@@ -313,7 +313,7 @@ class TestStubJudge:
         # byte. Before, this was a judge error, not a failing verdict.
         script = tmp_path / "s.py"
         script.write_bytes(b"x = 1\n\xff")
-        result = judge_check([script], "require: x", "stub")
+        result = judge_check([script], "require: x")
         assert (result.status, result.diffs) == (
             "fail", ("artifact s.py is not UTF-8 text: invalid start byte at offset 6",)
         )
@@ -322,164 +322,7 @@ class TestStubJudge:
         # CRLF and CR line ends read as LF, as a file opened in text mode reads them.
         script = tmp_path / "s.py"
         script.write_bytes(b"alpha\r\nbeta\rgamma\n")
-        assert judge_check([script], "require: ^alpha$\nrequire: ^beta$", "stub").passed
-
-    def test_unknown_adapter_is_error(self, tmp_path):
-        script = tmp_path / "s.py"
-        script.write_text("x")
-        with pytest.raises(ReferenceError, match="no judge adapter registered under 'no_such_adapter'"):
-            judge_check([script], "require: x", "no_such_adapter")
-
-
-# Response bodies the local judge server sends back, by request path.
-_JUDGE_RESPONSES = {
-    "/list": b"[]",
-    "/bare-string": b'"PASS"',
-    "/no-verdict": b'{"rationale": "looked fine"}',
-    "/number-verdict": b'{"verdict": 1}',
-    "/number-rationale": b'{"verdict": "PASS", "rationale": 7}',
-    "/repeated-key": b'{"verdict": "FAIL", "verdict": "PASS"}',
-    "/not-json": b"PASS",
-    "/not-utf8": b'{"verdict": "PASS", "rationale": "\xff"}',
-    "/extra-key": b'{"verdict": "PASS", "score": 1}',
-}
-# Well-formed response bodies that still give no usable verdict or rationale.
-_JUDGE_ODD_VERDICTS = {
-    "/maybe": b'{"verdict": "MAYBE", "rationale": "unsure"}',
-    "/fail-without-rationale": b'{"verdict": "FAIL"}',
-}
-
-
-class _JudgeHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/bad-status-line":
-            self.wfile.write(b"garbage\r\n\r\n")
-            return
-        payload = _JUDGE_RESPONSES.get(self.path, _JUDGE_ODD_VERDICTS.get(self.path))
-        if payload is None:
-            passed = "1.04" in body["artifacts"][0]["content"]
-            payload = json.dumps(
-                {"verdict": "PASS" if passed else "FAIL", "rationale": "checked factor"}
-            ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def judge_server():
-    server = HTTPServer(("127.0.0.1", 0), _JudgeHandler)
-    # shutdown() waits for serve_forever's next poll, 0.5 s apart by default.
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-
-
-class TestHttpJudge:
-    def test_round_trip_pass_and_fail(self, tmp_path, judge_server):
-        good = tmp_path / "good.py"
-        good.write_text("factor = 1.04\n")
-        bad = tmp_path / "bad.py"
-        bad.write_text("factor = 1.0\n")
-        endpoint = f"{judge_server}/judge"
-        passed = judge_check([good], "apply the factor", "http", endpoint=endpoint)
-        assert passed.passed and passed.rationale == "checked factor"
-        assert judge_check([bad], "apply the factor", "http", endpoint=endpoint).status == "fail"
-
-    def test_unreachable_endpoint_is_error(self, tmp_path):
-        script = tmp_path / "s.py"
-        script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
-            judge_check([script], "rubric", "http", endpoint="http://127.0.0.1:9/judge")
-
-    @pytest.mark.parametrize(
-        "endpoint", ["not-a-url", "http://a b/judge", "http://a\0b/judge"],
-        ids=["no-scheme", "space-in-host", "nul-in-host"],
-    )
-    def test_unusable_endpoint_is_error(self, tmp_path, endpoint):
-        # Before, the first escaped the harness as VALUE_ERROR and the others
-        # as a traceback; none of them reaches the network.
-        script = tmp_path / "s.py"
-        script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
-            judge_check([script], "rubric", "http", endpoint=endpoint)
-
-    def test_malformed_status_line_is_error(self, tmp_path, judge_server):
-        # Before, http.client's BadStatusLine ended the harness in a traceback.
-        script = tmp_path / "s.py"
-        script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: judge endpoint unreachable: "):
-            judge_check([script], "rubric", "http", endpoint=judge_server + "/bad-status-line")
-
-    def test_missing_endpoint_is_error(self, tmp_path):
-        script = tmp_path / "s.py"
-        script.write_text("x")
-        with pytest.raises(ReferenceError, match="^judge error: http judge adapter requires an endpoint$"):
-            judge_check([script], "rubric", "http")
-
-    @pytest.mark.parametrize("path", sorted(_JUDGE_RESPONSES))
-    def test_malformed_response_is_error(self, tmp_path, judge_server, path):
-        script = tmp_path / "s.py"
-        script.write_text("factor = 1.04\n")
-        with pytest.raises(ReferenceError, match="^judge error: unparseable judge response: "):
-            judge_check([script], "rubric", "http", endpoint=judge_server + path)
-
-    def test_unknown_verdict_is_error(self, tmp_path, judge_server):
-        script = tmp_path / "s.py"
-        script.write_text("factor = 1.04\n")
-        with pytest.raises(ReferenceError, match="^judge error: judge returned unknown verdict 'MAYBE'$"):
-            judge_check([script], "rubric", "http", endpoint=judge_server + "/maybe")
-
-    def test_fail_without_rationale_names_the_check(self, tmp_path, judge_server):
-        scenario = {
-            "id": "http-judge-terse",
-            "k": 1,
-            "environment": {
-                "stage": [],
-                "subject_command": ["{python}", "-c", "open('s.py', 'w').write('1.04')"],
-            },
-            "checks": [{
-                "kind": "judge", "adapter": "http", "endpoint": judge_server + "/fail-without-rationale",
-                "artifacts": ["s.py"], "rubric": "apply the factor",
-            }],
-        }
-        run = run_scenario(parse_scenario(json.dumps(scenario)), tmp_path / "runs").runs[0]
-        assert (run.passed, run.infrastructure_error) == (False, None)
-        assert run.reason == "judge check failed"
-
-    def test_malformed_response_fails_run_as_infrastructure(self, tmp_path, judge_server, capsys):
-        scenario_dir = tmp_path / "scenario"
-        scenario_dir.mkdir()
-        scenario = {
-            "id": "http-judge-list",
-            "k": 2,
-            "environment": {
-                "stage": [],
-                "subject_command": ["{python}", "-c", "open('s.py', 'w').write('1.04')"],
-            },
-            "checks": [{
-                "kind": "judge", "adapter": "http", "endpoint": judge_server + "/list",
-                "artifacts": ["s.py"], "rubric": "apply the factor",
-            }],
-        }
-        path = scenario_dir / "scenario.json"
-        path.write_text(json.dumps(scenario), encoding="utf-8")
-        out = tmp_path / "runs"
-        code = main(["eval", "run", str(path), "--out-dir", str(out)])
-        assert code == 4
-        summary = json.loads(capsys.readouterr().out)[0]
-        assert summary["infrastructure_failures"] == 2
-        reason = "judge error: unparseable judge response: expected a mapping at $"
-        assert summary["failures"] == [{"run": 1, "reason": reason}, {"run": 2, "reason": reason}]
-        on_disk = json.loads((out / "http-judge-list" / "report.json").read_text())
-        assert [run["infrastructure_error"] for run in on_disk["runs"]] == [reason, reason]
+        assert judge_check([script], "require: ^alpha$\nrequire: ^beta$").passed
 
 
 class TestScenarioParsing:
@@ -601,7 +444,7 @@ class TestRunScenario:
         out = tmp_path / "runs"
         report = run_scenario(scenario, out)
         for i in (1, 2):
-            trace_file = out / f"run_{i}" / "trace.ndjson"
+            trace_file = out / f"run_{i}.trace.ndjson"
             events = [json.loads(line) for line in trace_file.read_text().splitlines()]
             kinds = {e["event"] for e in events}
             assert {"stage", "exec", "artifact", "check", "result"} <= kinds
@@ -618,7 +461,7 @@ class TestRunScenario:
                 "run_index", "trace", "exit_status", "verdicts", "passed", "reason",
                 "infrastructure_error",
             ]
-            assert (entry["run_index"], entry["trace"]) == (i, f"run_{i}/trace.ndjson")
+            assert (entry["run_index"], entry["trace"]) == (i, f"run_{i}.trace.ndjson")
             assert (out / entry["trace"]).is_file()
 
     def test_runs_are_isolated(self, tmp_path):
@@ -641,9 +484,7 @@ class TestRunScenario:
         (out / "run_1" / "stale.txt").write_text("from an earlier run\n")
         report = run_scenario(scenario, out)
         assert report.passes == 2
-        assert sorted(p.name for p in (out / "run_1").iterdir()) == [
-            "out.txt", "payload.txt", "trace.ndjson",
-        ]
+        assert sorted(p.name for p in (out / "run_1").iterdir()) == ["out.txt", "payload.txt"]
 
     def test_subject_that_cannot_launch_is_infrastructure(self, tmp_path):
         missing = tmp_path / "no-such-program"
@@ -732,7 +573,7 @@ class TestRunScenario:
         run_scenario(load_scenario(make_copy_scenario(tmp_path, k=1)), out)
         events = [
             json.loads(line)
-            for line in (out / "run_1" / "trace.ndjson").read_text().splitlines()
+            for line in (out / "run_1.trace.ndjson").read_text().splitlines()
         ]
         (exec_event,) = [e for e in events if e["event"] == "exec"]
         cwd = os.getcwd()
@@ -767,7 +608,7 @@ class TestRunScenario:
         assert on_disk["runs"][0]["reason"] == "exit status 1: boom"
         events = [
             json.loads(line)
-            for line in (out / "run_1" / "trace.ndjson").read_text().splitlines()
+            for line in (out / "run_1.trace.ndjson").read_text().splitlines()
         ]
         (versions,) = [e for e in events if e["event"] == "versions"]
         assert versions["toolkit"] == "loadsmith"
@@ -778,7 +619,7 @@ class TestRunScenario:
     def test_passing_run_has_no_reason(self, tmp_path):
         report = run_scenario(load_scenario(make_copy_scenario(tmp_path, k=1)), tmp_path / "runs")
         assert report.runs[0].reason is None
-        events = (tmp_path / "runs" / "run_1" / "trace.ndjson").read_text().splitlines()
+        events = (tmp_path / "runs" / "run_1.trace.ndjson").read_text().splitlines()
         assert any(json.loads(line)["event"] == "versions" for line in events)
 
     def test_wrong_factor_reason_names_first_diff(self, tmp_path):
@@ -821,7 +662,9 @@ def write_scenario(tmp_path: Path, subject: str, checks: list, k: int = 2, stage
 
 
 def trace_events(run_dir: Path, kind: str) -> list[dict]:
-    lines = (run_dir / "trace.ndjson").read_text(encoding="utf-8").splitlines()
+    """The events of ``kind`` in the trace of ``run_dir``, which lies beside it."""
+    trace = run_dir.with_name(f"{run_dir.name}.trace.ndjson")
+    lines = trace.read_text(encoding="utf-8").splitlines()
     return [event for event in map(json.loads, lines) if event["event"] == kind]
 
 
@@ -875,7 +718,7 @@ class TestFileBoundaries:
         # Before, it was a judge error: an infrastructure failure, exit 4.
         path = write_scenario(
             tmp_path, "pass",
-            [{"kind": "judge", "adapter": "stub", "artifacts": ["gone.py"], "rubric": "require: x"}],
+            [{"kind": "judge", "artifacts": ["gone.py"], "rubric": "require: x"}],
             k=1,
         )
         out = tmp_path / "runs"
@@ -909,7 +752,7 @@ class TestFileBoundaries:
         path = write_scenario(
             tmp_path,
             "open('in.txt', 'a').write('appended\\n')",
-            [{"kind": "file_set", "dir": ".", "expected": ["in.txt", "ref.txt", "trace.ndjson"]}],
+            [{"kind": "file_set", "dir": ".", "expected": ["in.txt", "ref.txt"]}],
             k=1, stage=("in.txt", "ref.txt"),
         )
         assert run_scenario(load_scenario(path), tmp_path / "runs").passes == 1
@@ -919,3 +762,22 @@ class TestFileBoundaries:
         assert staged["path"] == artifact["path"] == "in.txt"
         assert staged["sha256"] != artifact["sha256"]
         assert artifact["sha256"] == hashlib.sha256(b"staged\nappended\n").hexdigest()
+
+    def test_subject_trace_file_leaves_the_run_trace_whole(self, tmp_path):
+        # Before, the run trace was run_1/trace.ndjson: a subject that wrote
+        # that name replaced the harness's events, and the run still passed.
+        path = write_scenario(
+            tmp_path,
+            "open('trace.ndjson', 'w').write('{\"event\": \"mine\"}\\n')",
+            [{"kind": "file_set", "dir": ".", "expected": ["in.txt", "trace.ndjson"]}],
+            k=1, stage=("in.txt",),
+        )
+        assert run_scenario(load_scenario(path), tmp_path / "runs").passes == 1
+        run_dir = tmp_path / "runs" / "run_1"
+        lines = (tmp_path / "runs" / "run_1.trace.ndjson").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["event"] for line in lines] == [
+            "stage", "versions", "exec", "artifact", "check", "result",
+        ]
+        (artifact,) = trace_events(run_dir, "artifact")
+        assert artifact["path"] == "trace.ndjson"
+        assert artifact["sha256"] == hashlib.sha256(b'{"event": "mine"}\n').hexdigest()

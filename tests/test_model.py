@@ -263,7 +263,7 @@ def _every_field_given() -> list:
     comparison = ComparisonCell(**comparison_fields)
     verdict_fields = {"kind": "file_set", "status": "fail", "diffs": ("missing: a.inp",), "rationale": "r"}
     outcome_fields = {
-        "run_index": 2, "trace": "run_2/trace.ndjson", "exit_status": 1, "verdicts": (CheckResult(**verdict_fields),),
+        "run_index": 2, "trace": "run_2.trace.ndjson", "exit_status": 1, "verdicts": (CheckResult(**verdict_fields),),
         "passed": False, "reason": "exit status 1: boom", "infrastructure_error": "staging failed",
     }
     stage = StageItem(source="inputs/d.yaml", dest="d.yaml")
