@@ -55,7 +55,6 @@ from .model import (
 )
 from .transform import (
     CoordinateSystemCheck,
-    apply_ultimate_factor,
     convert_units,
     rename_points,
     scale_component,
@@ -86,7 +85,6 @@ __all__ = [
     "UnitSystem",
     "UnknownUnitError",
     "ValidationReport",
-    "apply_ultimate_factor",
     "check_equilibrium_all",
     "compare_envelopes",
     "comparison_to_markdown",

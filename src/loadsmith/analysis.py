@@ -30,24 +30,19 @@ from .model import (
 Coordinates = dict[str, tuple[float, float, float]]
 
 
-def check_tolerance(name: str, value: float) -> float:
-    """``value`` if it is a finite number >= 0; otherwise BAD_TOLERANCE, since
-    a NaN or infinite tolerance would switch its check off."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise LoadsmithError(
-            f"{name} must be finite and >= 0, got {value!r}", code="BAD_TOLERANCE"
-        )
-    return value
-
-
 class Tolerance(CheckedRecord, namedtuple("Tolerance", "abs rel")):
-    """Absolute/relative tolerance pair for residual checks."""
+    """Absolute/relative tolerance pair for residual checks. Each is a finite
+    number >= 0, else BAD_TOLERANCE: a NaN or infinite tolerance would switch
+    its check off."""
 
     __slots__ = ()
 
     def __new__(cls, abs=1e-9, rel=1e-3):
-        check_tolerance("abs tolerance", abs)
-        check_tolerance("rel tolerance", rel)
+        for name, value in (("abs", abs), ("rel", rel)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise LoadsmithError(
+                    f"{name} tolerance must be finite and >= 0, got {value!r}", code="BAD_TOLERANCE"
+                )
         return super().__new__(cls, abs, rel)
 
     def threshold(self, reference: float) -> float:

@@ -53,9 +53,30 @@ class _UsageExit(LoadsmithError):
         super().__init__(message, code="USAGE")
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's ``store``, refusing a second value, which would replace the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice; it takes one value")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; the contract reserves 2 for processing
-    # failures, so route usage problems through our own handler.
+    """Raises bad usage as USAGE (exit 2 is for processing failures), and
+    stores each one-value argument once, its dest recorded in ``_given``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        vars(namespace).pop("_given", None)
+        return namespace, extras
+
     def error(self, message):
         raise _UsageExit(message)
 
@@ -190,16 +211,19 @@ def _cmd_validate(args):
 
 
 def _cmd_transform(args):
-    renames = {}
-    for old, new in args.rename:
-        if old in renames:
-            raise _UsageExit(f"--rename names point {old!r} twice")
-        renames[old] = new
+    # A point renamed twice would take the last name, and a component scaled
+    # twice the product of its factors.
+    sources = [old for old, _ in args.rename]
+    components = [component.name for component, _ in args.scale]
+    for option, keys in (("--rename", sources), ("--scale", components)):
+        for key in keys:
+            if keys.count(key) > 1:
+                raise _UsageExit(f"{option} names {key!r} twice")
     _refuse_overwriting_inputs(args, [args.out])
     delivery = ingest.load_delivery(args.input)
     summary: dict = {}
-    if renames:
-        delivery, count = transform.rename_points(delivery, renames)
+    if args.rename:
+        delivery, count = transform.rename_points(delivery, dict(args.rename))
         summary["rename_count"] = count
 
     for component, factor in args.scale:
@@ -209,10 +233,6 @@ def _cmd_transform(args):
     if args.units is not None:
         delivery = transform.convert_units(delivery, args.units)
         summary["units"] = {"force": args.units.force_unit, "moment": args.units.moment_unit}
-
-    if args.ultimate_factor is not None:
-        delivery = transform.apply_ultimate_factor(delivery, args.ultimate_factor)
-        summary["ultimate_factor"] = args.ultimate_factor
 
     _write_text(args.out, ingest.write_delivery_json(delivery))
     summary["written"] = str(args.out)
@@ -262,7 +282,7 @@ def _cmd_compare(args):
     new_text = strict.read_text(args.new, "new extremes")
     old_text = strict.read_text(args.old, "old extremes")
     report = compare_mod.compare_envelopes(
-        export.read_envelope_json(new_text), export.read_envelope_json(old_text), args.widen_tol
+        export.read_envelope_json(new_text), export.read_envelope_json(old_text)
     )
     if args.out is not None:
         out = args.out
@@ -354,7 +374,6 @@ def _transform_arguments(p):
     p.add_argument("--rename", action="append", default=[], type=_rename, metavar="OLD=NEW")
     p.add_argument("--scale", action="append", default=[], type=_scale, metavar="COMP=FACTOR")
     p.add_argument("--units", type=_units, metavar="FORCE,MOMENT")
-    p.add_argument("--ultimate-factor", type=_float, dest="ultimate_factor")
     p.add_argument("--out", required=True, type=_delivery_out)
     p.set_defaults(func=_cmd_transform)
 
@@ -386,7 +405,6 @@ def _compare_arguments(p):
     p.add_argument("new")
     p.add_argument("old")
     p.add_argument("--out", type=_report_out)
-    p.add_argument("--widen-tol", type=_float, default=0.0, dest="widen_tol")
     p.set_defaults(func=_cmd_compare)
 
 

@@ -13,7 +13,6 @@ import json
 import math
 from typing import NamedTuple
 
-from .analysis import check_tolerance
 from .errors import LoadsmithError
 from .export import format_deck_value, one_line
 from .model import COMPONENT_ORDER, Component, EnvelopeExtremes, UnitSystem
@@ -50,18 +49,14 @@ def _magnitude_delta_pct(old: float, new: float) -> float | None:
     return delta
 
 
-def compare_envelopes(
-    new: EnvelopeExtremes, old: EnvelopeExtremes, widen_tol: float = 0.0
-) -> ComparisonReport:
+def compare_envelopes(new: EnvelopeExtremes, old: EnvelopeExtremes) -> ComparisonReport:
     """Compare two envelopes cell by cell.
 
     Both envelopes must cover identical (point, component) cells in the
-    same units. A cell flags max_exceeds when new_max > old_max + widen_tol
-    and min_exceeds when new_min < old_min - widen_tol; the report's
-    new_exceeds_old is true when any cell flags. A widen_tol that is not
-    finite or is negative raises BAD_TOLERANCE.
+    same units. A cell flags max_exceeds when new_max > old_max and
+    min_exceeds when new_min < old_min, with no tolerance: every widening is
+    flagged. The report's new_exceeds_old is true when any cell flags.
     """
-    check_tolerance("widen_tol", widen_tol)
     if new.units != old.units:
         raise LoadsmithError(
             f"envelope units differ: {new.units.force_unit}/{new.units.moment_unit}"
@@ -80,8 +75,8 @@ def compare_envelopes(
         cells[point] = {}
         for comp in COMPONENT_ORDER:
             n, o = new.cell(point, comp), old.cell(point, comp)
-            max_exceeds = n.max_value > o.max_value + widen_tol
-            min_exceeds = n.min_value < o.min_value - widen_tol
+            max_exceeds = n.max_value > o.max_value
+            min_exceeds = n.min_value < o.min_value
             any_exceeds = any_exceeds or max_exceeds or min_exceeds
             cells[point][comp] = ComparisonCell(
                 old_max=o.max_value,

@@ -1,9 +1,8 @@
 """Pure delivery transformations: renaming, scaling, unit conversion.
 
 All functions return new deliveries; inputs are never modified. The CLI
-applies them in the documented order rename -> scale -> units -> ultimate,
-but each operation is independent and, being linear, order-agnostic in the
-math.
+applies them in the documented order rename -> scale -> units, but each
+operation is independent and, being linear, order-agnostic in the math.
 """
 
 from __future__ import annotations
@@ -137,12 +136,6 @@ def scale_component(
     return _scale_cases(
         delivery, tuple(factor if c is component else 1.0 for c in COMPONENT_ORDER)
     )
-
-
-def apply_ultimate_factor(delivery: LoadsDelivery, factor: float = 1.5) -> LoadsDelivery:
-    """Scale all six components everywhere, limit loads -> ultimate loads."""
-    factor = _check_factor(factor)
-    return _scale_cases(delivery, (factor,) * len(COMPONENT_ORDER))
 
 
 def convert_units(delivery: LoadsDelivery, target: UnitSystem) -> LoadsDelivery:

@@ -14,6 +14,7 @@ selection differs from the requested ids.
 ``delivery_to_plain`` and ``delivery_yaml`` render a delivery as the plain
 dicts of its canonical JSON and as block-style YAML text: the oracle of the
 canonical JSON writer, and the YAML source of the tests that read YAML.
+``scale_all`` scales every component of a delivery by one factor.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from loadsmith.model import (
     SI_UNITS,
     UnitSystem,
 )
+from loadsmith.transform import scale_component
 
 # Value bands. Interior cases live in (-INTERIOR, INTERIOR); designated
 # extremes in (EXTREME_LO, EXTREME_HI) or its mirror, strictly outside.
@@ -123,6 +125,15 @@ def delivery_yaml(delivery: LoadsDelivery) -> str:
         allow_unicode=True,
         default_flow_style=False,
     )
+
+
+def scale_all(delivery: LoadsDelivery, factor: float) -> LoadsDelivery:
+    """``delivery`` with all six components scaled by ``factor``: one
+    ``scale_component`` per component, each multiplying the other five by 1.0,
+    which leaves them bit-identical."""
+    for component in COMPONENT_ORDER:
+        delivery = scale_component(delivery, component, factor)
+    return delivery
 
 
 def generate_fixture(

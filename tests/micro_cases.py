@@ -7,7 +7,8 @@ renderings can be verified by eye against the format rules.
 from __future__ import annotations
 
 from loadsmith.model import ComponentSet, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem
-from loadsmith.transform import apply_ultimate_factor
+
+from fixtures import scale_all
 
 
 def micro_single() -> LoadsDelivery:
@@ -97,8 +98,8 @@ MICRO_IMPERIAL_NODES = {"nozzle": 21, "plug": 22}
 
 def micro_pair_shrunk() -> LoadsDelivery:
     """micro_pair scaled down 20%: its envelope is strictly inside micro_pair's."""
-    return apply_ultimate_factor(micro_pair(), 0.8)
+    return scale_all(micro_pair(), 0.8)
 
 
 def micro_imperial_grown() -> LoadsDelivery:
-    return apply_ultimate_factor(micro_imperial(), 1.25)
+    return scale_all(micro_imperial(), 1.25)

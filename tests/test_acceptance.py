@@ -35,10 +35,10 @@ from loadsmith.model import (
     SI_UNITS,
     UnitSystem,
 )
-from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points
+from loadsmith.transform import convert_units, rename_points
 
 from conftest import CATALOG_DIR, GOLDENS_DIR, REPO_ROOT, SCENARIOS_DIR
-from fixtures import generate_fixture
+from fixtures import generate_fixture, scale_all
 import micro_cases
 from strategies import random_delivery
 
@@ -251,7 +251,7 @@ def test_criterion_6_selection_invariance():
         for seed in range(100):
             delivery = random_delivery(seed + 10_000)
             selected = envelope_select(delivery).selected_case_ids
-            assert envelope_select(apply_ultimate_factor(delivery, 1.5)).selected_case_ids == selected
+            assert envelope_select(scale_all(delivery, 1.5)).selected_case_ids == selected
             assert envelope_select(convert_units(delivery, imperial)).selected_case_ids == selected
             restricted = LoadsDelivery(
                 name=delivery.name, version=delivery.version, units=delivery.units,
@@ -287,7 +287,7 @@ def test_criterion_7_equilibrium():
         for seed in range(20):
             delivery = random_delivery(seed + 500, max_cases=10, max_points=4)
             base = check_equilibrium_all(delivery).results
-            scaled = check_equilibrium_all(apply_ultimate_factor(delivery, 1.5)).results
+            scaled = check_equilibrium_all(scale_all(delivery, 1.5)).results
             for r0, r1 in zip(base, scaled):
                 for v0, v1 in zip(r0.force_residual, r1.force_residual):
                     assert abs(v1 - 1.5 * v0) <= max(1e-12 * abs(1.5 * v0), 1e-9)

@@ -22,9 +22,9 @@ from loadsmith.model import (
     SI_UNITS,
     UnitSystem,
 )
-from loadsmith.transform import apply_ultimate_factor, convert_units
+from loadsmith.transform import convert_units
 
-from fixtures import generate_fixture
+from fixtures import generate_fixture, scale_all
 from strategies import deliveries, finite_floats
 
 
@@ -204,7 +204,7 @@ class TestCheckEquilibriumAll:
     @given(deliveries(with_units=SI_UNITS), st.floats(min_value=1.1, max_value=5.0))
     def test_residual_scales_linearly(self, delivery, factor):
         base = check_equilibrium_all(delivery)
-        scaled = check_equilibrium_all(apply_ultimate_factor(delivery, factor))
+        scaled = check_equilibrium_all(scale_all(delivery, factor))
         for r0, r1 in zip(base.results, scaled.results):
             for v0, v1 in zip(r0.force_residual, r1.force_residual):
                 assert v1 == pytest.approx(factor * v0, rel=1e-12, abs=1e-9)
@@ -376,7 +376,7 @@ class TestEnvelopeSelect:
     @given(deliveries(max_cases=12, max_points=4))
     def test_selection_invariant_under_uniform_scaling(self, delivery):
         sel = envelope_select(delivery).selected_case_ids
-        scaled = envelope_select(apply_ultimate_factor(delivery, 1.5)).selected_case_ids
+        scaled = envelope_select(scale_all(delivery, 1.5)).selected_case_ids
         assert scaled == sel
 
     @given(deliveries(max_cases=12, max_points=4, with_units=SI_UNITS))
@@ -396,7 +396,7 @@ class TestEnvelopeSelect:
         tol = Tolerance(abs=0.0, rel=1e-3)
         base = check_equilibrium_all(delivery, tol=tol).results
         ult = check_equilibrium_all(
-            apply_ultimate_factor(delivery, 1.5), tol=tol
+            scale_all(delivery, 1.5), tol=tol
         ).results
         conv = check_equilibrium_all(
             convert_units(delivery, UnitSystem("klbf", "klbf·in")), tol=tol

@@ -22,11 +22,11 @@ from loadsmith.ingest import parse_delivery, write_delivery_json
 from loadsmith.model import (
     Component, ComponentSet, EnvelopeExtremes, ExtremeCell, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem,
 )
-from loadsmith.transform import apply_ultimate_factor, convert_units, rename_points, scale_component
+from loadsmith.transform import convert_units, rename_points, scale_component
 from loadsmith.yaml_reader import backend as yaml_backend
 
 from conftest import REPO_ROOT, SCENARIOS_DIR
-from fixtures import delivery_yaml, generate_fixture
+from fixtures import delivery_yaml, generate_fixture, scale_all
 
 POINTS = ["bearing", "lug_left", "lug_right", "nozzle"]
 
@@ -238,7 +238,6 @@ class TestTransform:
             "--rename", "lug_right=lug_starboard",
             "--scale", "FX=1.04",
             "--units", "N,N·m",
-            "--ultimate-factor", "1.5",
             "--out", str(out_path),
         )
         assert code == 0
@@ -247,7 +246,6 @@ class TestTransform:
         manual, _ = rename_points(d, {"lug_left": "lug_port", "lug_right": "lug_starboard"})
         manual = scale_component(manual, Component.FX, 1.04)
         manual = convert_units(manual, SI_UNITS)
-        manual = apply_ultimate_factor(manual, 1.5)
         assert parse_delivery(out_path.read_text()) == manual
 
     def test_bad_scale_spec_is_usage_error(self, tmp_path, capsys, delivery_file):
@@ -574,7 +572,7 @@ class TestCompare:
         out_dir = tmp_path / f"env_{scale or 'base'}"
         src = path
         if scale is not None:
-            scaled = apply_ultimate_factor(d, scale)
+            scaled = scale_all(d, scale)
             src = tmp_path / f"scaled_{scale}.json"
             src.write_text(write_delivery_json(scaled), encoding="utf-8")
         run_cli(capsys, "envelope", str(src), "--out-dir", str(out_dir))
@@ -610,7 +608,7 @@ class TestCompare:
         _, d = delivery_file
         old = self.make_extremes(tmp_path, capsys, delivery_file)
         newer = tmp_path / "newer.json"
-        newer.write_text(write_delivery_json(apply_ultimate_factor(d, 1.2)._replace(version=d.version + 1)))
+        newer.write_text(write_delivery_json(scale_all(d, 1.2)._replace(version=d.version + 1)))
         run_cli(capsys, "envelope", str(newer), "--out-dir", str(tmp_path / "env_new"))
         work = tmp_path / "work"
         work.mkdir()
@@ -749,28 +747,6 @@ class TestCompare:
         assert code == 2
         assert_refused_as_not_utf8(err, f"{side} extremes")
         assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_non_finite_or_negative_widen_tol_exit_2(self, tmp_path, capsys, delivery_file, value):
-        old = self.make_extremes(tmp_path, capsys, delivery_file)
-        new = self.make_extremes(tmp_path, capsys, delivery_file, scale=1.2)
-        out = tmp_path / "cmp.json"
-        code, outtext, err = run_cli(
-            capsys, "compare", str(new), str(old), "--out", str(out), f"--widen-tol={value}"
-        )
-        assert (code, outtext) == (2, "")
-        assert single_error(err)["code"] == "BAD_TOLERANCE"
-        assert not out.exists()
-
-    def test_widen_tol_suppresses_exceedance(self, tmp_path, capsys, delivery_file):
-        old = self.make_extremes(tmp_path, capsys, delivery_file)
-        new = self.make_extremes(tmp_path, capsys, delivery_file, scale=1.2)
-        code, outtext, _ = run_cli(
-            capsys, "compare", str(new), str(old),
-            "--out", str(tmp_path / "cmp.json"), "--widen-tol", "1e9",
-        )
-        assert code == 0
-        assert not json.loads(outtext)["new_exceeds_old"]
 
 
 _SCENARIO = {
@@ -1187,14 +1163,10 @@ CLI_REFUSALS = [
         ("equilibrium-coords-beside-delivery-coordinates",
          "equilibrium {with_coordinates} --coords {coords_ab}", "USAGE"),
         # Before, float() and int() read "1_5" as 15, so each of these ran.
-        ("transform-ultimate-factor-grouped",
-         "transform {delivery} --ultimate-factor 1_5 --out {out}/x.json", "USAGE"),
         ("transform-scale-grouped", "transform {delivery} --scale FX=1_04 --out {out}/x.json", "USAGE"),
         ("export-select-grouped",
          "export-ansys {delivery} --select 1_0 --node-map {nodes} --out-dir {out}", "USAGE"),
         ("equilibrium-abs-tol-grouped", "equilibrium {delivery} --abs-tol=1_0", "USAGE"),
-        ("compare-widen-tol-grouped",
-         "compare {extremes} {extremes} --out {out}/c.json --widen-tol=0_1", "USAGE"),
         ("eval-passk-p-grouped", "eval passk --p 0.9_0", "USAGE"),
         ("eval-run-k-grouped", "eval run {scenario} -k 1_0 --out-dir {out}", "USAGE"),
         # Before, both ran into one directory, the second over the first.
@@ -1202,6 +1174,25 @@ CLI_REFUSALS = [
         # Before, convert wrote the content file and an empty sidecar, then
         # exited 2 with VALUE_ERROR.
         ("convert-undecodable-out-name", "convert {delivery} --to json --out {out}/\udcff.json",
+         "USAGE"),
+        # Before, the last value of an option given twice won: the first two
+        # exited 0, the deck keeping bearing's loads and only e2 written; the
+        # third, whose input is not UTF-8, exited 2.
+        ("export-repeated-exclude",
+         "export-ansys {delivery_si} --select 1 --node-map {nodes} --exclude bearing "
+         "--exclude nozzle --out-dir {out}", "USAGE"),
+        ("envelope-repeated-out-dir-prefix", "envelope {delivery} --out-dir {out}/e1 --out-d {out}/e2",
+         "USAGE"),
+        ("export-repeated-select",
+         "export-ansys {bin} --select 1 --select 2 --node-map {nodes} --out-dir {out}", "USAGE"),
+        # Before, FX was scaled by the product of the two factors, 2.08.
+        ("transform-repeated-scale-component",
+         "transform {delivery} --scale FX=1.04 --scale fx=2 --out {out}/x.json", "USAGE"),
+        # Before, --ultimate-factor scaled all six components, and --widen-tol
+        # let a widening up to its value pass unflagged. Both are deleted.
+        ("transform-ultimate-factor-deleted",
+         "transform {delivery} --ultimate-factor 1.5 --out {out}/x.json", "USAGE"),
+        ("compare-widen-tol-deleted", "compare {extremes} {extremes} --out {out}/c.json --widen-tol 1e6",
          "USAGE"),
     ),
     *_refusals(
@@ -1258,11 +1249,6 @@ CLI_REFUSALS = [
         ("compare-undecodable-new", "compare {bin} {extremes} --out {out}/c.json"),
         ("compare-undecodable-old", "compare {extremes} {bin} --out {out}/c.json"),
         *(
-            (f"compare-widen-tol-{value}",
-             f"compare {{extremes}} {{extremes}} --out {{out}}/c.json --widen-tol={value}")
-            for value in ("nan", "inf", "-1")
-        ),
-        *(
             (f"eval-run-{param.id}", f"eval run {{scenario_{param.id}}} --out-dir {{out}}")
             for param in MALFORMED_SCENARIOS
         ),
@@ -1284,6 +1270,7 @@ def test_refusal_sweep(tmp_path, capsys, refusal_inputs, argv, status, error_cod
     code, out, err = run_cli(capsys, *(arg.format(**refusal_inputs, out=tmp_path) for arg in argv))
     # a refusal leaves every input as it was, and writes nothing beside them
     assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == before
+    assert list(tmp_path.iterdir()) == []  # nor in the output directory
     assert (code, out) == (status, "")
     given = single_error(err)["code"]
     assert given != "VALUE_ERROR"
@@ -1296,11 +1283,11 @@ VALID_ARGVS = [
     "convert d.yaml --to json --out d.json",
     "validate d.json",
     "transform d.json --rename a=b --rename c=d --scale FX=2 --scale MY=0.5 --units N,N·m "
-    "--ultimate-factor 1.5 --out o.json",
+    "--out o.json",
     "equilibrium d.json --coords c.json --abs-tol 1e-6 --rel-tol 1e-3",
     "envelope d.json --out-dir out",
     "export-ansys d.json --select 1,2 --node-map n.json --exclude bearing --out-dir out",
-    "compare new.json old.json --out c.json --widen-tol 0.1",
+    "compare new.json old.json --out c.json",
     "eval run s1.json s2.json -k 3 --out-dir out",
     "eval passk --p 0.9 --alpha 0.1",
     "docserve catalog",
@@ -1351,6 +1338,16 @@ class TestUsageAndErrors:
         one = build_parser(argv[0])
         assert one.format_usage() == f"usage: loadsmith [-h] {{{argv[0]}}} ...\n"
         assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [argv for argv in VALID_ARGVS if " -" in argv])
+    def test_one_value_option_given_twice_is_usage_error(self, argv):
+        # Before, the last of the two values silently won.
+        argv = argv.split()
+        for i, token in enumerate(argv):
+            if token.startswith("-") and token not in ("--rename", "--scale"):
+                twice = argv[: i + 2] + argv[i:]
+                with pytest.raises(cli._UsageExit, match=f"^argument {token}: given twice"):
+                    build_parser(twice[0]).parse_args(twice)
 
     def test_valid_argvs_name_every_subcommand(self):
         assert sorted({argv.split()[0] for argv in VALID_ARGVS}) == sorted(cli._COMMANDS)

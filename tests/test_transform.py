@@ -18,7 +18,6 @@ from loadsmith.model import (
     UnitSystem,
 )
 from loadsmith.transform import (
-    apply_ultimate_factor,
     convert_units,
     rename_points,
     scale_component,
@@ -127,7 +126,6 @@ class TestScaleComponent:
         d = LoadsDelivery(name="x", version=1, units=UnitSystem("klbf", "klbf·in"), cases=cases)
         for overflow in (
             lambda: scale_component(d, Component.FX, 1e10),
-            lambda: apply_ultimate_factor(d, 1e10),
             lambda: convert_units(scale_component(d, Component.FX, 1e8), SI_UNITS),
         ):
             with pytest.raises(LoadsmithError, match="^fx must be finite") as err:
@@ -153,26 +151,6 @@ class TestScaleComponent:
                 v1 = c1.loads[point].my
                 v2 = c2.loads[point].my
                 assert v1 == pytest.approx(v2, rel=1e-15, abs=1e-300)
-
-
-class TestUltimateFactor:
-    def test_default_is_1_5(self):
-        case = LoadCase(id=1, loads={"a": ComponentSet(fx=2.0, my=-4.0)})
-        d = LoadsDelivery(name="x", version=1, units=SI_UNITS, cases=(case,))
-        ultimate = apply_ultimate_factor(d)
-        got = ultimate.cases[0].loads["a"]
-        assert got.fx == 3.0
-        assert got.my == -6.0
-
-    def test_identity(self, two_point_delivery):
-        assert apply_ultimate_factor(two_point_delivery, 1.0) == two_point_delivery
-
-    def test_scales_every_component(self, two_point_delivery):
-        ultimate = apply_ultimate_factor(two_point_delivery, 2.0)
-        for before, after in zip(two_point_delivery.cases, ultimate.cases):
-            for point in before.loads:
-                for comp in COMPONENT_ORDER:
-                    assert after.loads[point].value(comp) == 2.0 * before.loads[point].value(comp)
 
 
 class TestConvertUnits:
