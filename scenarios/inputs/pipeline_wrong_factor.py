@@ -10,27 +10,25 @@ Reads OEM_loads_v2.yaml from the working directory and produces:
 """
 
 import json
+import sys
 from pathlib import Path
 
-from loadsmith import (
-    Component,
-    SI_UNITS,
-    check_equilibrium_all,
-    compare_envelopes,
-    comparison_to_markdown,
-    convert_units,
-    envelope_select,
+from loadsmith.analysis import check_equilibrium_all, envelope_select
+from loadsmith.compare import compare_envelopes, comparison_to_markdown, write_comparison_report
+from loadsmith.errors import LoadsmithError
+from loadsmith.export import (
     envelope_to_markdown,
     export_all_inp,
-    load_delivery,
     read_envelope_json,
+    write_envelope_json,
+)
+from loadsmith.ingest import load_delivery, validate_delivery, write_delivery_json
+from loadsmith.model import SI_UNITS, Component
+from loadsmith.transform import (
+    convert_units,
     rename_points,
     scale_component,
-    validate_delivery,
     verify_coordinate_system,
-    write_comparison_report,
-    write_delivery_json,
-    write_envelope_json,
 )
 
 FX_CORRECTION = 1.0  # OEM-communicated axial force correction for this delivery
@@ -103,4 +101,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    # A refusal is one JSON error line on stderr and exit 2, as the CLI writes it.
+    try:
+        main()
+    except LoadsmithError as exc:
+        sys.stderr.write(json.dumps({"error": exc.to_dict()}, ensure_ascii=False) + "\n")
+        sys.exit(2)

@@ -25,21 +25,40 @@ content), the summary as JSON on stdout, or one JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import compare as compare_mod
-from . import export, ingest, strict, transform
-from .analysis import Tolerance, check_equilibrium_all, envelope_select
 from .errors import LoadsmithError
-from .model import Component, UnitSystem
-from .trace import write_cli_trace
 
-# The eval harness and the doc server are imported inside the subcommands
-# that use them, so a pipeline step, run as a fresh process, does not pay for
-# importing them.
+
+def _lazy(name: str):
+    """The library module ``loadsmith.<name>``, in ``sys.modules`` and bound
+    on the package, but run on its first attribute access (the importlib
+    docs' lazy-import recipe); a module already imported is returned as is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A pipeline step, run as a fresh process, compiles and runs only the library
+# modules its command calls: the eval harness and the doc server are imported
+# inside the subcommands that use them, and the modules below run on their
+# first attribute access. They are still put in sys.modules here, because
+# perfbench's traced steps (perfbench/layers.py) look the layer modules up
+# there to wrap their functions.
+analysis, compare, export, ingest, model, strict, trace, transform = map(
+    _lazy, ("analysis", "compare", "export", "ingest", "model", "strict", "trace", "transform")
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,23 +125,23 @@ def _rename(token: str) -> tuple[str, str]:
     return old, new
 
 
-def _scale(token: str) -> tuple[Component, float]:
+def _scale(token: str) -> tuple[model.Component, float]:
     """``COMP=FACTOR`` as ``(component, factor)``."""
     name, _, factor = token.partition("=")
     try:
-        return Component[name.strip().upper()], _float(factor)
+        return model.Component[name.strip().upper()], _float(factor)
     except (KeyError, ValueError):
         raise argparse.ArgumentTypeError(
             f"expected COMP=FACTOR, COMP one of FX FY FZ MX MY MZ, got {token!r}"
         ) from None
 
 
-def _units(token: str) -> UnitSystem:
+def _units(token: str) -> model.UnitSystem:
     """``FORCE,MOMENT`` as a unit system; an unknown unit is UNKNOWN_UNIT (exit 2)."""
     parts = token.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected FORCE,MOMENT (for example N,N·m)")
-    return UnitSystem(parts[0].strip(), parts[1].strip())
+    return model.UnitSystem(parts[0].strip(), parts[1].strip())
 
 
 def _case_ids(token: str) -> list[int]:
@@ -240,7 +259,7 @@ def _cmd_transform(args):
 
 
 def _cmd_equilibrium(args):
-    tol = Tolerance(args.abs_tol, args.rel_tol)
+    tol = analysis.Tolerance(args.abs_tol, args.rel_tol)
     delivery = ingest.load_delivery(args.input)
     coords = None
     if args.coords is not None:
@@ -251,7 +270,7 @@ def _cmd_equilibrium(args):
             )
         text = strict.read_text(args.coords, "coords")
         coords = ingest.read_coordinates(strict.read_json(text, "coords"), "coords")
-    survey = check_equilibrium_all(delivery, tol=tol, coords=coords)
+    survey = analysis.check_equilibrium_all(delivery, tol=tol, coords=coords)
     return (EXIT_OK if survey.all_balanced else EXIT_PROCESSING), survey.to_dict(), []
 
 
@@ -259,7 +278,7 @@ def _cmd_envelope(args):
     md_path = args.out_dir / "envelope.md"
     json_path = args.out_dir / "envelope_extremes.json"
     _refuse_overwriting_inputs(args, [md_path, json_path])
-    selection = envelope_select(ingest.load_delivery(args.input))
+    selection = analysis.envelope_select(ingest.load_delivery(args.input))
     _write_text(md_path, export.envelope_to_markdown(selection.extremes))
     _write_text(json_path, export.write_envelope_json(selection.extremes))
     summary = {"selected_case_ids": list(selection.selected_case_ids)}
@@ -281,17 +300,17 @@ def _cmd_compare(args):
         _refuse_overwriting_inputs(args, [args.out, args.out.with_suffix(".md")])
     new_text = strict.read_text(args.new, "new extremes")
     old_text = strict.read_text(args.old, "old extremes")
-    report = compare_mod.compare_envelopes(
+    report = compare.compare_envelopes(
         export.read_envelope_json(new_text), export.read_envelope_json(old_text)
     )
     if args.out is not None:
         out = args.out
     else:
-        out = Path("comparison_report") / compare_mod.suggested_report_filename(report)
+        out = Path("comparison_report") / compare.suggested_report_filename(report)
         _refuse_overwriting_inputs(args, [out, out.with_suffix(".md")])
     # Both reports are rendered before either is written, so a refused one leaves neither.
-    json_text = compare_mod.write_comparison_report(report)
-    md_text = compare_mod.comparison_to_markdown(report)
+    json_text = compare.write_comparison_report(report)
+    md_text = compare.comparison_to_markdown(report)
     _write_text(out, json_text)
     md_path = out.with_suffix(".md")
     _write_text(md_path, md_text)
@@ -381,8 +400,8 @@ def _transform_arguments(p):
 def _equilibrium_arguments(p):
     p.add_argument("input")
     p.add_argument("--coords", help="JSON file {point: [x, y, z]} in meters")
-    p.add_argument("--abs-tol", type=_float, default=Tolerance().abs, dest="abs_tol")
-    p.add_argument("--rel-tol", type=_float, default=Tolerance().rel, dest="rel_tol")
+    p.add_argument("--abs-tol", type=_float, default=analysis.Tolerance().abs, dest="abs_tol")
+    p.add_argument("--rel-tol", type=_float, default=analysis.Tolerance().rel, dest="rel_tol")
     p.set_defaults(func=_cmd_equilibrium)
 
 
@@ -478,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         status, summary, written = args.func(args)
         if written:
-            write_cli_trace(_sidecar(args, written), ["loadsmith", *argv], _inputs(args), written)
+            trace.write_cli_trace(_sidecar(args, written), ["loadsmith", *argv], _inputs(args), written)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
         return status

@@ -1483,6 +1483,92 @@ class TestUsageAndErrors:
             "loadsmith.ingest", "loadsmith.trace", "loadsmith.transform",
         ]
 
+    def test_package_import_runs_no_submodule(self):
+        # Before, the package re-exported 42 names, so importing it ran
+        # analysis, compare, export, ingest, model, strict and transform.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        script = (
+            "import json, sys, loadsmith\n"
+            "print(json.dumps([sorted(n for n in sys.modules if n.startswith('loadsmith.')), "
+            "hasattr(loadsmith, '__all__')]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], False]
+
+    def test_each_replay_step_runs_only_its_modules(self, tmp_path):
+        # The replay's steps and a no-op one, each in a fresh process. The
+        # layer modules are in sys.modules from the CLI's import, but one that
+        # has not run is still the lazy module type, which type() does not
+        # run. Before, every step ran every layer module.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        inputs = SCENARIOS_DIR / "inputs"
+        script = (
+            "import json, sys, types\n"
+            "from loadsmith.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "ran = sorted(n[len('loadsmith.'):] for n, m in sys.modules.items()\n"
+            "             if n.startswith('loadsmith.') and type(m) is types.ModuleType)\n"
+            "sys.stderr.write(json.dumps({'exit': code, 'ran': ran}))\n"
+        )
+        read = {"cli", "errors", "ingest", "model", "strict"}
+        steps = [
+            (["convert", str(inputs / "OEM_loads_v2.yaml"), "--to", "json", "--out", "delivery.json"],
+             0, read | {"trace", "yaml_reader"}),
+            (["transform", "delivery.json", "--rename", "lug_left=lug_port",
+              "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
+              "--scale", "FX=1.04", "--units", "N,N·m", "--out", "processed.json"],
+             0, read | {"trace", "transform"}),
+            (["equilibrium", "processed.json"], 0, read | {"analysis"}),
+            (["envelope", "processed.json", "--out-dir", "."], 0, read | {"analysis", "export", "trace"}),
+            (["export-ansys", "processed.json", "--select", "2,20,34,61,92,99",
+              "--node-map", str(inputs / "node_map.json"), "--exclude", "bearing",
+              "--out-dir", "limit_loads"], 0, read | {"export", "trace"}),
+            (["compare", "envelope_extremes.json", str(inputs / "previous_run_envelope_extremes.json"),
+              "--out", "comparison_report/v1_vs_v2.json"], 3, read | {"compare", "export", "trace"}),
+            (["eval", "passk", "--p", "0.9"], 0, {"cli", "errors", "evalkit", "evalkit.passk"}),
+        ]
+        for argv, code, ran in steps:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert json.loads(proc.stderr) == {"exit": code, "ran": sorted(ran)}, argv[0]
+
+    def test_traced_benchmark_steps_record_layer_spans(self, tmp_path):
+        # perfbench's traced cli_replay runs each step through cli_child.py,
+        # which wraps the layer functions it finds in sys.modules. This runs
+        # two steps that way, so an import change that hides a layer module
+        # from it fails here, not only in the benchmark's self-test.
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        inputs = SCENARIOS_DIR / "inputs"
+        processed = tmp_path / "processed.json"
+        delivery, _ = rename_points(
+            parse_delivery((inputs / "OEM_loads_v2.yaml").read_bytes()),
+            {"lug_left": "lug_port", "lug_right": "lug_starboard", "lug_fairlead": "lug_failsafe"},
+        )
+        processed.write_text(write_delivery_json(convert_units(delivery, SI_UNITS)), encoding="utf-8")
+        steps = [
+            (["equilibrium", str(processed)], "analysis.equilibrium"),
+            (["export-ansys", str(processed), "--select", "2", "--node-map", str(inputs / "node_map.json"),
+              "--out-dir", str(tmp_path / "decks")], "export.decks"),
+        ]
+        for argv, layer in steps:
+            spans = tmp_path / "spans.ndjson"
+            proc = subprocess.run(
+                [sys.executable, str(REPO_ROOT / "perfbench" / "cli_child.py"), str(spans), *argv],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            names = {json.loads(line)["name"] for line in spans.read_text(encoding="utf-8").splitlines()}
+            assert {"ingest.parse", layer} <= names, argv[0]
+
     def test_harness_and_doc_server_import_leave_dataclasses_out(self):
         # Before, their records were dataclasses, which import inspect. The
         # runner imports every other harness module.

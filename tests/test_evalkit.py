@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import platform
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -629,6 +632,25 @@ class TestRunScenario:
         assert first.kind == "numeric_file_compare" and not first.passed
         assert run.reason == f"numeric_file_compare check failed: {first.diffs[0]}"
         assert run.reason.startswith("numeric_file_compare check failed: $.extremes.bearing.FX.max: ")
+
+    def test_shipped_subject_refuses_renamed_delivery_as_json(self, tmp_path):
+        # The delivery with the register's names already applied: the script
+        # still stops at its first rename, but with the CLI's one JSON error
+        # line and exit 2. Before, it died with a traceback and exit 1.
+        shutil.copy(REPO_ROOT / "scenarios" / "inputs" / "pipeline.py", tmp_path)
+        text = (REPO_ROOT / "scenarios" / "inputs" / "OEM_loads_v2.yaml").read_text(encoding="utf-8")
+        for old, new in (("lug_left", "lug_port"), ("lug_right", "lug_starboard"),
+                         ("lug_fairlead", "lug_failsafe")):
+            text = text.replace(old, new)
+        (tmp_path / "OEM_loads_v2.yaml").write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "pipeline.py"], cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(loadsmith.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["code"] == "UNKNOWN_POINT"
 
     def test_report_persisted(self, tmp_path):
         scenario = load_scenario(make_copy_scenario(tmp_path, k=1))

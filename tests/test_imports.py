@@ -18,7 +18,8 @@ def _is_module(path: Path) -> bool:
 
 def _crossings(path: Path) -> list[str]:
     """Each ``from .x import _name`` and ``module._name`` in ``path`` that names
-    a private name of another loadsmith module."""
+    a private name of another loadsmith module, bound by an import or by
+    ``cli._lazy``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules = set()  # local names bound to loadsmith modules
     found = []
@@ -41,6 +42,10 @@ def _crossings(path: Path) -> list[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "loadsmith":
                     modules.add(alias.asname or "loadsmith")
+        elif isinstance(node, ast.Assign) and "_lazy" in {
+            name.id for name in ast.walk(node.value) if isinstance(name, ast.Name)
+        }:
+            modules.update(name.id for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _private(node.attr):
             root = node.value
@@ -64,7 +69,10 @@ def test_the_check_finds_both_forms(tmp_path):
     package = tmp_path / "loadsmith"
     package.mkdir()
     (package / "ingest.py").write_text("")
-    (package / "cli.py").write_text("from . import ingest\nfrom .ingest import _x\ningest._y()\n")
+    (package / "cli.py").write_text(
+        "from . import ingest\nfrom .ingest import _x\ningest._y()\n"
+        "model, trace = map(_lazy, ('model', 'trace'))\ntrace._z()\n"
+    )
     assert _crossings(package / "cli.py") == [
-        "line 2: from .ingest import _x", "line 3: ingest._y"
+        "line 2: from .ingest import _x", "line 3: ingest._y", "line 5: trace._z"
     ]
