@@ -19,6 +19,7 @@ from loadsmith.errors import LoadsmithError
 from loadsmith.export import (
     envelope_to_markdown,
     export_all_inp,
+    load_node_map,
     read_envelope_json,
     write_envelope_json,
 )
@@ -73,7 +74,7 @@ def main() -> None:
     kept = ", ".join(str(i) for i in selection.selected_case_ids)
     print(f"envelope: kept {len(selection.selected_case_ids)} of {len(delivery.cases)} cases ({kept})")
 
-    nodes = {k: int(v) for k, v in json.loads(Path("node_map.json").read_text()).items()}
+    nodes = load_node_map("node_map.json")
     paths = export_all_inp(
         delivery, list(selection.selected_case_ids), nodes,
         exclude=EXCLUDE_FROM_DECKS, out_dir="limit_loads",

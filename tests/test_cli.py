@@ -1,5 +1,6 @@
 import argparse
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1294,6 +1296,25 @@ VALID_ARGVS = [
 ]
 
 
+# The six steps of scripts/replay_case.py and their exit statuses, each
+# writing into the working directory.
+REPLAY_STEPS = [
+    (["convert", str(SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"), "--to", "json",
+      "--out", "delivery.json"], 0),
+    (["transform", "delivery.json", "--rename", "lug_left=lug_port",
+      "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
+      "--scale", "FX=1.04", "--units", "N,N·m", "--out", "processed.json"], 0),
+    (["equilibrium", "processed.json"], 0),
+    (["envelope", "processed.json", "--out-dir", "."], 0),
+    (["export-ansys", "processed.json", "--select", "2,20,34,61,92,99",
+      "--node-map", str(SCENARIOS_DIR / "inputs" / "node_map.json"), "--exclude", "bearing",
+      "--out-dir", "limit_loads"], 0),
+    (["compare", "envelope_extremes.json",
+      str(SCENARIOS_DIR / "inputs" / "previous_run_envelope_extremes.json"),
+      "--out", "comparison_report/v1_vs_v2.json"], 3),
+]
+
+
 def _readme_command_lines() -> list[str]:
     """Each ``loadsmith ...`` command of README's ``sh`` blocks, continuation
     lines joined."""
@@ -1506,7 +1527,6 @@ class TestUsageAndErrors:
         # has not run is still the lazy module type, which type() does not
         # run. Before, every step ran every layer module.
         src = Path(loadsmith.__file__).resolve().parents[1]
-        inputs = SCENARIOS_DIR / "inputs"
         script = (
             "import json, sys, types\n"
             "from loadsmith.cli import main\n"
@@ -1516,29 +1536,68 @@ class TestUsageAndErrors:
             "sys.stderr.write(json.dumps({'exit': code, 'ran': ran}))\n"
         )
         read = {"cli", "errors", "ingest", "model", "strict"}
-        steps = [
-            (["convert", str(inputs / "OEM_loads_v2.yaml"), "--to", "json", "--out", "delivery.json"],
-             0, read | {"trace", "yaml_reader"}),
-            (["transform", "delivery.json", "--rename", "lug_left=lug_port",
-              "--rename", "lug_right=lug_starboard", "--rename", "lug_fairlead=lug_failsafe",
-              "--scale", "FX=1.04", "--units", "N,N·m", "--out", "processed.json"],
-             0, read | {"trace", "transform"}),
-            (["equilibrium", "processed.json"], 0, read | {"analysis"}),
-            (["envelope", "processed.json", "--out-dir", "."], 0, read | {"analysis", "export", "trace"}),
-            (["export-ansys", "processed.json", "--select", "2,20,34,61,92,99",
-              "--node-map", str(inputs / "node_map.json"), "--exclude", "bearing",
-              "--out-dir", "limit_loads"], 0, read | {"export", "trace"}),
-            (["compare", "envelope_extremes.json", str(inputs / "previous_run_envelope_extremes.json"),
-              "--out", "comparison_report/v1_vs_v2.json"], 3, read | {"compare", "export", "trace"}),
-            (["eval", "passk", "--p", "0.9"], 0, {"cli", "errors", "evalkit", "evalkit.passk"}),
+        runs = [
+            read | {"trace", "yaml_reader"},
+            read | {"trace", "transform"},
+            read | {"analysis"},
+            read | {"analysis", "export", "trace"},
+            read | {"export", "trace"},
+            read | {"compare", "export", "trace"},
+            {"cli", "errors", "evalkit", "evalkit.passk"},
         ]
-        for argv, code, ran in steps:
+        steps = [*REPLAY_STEPS, (["eval", "passk", "--p", "0.9"], 0)]
+        for (argv, code), ran in zip(steps, runs, strict=True):
             proc = subprocess.run(
                 [sys.executable, "-c", script, *argv],
                 cwd=tmp_path, capture_output=True, text=True, timeout=60,
                 env={**os.environ, "PYTHONPATH": str(src)},
             )
             assert json.loads(proc.stderr) == {"exit": code, "ran": sorted(ran)}, argv[0]
+
+    def test_process_entry_freezes_after_the_command(self, tmp_path, monkeypatch):
+        # python -m loadsmith runs __main__ as a fresh process does; once the
+        # command has returned, it freezes what is left, so shutdown's
+        # collection walks none of it. The status is the command's. Before,
+        # nothing was frozen.
+        monkeypatch.chdir(tmp_path)
+        for argv, code in REPLAY_STEPS[:-1]:
+            assert main(argv) == code, argv[0]
+        script = (
+            "import gc, json, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('loadsmith', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    sys.stderr.write(json.dumps({'exit': exc.code, 'frozen': gc.get_freeze_count()}))\n"
+        )
+        src = Path(loadsmith.__file__).resolve().parents[1]
+        for argv, code in [(["eval", "passk", "--p", "0.9"], 0), REPLAY_STEPS[-1]]:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            ended = json.loads(proc.stderr)
+            assert ended["exit"] == code and ended["frozen"] > 0, (argv[0], ended)
+
+    def test_main_in_process_never_freezes(self):
+        # A caller that keeps running (tests, perfbench's cli_child.py) would
+        # otherwise keep its cyclic garbage for good.
+        frozen = gc.get_freeze_count()
+        assert main(["eval", "passk", "--p", "0.9"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_replay_steps_leave_no_file_to_a_finalizer(self, tmp_path, monkeypatch):
+        # The process entry freezes what is left once main() returns, so a
+        # file left for a finalizer to close might never be closed. Every file
+        # a step opens is closed before it returns: none warns when collected.
+        monkeypatch.chdir(tmp_path)
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for argv, code in REPLAY_STEPS:
+                assert main(argv) == code, argv[0]
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_traced_benchmark_steps_record_layer_spans(self, tmp_path):
         # perfbench's traced cli_replay runs each step through cli_child.py,

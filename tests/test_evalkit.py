@@ -652,6 +652,28 @@ class TestRunScenario:
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"]["code"] == "UNKNOWN_POINT"
 
+    def test_shipped_subject_refuses_fractional_node_id(self, tmp_path):
+        # The node map goes through export's strict reader, as export-ansys
+        # --node-map reads it. Before, the script read it with int(v), so
+        # 1002.9 became node 1002 in six F lines of limit_load_2.inp, exit 0.
+        inputs = REPO_ROOT / "scenarios" / "inputs"
+        for name in ("pipeline.py", "OEM_loads_v2.yaml"):
+            shutil.copy(inputs / name, tmp_path)
+        (tmp_path / "previous_run").mkdir()
+        shutil.copy(inputs / "previous_run_envelope_extremes.json",
+                    tmp_path / "previous_run" / "envelope_extremes.json")
+        nodes = json.loads((inputs / "node_map.json").read_text(encoding="utf-8"))
+        (tmp_path / "node_map.json").write_text(json.dumps({**nodes, "lpt": 1002.9}), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "pipeline.py"], cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(loadsmith.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "lpt")
+        assert not (tmp_path / "limit_loads").exists()
+
     def test_report_persisted(self, tmp_path):
         scenario = load_scenario(make_copy_scenario(tmp_path, k=1))
         out = tmp_path / "runs"
