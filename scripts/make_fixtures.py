@@ -48,14 +48,18 @@ NODE_MAP = {
     "plug": 1007,
 }
 
+# The judge reads the sidecars of the replay's transform and export-ansys
+# steps and matches the argv that ran, as each sidecar's invocation line
+# spells it, so it grades the tool calls, not the subject's source text.
 RUBRIC = "\n".join(
     [
-        "# deviation handling rules for the v2 processing script",
-        "require: lug_left.*lug_port",
-        "require: lug_right.*lug_starboard",
-        "require: FX_CORRECTION = 1\\.04",
-        "require: convert_units",
-        "require: bearing",
+        "# deviation handling rules for the v2 replay, matched in the steps' argv",
+        'require: "--rename", "lug_left=lug_port"',
+        'require: "--rename", "lug_right=lug_starboard"',
+        'require: "--rename", "lug_fairlead=lug_failsafe"',
+        'require: "--scale", "FX=1\\.04"',
+        'require: "--units", "N,N·m"',
+        'require: "--exclude", "bearing"',
     ]
 )
 
@@ -90,7 +94,7 @@ def replay_yaml_text(delivery) -> str:
 
 
 def processed_envelope(delivery) -> EnvelopeExtremes:
-    """Mirror the pipeline script: rename -> fx correction -> SI conversion."""
+    """Mirror the replay's transform step: rename -> fx correction -> SI conversion."""
     renamed, _ = rename_points(
         delivery,
         {
@@ -123,7 +127,7 @@ def shrunken_previous(extremes: EnvelopeExtremes) -> EnvelopeExtremes:
     )
 
 
-def scenario_json(scenario_id: str, pipeline_name: str, description: str) -> str:
+def scenario_json(scenario_id: str, subject: str, description: str) -> str:
     scenario = {
         "id": scenario_id,
         "description": description,
@@ -131,15 +135,15 @@ def scenario_json(scenario_id: str, pipeline_name: str, description: str) -> str
         "alpha": 0.05,
         "environment": {
             "stage": [
-                {"source": f"inputs/{pipeline_name}", "dest": "pipeline.py"},
+                {"source": f"inputs/{subject}", "dest": "replay_case.py"},
                 {"source": "inputs/OEM_loads_v2.yaml", "dest": "OEM_loads_v2.yaml"},
                 {"source": "inputs/node_map.json", "dest": "node_map.json"},
                 {
                     "source": "inputs/previous_run_envelope_extremes.json",
-                    "dest": "previous_run/envelope_extremes.json",
+                    "dest": "previous_run_envelope_extremes.json",
                 },
             ],
-            "subject_command": ["{python}", "pipeline.py"],
+            "subject_command": ["{python}", "replay_case.py", "."],
             "record": {"toolkit": "loadsmith 0.1.0"},
         },
         "checks": [
@@ -153,7 +157,10 @@ def scenario_json(scenario_id: str, pipeline_name: str, description: str) -> str
             {
                 "kind": "file_set",
                 "dir": "limit_loads",
-                "expected": [f"limit_load_{i}.inp" for i in REPLAY_CRITICAL_IDS],
+                "expected": [
+                    *(f"limit_load_{i}.inp" for i in REPLAY_CRITICAL_IDS),
+                    "trace.ndjson",
+                ],
             },
             {
                 "kind": "text_golden",
@@ -162,7 +169,7 @@ def scenario_json(scenario_id: str, pipeline_name: str, description: str) -> str
             },
             {
                 "kind": "judge",
-                "artifacts": ["pipeline.py"],
+                "artifacts": ["processed.json.trace.ndjson", "limit_loads/trace.ndjson"],
                 "rubric": RUBRIC,
             },
         ],
@@ -186,27 +193,26 @@ def make_replay_scenario() -> None:
         write_envelope_json(shrunken_previous(extremes)),
     )
 
-    pipeline_text = (INPUTS / "pipeline.py").read_text(encoding="utf-8")
-    assert "FX_CORRECTION = 1.04" in pipeline_text
-    wrong = pipeline_text.replace("FX_CORRECTION = 1.04", "FX_CORRECTION = 1.0")
-    write(INPUTS / "pipeline_wrong_factor.py", wrong)
+    replay_text = (INPUTS / "replay_case.py").read_text(encoding="utf-8")
+    assert '"FX=1.04"' in replay_text
+    write(INPUTS / "replay_case_wrong_factor.py", replay_text.replace('"FX=1.04"', '"FX=1.0"'))
 
     write(
         SCENARIOS / "case_replay.json",
         scenario_json(
             "case-replay",
-            "pipeline.py",
-            "Replay of the v2 delivery processing: YAML carrier, imperial units, "
-            "left/right naming, and the OEM axial-force correction, graded by "
-            "deterministic checks plus the scripted judge.",
+            "replay_case.py",
+            "Replay of the v2 delivery processing through the CLI: YAML carrier, "
+            "imperial units, left/right naming, and the OEM axial-force correction, "
+            "graded by deterministic checks plus the judge over the steps' argv.",
         ),
     )
     write(
         SCENARIOS / "case_replay_wrong_factor.json",
         scenario_json(
             "case-replay-wrong-factor",
-            "pipeline_wrong_factor.py",
-            "Negative control: the processing script omits the 1.04 axial-force "
+            "replay_case_wrong_factor.py",
+            "Negative control: the replay omits the 1.04 axial-force "
             "correction; the deterministic comparison and the judge must both fail.",
         ),
     )

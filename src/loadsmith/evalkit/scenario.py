@@ -17,17 +17,20 @@ Format (see ``scenarios/`` for live examples):
       "k": 3,
       "alpha": 0.05,
       "environment": {
-        "stage": [{"source": "inputs/delivery.yaml", "dest": "delivery.yaml"}],
-        "subject_command": ["{python}", "pipeline.py"],
+        "stage": [{"source": "inputs/replay_case.py", "dest": "replay_case.py"},
+                  {"source": "inputs/delivery.yaml", "dest": "delivery.yaml"}],
+        "subject_command": ["{python}", "replay_case.py", "."],
         "record": {"toolkit": "loadsmith"}
       },
       "checks": [
         {"kind": "numeric_file_compare", "actual": "out.json",
          "reference": "references/out.json", "abs_tol": 0, "rel_tol": 1e-12},
-        {"kind": "file_set", "dir": "decks", "expected": ["limit_load_2.inp"]},
+        {"kind": "file_set", "dir": "limit_loads",
+         "expected": ["limit_load_2.inp", "trace.ndjson"]},
         {"kind": "text_golden", "actual": "envelope.md",
          "reference": "references/envelope.md"},
-        {"kind": "judge", "artifacts": ["pipeline.py"], "rubric": "require: 1\\.04"}
+        {"kind": "judge", "artifacts": ["processed.json.trace.ndjson"],
+         "rubric": "require: FX=1\\.04"}
       ]
     }
 

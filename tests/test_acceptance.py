@@ -427,3 +427,48 @@ def test_criterion_11_harness_end_to_end(tmp_path):
             verdicts = {v.kind: v.status for v in run.verdicts}
             assert verdicts["numeric_file_compare"] == "fail"
             assert verdicts["judge"] == "fail"
+
+
+# The negative controls of case-replay: each is a one-line edit of the staged
+# replay, with the start of the reason its run fails for (the first failing
+# check, or the CLI step that refused) and the error code that step wrote.
+NEGATIVE_CONTROLS = {
+    "without the FX correction": (
+        '"FX=1.04"', '"FX=1.0"', "numeric_file_compare check failed: ", None,
+    ),
+    "bearing left in the decks": (
+        '        "--exclude", "bearing",\n', "", "judge check failed: ", None,
+    ),
+    "lug_left not renamed": (
+        '        "--rename", "lug_left=lug_port",\n', "",
+        "exit status 2: export-ansys failed", "UNMAPPED_POINT",
+    ),
+    "units not converted": (
+        '        "--units", "N,N·m",\n', "",
+        "exit status 2: export-ansys failed", "NON_SI_EXPORT",
+    ),
+}
+
+
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS)
+def test_criterion_11_negative_controls(tmp_path, control):
+    old, new, reason, code = NEGATIVE_CONTROLS[control]
+    with criterion(11, f"harness negative control: {control}"):
+        text = (SCENARIOS_DIR / "inputs" / "replay_case.py").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        replay = tmp_path / "replay_case.py"
+        replay.write_text(text.replace(old, new), encoding="utf-8")
+        scenario = load_scenario(SCENARIOS_DIR / "case_replay.json")
+        stage = tuple(
+            item._replace(source=str(replay)) if item.dest == replay.name else item
+            for item in scenario.environment.stage
+        )
+        scenario = scenario._replace(environment=scenario.environment._replace(stage=stage))
+
+        (run,) = run_scenario(scenario, tmp_path / "runs", k=1).runs
+        assert not run.passed and run.infrastructure_error is None
+        assert run.reason.startswith(reason), run.reason
+        if code is not None:
+            events = (tmp_path / "runs" / run.trace).read_text(encoding="utf-8").splitlines()
+            (exec_event,) = [e for e in map(json.loads, events) if e["event"] == "exec"]
+            assert f'"code": "{code}"' in exec_event["stderr"], exec_event["stderr"]

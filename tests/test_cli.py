@@ -1296,8 +1296,8 @@ VALID_ARGVS = [
 ]
 
 
-# The six steps of scripts/replay_case.py and their exit statuses, each
-# writing into the working directory.
+# The six steps of scenarios/inputs/replay_case.py and their exit statuses,
+# each writing into the working directory.
 REPLAY_STEPS = [
     (["convert", str(SCENARIOS_DIR / "inputs" / "OEM_loads_v2.yaml"), "--to", "json",
       "--out", "delivery.json"], 0),

@@ -414,6 +414,29 @@ def make_copy_scenario(tmp_path: Path, k: int = 3, correct: bool = True) -> Path
     return path
 
 
+def stage_replay(work: Path) -> None:
+    """Stage the shipped replay and its inputs into ``work`` as case-replay does."""
+    scenario = load_scenario(REPO_ROOT / "scenarios" / "case_replay.json")
+    for item in scenario.environment.stage:
+        shutil.copyfile(scenario.base_dir / item.source, work / item.dest)
+
+
+def run_replay(work: Path) -> subprocess.CompletedProcess:
+    """Run the replay staged in ``work`` as case-replay's subject runs it."""
+    return subprocess.run(
+        [sys.executable, "replay_case.py", "."], cwd=work, capture_output=True, text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(loadsmith.__file__).resolve().parents[1])},
+    )
+
+
+def replay_error(stderr: str) -> dict:
+    """The one JSON error object among the replay's stderr lines, which also
+    hold its own line naming the step that failed."""
+    (error,) = [json.loads(line)["error"] for line in stderr.splitlines() if line.startswith("{")]
+    return error
+
+
 class TestRunScenario:
     def test_verbatim_copy_passes_k3(self, tmp_path):
         scenario = load_scenario(make_copy_scenario(tmp_path, k=3))
@@ -634,44 +657,52 @@ class TestRunScenario:
         assert run.reason.startswith("numeric_file_compare check failed: $.extremes.bearing.FX.max: ")
 
     def test_shipped_subject_refuses_renamed_delivery_as_json(self, tmp_path):
-        # The delivery with the register's names already applied: the script
-        # still stops at its first rename, but with the CLI's one JSON error
-        # line and exit 2. Before, it died with a traceback and exit 1.
-        shutil.copy(REPO_ROOT / "scenarios" / "inputs" / "pipeline.py", tmp_path)
-        text = (REPO_ROOT / "scenarios" / "inputs" / "OEM_loads_v2.yaml").read_text(encoding="utf-8")
+        # The delivery with the register's names already applied: the replay
+        # still stops at its first rename, with transform's one JSON error
+        # line forwarded and transform's exit 2, never a traceback.
+        stage_replay(tmp_path)
+        delivery = tmp_path / "OEM_loads_v2.yaml"
+        text = delivery.read_text(encoding="utf-8")
         for old, new in (("lug_left", "lug_port"), ("lug_right", "lug_starboard"),
                          ("lug_fairlead", "lug_failsafe")):
             text = text.replace(old, new)
-        (tmp_path / "OEM_loads_v2.yaml").write_text(text, encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "pipeline.py"], cwd=tmp_path, capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(loadsmith.__file__).resolve().parents[1])},
-        )
+        delivery.write_text(text, encoding="utf-8")
+        proc = run_replay(tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"]["code"] == "UNKNOWN_POINT"
+        assert replay_error(proc.stderr)["code"] == "UNKNOWN_POINT"
+        assert proc.stderr.splitlines()[-1] == "transform failed: exit 2, expected 0"
+        assert not (tmp_path / "processed.json").exists()
 
     def test_shipped_subject_refuses_fractional_node_id(self, tmp_path):
-        # The node map goes through export's strict reader, as export-ansys
-        # --node-map reads it. Before, the script read it with int(v), so
-        # 1002.9 became node 1002 in six F lines of limit_load_2.inp, exit 0.
-        inputs = REPO_ROOT / "scenarios" / "inputs"
-        for name in ("pipeline.py", "OEM_loads_v2.yaml"):
-            shutil.copy(inputs / name, tmp_path)
-        (tmp_path / "previous_run").mkdir()
-        shutil.copy(inputs / "previous_run_envelope_extremes.json",
-                    tmp_path / "previous_run" / "envelope_extremes.json")
-        nodes = json.loads((inputs / "node_map.json").read_text(encoding="utf-8"))
-        (tmp_path / "node_map.json").write_text(json.dumps({**nodes, "lpt": 1002.9}), encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "pipeline.py"], cwd=tmp_path, capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(loadsmith.__file__).resolve().parents[1])},
-        )
+        # export-ansys reads the node map with its strict reader, so 1002.9
+        # is refused, never truncated to node 1002 in six F lines.
+        stage_replay(tmp_path)
+        node_map = tmp_path / "node_map.json"
+        nodes = json.loads(node_map.read_text(encoding="utf-8"))
+        node_map.write_text(json.dumps({**nodes, "lpt": 1002.9}), encoding="utf-8")
+        proc = run_replay(tmp_path)
         assert proc.returncode == 2
-        (line,) = proc.stderr.splitlines()
-        error = json.loads(line)["error"]
+        error = replay_error(proc.stderr)
         assert (error["code"], error["location"]) == ("SCHEMA_ERROR", "lpt")
+        assert proc.stderr.splitlines()[-1] == "export-ansys failed: exit 2, expected 0"
+        assert not (tmp_path / "limit_loads").exists()
+
+    def test_shipped_subject_stops_on_unbalanced_delivery(self, tmp_path):
+        # DP-TRS-LOADS-001 section 4: an unbalanced case is raised with the OEM
+        # before the analysis proceeds. Before, the replay accepted
+        # equilibrium's exit 2 and went on to write the decks.
+        stage_replay(tmp_path)
+        delivery = tmp_path / "OEM_loads_v2.yaml"
+        text = delivery.read_text(encoding="utf-8")
+        balanced = "      fx: 34.091398437908566\n"  # case 1, bearing
+        assert text.count(balanced) == 1
+        delivery.write_text(text.replace(balanced, "      fx: 44.091398437908566\n"),
+                            encoding="utf-8")
+        proc = run_replay(tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == "equilibrium failed: exit 2, expected 0"
         assert not (tmp_path / "limit_loads").exists()
 
     def test_report_persisted(self, tmp_path):
