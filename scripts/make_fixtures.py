@@ -127,15 +127,17 @@ def shrunken_previous(extremes: EnvelopeExtremes) -> EnvelopeExtremes:
     )
 
 
-def scenario_json(scenario_id: str, subject: str, description: str) -> str:
+def scenario_json() -> str:
     scenario = {
-        "id": scenario_id,
-        "description": description,
+        "id": "case-replay",
+        "description": "Replay of the v2 delivery processing through the CLI: YAML carrier, "
+        "imperial units, left/right naming, and the OEM axial-force correction, "
+        "graded by deterministic checks plus the judge over the steps' argv.",
         "k": 3,
         "alpha": 0.05,
         "environment": {
             "stage": [
-                {"source": f"inputs/{subject}", "dest": "replay_case.py"},
+                {"source": "inputs/replay_case.py", "dest": "replay_case.py"},
                 {"source": "inputs/OEM_loads_v2.yaml", "dest": "OEM_loads_v2.yaml"},
                 {"source": "inputs/node_map.json", "dest": "node_map.json"},
                 {
@@ -192,30 +194,7 @@ def make_replay_scenario() -> None:
         INPUTS / "previous_run_envelope_extremes.json",
         write_envelope_json(shrunken_previous(extremes)),
     )
-
-    replay_text = (INPUTS / "replay_case.py").read_text(encoding="utf-8")
-    assert '"FX=1.04"' in replay_text
-    write(INPUTS / "replay_case_wrong_factor.py", replay_text.replace('"FX=1.04"', '"FX=1.0"'))
-
-    write(
-        SCENARIOS / "case_replay.json",
-        scenario_json(
-            "case-replay",
-            "replay_case.py",
-            "Replay of the v2 delivery processing through the CLI: YAML carrier, "
-            "imperial units, left/right naming, and the OEM axial-force correction, "
-            "graded by deterministic checks plus the judge over the steps' argv.",
-        ),
-    )
-    write(
-        SCENARIOS / "case_replay_wrong_factor.json",
-        scenario_json(
-            "case-replay-wrong-factor",
-            "replay_case_wrong_factor.py",
-            "Negative control: the replay omits the 1.04 axial-force "
-            "correction; the deterministic comparison and the judge must both fail.",
-        ),
-    )
+    write(SCENARIOS / "case_replay.json", scenario_json())
 
 
 def make_micro_goldens() -> None:

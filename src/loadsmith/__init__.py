@@ -4,8 +4,8 @@ Processing pipeline: ingest (JSON/YAML deliveries) -> transform (rename,
 correction factors, unit conversion) -> analysis (equilibrium, envelope
 downselection) -> export (.inp decks, markdown, extremes JSON) -> compare
 (exceedance against a previous envelope). The evalkit subpackage adds a
-scenario runner with deterministic checks, pluggable judges and pass^k
-statistics; docserver serves versioned design-practice documents over
+scenario runner with deterministic checks, a local rubric judge and
+pass^k statistics; docserver serves versioned design-practice documents over
 JSON-RPC.
 """
 

@@ -85,6 +85,18 @@ class EquilibriumSurvey(NamedTuple):
             "cases": [r.to_dict() for r in self.results],
         }
 
+    def error(self) -> LoadsmithError | None:
+        """UNBALANCED_CASE naming every unbalanced case, located at the first
+        one's ``load_cases[<index>]``; None when every case is balanced."""
+        unbalanced = [(i, r.case_id) for i, r in enumerate(self.results) if not r.balanced]
+        if not unbalanced:
+            return None
+        return LoadsmithError(
+            "unbalanced case ids: " + ", ".join(str(case_id) for _, case_id in unbalanced),
+            code="UNBALANCED_CASE",
+            location=f"load_cases[{unbalanced[0][0]}]",
+        )
+
 
 def _case_equilibrium(case: LoadCase, coords: Coordinates | None, tol: Tolerance) -> EquilibriumResult:
     """Force (and, with ``coords``, moment) residuals of one case; see check_equilibrium_all.

@@ -19,7 +19,8 @@ run, are those of the bytes it read.
 Each subcommand writes its content files and returns its exit code, its
 summary and the files written. ``main()`` writes the rest: an NDJSON trace
 sidecar for those files (argv, checksums, timestamps, kept out of the
-content), the summary as JSON on stdout, or one JSON error object on stderr.
+content), the summary as JSON on stdout, and one JSON error object on
+stderr when the command fails.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def _refuse_overwriting_inputs(args, outputs) -> None:
 
 
 # --- subcommand implementations -----------------------------------------
-# Each returns (exit code, stdout summary or None, files written).
+# Each returns (exit code, stdout summary or None, files written); a command
+# whose findings fault its input returns their LoadsmithError as its exit code.
 
 
 def _cmd_convert(args):
@@ -224,9 +226,8 @@ def _cmd_convert(args):
 
 def _cmd_validate(args):
     raw = Path(args.input).read_bytes()
-    delivery = ingest.parse_delivery(raw)
-    report = ingest.validate_delivery(delivery)
-    return (EXIT_OK if report.ok else EXIT_PROCESSING), report.to_dict(), []
+    report = ingest.validate_delivery(ingest.parse_delivery(raw))
+    return report.error(args.input) or EXIT_OK, report.to_dict(), []
 
 
 def _cmd_transform(args):
@@ -271,7 +272,7 @@ def _cmd_equilibrium(args):
         text = strict.read_text(args.coords, "coords")
         coords = ingest.read_coordinates(strict.read_json(text, "coords"), "coords")
     survey = analysis.check_equilibrium_all(delivery, tol=tol, coords=coords)
-    return (EXIT_OK if survey.all_balanced else EXIT_PROCESSING), survey.to_dict(), []
+    return survey.error() or EXIT_OK, survey.to_dict(), []
 
 
 def _cmd_envelope(args):
@@ -489,7 +490,7 @@ def _refuse_undecodable(argv: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; write its sidecar and stdout summary, or its stderr error."""
+    """Run one command; write its sidecar, its stdout summary and any stderr error."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -500,7 +501,9 @@ def main(argv: list[str] | None = None) -> int:
             trace.write_cli_trace(_sidecar(args, written), ["loadsmith", *argv], _inputs(args), written)
         if summary is not None:
             sys.stdout.write(json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
-        return status
+        if not isinstance(status, LoadsmithError):
+            return status
+        error, status = status, EXIT_PROCESSING
     except LoadsmithError as exc:
         error, status = exc, (EXIT_USAGE if isinstance(exc, _UsageExit) else EXIT_PROCESSING)
     except FileNotFoundError as exc:

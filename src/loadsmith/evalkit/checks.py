@@ -1,6 +1,9 @@
 """Deterministic artifact checks used by the scenario runner.
 
-Each check returns a :class:`CheckResult` with status "pass" or "fail".
+Each check kind is one function, registered in :data:`CHECKS` by
+:func:`check`; its parameters are the kind's scenario fields. Each returns
+a :class:`CheckResult`, "pass" or "fail".
+
 A check reads each side of its comparison through its own reader, each
 with one rule. ``read_run_file`` reads what the subject left in the run
 directory (an ``actual`` file, a ``file_set`` directory's listing, a judge's
@@ -10,17 +13,24 @@ since the subject was to write it. ``read_reference`` reads the scenario's
 own ``reference`` files: any such problem raises :class:`ReferenceError`,
 because a broken reference invalidates the repetition rather than failing
 the subject.
+
+The judge matches artifact files against a rubric, which is scenario data:
+one rule per line, ``require: <regex>`` or ``forbid: <regex>`` (``#``
+comments and blank lines ignored), run against the artifacts' concatenated
+text. The scenario reader calls :func:`read_rubric`, so a malformed rubric
+is refused with its location before any repetition runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .. import strict
-from ..errors import LoadsmithError
+from ..errors import LoadsmithError, SchemaError
 
 
 class CheckResult(NamedTuple):
@@ -81,9 +91,16 @@ def read_reference(path: Path, what: str, parse):
     return _read(path, what, parse, ReferenceError)
 
 
-def check(kind: str):
-    """Make a function the check ``kind``: a run-side file that
-    :func:`read_run_file` cannot read gives a failing verdict naming it."""
+# Each check kind: (its function, its required fields, its optional fields).
+CHECKS: dict[str, tuple[Callable[..., CheckResult], tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def check(kind: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Register a function in :data:`CHECKS` as the check ``kind``, whose
+    scenario fields are the function's parameters: ``required``, and
+    ``optional`` ones, which take the function's defaults when a scenario
+    omits them. A run-side file that :func:`read_run_file` cannot read gives
+    a failing verdict naming it."""
 
     def decorate(function):
         @functools.wraps(function)
@@ -93,6 +110,7 @@ def check(kind: str):
             except _RunFileUnreadable as exc:
                 return CheckResult(kind, "fail", (str(exc),))
 
+        CHECKS[kind] = (run, required, optional)
         return run
 
     return decorate
@@ -163,7 +181,7 @@ def _strict_json(what: str):
     return lambda path: strict.read_json(strict.read_text(path, what), what)
 
 
-@check("numeric_file_compare")
+@check("numeric_file_compare", ("actual", "reference"), ("abs_tol", "rel_tol"))
 def numeric_file_compare(
     actual: str | Path,
     reference: str | Path,
@@ -194,11 +212,11 @@ def numeric_file_compare(
     return CheckResult("numeric_file_compare", status, tuple(diffs))
 
 
-@check("file_set")
-def file_set_check(directory: str | Path, expected: list[str]) -> CheckResult:
+@check("file_set", ("dir", "expected"))
+def file_set_check(dir: str | Path, expected: list[str]) -> CheckResult:
     """Exact file-name set comparison for one output directory."""
     found = read_run_file(
-        Path(directory), "directory", lambda d: {p.name for p in d.iterdir() if p.is_file()}
+        Path(dir), "directory", lambda d: {p.name for p in d.iterdir() if p.is_file()}
     )
     missing = sorted(set(expected) - found)
     extra = sorted(found - set(expected))
@@ -206,7 +224,7 @@ def file_set_check(directory: str | Path, expected: list[str]) -> CheckResult:
     return CheckResult("file_set", "pass" if not diffs else "fail", tuple(diffs))
 
 
-@check("text_golden")
+@check("text_golden", ("actual", "reference"))
 def text_golden_check(actual: str | Path, reference: str | Path) -> CheckResult:
     """Byte-exact comparison between an artifact and its golden reference."""
     expected_bytes = read_reference(Path(reference), "reference file", Path.read_bytes)
@@ -227,3 +245,50 @@ def text_golden_check(actual: str | Path, reference: str | Path) -> CheckResult:
         "fail",
         (f"length differs: {len(actual_bytes)} vs {len(expected_bytes)} bytes",),
     )
+
+
+def read_rubric(text: str, location: str) -> tuple[tuple[str, str, re.Pattern], ...]:
+    """The rules of rubric ``text``, each ``(mode, pattern, regex)``; a
+    malformed rubric raises SchemaError at ``location``."""
+    rules = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("require:"):
+            mode, pattern = "require", line[len("require:"):].strip()
+        elif line.startswith("forbid:"):
+            mode, pattern = "forbid", line[len("forbid:"):].strip()
+        else:
+            raise SchemaError(
+                f"rubric line {lineno} is neither 'require:' nor 'forbid:'", location=location
+            )
+        try:
+            rules.append((mode, pattern, re.compile(pattern, re.MULTILINE)))
+        except re.error as exc:
+            raise SchemaError(f"rubric line {lineno}: bad regex ({exc})", location=location) from exc
+    if not rules:
+        raise SchemaError("rubric contains no rules", location=location)
+    return tuple(rules)
+
+
+def _read_artifact(path: Path) -> str:
+    """The artifact's text, read as a run-side file; every line end reads as
+    one newline, as in a file opened in text mode."""
+    text = read_run_file(path, "artifact", lambda p: strict.read_text(p, f"artifact {p.name}"))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@check("judge", ("artifacts", "rubric"))
+def judge_check(artifacts: list[Path], rubric: str) -> CheckResult:
+    """Grade ``artifacts`` against ``rubric``; an artifact that cannot be
+    read fails the check."""
+    rules = read_rubric(rubric, "rubric")
+    combined = "\n".join(_read_artifact(path) for path in artifacts)
+    for mode, pattern, regex in rules:
+        hit = regex.search(combined)
+        if mode == "require" and not hit:
+            return CheckResult("judge", "fail", rationale=f"required pattern not found: {pattern}")
+        if mode == "forbid" and hit:
+            return CheckResult("judge", "fail", rationale=f"forbidden pattern found: {pattern}")
+    return CheckResult("judge", "pass", rationale=f"all {len(rules)} rubric rules satisfied")

@@ -29,14 +29,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .checks import (
-    CheckResult,
-    ReferenceError,
-    file_set_check,
-    numeric_file_compare,
-    text_golden_check,
-)
-from .judge import judge_check
+from .checks import CHECKS, CheckResult, ReferenceError
 from .passk import pass_lower_bound
 from .scenario import CheckSpec, Scenario
 from .. import yaml_reader
@@ -93,20 +86,18 @@ def _subject_env() -> dict[str, str]:
 
 
 def _run_check(spec: CheckSpec, workdir: Path, base_dir: Path) -> CheckResult:
-    params = spec.params
-    if spec.kind == "numeric_file_compare":
-        return numeric_file_compare(
-            workdir / params["actual"],
-            base_dir / params["reference"],
-            abs_tol=params.get("abs_tol", 0.0),
-            rel_tol=params.get("rel_tol", 0.0),
-        )
-    if spec.kind == "file_set":
-        return file_set_check(workdir / params["dir"], params["expected"])
-    if spec.kind == "text_golden":
-        return text_golden_check(workdir / params["actual"], base_dir / params["reference"])
-    # parse_scenario refuses any other kind
-    return judge_check([workdir / a for a in params["artifacts"]], params["rubric"])
+    """``spec``'s check, with its run-side paths joined to ``workdir`` and its
+    ``reference`` to ``base_dir``; an omitted optional field takes its default."""
+    params = dict(spec.params)
+    for name, value in spec.params.items():
+        if name in ("actual", "dir"):
+            params[name] = workdir / value
+        elif name == "artifacts":
+            params[name] = [workdir / artifact for artifact in value]
+        elif name == "reference":
+            params[name] = base_dir / value
+    function, _, _ = CHECKS[spec.kind]
+    return function(**params)
 
 
 def _failure_reason(exit_status: int | None, stderr: str, verdicts: list[CheckResult]) -> str:

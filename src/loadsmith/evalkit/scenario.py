@@ -22,33 +22,28 @@ Format (see ``scenarios/`` for live examples):
         "subject_command": ["{python}", "replay_case.py", "."],
         "record": {"toolkit": "loadsmith"}
       },
-      "checks": [
-        {"kind": "numeric_file_compare", "actual": "out.json",
-         "reference": "references/out.json", "abs_tol": 0, "rel_tol": 1e-12},
-        {"kind": "file_set", "dir": "limit_loads",
-         "expected": ["limit_load_2.inp", "trace.ndjson"]},
-        {"kind": "text_golden", "actual": "envelope.md",
-         "reference": "references/envelope.md"},
-        {"kind": "judge", "artifacts": ["processed.json.trace.ndjson"],
-         "rubric": "require: FX=1\\.04"}
-      ]
+      "checks": [{"kind": "<kind>", "<field>": "<value>"}]
     }
+
+Each check names its ``kind``, a key of :data:`checks.CHECKS`, and that
+kind's fields, which are the parameters of its function in ``checks``.
 
 The file is read by the strict reader every pipeline input goes through:
 a repeated key, an unknown field, a value of the wrong type (a string
 ``abs_tol``, ``"k": true`` or ``2.7``, ``checks`` given as an object) or an
 ``alpha`` outside (0, 1) is refused with its location, never coerced. So
-is a judge ``rubric`` that :func:`judge.read_rubric` refuses, a ``record``
+is a judge ``rubric`` that :func:`checks.read_rubric` refuses, a ``record``
 key ``event`` or ``ts``, which would name a trace event's own fields, and a
 path in the run directory (a stage ``dest``, a check's ``actual``, ``dir`` or
 ``artifacts``) that is absolute or has a ``..`` part, since it would leave
 the run directory. A stage ``dest``, a check's ``actual`` and an artifact
 each name a file, so one with no parts (``""``, ``.``, ``./``), which names
 the run directory itself, is refused too; a ``file_set`` ``dir`` of ``.``
-lists the run directory. A path or a subject command argument that holds
-U+0000 is refused, and so is an ``id``, which names the scenario's
-directory in the output directory, that is empty, ``.`` or ``..`` or holds
-``/`` or ``\\``.
+lists the run directory. A file named twice in one list (``expected``,
+``artifacts``) is refused at the repeat. A path or a subject command
+argument that holds U+0000 is refused, and so is an ``id``, which names the
+scenario's directory in the output directory, that is empty, ``.`` or
+``..`` or holds ``/`` or ``\\``.
 
 ``{python}`` in the subject command expands to the running interpreter.
 The subject runs in the harness's environment, with each ``PYTHONPATH``
@@ -66,15 +61,8 @@ from typing import NamedTuple
 from .. import strict
 from ..errors import SchemaError
 from ..model import CheckedRecord
-from .judge import read_rubric
+from .checks import CHECKS, read_rubric
 
-# Per check kind: (required fields, optional fields) beside "kind".
-_CHECK_FIELDS = {
-    "numeric_file_compare": (("actual", "reference"), ("abs_tol", "rel_tol")),
-    "file_set": (("dir", "expected"), ()),
-    "text_golden": (("actual", "reference"), ()),
-    "judge": (("artifacts", "rubric"), ()),
-}
 _TOLERANCE_FIELDS = ("abs_tol", "rel_tol")
 _LIST_FIELDS = ("expected", "artifacts")
 
@@ -162,9 +150,9 @@ def _parse_check(node, loc: str) -> CheckSpec:
     if "kind" not in check:
         raise SchemaError(f"missing field 'kind' at {loc}", location=f"{loc}.kind")
     kind = strict.expect_text(check["kind"], f"{loc}.kind")
-    if kind not in _CHECK_FIELDS:
+    if kind not in CHECKS:
         raise SchemaError(f"unknown check kind {kind!r}", location=f"{loc}.kind")
-    required, optional = _CHECK_FIELDS[kind]
+    _, required, optional = CHECKS[kind]
     strict.expect_keys(check, ("kind", *required), optional, loc)
     params = {}
     for name, value in check.items():
@@ -177,6 +165,9 @@ def _parse_check(node, loc: str) -> CheckSpec:
                 raise SchemaError(f"{name} must be >= 0", location=where)
         elif name in _LIST_FIELDS:
             value = _expect_texts(value, where)
+            for i, item in enumerate(value):
+                if item in value[:i]:
+                    raise SchemaError(f"{item!r} is named twice", location=f"{where}[{i}]")
         else:
             value = strict.expect_text(value, where)
         if name == "actual":

@@ -65,6 +65,16 @@ class ValidationReport(NamedTuple):
     def to_dict(self) -> dict:
         return {"ok": self.ok, "findings": [f._asdict() for f in self.findings]}
 
+    def error(self, path: str | Path) -> LoadsmithError | None:
+        """The first error finding, as the error that refuses the delivery
+        file ``path``; None when there is none."""
+        first = next((f for f in self.findings if f.severity == "error"), None)
+        if first is None:
+            return None
+        return LoadsmithError(
+            f"invalid delivery {path}: {first.message}", code=first.code, location=first.location
+        )
+
 
 def read_units(node, loc: str) -> UnitSystem:
     """A ``{"force": ..., "moment": ...}`` unit pair; unknown units are refused."""
@@ -353,10 +363,5 @@ def load_delivery(path: str | Path) -> LoadsDelivery:
     delivery = parse_delivery(raw)
     report = validate_delivery(delivery)
     if not report.ok:
-        first = next(f for f in report.findings if f.severity == "error")
-        raise LoadsmithError(
-            f"invalid delivery {path}: {first.message}",
-            code=first.code,
-            location=first.location,
-        )
+        raise report.error(path)
     return delivery

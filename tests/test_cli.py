@@ -20,7 +20,8 @@ from loadsmith import cli
 from loadsmith.analysis import envelope_extremes
 from loadsmith.cli import build_parser, main
 from loadsmith.export import write_envelope_json
-from loadsmith.ingest import parse_delivery, write_delivery_json
+from loadsmith.errors import LoadsmithError
+from loadsmith.ingest import load_delivery, parse_delivery, write_delivery_json
 from loadsmith.model import (
     Component, ComponentSet, EnvelopeExtremes, ExtremeCell, LoadCase, LoadsDelivery, SI_UNITS, UnitSystem,
 )
@@ -203,6 +204,22 @@ class TestValidate:
         assert code == 2
         assert not json.loads(out)["ok"]
 
+    def test_repeated_case_id_names_the_error_load_delivery_raises(self, tmp_path, capsys):
+        # Before, validate exited 2 with the report on stdout and nothing on stderr.
+        d = LoadsDelivery(name="dup", version=1, units=SI_UNITS, cases=(
+            LoadCase(id=1, loads={"a": ComponentSet()}),
+            LoadCase(id=2, loads={"a": ComponentSet()}),
+        ))
+        path = tmp_path / "dup.json"
+        path.write_text(write_delivery_json(d).replace('"id": 2', '"id": 1'), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert [f["code"] for f in json.loads(out)["findings"]] == ["DUPLICATE_CASE_ID"]
+        with pytest.raises(LoadsmithError) as raised:
+            load_delivery(str(path))
+        assert single_error(err) == raised.value.to_dict()
+        assert single_error(err)["location"] == "load_cases[1].id"
+
     @pytest.mark.parametrize("carrier", ["yaml", "json"])
     def test_version_of_5000_digits_exit_2(self, tmp_path, capsys, delivery_file, carrier):
         _, d = delivery_file
@@ -335,6 +352,24 @@ class TestEquilibrium:
         code, out, _ = run_cli(capsys, "equilibrium", str(path))
         assert code == 2
         assert not json.loads(out)["all_balanced"]
+
+    def test_unbalanced_cases_named_in_one_error(self, tmp_path, capsys):
+        # Before, equilibrium exited 2 with the survey on stdout and nothing on stderr.
+        cases = (
+            LoadCase(id=5, loads={"a": ComponentSet(fx=1.0), "b": ComponentSet(fx=-1.0)}),
+            LoadCase(id=7, loads={"a": ComponentSet(fx=1.0), "b": ComponentSet(fx=1.0)}),
+            LoadCase(id=9, loads={"a": ComponentSet(fy=2.0), "b": ComponentSet(fy=1.0)}),
+        )
+        path = tmp_path / "d.json"
+        path.write_text(write_delivery_json(
+            LoadsDelivery(name="m", version=1, units=SI_UNITS, cases=cases)
+        ), encoding="utf-8")
+        code, out, err = run_cli(capsys, "equilibrium", str(path))
+        assert code == 2
+        assert [c["balanced"] for c in json.loads(out)["cases"]] == [True, False, False]
+        assert single_error(err) == {
+            "code": "UNBALANCED_CASE", "message": "unbalanced case ids: 7, 9", "location": "load_cases[1]",
+        }
 
     def test_undecodable_coords_exit_2(self, tmp_path, capsys, delivery_file):
         path, _ = delivery_file
@@ -846,6 +881,13 @@ MALFORMED_SCENARIOS = [
                  "environment.stage[0].dest", id="stage-dest-dot"),
     pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "./"])),
                  "SCHEMA_ERROR", "checks[0].artifacts[1]", id="judge-artifact-dot-slash"),
+    # Before, a file named twice was graded once: file_set compared the set of
+    # names, so a subject that wrote a.txt once passed.
+    pytest.param(_scenario_with(("checks", 0), {"kind": "file_set", "dir": ".",
+                                                "expected": ["a.txt", "a.txt"]}),
+                 "SCHEMA_ERROR", "checks[0].expected[1]", id="file-set-expected-twice"),
+    pytest.param(_scenario_with(("checks", 0), dict(_JUDGE, artifacts=["o.json", "p.json", "o.json"])),
+                 "SCHEMA_ERROR", "checks[0].artifacts[2]", id="judge-artifact-twice"),
 ]
 
 

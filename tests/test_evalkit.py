@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -13,12 +15,13 @@ import yaml
 import loadsmith
 from loadsmith.cli import main
 from loadsmith.evalkit.checks import (
+    CHECKS,
     ReferenceError,
     file_set_check,
+    judge_check,
     numeric_file_compare,
     text_golden_check,
 )
-from loadsmith.evalkit.judge import judge_check
 from loadsmith.evalkit.passk import pass_lower_bound
 from loadsmith.evalkit.runner import run_scenario
 from loadsmith.evalkit.scenario import load_scenario, parse_scenario
@@ -368,7 +371,7 @@ class TestScenarioParsing:
 
     def test_shipped_scenarios_parse(self):
         paths = sorted((REPO_ROOT / "scenarios").glob("*.json"))
-        assert [load_scenario(path).checks[0].kind for path in paths] == ["numeric_file_compare"] * 2
+        assert [load_scenario(path).checks[0].kind for path in paths] == ["numeric_file_compare"] * 1
 
     def test_unknown_field_rejected(self):
         bad = dict(self.GOOD, checks=[dict(self.GOOD["checks"][0], abs_tol=0)])
@@ -386,6 +389,40 @@ class TestScenarioParsing:
         )
         with pytest.raises(SchemaError):
             parse_scenario(json.dumps(bad))
+
+
+# A valid value of each check field, for a check of any kind.
+FIELD_VALUES = {
+    "actual": "o.json", "reference": "ref.json", "abs_tol": 0, "rel_tol": 0,
+    "dir": ".", "expected": ["o.json"], "artifacts": ["o.json"], "rubric": "require: x",
+}
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("kind", CHECKS)
+    def test_fields_are_the_function_parameters(self, kind):
+        function, required, optional = CHECKS[kind]
+        parameters = inspect.signature(function).parameters.values()
+        assert required == tuple(p.name for p in parameters if p.default is p.empty)
+        assert optional == tuple(p.name for p in parameters if p.default is not p.empty)
+
+    @pytest.mark.parametrize(
+        "kind,field", [(kind, field) for kind, (_, required, _) in CHECKS.items() for field in required]
+    )
+    def test_each_required_field_is_required(self, kind, field):
+        _, required, optional = CHECKS[kind]
+        check = {"kind": kind, **{name: FIELD_VALUES[name] for name in (*required, *optional)}}
+        scenario = dict(TestScenarioParsing.GOOD, checks=[check])
+        assert parse_scenario(json.dumps(scenario)).checks[0].params.keys() == check.keys() - {"kind"}
+        del check[field]
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(json.dumps(scenario))
+        assert err.value.location == f"checks[0].{field}"
+
+    def test_readme_names_every_kind(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        sentence = readme.split("\nChecks: ", 1)[1].split(". ", 1)[0]
+        assert re.findall(r"`([a-z_]+)` \(", sentence) == list(CHECKS)
 
 
 def make_copy_scenario(tmp_path: Path, k: int = 3, correct: bool = True) -> Path:
@@ -648,14 +685,6 @@ class TestRunScenario:
         events = (tmp_path / "runs" / "run_1.trace.ndjson").read_text().splitlines()
         assert any(json.loads(line)["event"] == "versions" for line in events)
 
-    def test_wrong_factor_reason_names_first_diff(self, tmp_path):
-        scenario = load_scenario(REPO_ROOT / "scenarios" / "case_replay_wrong_factor.json")
-        run = run_scenario(scenario, tmp_path / "runs", k=1).runs[0]
-        first = run.verdicts[0]
-        assert first.kind == "numeric_file_compare" and not first.passed
-        assert run.reason == f"numeric_file_compare check failed: {first.diffs[0]}"
-        assert run.reason.startswith("numeric_file_compare check failed: $.extremes.bearing.FX.max: ")
-
     def test_shipped_subject_refuses_renamed_delivery_as_json(self, tmp_path):
         # The delivery with the register's names already applied: the replay
         # still stops at its first rename, with transform's one JSON error
@@ -702,6 +731,7 @@ class TestRunScenario:
         proc = run_replay(tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert replay_error(proc.stderr)["code"] == "UNBALANCED_CASE"
         assert proc.stderr.splitlines()[-1] == "equilibrium failed: exit 2, expected 0"
         assert not (tmp_path / "limit_loads").exists()
 
